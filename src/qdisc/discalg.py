@@ -191,27 +191,22 @@ def _poch_down(d: int, ctx: QContext, npoints: int) -> np.ndarray:
     This is the grid function of z^d z*^d.
     """
     out = np.zeros(npoints, dtype=complex)
-    if d == 0:
-        out[:] = 1.0
-        return out
-    yg = ctx.ygrid(npoints)
-    for n in range(d, npoints):
-        p = 1.0
-        for s in range(n - d + 1, n + 1):
-            p *= 1.0 - yg[s]
-        out[n] = p
+    if d < npoints:
+        out[d:] = _window_products(1.0 - ctx.ygrid(npoints)[1:], d, npoints - d)
     return out
 
 
 def _poch_up(d: int, ctx: QContext, npoints: int) -> np.ndarray:
     """Q_d[n] = prod_{s=1}^{d} (1 - q^{2(n+s)}); the grid function of z*^d z^d."""
-    yg = np.power(ctx.q2, np.arange(npoints + d, dtype=float))
-    out = np.ones(npoints, dtype=complex)
-    for n in range(npoints):
-        p = 1.0
-        for s in range(1, d + 1):
-            p *= 1.0 - yg[n + s]
-        out[n] = p
+    return _window_products(1.0 - ctx.ygrid(npoints + d)[1:], d, npoints).astype(complex)
+
+
+def _window_products(factors: np.ndarray, d: int, count: int) -> np.ndarray:
+    """out[n] = factors[n] * factors[n+1] * ... * factors[n+d-1], n < count,
+    multiplied in that order."""
+    out = np.ones(count)
+    for k in range(d):
+        out *= factors[k : k + count]
     return out
 
 

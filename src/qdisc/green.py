@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import QContext
-from .discalg import DiscElement, GridFunction, _poch_down, _poch_up
+from .discalg import DiscElement, GridFunction, _poch_down, _poch_up, _shift
 from .errors import CapacityError, DomainError
 from .qspecial import dilog, l_sum
 
@@ -172,6 +172,10 @@ class Kernel:
             abs(c) * self.tail_bound,
             self.exact,
         )
+
+
+def _accumulate(acc: dict, key, arr: np.ndarray) -> None:
+    acc[key] = acc[key] + arr if key in acc else arr
 
 
 def _leg_factor(s: int, l: complex, ctx: QContext, npoints: int) -> np.ndarray:
@@ -330,10 +334,7 @@ def kernel_assembled(
         for c, ker in pieces:
             for key, arr in ker.terms.items():
                 block = c * arr
-                if key in acc:
-                    acc[key] = acc[key] + block
-                else:
-                    acc[key] = block
+                _accumulate(acc, key, block)
                 inc_norm = max(inc_norm, float(np.max(np.abs(block))))
         increments.append(inc_norm)
         if len(increments) >= 4:
@@ -345,6 +346,9 @@ def kernel_assembled(
             if r < 0.95:
                 tail = increments[-1] * r / (1.0 - r) if r > 0 else 0.0
                 if tail < tol:
+                    # cached and shared between callers, so read-only
+                    for arr in acc.values():
+                        arr.flags.writeable = False
                     built = Kernel(acc, ctx, shape, sector_max, tail, False)
                     _ASSEMBLED_CACHE[cache_key] = built
                     return built
@@ -367,8 +371,8 @@ def apply_kernel(K: Kernel, f: DiscElement, ctx: QContext | None = None) -> Disc
     truncation for the support or sectors of f raises CapacityError.
     """
     ctx = ctx or f.ctx
-    A, B = K.shape
-    w = np.power(1.0 / ctx.q2, np.arange(B, dtype=float))
+    B = K.shape[1]
+    w = ctx.weights(B)
     out: dict[int, np.ndarray] = {}
     for m, phi in f.sectors.items():
         if not phi.finite_support:
@@ -376,43 +380,20 @@ def apply_kernel(K: Kernel, f: DiscElement, ctx: QContext | None = None) -> Disc
         supp = np.nonzero(np.abs(phi.values) > 0)[0]
         if len(supp) == 0:
             continue
-        top = int(supp[-1])
         j = -m
-        key = (m, j)
-        if key not in K.terms:
+        if (m, j) not in K.terms:
             raise CapacityError(
-                f"kernel lacks the sector pair {key} needed for f's sector {m}"
+                f"kernel lacks the sector pair {(m, j)} needed for f's sector {m}"
             )
-        psi = K.terms[key]
-        if j > 0:
-            # second leg zeta^j g(eta) against phi(eta) zeta*^j: the j
-            # contractions shift the weight and contraction polynomial
-            if top >= B:
-                raise CapacityError("kernel second-leg block too small for supp f")
-            pd = _poch_down(j, ctx, B + j)
-            wj = np.power(1.0 / ctx.q2, np.arange(j, B + j, dtype=float))
-            col = np.zeros(B, dtype=complex)
-            col[: min(B, len(phi.values))] = phi.values[: min(B, len(phi.values))]
-            vec = (1.0 - ctx.q2) * psi @ (col * pd[j : B + j] * wj)
-        elif j == 0:
-            if top >= B:
-                raise CapacityError("kernel second-leg block too small for supp f")
-            col = np.zeros(B, dtype=complex)
-            col[: min(B, len(phi.values))] = phi.values[: min(B, len(phi.values))]
-            vec = (1.0 - ctx.q2) * psi @ (col * w)
-        else:
-            u = -j
-            if top >= B:
-                raise CapacityError("kernel second-leg block too small for supp f")
-            qu = _poch_up(u, ctx, B)
-            col = np.zeros(B, dtype=complex)
-            col[: min(B, len(phi.values))] = phi.values[: min(B, len(phi.values))]
-            vec = (1.0 - ctx.q2) * psi @ (col * qu * w)
-        i = m
-        if i in out:
-            out[i] = out[i] + vec
-        else:
-            out[i] = vec
+        if supp[-1] >= B:
+            raise CapacityError("kernel second-leg block too small for supp f")
+        col = np.zeros(B, dtype=complex)
+        col[: min(B, len(phi.values))] = phi.values[:B]
+        # the |j| generator contractions between the second leg and f
+        # leave the polynomial Q_|j|; for j > 0 they also shift the
+        # integral weight by q^(-2j)
+        weighted = col * _poch_up(abs(j), ctx, B) * w * (ctx.q2**-j if j > 0 else 1.0)
+        out[m] = (1.0 - ctx.q2) * K.terms[(m, j)] @ weighted
     sectors = {
         i: GridFunction(_fit(v, ctx.npoints), finite_support=False)
         for i, v in out.items()
@@ -476,166 +457,81 @@ def sector_laplacian_matrix(sector: int, dim: int, ctx: QContext) -> np.ndarray:
 # --- kernel invariance ---------------------------------------------------
 
 
-def _act_leg(label: str, sector: int, psi: np.ndarray, axis: int, ctx: QContext):
-    """Generator action on one leg of a kernel term along the given axis.
+def _act_leg(label: str, sector: int, npts: int, axis: int, ctx: QContext):
+    """E or F acting on one leg of a kernel term along the given axis.
 
-    Returns (new_sector, array).  Mirrors the element action formulas,
-    with grid values and shifts applied along the chosen axis.
+    Returns the leg's new sector and the action as (coefficient, shift)
+    terms: the image of psi is sum c * shift(psi, s), shifted along the
+    axis, with c a scalar or a grid column broadcast along it.  Mirrors
+    the element action formulas.
     """
     q = ctx.q
-    npts = psi.shape[axis]
-    yg = ctx.ygrid(npts)
     shape = [1, 1]
     shape[axis] = npts
-    yg = yg.reshape(shape)
-
-    def sh(arr, s):
-        return _shift_axis(arr, s, axis)
-
-    if label == "K":
-        return sector, q ** (2 * sector) * psi
-    if label == "Kinv":
-        return sector, q ** (-2 * sector) * psi
+    yg = ctx.ygrid(npts).reshape(shape)
     if label == "E":
         alpha = -(q**0.5) / (1.0 - ctx.q2)
         if sector >= 0:
-            return sector + 1, alpha * (psi - q ** (2 * sector) * sh(psi, 1))
-        return sector + 1, alpha * (
-            (yg - q ** (2 * sector)) * psi + (1.0 - yg) * sh(psi, -1)
-        )
+            return sector + 1, ((alpha, 0), (-alpha * q ** (2 * sector), 1))
+        return sector + 1, ((alpha * (yg - q ** (2 * sector)), 0), (alpha * (1.0 - yg), -1))
     if label == "F":
         beta = -(q**2.5) / (1.0 - ctx.q2)
         if sector >= 1:
-            return sector - 1, beta * (
-                (yg - q ** (-2 * sector)) * psi + (1.0 - yg) * sh(psi, -1)
-            )
-        return sector - 1, beta * (psi - q ** (-2 * sector) * sh(psi, 1))
+            return sector - 1, ((beta * (yg - q ** (-2 * sector)), 0), (beta * (1.0 - yg), -1))
+        return sector - 1, ((beta, 0), (-beta * q ** (-2 * sector), 1))
     raise DomainError(f"unknown generator {label!r}")
 
 
-def _shift_axis(arr: np.ndarray, s: int, axis: int) -> np.ndarray:
-    out = np.zeros_like(arr)
+def _coproduct_legs(label: str, K: Kernel, ctx: QContext):
+    """E or F acting on K through the coproduct, E as E (x) 1 + K (x) E and
+    F as F (x) K^-1 + 1 (x) F.
+
+    Yields (target pair, psi, axis, terms) for each stored term and leg,
+    with the K or K^-1 factor of the other leg folded into the terms.
+    """
+    q = ctx.q
+    for (i, j), psi in K.terms.items():
+        i2, first = _act_leg(label, i, psi.shape[0], 0, ctx)
+        j2, second = _act_leg(label, j, psi.shape[1], 1, ctx)
+        if label == "E":
+            second = [(q ** (2 * i) * c, s) for c, s in second]
+        else:
+            first = [(q ** (-2 * j) * c, s) for c, s in first]
+        yield (i2, j), psi, 0, first
+        yield (i, j2), psi, 1, second
+
+
+def _leg_image(terms, psi: np.ndarray, axis: int) -> np.ndarray:
+    """sum c * shift(psi, s) over the (coefficient, shift) terms."""
     if axis == 0:
-        if s > 0:
-            out[:-s, :] = arr[s:, :]
-        elif s < 0:
-            out[-s:, :] = arr[:s, :]
-        else:
-            out = arr.copy()
-    else:
-        if s > 0:
-            out[:, :-s] = arr[:, s:]
-        elif s < 0:
-            out[:, -s:] = arr[:, :s]
-        else:
-            out = arr.copy()
-    return out
+        return sum(c * _shift(psi, s) for c, s in terms)
+    return sum(c * _shift(psi.T, s).T for c, s in terms)
 
 
 def kernel_act(label: str, K: Kernel, ctx: QContext | None = None) -> Kernel:
     """Coproduct action on a kernel: E acts as E (x) 1 + K (x) E,
     F as F (x) K^-1 + 1 (x) F, K legwise."""
     ctx = ctx or K.ctx
-    q = ctx.q
     out: dict[tuple[int, int], np.ndarray] = {}
-
-    def add(key, arr):
-        if key in out:
-            out[key] = out[key] + arr
-        else:
-            out[key] = arr
-
-    for (i, j), psi in K.terms.items():
-        if label in ("K", "Kinv"):
-            s = 1 if label == "K" else -1
-            add((i, j), q ** (2 * s * (i + j)) * psi)
-        elif label == "E":
-            i2, a1 = _act_leg("E", i, psi, 0, ctx)
-            add((i2, j), a1)
-            j2, a2 = _act_leg("E", j, psi, 1, ctx)
-            add((i, j2), q ** (2 * i) * a2)
-        elif label == "F":
-            i2, a1 = _act_leg("F", i, psi, 0, ctx)
-            add((i2, j), q ** (-2 * j) * a1)
-            j2, a2 = _act_leg("F", j, psi, 1, ctx)
-            add((i, j2), a2)
-        else:
-            raise DomainError(f"unknown generator {label!r}")
+    if label in ("K", "Kinv"):
+        s = 1 if label == "K" else -1
+        for (i, j), psi in K.terms.items():
+            out[(i, j)] = ctx.q ** (2 * s * (i + j)) * psi
+    else:
+        for key, psi, axis, terms in _coproduct_legs(label, K, ctx):
+            _accumulate(out, key, _leg_image(terms, psi, axis))
     return Kernel(out, ctx, K.shape, K.sector_max + 1, K.tail_bound, False)
-
-
-def _kernel_act_magnitude(label: str, K: Kernel, ctx: QContext) -> Kernel:
-    """Same combination with all contributions taken in absolute value;
-    the cancellation scale for relative residuals."""
-    absK = Kernel(
-        {k: np.abs(v).astype(complex) for k, v in K.terms.items()},
-        ctx,
-        K.shape,
-        K.sector_max,
-    )
-    out: dict[tuple[int, int], np.ndarray] = {}
-
-    def add(key, arr):
-        arr = np.abs(arr)
-        if key in out:
-            out[key] = out[key] + arr
-        else:
-            out[key] = arr
-
-    q = ctx.q
-    for (i, j), psi in absK.terms.items():
-        if label in ("K", "Kinv"):
-            add((i, j), psi * 2.0)
-        elif label == "E":
-            i2, a1 = _act_leg_abs("E", i, psi, 0, ctx)
-            add((i2, j), a1)
-            j2, a2 = _act_leg_abs("E", j, psi, 1, ctx)
-            add((i, j2), q ** (2 * i) * a2)
-        elif label == "F":
-            i2, a1 = _act_leg_abs("F", i, psi, 0, ctx)
-            add((i2, j), q ** (-2 * j) * a1)
-            j2, a2 = _act_leg_abs("F", j, psi, 1, ctx)
-            add((i, j2), a2)
-    return Kernel(out, ctx, K.shape, K.sector_max + 1)
-
-
-def _act_leg_abs(label: str, sector: int, psi: np.ndarray, axis: int, ctx: QContext):
-    """Absolute-value counterpart of _act_leg."""
-    q = ctx.q
-    npts = psi.shape[axis]
-    yg = ctx.ygrid(npts)
-    shape = [1, 1]
-    shape[axis] = npts
-    yg = yg.reshape(shape)
-    psi = np.abs(psi)
-
-    def sh(arr, s):
-        return _shift_axis(arr, s, axis)
-
-    if label == "E":
-        alpha = abs(-(q**0.5) / (1.0 - ctx.q2))
-        if sector >= 0:
-            return sector + 1, alpha * (psi + q ** (2 * sector) * sh(psi, 1))
-        return sector + 1, alpha * (
-            np.abs(yg - q ** (2 * sector)) * psi + np.abs(1.0 - yg) * sh(psi, -1)
-        )
-    beta = abs(-(q**2.5) / (1.0 - ctx.q2))
-    if sector >= 1:
-        return sector - 1, beta * (
-            np.abs(yg - q ** (-2 * sector)) * psi + np.abs(1.0 - yg) * sh(psi, -1)
-        )
-    return sector - 1, beta * (psi + q ** (-2 * sector) * sh(psi, 1))
 
 
 def kernel_invariance_residual(K: Kernel, ctx: QContext | None = None) -> float:
     """Invariance defect of a kernel under the coproduct action.
 
     max over xi in {E, F, K-1} of the entrywise residual of xi(K),
-    normalized by the magnitude of the contributions entering each entry
-    (kernel functions grow along the grid, so raw sup norms would drown
-    exact cancellations in rounding noise).  The top grid row/column of
-    each term is excluded, matching the one-step reach of the difference
-    formulas.
+    normalized by the magnitude of the contributions entering each entry,
+    sum |c| shift(|psi|) over the same terms (kernel functions grow along
+    the grid, so raw sup norms would drown exact cancellations in
+    rounding noise).  The top grid row/column of each term is excluded,
+    matching the one-step reach of the difference formulas.
 
     For exact (terminating) kernels every sector pair is measured.  For
     sector-truncated kernels the generator images cancel between
@@ -646,14 +542,15 @@ def kernel_invariance_residual(K: Kernel, ctx: QContext | None = None) -> float:
     ctx = ctx or K.ctx
     worst = 0.0
     for lab in ("E", "F"):
-        acted = kernel_act(lab, K, ctx)
-        mags = _kernel_act_magnitude(lab, K, ctx)
-        for key, arr in acted.terms.items():
+        acted = kernel_act(lab, K, ctx).terms
+        mags: dict[tuple[int, int], np.ndarray] = {}
+        for key, psi, axis, terms in _coproduct_legs(lab, K, ctx):
+            abs_terms = [(abs(c), s) for c, s in terms]
+            _accumulate(mags, key, _leg_image(abs_terms, np.abs(psi), axis))
+        for key, arr in acted.items():
             if not K.exact and max(abs(key[0]), abs(key[1])) > K.sector_max:
                 continue
-            mag = mags.terms.get(key)
-            scale = np.maximum(1.0, np.abs(mag) if mag is not None else 1.0)
-            ratio = np.abs(arr) / scale
+            ratio = np.abs(arr) / np.maximum(1.0, mags[key])
             if ratio.shape[0] > 1 and ratio.shape[1] > 1:
                 worst = max(worst, float(np.max(ratio[:-1, :-1])))
     for (i, j), psi in K.terms.items():

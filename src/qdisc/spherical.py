@@ -125,14 +125,8 @@ def phi_column(rho: float, npoints: int, ctx: QContext) -> np.ndarray:
     return out
 
 
-def phi_matrix(
-    rhos: np.ndarray, npoints: int, ctx: QContext, cache_key=None
-) -> np.ndarray:
+def phi_matrix(rhos: np.ndarray, npoints: int, ctx: QContext) -> np.ndarray:
     """Matrix phi[rho_j, n] for all quadrature nodes at once."""
-    if cache_key is not None:
-        hit = _PHI_CACHE.get((ctx.q, cache_key, npoints))
-        if hit is not None:
-            return hit
     lam = np.array([lambda_rho(r, ctx) for r in rhos], dtype=complex)
     up, diag, down = stencil_coefficients(ctx, npoints)
     out = np.zeros((len(rhos), npoints), dtype=complex)
@@ -141,8 +135,6 @@ def phi_matrix(
         out[:, 1] = (lam - diag[0]) / down[0]
         for n in range(1, npoints - 1):
             out[:, n + 1] = ((lam - diag[n]) * out[:, n] - up[n] * out[:, n - 1]) / down[n]
-    if cache_key is not None:
-        _PHI_CACHE[(ctx.q, cache_key, npoints)] = out
     return out
 
 
@@ -216,16 +208,8 @@ def sigma_density(rho: float, ctx: QContext) -> float:
     return ctx.h / (4.0 * math.pi * (1.0 - q2)) * dens
 
 
-_DENSITY_CACHE: dict[tuple, np.ndarray] = {}
-_PHI_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _density_vector(rhos: np.ndarray, ctx: QContext, cache_key=None) -> np.ndarray:
-    """Vectorized density evaluation; cached per (q, node set)."""
-    if cache_key is not None:
-        hit = _DENSITY_CACHE.get((ctx.q, cache_key))
-        if hit is not None:
-            return hit
+def _density_vector(rhos: np.ndarray, ctx: QContext) -> np.ndarray:
+    """Vectorized density evaluation."""
     q2 = ctx.q2
     lnq = math.log(ctx.q)
     w = np.exp(-4j * np.asarray(rhos) * lnq)      # q^(-4 i rho)
@@ -246,10 +230,7 @@ def _density_vector(rhos: np.ndarray, ctx: QContext, cache_key=None) -> np.ndarr
     dens = (half * np.conj(half)).real * ctx.h / (4.0 * math.pi * (1.0 - q2))
     period = ctx.rho_period()
     dens[(np.asarray(rhos) <= 0.0) | (np.asarray(rhos) >= period)] = 0.0
-    dens = np.maximum(dens, 0.0)
-    if cache_key is not None:
-        _DENSITY_CACHE[(ctx.q, cache_key)] = dens
-    return dens
+    return np.maximum(dens, 0.0)
 
 
 @dataclass
@@ -291,6 +272,40 @@ def _nodes(count: int, ctx: QContext) -> np.ndarray:
     return period * np.arange(count) / count
 
 
+# Quadrature data on the equispaced node sets, which the transforms reuse
+# across calls; entries are read-only since every caller shares them.
+_PHI_CACHE: dict[tuple, np.ndarray] = {}
+_DENSITY_CACHE: dict[tuple, np.ndarray] = {}
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _node_phi(count: int, npoints: int, ctx: QContext) -> np.ndarray:
+    """phi_matrix on the node set of the given size, cached per
+    (q, count, npoints)."""
+    key = (ctx.q, count, npoints)
+    if key not in _PHI_CACHE:
+        _PHI_CACHE[key] = _frozen(phi_matrix(_nodes(count, ctx), npoints, ctx))
+    return _PHI_CACHE[key]
+
+
+def _node_density(count: int, ctx: QContext) -> np.ndarray:
+    """_density_vector on the node set of the given size, cached per
+    (q, count)."""
+    key = (ctx.q, count)
+    if key not in _DENSITY_CACHE:
+        _DENSITY_CACHE[key] = _frozen(_density_vector(_nodes(count, ctx), ctx))
+    return _DENSITY_CACHE[key]
+
+
+def _forward(phi: np.ndarray, g: GridFunction, ctx: QContext) -> np.ndarray:
+    """(1-q^2) sum_m phi[:, m] g(q^(2m)) q^(-2m)."""
+    return (1.0 - ctx.q2) * phi @ (g.values * ctx.weights(len(g.values)))
+
+
 def transform_forward(
     g: GridFunction, ctx: QContext, node_count: int = 1024
 ) -> SpectralFunction:
@@ -303,22 +318,13 @@ def transform_forward(
     """
     if not g.finite_support:
         raise DomainError("spherical transform requires finite support")
-    rhos = _nodes(node_count, ctx)
-    npoints = len(g.values)
-    phi = phi_matrix(rhos, npoints, ctx, cache_key=node_count)
-    w = ctx.weights(npoints)
-    vals = (1.0 - ctx.q2) * phi @ (g.values * w)
-    return SpectralFunction(rhos, vals, source=g)
+    vals = _forward(_node_phi(node_count, len(g.values), ctx), g, ctx)
+    return SpectralFunction(_nodes(node_count, ctx), vals, source=g)
 
 
-def forward_at(
-    g: GridFunction, rhos: np.ndarray, ctx: QContext, cache_key=None
-) -> np.ndarray:
+def forward_at(g: GridFunction, rhos: np.ndarray, ctx: QContext) -> np.ndarray:
     """Forward transform evaluated at arbitrary nodes."""
-    npoints = len(g.values)
-    phi = phi_matrix(np.asarray(rhos, dtype=float), npoints, ctx, cache_key=cache_key)
-    w = ctx.weights(npoints)
-    return (1.0 - ctx.q2) * phi @ (g.values * w)
+    return _forward(phi_matrix(np.asarray(rhos, dtype=float), len(g.values), ctx), g, ctx)
 
 
 def transform_inverse(
@@ -338,7 +344,8 @@ def transform_inverse(
     callable rho -> value.  The integrand is periodic and analytic in
     rho, so the node count is doubled until outputs move by less than
     max(quad_abs_tol, quad_rel_tol * scale, rounding floor); failure to
-    settle raises QuadratureError with diagnostics.  Spectral functions
+    settle, or a node range too short to hold two node counts, raises
+    QuadratureError with diagnostics.  Spectral functions
     carrying their source grid function are re-evaluated exactly at the
     refined nodes; others are refined by trigonometric interpolation.
     """
@@ -347,23 +354,27 @@ def transform_inverse(
     period = ctx.rho_period()
 
     if isinstance(F, SpectralFunction):
-        base = F.node_count
         if F.source is not None:
             src = F.source
-            fvals_for = lambda rhos: forward_at(src, rhos, ctx, cache_key=len(rhos))
+            fvals_for = lambda rhos: _forward(_node_phi(len(rhos), len(src.values), ctx), src, ctx)
         else:
             fvals_for = lambda rhos: _resample(F, rhos)
-        start_nodes = max(start_nodes, base)
+        start_nodes = max(start_nodes, F.node_count)
     else:
         fvals_for = lambda rhos: np.array([F(r) for r in rhos], dtype=complex)
+    if start_nodes < 1 or 2 * start_nodes > max_nodes:
+        raise QuadratureError(
+            f"node doubling from {start_nodes} to at most {max_nodes} gives "
+            "fewer than the two node counts the convergence test needs"
+        )
 
     prev = None
     count = start_nodes
     while count <= max_nodes:
         rhos = _nodes(count, ctx)
         fv = fvals_for(rhos)
-        dens = _density_vector(rhos, ctx, cache_key=count)
-        phi = phi_matrix(rhos, npoints, ctx, cache_key=count)
+        dens = _node_density(count, ctx)
+        phi = _node_phi(count, npoints, ctx)
         out = (period / count) * (phi.T @ (fv * dens))
         # rounding floor of the quadrature sums: spectral values of deep
         # deltas reach q^(-2n) sizes and the summation noise accumulates

@@ -5,6 +5,11 @@ check returning a residual and a tolerance.  The CLI `verify` command
 runs the registry and reports machine-readable results; the acceptance
 test suite drives the same functions at the pinned tolerances.
 
+Checks come in groups that share set-up work.  A group is declared once
+with `_group(*names)`: its body yields one (residual, tolerance, detail)
+triple per declared name, in order, and the decorator turns the triples
+into timed CheckResult records.
+
 Residual conventions.  Identities between O(1) quantities use absolute
 residuals.  Identities whose terms the integral weights or generator
 coefficients amplify (anything involving q^(-2n) masses or high-sector
@@ -14,6 +19,7 @@ standard measure of cancellation quality in floating point.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -26,6 +32,7 @@ from .context import QContext
 from .discalg import (
     DiscElement,
     GridFunction,
+    _shift,
     delta_fn,
     inner,
     integral_scale,
@@ -34,6 +41,7 @@ from .discalg import (
     rep_matrix,
     star,
 )
+from .qspecial import qgamma
 from .uqsl2 import (
     act,
     act_word,
@@ -66,6 +74,33 @@ class CheckResult:
             "detail": self.detail,
             "runtime_s": round(float(self.runtime), 3),
         }
+
+
+def _group(*names: str):
+    """Declare a check group producing the named checks, in order.
+
+    The decorated body is a generator yielding one (residual, tolerance,
+    detail) triple per name; a count mismatch raises ValueError.  Each
+    result's runtime is the time since the previous yield, or since the
+    group started for the first one.  The names are kept on the function
+    as `.names`, so the registry can skip a group without running it.
+    """
+
+    def decorate(body):
+        @functools.wraps(body)
+        def run(*args, **kwargs) -> list[CheckResult]:
+            out = []
+            t0 = time.perf_counter()
+            for name, (residual, tol, detail) in zip(names, body(*args, **kwargs), strict=True):
+                t1 = time.perf_counter()
+                out.append(CheckResult(name, residual, tol, detail, t1 - t0))
+                t0 = t1
+            return out
+
+        run.names = names
+        return run
+
+    return decorate
 
 
 def _spanning_set(ctx: QContext, sectors: int = 3, support: int = 10):
@@ -101,25 +136,22 @@ def _rel(diff: float, scale: float) -> float:
 # --- algebra ------------------------------------------------------------
 
 
-def check_algebra(ctx: QContext, n_random: int = 100) -> list[CheckResult]:
-    t0 = time.time()
+@_group(
+    "algebra_qr_identity",
+    "algebra_commutation_shifts",
+    "algebra_rep_products",
+    "algebra_rep_involution",
+    "algebra_associativity",
+    "algebra_integral_values",
+)
+def check_algebra(ctx: QContext, n_random: int = 100):
     z = DiscElement.generator_z(ctx)
     zs = DiscElement.generator_zstar(ctx)
     one = DiscElement.one(ctx)
-    results = []
 
     qr = normal_mul(zs, z) - normal_mul(z, zs).scaled(ctx.q2) - one.scaled(1 - ctx.q2)
-    results.append(
-        CheckResult(
-            "algebra_qr_identity",
-            qr.max_abs(),
-            1e-14,
-            "generator relation in normal form, exact to rounding",
-            time.time() - t0,
-        )
-    )
+    yield qr.max_abs(), 1e-14, "generator relation in normal form, exact to rounding"
 
-    t0 = time.time()
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(8):
@@ -128,22 +160,13 @@ def check_algebra(ctx: QContext, n_random: int = 100) -> list[CheckResult]:
         psi = DiscElement({0: GridFunction(v)}, ctx)
         # z* psi(y) = psi(q^2 y) z*  and  z psi(y) = psi(q^-2 y) z
         lhs = normal_mul(zs, psi)
-        rhs = DiscElement({-1: GridFunction(_shifted(v, 1))}, ctx)
+        rhs = DiscElement({-1: GridFunction(_shift(v, 1))}, ctx)
         worst = max(worst, lhs.max_abs_diff(rhs))
         lhs2 = normal_mul(z, psi)
-        rhs2 = normal_mul(DiscElement({0: GridFunction(_shifted(v, -1))}, ctx), z)
+        rhs2 = normal_mul(DiscElement({0: GridFunction(_shift(v, -1))}, ctx), z)
         worst = max(worst, lhs2.max_abs_diff(rhs2))
-    results.append(
-        CheckResult(
-            "algebra_commutation_shifts",
-            worst,
-            1e-14,
-            "generators commute past grid functions with argument shifts",
-            time.time() - t0,
-        )
-    )
+    yield worst, 1e-14, "generators commute past grid functions with argument shifts"
 
-    t0 = time.time()
     dim = 28
     interior = dim - 10
     elements = _random_elements(ctx, n_random)
@@ -169,33 +192,10 @@ def check_algebra(ctx: QContext, n_random: int = 100) -> list[CheckResult]:
         rhs = normal_mul(a, normal_mul(b, c))
         scale = max(1.0, lhs.max_abs())
         worst_assoc = max(worst_assoc, lhs.max_abs_diff(rhs) / scale)
-    results.append(
-        CheckResult(
-            "algebra_rep_products",
-            worst_prod,
-            1e-12,
-            "normal-ordered products match the weighted-shift matrices",
-            time.time() - t0,
-        )
-    )
-    results.append(
-        CheckResult(
-            "algebra_rep_involution",
-            worst_star,
-            1e-12,
-            "involution matches the matrix adjoint",
-        )
-    )
-    results.append(
-        CheckResult(
-            "algebra_associativity",
-            worst_assoc,
-            1e-12,
-            "associativity on random triples",
-        )
-    )
+    yield worst_prod, 1e-12, "normal-ordered products match the weighted-shift matrices"
+    yield worst_star, 1e-12, "involution matches the matrix adjoint"
+    yield worst_assoc, 1e-12, "associativity on random triples"
 
-    t0 = time.time()
     f0 = delta_fn(0, ctx)
     vals = [
         abs(inv_integral(f0) - (1 - ctx.q2)),
@@ -212,16 +212,7 @@ def check_algebra(ctx: QContext, n_random: int = 100) -> list[CheckResult]:
         if k != j:
             vals.append(abs(inv_integral(normal_mul(normal_mul(zk, rad), normal_mul(zj, f0)))))
             vals.append(abs(inv_integral(normal_mul(normal_mul(rad, star(zk)), normal_mul(f0, star(zj))))))
-    results.append(
-        CheckResult(
-            "algebra_integral_values",
-            max(vals),
-            1e-13,
-            "invariant integral values and cross-sector orthogonality",
-            time.time() - t0,
-        )
-    )
-    return results
+    yield max(vals), 1e-13, "invariant integral values and cross-sector orthogonality"
 
 
 def _zpow(k: int, ctx: QContext) -> DiscElement:
@@ -232,26 +223,20 @@ def _zpow(k: int, ctx: QContext) -> DiscElement:
     return out
 
 
-def _shifted(v: np.ndarray, s: int) -> np.ndarray:
-    out = np.zeros_like(v)
-    if s > 0:
-        out[:-s] = v[s:]
-    elif s < 0:
-        out[-s:] = v[:s]
-    else:
-        out = v.copy()
-    return out
-
-
 # --- covariance / Hopf suite ---------------------------------------------
 
 
-def check_hopf(ctx: QContext) -> list[CheckResult]:
+@_group(
+    "hopf_defining_relations",
+    "module_algebra_law",
+    "involution_covariance",
+    "integral_invariance",
+    "adjoint_law",
+)
+def check_hopf(ctx: QContext):
     q = ctx.q
-    results = []
     basis = _spanning_set(ctx)
 
-    t0 = time.time()
     worst = 0.0
     for f in basis:
         scale = max(
@@ -266,17 +251,8 @@ def check_hopf(ctx: QContext) -> list[CheckResult]:
         rhs = (act("K", f) - act("Kinv", f)).scaled(1.0 / (q - 1.0 / q))
         r3 = lhs.max_abs_diff(rhs)
         worst = max(worst, _rel(max(r1, r2, r3), scale))
-    results.append(
-        CheckResult(
-            "hopf_defining_relations",
-            worst,
-            1e-12,
-            "generator relations as operator identities on the spanning set",
-            time.time() - t0,
-        )
-    )
+    yield worst, 1e-12, "generator relations as operator identities on the spanning set"
 
-    t0 = time.time()
     worst = 0.0
     pairs = list(zip(basis[::5], basis[1::5]))
     for f, g in pairs:
@@ -290,17 +266,8 @@ def check_hopf(ctx: QContext) -> list[CheckResult]:
             worst,
             _rel(max(lhsE.max_abs_diff(rhsE), lhsF.max_abs_diff(rhsF)), scale),
         )
-    results.append(
-        CheckResult(
-            "module_algebra_law",
-            worst,
-            1e-12,
-            "coproduct compatibility of the actions with the product",
-            time.time() - t0,
-        )
-    )
+    yield worst, 1e-12, "coproduct compatibility of the actions with the product"
 
-    t0 = time.time()
     worst = 0.0
     for f in basis[:: 4]:
         scale = max(1.0, act("E", f).max_abs(), act("F", f).max_abs())
@@ -308,17 +275,8 @@ def check_hopf(ctx: QContext) -> list[CheckResult]:
         r2 = star(act("F", f)).max_abs_diff(act("E", star(f)).scaled(q**2))
         r3 = star(act("K", f)).max_abs_diff(act("Kinv", star(f)))
         worst = max(worst, _rel(max(r1, r2, r3), scale))
-    results.append(
-        CheckResult(
-            "involution_covariance",
-            worst,
-            1e-12,
-            "star intertwines the actions through the antipode table",
-            time.time() - t0,
-        )
-    )
+    yield worst, 1e-12, "star intertwines the actions through the antipode table"
 
-    t0 = time.time()
     worst = 0.0
     for f in basis:
         sc = max(integral_scale(f), 1e-30)
@@ -328,17 +286,8 @@ def check_hopf(ctx: QContext) -> list[CheckResult]:
                 worst, abs(inv_integral(acted)) / max(sc, integral_scale(acted))
             )
         worst = max(worst, abs(inv_integral(act("K", f)) - inv_integral(f)) / sc)
-    results.append(
-        CheckResult(
-            "integral_invariance",
-            worst,
-            1e-12,
-            "the invariant integral kills E and F images and fixes K images",
-            time.time() - t0,
-        )
-    )
+    yield worst, 1e-12, "the invariant integral kills E and F images and fixes K images"
 
-    t0 = time.time()
     worst = 0.0
     for f, g in pairs:
         sc = max(
@@ -353,38 +302,24 @@ def check_hopf(ctx: QContext) -> list[CheckResult]:
         )
         rK = abs(inner(act("K", f), g) - inner(f, act("K", g)))
         worst = max(worst, max(rE, rF, rK) / sc)
-    results.append(
-        CheckResult(
-            "adjoint_law",
-            worst,
-            1e-12,
-            "generator adjoints under the pairing match the star structure",
-            time.time() - t0,
-        )
-    )
-    return results
+    yield worst, 1e-12, "generator adjoints under the pairing match the star structure"
 
 
-def check_casimir(ctx: QContext) -> list[CheckResult]:
-    results = []
-    t0 = time.time()
+@_group(
+    "casimir_equals_laplacian",
+    "casimir_centrality",
+    "radial_part_identity",
+    "sector_preservation",
+)
+def check_casimir(ctx: QContext):
     elements = _random_elements(ctx, 6, seed=5)
     worst = 0.0
     for f in elements:
         lhs = laplacian_apply(f, ctx)
         rhs = casimir_apply(f, ctx).scaled(1.0 / ctx.q)
         worst = max(worst, _rel(lhs.max_abs_diff(rhs), max(1.0, lhs.max_abs())))
-    results.append(
-        CheckResult(
-            "casimir_equals_laplacian",
-            worst,
-            1e-12,
-            "the Laplacian is 1/q times the Casimir action",
-            time.time() - t0,
-        )
-    )
+    yield worst, 1e-12, "the Laplacian is 1/q times the Casimir action"
 
-    t0 = time.time()
     worst = 0.0
     for f in elements[:3]:
         om = casimir_apply(f, ctx)
@@ -392,17 +327,8 @@ def check_casimir(ctx: QContext) -> list[CheckResult]:
             lhs = act(lab, om)
             rhs = casimir_apply(act(lab, f, ctx), ctx)
             worst = max(worst, _rel(lhs.max_abs_diff(rhs), max(1.0, lhs.max_abs())))
-    results.append(
-        CheckResult(
-            "casimir_centrality",
-            worst,
-            1e-12,
-            "the Casimir action commutes with every generator action",
-            time.time() - t0,
-        )
-    )
+    yield worst, 1e-12, "the Casimir action commutes with every generator action"
 
-    t0 = time.time()
     worst = 0.0
     rng = np.random.default_rng(17)
     for _ in range(6):
@@ -412,31 +338,17 @@ def check_casimir(ctx: QContext) -> list[CheckResult]:
         lhs = laplacian_apply(f, ctx).sector(0).values
         rhs = radial_laplacian(GridFunction(v), ctx).values
         worst = max(worst, float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(rhs)))))
-    results.append(
-        CheckResult(
-            "radial_part_identity",
-            worst,
-            1e-12,
-            "Casimir route equals the three-term radial stencil on sector 0",
-            time.time() - t0,
-        )
-    )
+    yield worst, 1e-12, "Casimir route equals the three-term radial stencil on sector 0"
 
-    t0 = time.time()
     f = _random_elements(ctx, 1, seed=23)[0]
     lap = laplacian_apply(f, ctx)
     sector_ok = 0.0 if set(lap.sectors) <= set(f.sectors) else 1.0
     rot = sector_rotate(lap, 0.9).max_abs_diff(laplacian_apply(sector_rotate(f, 0.9), ctx))
-    results.append(
-        CheckResult(
-            "sector_preservation",
-            max(sector_ok, _rel(rot, max(1.0, lap.max_abs()))),
-            1e-12,
-            "the Laplacian preserves sectors and commutes with rotations",
-            time.time() - t0,
-        )
+    yield (
+        max(sector_ok, _rel(rot, max(1.0, lap.max_abs()))),
+        1e-12,
+        "the Laplacian preserves sectors and commutes with rotations",
     )
-    return results
 
 
 # --- spectral suite -------------------------------------------------------
@@ -447,11 +359,15 @@ def _rho_samples(ctx: QContext, count: int = 16):
     return [(0.06 + 0.88 * i / (count - 1)) * period / 2 for i in range(count)]
 
 
-def check_eigenfunctions(ctx: QContext, nmax: int = 30) -> list[CheckResult]:
+@_group(
+    "eigen_equation_phi",
+    "phi_recurrence_agreement",
+    "eigen_equation_psi",
+    "connection_formula",
+)
+def check_eigenfunctions(ctx: QContext, nmax: int = 30):
     # eigenfunction magnitudes blow up near the band edges as q -> 1, so
     # residuals are taken relative to the eigenfunction scale
-    results = []
-    t0 = time.time()
     rhos = _rho_samples(ctx)
     worst_phi = 0.0
     worst_rec = 0.0
@@ -463,25 +379,9 @@ def check_eigenfunctions(ctx: QContext, nmax: int = 30) -> list[CheckResult]:
         worst_phi = max(worst_phi, float(np.max(np.abs(res[: nmax + 1]))) / scale)
         col = S.phi_column(rho, nmax + 2, ctx)
         worst_rec = max(worst_rec, float(np.max(np.abs(col - vals))) / scale)
-    results.append(
-        CheckResult(
-            "eigen_equation_phi",
-            worst_phi,
-            1e-9,
-            f"spherical eigenfunction solves the radial equation, n <= {nmax}",
-            time.time() - t0,
-        )
-    )
-    results.append(
-        CheckResult(
-            "phi_recurrence_agreement",
-            worst_rec,
-            1e-9,
-            "stable recurrence evaluation matches the terminating series",
-        )
-    )
+    yield worst_phi, 1e-9, f"spherical eigenfunction solves the radial equation, n <= {nmax}"
+    yield worst_rec, 1e-9, "stable recurrence evaluation matches the terminating series"
 
-    t0 = time.time()
     worst_psi = 0.0
     for rho in rhos[::3]:
         vals = np.array([S.psi_rho(rho, n, ctx) for n in range(nmax + 2)])
@@ -489,17 +389,8 @@ def check_eigenfunctions(ctx: QContext, nmax: int = 30) -> list[CheckResult]:
         res = radial_laplacian(GridFunction(vals, False), ctx).values - lam * vals
         scale = max(1.0, float(np.max(np.abs(vals))))
         worst_psi = max(worst_psi, float(np.max(np.abs(res[1 : nmax + 1]))) / scale)
-    results.append(
-        CheckResult(
-            "eigen_equation_psi",
-            worst_psi,
-            1e-9,
-            "second-kind solution solves the radial equation at interior rows",
-            time.time() - t0,
-        )
-    )
+    yield worst_psi, 1e-9, "second-kind solution solves the radial equation at interior rows"
 
-    t0 = time.time()
     period = ctx.rho_period()
     worst_c = 0.0
     for rho in rhos:
@@ -513,21 +404,18 @@ def check_eigenfunctions(ctx: QContext, nmax: int = 30) -> list[CheckResult]:
             b = cm * S.psi_rho(-rho, n, ctx)
             scale = max(1.0, abs(a), abs(b))
             worst_c = max(worst_c, abs(lhs - (a + b)) / scale)
-    results.append(
-        CheckResult(
-            "connection_formula",
-            worst_c,
-            1e-9,
-            "eigenfunction splits into the two second-kind solutions",
-            time.time() - t0,
-        )
-    )
-    return results
+    yield worst_c, 1e-9, "eigenfunction splits into the two second-kind solutions"
 
 
-def check_transform(ctx: QContext, nmax: int = 20, node_count: int = 1024) -> list[CheckResult]:
-    results = []
-    t0 = time.time()
+@_group(
+    "transform_roundtrip",
+    "transform_centre_delta",
+    "plancherel_pairing",
+    "multiplication_law",
+    "density_symmetry_and_quotient",
+    "quadrature_self_consistency",
+)
+def check_transform(ctx: QContext, nmax: int = 20, node_count: int = 1024):
     worst_rt = 0.0
     # the forward weights amplify a depth-n delta by q^(-2n) and the round
     # trip returns it with error of order eps * q^(-n); depths past the
@@ -542,33 +430,19 @@ def check_transform(ctx: QContext, nmax: int = 20, node_count: int = 1024) -> li
             S.transform_forward(d, ctx, node_count), ctx
         )
         worst_rt = max(worst_rt, float(np.max(np.abs(back.values - d.values))))
-    results.append(
-        CheckResult(
-            "transform_roundtrip",
-            worst_rt,
-            rt_tol,
-            f"inverse transform undoes the forward transform on deltas, n <= {nmax_rt}",
-            time.time() - t0,
-        )
+    yield (
+        worst_rt,
+        rt_tol,
+        f"inverse transform undoes the forward transform on deltas, n <= {nmax_rt}",
     )
 
-    t0 = time.time()
     f0 = delta_fn(0, ctx)
     F0 = S.transform_forward(f0.sector(0), ctx, 256)
     const_dev = float(np.max(np.abs(F0.values - (1 - ctx.q2))))
     back = S.transform_inverse(F0, ctx)
     f0_dev = float(np.max(np.abs(back.values - f0.sector(0).values)))
-    results.append(
-        CheckResult(
-            "transform_centre_delta",
-            max(const_dev, f0_dev),
-            1e-10,
-            "the centre delta transforms to the constant and back",
-            time.time() - t0,
-        )
-    )
+    yield max(const_dev, f0_dev), 1e-10, "the centre delta transforms to the constant and back"
 
-    t0 = time.time()
     rng = np.random.default_rng(31)
     worst_p = 0.0
     for _ in range(6):
@@ -581,21 +455,12 @@ def check_transform(ctx: QContext, nmax: int = 20, node_count: int = 1024) -> li
         lhs = inner(f, g)
         Ff = S.transform_forward(f.sector(0), ctx, node_count)
         Fg = S.transform_forward(g.sector(0), ctx, node_count)
-        dens = S._density_vector(Ff.nodes, ctx, cache_key=node_count)
+        dens = S._node_density(node_count, ctx)
         period = ctx.rho_period()
         rhs = period / node_count * np.sum(Ff.values * np.conj(Fg.values) * dens)
         worst_p = max(worst_p, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    results.append(
-        CheckResult(
-            "plancherel_pairing",
-            worst_p,
-            1e-8,
-            "the transform is unitary for the weighted pairing",
-            time.time() - t0,
-        )
-    )
+    yield worst_p, 1e-8, "the transform is unitary for the weighted pairing"
 
-    t0 = time.time()
     worst_m = 0.0
     for _ in range(4):
         gv = np.zeros(ctx.npoints, dtype=complex)
@@ -610,17 +475,8 @@ def check_transform(ctx: QContext, nmax: int = 20, node_count: int = 1024) -> li
             float(np.max(np.abs(Fl.values - lams * Fg.values)))
             / max(1.0, float(np.max(np.abs(Fl.values)))),
         )
-    results.append(
-        CheckResult(
-            "multiplication_law",
-            worst_m,
-            1e-9,
-            "the transform diagonalizes the radial Laplacian",
-            time.time() - t0,
-        )
-    )
+    yield worst_m, 1e-9, "the transform diagonalizes the radial Laplacian"
 
-    t0 = time.time()
     dens_devs = [
         S.sigma_density(0.0, ctx),
         S.sigma_density(ctx.rho_period(), ctx),
@@ -631,24 +487,17 @@ def check_transform(ctx: QContext, nmax: int = 20, node_count: int = 1024) -> li
             abs(S.sigma_density(frac * period, ctx) - S.sigma_density((1 - frac) * period, ctx))
         )
     # quotient form against the direct Gamma route away from poles
-    from .qspecial import qgamma
-
     for rho in (0.11 * period, 0.29 * period):
         direct = abs(
             qgamma(0.5 - 1j * rho, ctx.q2) ** 2 / qgamma(-2j * rho, ctx.q2)
         ) ** 2 * ctx.h / (4 * math.pi * (1 - ctx.q2))
         dens_devs.append(abs(direct - S.sigma_density(rho, ctx)) / direct)
-    results.append(
-        CheckResult(
-            "density_symmetry_and_quotient",
-            max(dens_devs),
-            1e-10,
-            "density vanishes at the period ends, is symmetric, matches Gammas",
-            time.time() - t0,
-        )
+    yield (
+        max(dens_devs),
+        1e-10,
+        "density vanishes at the period ends, is symmetric, matches Gammas",
     )
 
-    t0 = time.time()
     d = GridFunction.delta(1, ctx.npoints)
     Fd = S.transform_forward(d, ctx, 512)
     out_a = S.transform_inverse(Fd, ctx, start_nodes=512, max_nodes=1024,
@@ -656,49 +505,30 @@ def check_transform(ctx: QContext, nmax: int = 20, node_count: int = 1024) -> li
     out_b = S.transform_inverse(Fd, ctx, start_nodes=1024, max_nodes=2048,
                                 quad_abs_tol=np.inf)
     doubling = float(np.max(np.abs(out_a.values - out_b.values)))
-    results.append(
-        CheckResult(
-            "quadrature_self_consistency",
-            doubling,
-            1e-10,
-            "node doubling leaves the inverse transform unchanged",
-            time.time() - t0,
-        )
-    )
-    return results
+    yield doubling, 1e-10, "node doubling leaves the inverse transform unchanged"
 
 
-def check_spectrum(ctx: QContext, dim: int = 200) -> list[CheckResult]:
-    t0 = time.time()
+@_group("spectrum_inside_segment", "spectrum_endpoint_approach")
+def check_spectrum(ctx: QContext, dim: int = 200):
     lo, hi = S.spectrum_probe(dim, ctx)
     left = -1.0 / (1.0 - ctx.q) ** 2
     right = -1.0 / (1.0 + ctx.q) ** 2
-    margin = 1e-8
     inside = max(0.0, left - lo, hi - right)
+    yield inside, 1e-8, f"dim-{dim} truncation eigenvalues stay inside the band"
     approach = max(abs(lo - left), abs(hi - right))
-    return [
-        CheckResult(
-            "spectrum_inside_segment",
-            inside,
-            margin,
-            f"dim-{dim} truncation eigenvalues stay inside the band",
-            time.time() - t0,
-        ),
-        CheckResult(
-            "spectrum_endpoint_approach",
-            approach,
-            1e-2,
-            "extreme eigenvalues reach the band edges",
-        ),
-    ]
+    yield approach, 1e-2, "extreme eigenvalues reach the band edges"
 
 
 # --- green suite ----------------------------------------------------------
 
 
-def check_green_radial(ctx: QContext, nmax: int = 40) -> list[CheckResult]:
-    results = []
-    t0 = time.time()
+@_group(
+    "green_radial_order1",
+    "green_radial_order2",
+    "green_series_vs_quadrature",
+    "spectral_image_identity",
+)
+def check_green_radial(ctx: QContext, nmax: int = 40):
     npts = nmax + 3
     g1 = G.g_radial_grid(1, ctx, npts)
     g2 = G.g_radial_grid(2, ctx, npts)
@@ -710,41 +540,16 @@ def check_green_radial(ctx: QContext, nmax: int = 40) -> list[CheckResult]:
     r1 = float(np.max(np.abs(lap1[: nmax + 1] - f0[: nmax + 1])))
     r2 = float(np.max(np.abs(lap22[: nmax + 1] - f0[: nmax + 1])))
     r12 = float(np.max(np.abs(lap2[: nmax + 1] - g1.values[: nmax + 1])))
-    results.append(
-        CheckResult(
-            "green_radial_order1",
-            r1,
-            1e-10,
-            f"the first fundamental series solves the radial equation, n <= {nmax}",
-            time.time() - t0,
-        )
-    )
-    results.append(
-        CheckResult(
-            "green_radial_order2",
-            max(r2, r12),
-            1e-10,
-            "the second fundamental series solves it twice",
-        )
-    )
+    yield r1, 1e-10, f"the first fundamental series solves the radial equation, n <= {nmax}"
+    yield max(r2, r12), 1e-10, "the second fundamental series solves it twice"
 
-    t0 = time.time()
     worst = 0.0
     for m in (1, 2):
         gq = G.gm_quadrature_grid(m, ctx, 21)
         gs = G.g_radial_grid(m, ctx, 21)
         worst = max(worst, float(np.max(np.abs(gq.values - gs.values))))
-    results.append(
-        CheckResult(
-            "green_series_vs_quadrature",
-            worst,
-            1e-7,
-            "coefficient series agree with the spectral quadrature oracle",
-            time.time() - t0,
-        )
-    )
+    yield worst, 1e-7, "coefficient series agree with the spectral quadrature oracle"
 
-    t0 = time.time()
     worst = 0.0
     for rho in (0.2, 0.9, 1.7):
         for m in (1, 2):
@@ -755,23 +560,19 @@ def check_green_radial(ctx: QContext, nmax: int = 40) -> list[CheckResult]:
                     - (1 - ctx.q2)
                 ),
             )
-    results.append(
-        CheckResult(
-            "spectral_image_identity",
-            worst,
-            1e-12,
-            "the spectral images invert the eigenvalue powers",
-            time.time() - t0,
-        )
-    )
-    return results
+    yield worst, 1e-12, "the spectral images invert the eigenvalue powers"
 
 
-def check_kernels(ctx: QContext) -> list[CheckResult]:
-    results = []
+@_group(
+    "kernel_exact_expansion",
+    "kernel_invariance_exact",
+    "kernel_derivative_fd",
+    "kernel_coefficient_limits",
+    "kernel_coefficient_classical_trend",
+)
+def check_kernels(ctx: QContext):
     q = ctx.q
 
-    t0 = time.time()
     K = G.kernel_G(-1.0, "plain", ctx, shape=(8, 8), sector_max=2)
     a = np.arange(8)
     yinv = (1.0 / ctx.q2) ** a
@@ -786,32 +587,18 @@ def check_kernels(ctx: QContext) -> list[CheckResult]:
         scale = np.maximum(1.0, np.abs(ref))
         worst = max(worst, float(np.max(np.abs(K.term(*key) - ref) / scale)))
     extra = [k for k in K.terms if abs(k[0]) > 1]
-    results.append(
-        CheckResult(
-            "kernel_exact_expansion",
-            worst + (1.0 if extra else 0.0),
-            1e-12,
-            "the terminating kernel matches its four-term hand expansion",
-            time.time() - t0,
-        )
+    yield (
+        worst + (1.0 if extra else 0.0),
+        1e-12,
+        "the terminating kernel matches its four-term hand expansion",
     )
 
-    t0 = time.time()
     worst = 0.0
     for l0 in (1, 2, 3):
         Kl = G.kernel_G(-float(l0), "plain", ctx, shape=(10, 10), sector_max=l0 + 1)
         worst = max(worst, G.kernel_invariance_residual(Kl, ctx))
-    results.append(
-        CheckResult(
-            "kernel_invariance_exact",
-            worst,
-            1e-12,
-            "terminating kernels are exactly invariant",
-            time.time() - t0,
-        )
-    )
+    yield worst, 1e-12, "terminating kernels are exactly invariant"
 
-    t0 = time.time()
     worst_ratio = 0.0
     worst_abs = 0.0
     for N in (1, 2):
@@ -827,27 +614,14 @@ def check_kernels(ctx: QContext) -> list[CheckResult]:
             errs.append(worst_fd)
         worst_abs = max(worst_abs, errs[0])
         worst_ratio = max(worst_ratio, errs[1] / errs[0])
-    results.append(
-        CheckResult(
-            "kernel_derivative_fd",
-            max(worst_abs / 1e-5, worst_ratio / 0.3),
-            1.0,
-            "the derivative kernel matches central differences at second order",
-            time.time() - t0,
-        )
+    yield (
+        max(worst_abs / 1e-5, worst_ratio / 0.3),
+        1.0,
+        "the derivative kernel matches central differences at second order",
     )
 
-    t0 = time.time()
-    c1_dev = abs(G.coef_order1(1, q) + 1.0)
-    results.append(
-        CheckResult(
-            "kernel_coefficient_limits",
-            c1_dev,
-            1e-14,
-            "leading kernel coefficient is -1",
-            time.time() - t0,
-        )
-    )
+    yield abs(G.coef_order1(1, q) + 1.0), 1e-14, "leading kernel coefficient is -1"
+
     trend_ok = True
     final_dev = 0.0
     for m in range(1, 11):
@@ -856,20 +630,22 @@ def check_kernels(ctx: QContext) -> list[CheckResult]:
         ]
         trend_ok &= devs[0] >= devs[1] >= devs[2]
         final_dev = max(final_dev, devs[2])
-    results.append(
-        CheckResult(
-            "kernel_coefficient_classical_trend",
-            (0.0 if trend_ok else 1.0) + max(0.0, final_dev - 0.02),
-            1e-12,
-            "kernel coefficients approach the classical -1/m as q grows",
-        )
+    yield (
+        (0.0 if trend_ok else 1.0) + max(0.0, final_dev - 0.02),
+        1e-12,
+        "kernel coefficients approach the classical -1/m as q grows",
     )
-    return results
 
 
-def check_green_operator(ctx: QContext) -> list[CheckResult]:
-    results = []
-    t0 = time.time()
+@_group(
+    "kernel_centre_delta",
+    "main_inversion_order1",
+    "main_inversion_order2",
+    "kernel_invariance_truncated",
+    "matrix_solve_oracle",
+    "inverse_route_consistency",
+)
+def check_green_operator(ctx: QContext):
     K1 = G.kernel_assembled(1, ctx, sector_max=3)
     K2 = G.kernel_assembled(2, ctx, sector_max=3)
     f0 = delta_fn(0, ctx)
@@ -879,17 +655,12 @@ def check_green_operator(ctx: QContext) -> list[CheckResult]:
     sol2 = G.apply_kernel(K2, f0, ctx)
     r1 = float(np.max(np.abs(sol1.sector(0).values - g1.values)))
     r2 = float(np.max(np.abs(sol2.sector(0).values - g2.values)))
-    results.append(
-        CheckResult(
-            "kernel_centre_delta",
-            max(r1, r2),
-            1e-10,
-            "assembled kernels send the centre delta to the fundamental solutions",
-            time.time() - t0,
-        )
+    yield (
+        max(r1, r2),
+        1e-10,
+        "assembled kernels send the centre delta to the fundamental solutions",
     )
 
-    t0 = time.time()
     basis = _spanning_set(ctx, sectors=3, support=8)
     worst1 = worst2 = 0.0
     for f in basis[::3]:
@@ -899,39 +670,18 @@ def check_green_operator(ctx: QContext) -> list[CheckResult]:
         back2 = laplacian_apply(laplacian_apply(G.apply_kernel(K2, f, ctx), ctx), ctx)
         d2 = back2 - f
         worst2 = max(worst2, _interior_max(d2, 2))
-    results.append(
-        CheckResult(
-            "main_inversion_order1",
-            worst1,
-            1e-8,
-            "the Laplacian undoes the first assembled kernel on the spanning set",
-            time.time() - t0,
-        )
-    )
-    results.append(
-        CheckResult(
-            "main_inversion_order2",
-            worst2,
-            1e-7,
-            "the squared Laplacian undoes the second assembled kernel",
-        )
+    yield worst1, 1e-8, "the Laplacian undoes the first assembled kernel on the spanning set"
+    yield worst2, 1e-7, "the squared Laplacian undoes the second assembled kernel"
+
+    yield (
+        max(
+            G.kernel_invariance_residual(K1, ctx),
+            G.kernel_invariance_residual(K2, ctx),
+        ),
+        max(K1.tail_bound, K2.tail_bound, 1e-12),
+        "assembled kernels are invariant up to the series tail bound",
     )
 
-    t0 = time.time()
-    results.append(
-        CheckResult(
-            "kernel_invariance_truncated",
-            max(
-                G.kernel_invariance_residual(K1, ctx),
-                G.kernel_invariance_residual(K2, ctx),
-            ),
-            max(K1.tail_bound, K2.tail_bound, 1e-12),
-            "assembled kernels are invariant up to the series tail bound",
-            time.time() - t0,
-        )
-    )
-
-    t0 = time.time()
     rng = np.random.default_rng(41)
     worst = 0.0
     dim = 200
@@ -949,17 +699,8 @@ def check_green_operator(ctx: QContext) -> list[CheckResult]:
         worst = max(
             worst, float(np.max(np.abs(x[: ctx.npoints] - sol.sector(sector).values)))
         )
-    results.append(
-        CheckResult(
-            "matrix_solve_oracle",
-            worst,
-            1e-6,
-            "kernel route agrees with truncated-matrix inversion per sector",
-            time.time() - t0,
-        )
-    )
+    yield worst, 1e-6, "kernel route agrees with truncated-matrix inversion per sector"
 
-    t0 = time.time()
     v = np.zeros(ctx.npoints, dtype=complex)
     v[:5] = rng.standard_normal(5)
     f = DiscElement({1: GridFunction(v)}, ctx)
@@ -969,16 +710,11 @@ def check_green_operator(ctx: QContext) -> list[CheckResult]:
     )
     twice = G.green_solve(once_f, 1, ctx)
     direct = G.green_solve(f, 2, ctx)
-    results.append(
-        CheckResult(
-            "inverse_route_consistency",
-            twice.max_abs_diff(direct),
-            1e-6,
-            "iterating the first inverse matches the second inverse",
-            time.time() - t0,
-        )
+    yield (
+        twice.max_abs_diff(direct),
+        1e-6,
+        "iterating the first inverse matches the second inverse",
     )
-    return results
 
 
 def _interior_max(d: DiscElement, margin: int) -> float:
@@ -989,12 +725,11 @@ def _interior_max(d: DiscElement, margin: int) -> float:
     return worst
 
 
-def check_limits(ctx: QContext) -> list[CheckResult]:
-    t0 = time.time()
+@_group("classical_limit_monotone", "dilog_reflection")
+def check_limits(ctx: QContext):
     rows = G.classical_limit_report(
         [0.25, 0.5, 0.75], [0.9, 0.99, 0.999], ctx
     )
-    worst_refl = max(r.reflection_residual for r in rows)
     mono_ok = True
     for t in (0.25, 0.5, 0.75):
         errs1 = [r.err_order1 for r in rows if r.t == t]
@@ -1002,140 +737,48 @@ def check_limits(ctx: QContext) -> list[CheckResult]:
         mono_ok &= all(a > b for a, b in zip(errs1, errs1[1:]))
         mono_ok &= all(a > b for a, b in zip(errs2, errs2[1:]))
     conv_ok = rows[-1].err_order1 < 1e-2 and rows[-1].err_order2 < 1e-2
-    return [
-        CheckResult(
-            "classical_limit_monotone",
-            0.0 if (mono_ok and conv_ok) else 1.0,
-            1e-12,
-            "series limits approach the log and dilog targets monotonically",
-            time.time() - t0,
-        ),
-        CheckResult(
-            "dilog_reflection",
-            worst_refl,
-            1e-12,
-            "dilogarithm reflection identity as a scalar check",
-        ),
-    ]
+    yield (
+        0.0 if (mono_ok and conv_ok) else 1.0,
+        1e-12,
+        "series limits approach the log and dilog targets monotonically",
+    )
+    yield (
+        max(r.reflection_residual for r in rows),
+        1e-12,
+        "dilogarithm reflection identity as a scalar check",
+    )
 
 
-def check_invariance_elements(ctx: QContext) -> list[CheckResult]:
-    t0 = time.time()
-    one_res = invariance_residual(DiscElement.one(ctx), ctx)
+@_group("unit_invariance", "centre_delta_not_invariant")
+def check_invariance_elements(ctx: QContext):
+    yield invariance_residual(DiscElement.one(ctx), ctx), 1e-14, "the unit element is invariant"
     f0_res = invariance_residual(delta_fn(0, ctx), ctx)
-    return [
-        CheckResult(
-            "unit_invariance",
-            one_res,
-            1e-14,
-            "the unit element is invariant",
-            time.time() - t0,
-        ),
-        CheckResult(
-            "centre_delta_not_invariant",
-            0.0 if f0_res > 1e-3 else 1.0,
-            1e-12,
-            "the centre delta is genuinely non-invariant",
-        ),
-    ]
+    yield 0.0 if f0_res > 1e-3 else 1.0, 1e-12, "the centre delta is genuinely non-invariant"
 
 
 REGISTRY = (
-    (
-        check_algebra,
-        (
-            "algebra_qr_identity",
-            "algebra_commutation_shifts",
-            "algebra_rep_products",
-            "algebra_rep_involution",
-            "algebra_associativity",
-            "algebra_integral_values",
-        ),
-    ),
-    (
-        check_hopf,
-        (
-            "hopf_defining_relations",
-            "module_algebra_law",
-            "involution_covariance",
-            "integral_invariance",
-            "adjoint_law",
-        ),
-    ),
-    (
-        check_casimir,
-        (
-            "casimir_equals_laplacian",
-            "casimir_centrality",
-            "radial_part_identity",
-            "sector_preservation",
-        ),
-    ),
-    (check_invariance_elements, ("unit_invariance", "centre_delta_not_invariant")),
-    (
-        check_eigenfunctions,
-        (
-            "eigen_equation_phi",
-            "phi_recurrence_agreement",
-            "eigen_equation_psi",
-            "connection_formula",
-        ),
-    ),
-    (
-        check_transform,
-        (
-            "transform_roundtrip",
-            "transform_centre_delta",
-            "plancherel_pairing",
-            "multiplication_law",
-            "density_symmetry_and_quotient",
-            "quadrature_self_consistency",
-        ),
-    ),
-    (check_spectrum, ("spectrum_inside_segment", "spectrum_endpoint_approach")),
-    (
-        check_green_radial,
-        (
-            "green_radial_order1",
-            "green_radial_order2",
-            "green_series_vs_quadrature",
-            "spectral_image_identity",
-        ),
-    ),
-    (
-        check_kernels,
-        (
-            "kernel_exact_expansion",
-            "kernel_invariance_exact",
-            "kernel_derivative_fd",
-            "kernel_coefficient_limits",
-            "kernel_coefficient_classical_trend",
-        ),
-    ),
-    (
-        check_green_operator,
-        (
-            "kernel_centre_delta",
-            "main_inversion_order1",
-            "main_inversion_order2",
-            "kernel_invariance_truncated",
-            "matrix_solve_oracle",
-            "inverse_route_consistency",
-        ),
-    ),
-    (check_limits, ("classical_limit_monotone", "dilog_reflection")),
+    check_algebra,
+    check_hopf,
+    check_casimir,
+    check_invariance_elements,
+    check_eigenfunctions,
+    check_transform,
+    check_spectrum,
+    check_green_radial,
+    check_kernels,
+    check_green_operator,
+    check_limits,
 )
 
 
 def run_registry(ctx: QContext, patterns: list[str] | None = None) -> list[CheckResult]:
     """Run all (or name-filtered) checks and return their results in
     registry order.  Groups with no matching names are skipped entirely."""
+    def wanted(name: str) -> bool:
+        return not patterns or any(p in name for p in patterns)
+
     out: list[CheckResult] = []
-    for fn, names in REGISTRY:
-        if patterns and not any(p in name for p in patterns for name in names):
-            continue
-        for r in fn(ctx):
-            if patterns and not any(p in r.name for p in patterns):
-                continue
-            out.append(r)
+    for group in REGISTRY:
+        if any(wanted(name) for name in group.names):
+            out.extend(r for r in group(ctx) if wanted(r.name))
     return out

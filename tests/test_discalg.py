@@ -21,6 +21,7 @@ from qdisc import (
     rep_matrix,
     star,
 )
+from qdisc.discalg import _poch_down, _poch_up
 from conftest import random_element
 
 
@@ -242,3 +243,30 @@ def test_json_schema_shape(ctx):
     assert set(doc) == {"q", "sectors"}
     assert doc["sectors"][0]["m"] == 0
     assert doc["sectors"][0]["values"] == [[2, 1.0, 0.0]]
+
+
+def test_contraction_polynomials_match_products():
+    # P_d[n] = prod_{s=n-d+1}^{n} (1 - q^(2s)) and Q_d[n] = prod_{s=1}^{d}
+    # (1 - q^(2(n+s))), multiplied in that order, so equal to the bit
+    for q in (0.05, 0.5, 0.995):
+        ctx = QContext(q)
+        for npoints in (1, 5, 66):
+            yg = ctx.ygrid(2 * npoints + 3)
+            for d in range(npoints + 3):
+                down = np.zeros(npoints, dtype=complex)
+                up = np.ones(npoints, dtype=complex)
+                for n in range(npoints):
+                    if n >= d:
+                        p = 1.0
+                        for s in range(n - d + 1, n + 1):
+                            p *= 1.0 - yg[s]
+                        down[n] = p
+                    p = 1.0
+                    for s in range(1, d + 1):
+                        p *= 1.0 - yg[n + s]
+                    up[n] = p
+                assert np.array_equal(_poch_down(d, ctx, npoints), down)
+                assert np.array_equal(_poch_up(d, ctx, npoints), up)
+                if d < npoints:
+                    # the shifted lower polynomial is the upper one
+                    assert np.array_equal(_poch_down(d, ctx, npoints + d)[d:], up)

@@ -322,3 +322,21 @@ def test_limit_rejects_bad_arguments():
         classical_limit_report([0.5], [1.5])
     with pytest.raises(DomainError):
         classical_limit_report([1.0], [0.9])
+
+
+def test_assembled_kernel_terms_are_read_only(ctx):
+    K = kernel_assembled(1, ctx, sector_max=1)
+    for arr in K.terms.values():
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+
+
+def test_kernel_act_k_scales_each_sector_pair(ctx):
+    from qdisc.green import kernel_act
+
+    K = kernel_G(-1.0, "plain", ctx, shape=(8, 8), sector_max=2)
+    KK = kernel_act("K", K, ctx)
+    back = kernel_act("Kinv", KK, ctx)
+    for (i, j), psi in K.terms.items():
+        assert np.allclose(KK.terms[(i, j)], ctx.q ** (2 * (i + j)) * psi, rtol=1e-14, atol=0)
+        assert np.allclose(back.terms[(i, j)], psi, rtol=1e-12, atol=0)

@@ -256,3 +256,33 @@ def test_spectrum_probe_convergence(ctx):
     lo, hi = spectrum_probe(200, ctx)
     assert abs(hi + 1.0 / (1 + q) ** 2) < 1e-2
     assert abs(lo + 1.0 / (1 - q) ** 2) < 1e-2
+
+
+def test_phi_matrix_shape_follows_nodes(ctx):
+    # node sets of different sizes never share a cached matrix
+    from qdisc.spherical import _nodes, phi_matrix
+
+    assert phi_matrix(np.array([0.3]), 5, ctx).shape == (1, 5)
+    assert phi_matrix(_nodes(7, ctx), 5, ctx).shape == (7, 5)
+
+
+def test_cached_quadrature_arrays_are_read_only(ctx):
+    from qdisc.spherical import _node_density, _node_phi
+
+    transform_inverse(transform_forward(delta_fn(1, ctx).sector(0), ctx, 64), ctx)
+    for arr in (_node_phi(64, ctx.npoints, ctx), _node_density(64, ctx)):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_inverse_needs_two_node_counts():
+    from qdisc import QContext, QuadratureError
+
+    ctx = QContext(0.5, grid_horizon=16)
+    F = transform_forward(GridFunction.delta(1, 17), ctx, 8192)
+    with pytest.raises(QuadratureError):
+        transform_inverse(F, ctx)
+    with pytest.raises(QuadratureError):
+        transform_inverse(lambda rho: 1.0, ctx, start_nodes=256, max_nodes=128)
+    with pytest.raises(QuadratureError):
+        transform_inverse(lambda rho: 1.0, ctx, start_nodes=0)
