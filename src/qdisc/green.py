@@ -27,6 +27,11 @@ The one-parameter family G(l) expands into such terms with sector pairs
 with c_{i,s}(l) = q^(2k) (q^(2l); q^2)_k (q^(2l); q^2)_n / ((q^2;q^2)_k
 (q^2;q^2)_n) for (k, n) = (s, s+i) when i >= 0 and (s+|i|, s) otherwise.
 For l a negative integer the s- and i-ranges terminate exactly.
+
+On the grid t = q^(2a), P_s(q^(2a)) = (q^2;q^2)_a / (q^2;q^2)_(a-s), so
+every factor is a ratio of running products.  kernel_G stacks the legs
+into F[s, a] = F_s(q^(2a); l) and evaluates each term as the single
+product psi_i = F^T diag(c_i) F over the depth s.
 """
 
 from __future__ import annotations
@@ -38,9 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import QContext
-from .discalg import DiscElement, GridFunction, _poch_down, _poch_up, _shift
+from .discalg import DiscElement, GridFunction, _poch_up, _shift
 from .errors import CapacityError, DomainError
-from .qspecial import dilog, l_sum
+from .qspecial import dilog
 
 # --- radial Green functions -------------------------------------------
 
@@ -178,49 +183,6 @@ def _accumulate(acc: dict, key, arr: np.ndarray) -> None:
     acc[key] = acc[key] + arr if key in acc else arr
 
 
-def _leg_factor(s: int, l: complex, ctx: QContext, npoints: int) -> np.ndarray:
-    """F_s on the grid: q^(-2 s l) t^l P_s(t) at t = q^(2a).
-
-    P_s vanishes identically on rows a < s, where the power factor would
-    overflow for large Re(l); those rows are left at zero.
-    """
-    out = np.zeros(npoints, dtype=complex)
-    if s >= npoints:
-        return out
-    a = np.arange(s, npoints, dtype=float)
-    tl = np.exp(2.0 * (a - s) * complex(l) * math.log(ctx.q))
-    out[s:] = tl * _poch_down(s, ctx, npoints)[s:]
-    return out
-
-
-def _coef_cs(i: int, s: int, l: complex, ctx: QContext) -> complex:
-    """c_{i,s}(l) including the q^(2k) weight."""
-    q2 = ctx.q2
-    if i >= 0:
-        k, n = s, s + i
-    else:
-        k, n = s - i, s
-    num = _qpoch_int(l, k, ctx) * _qpoch_int(l, n, ctx)
-    den = _qq_poch(k, ctx) * _qq_poch(n, ctx)
-    return q2**k * num / den
-
-
-def _qpoch_int(l: complex, k: int, ctx: QContext) -> complex:
-    """(q^(2l); q^2)_k with the factor exponents built as 2l + 2j."""
-    out = 1.0 + 0.0j
-    lnq = math.log(ctx.q)
-    for j in range(k):
-        out *= 1.0 - cmath.exp((2.0 * complex(l) + 2 * j) * lnq)
-    return out
-
-
-def _qq_poch(k: int, ctx: QContext) -> float:
-    out = 1.0
-    for j in range(1, k + 1):
-        out *= 1.0 - ctx.q2**j
-    return out
-
-
 def kernel_G(
     l: complex,
     mode: str = "plain",
@@ -232,14 +194,23 @@ def kernel_G(
 
     mode "plain" materializes G(l); mode "derivative" materializes the
     closed-form d/dl G(l) (the kernel carrying the logarithmic terms),
-    assembled per contraction depth s with the factor
+    whose depth-s summand carries the factor
 
         h * [ q^(2l) (L_k + L_n)(q^(2l)) + 2 s - a - b ],
 
     where the first piece is the logarithmic derivative of the Pochhammer
     coefficients and the grid offsets realize ln(y) + ln(eta) exactly.
-    For l a negative integer both the depth and sector sums terminate and
-    the kernel is exact.
+
+    Each sector term is one matrix product over the contraction depth s,
+
+        psi_i = F_a^T diag(c_i) F_b,    F[s, a] = F_s(q^(2a); l),
+
+    and the derivative term is h * (F_a^T diag(c_i q^(2l) (L_k + L_n)) F_b
+    - (D F_a)^T diag(c_i) F_b - F_a^T diag(c_i) (D F_b)), D[s, a] = a - s.
+    F, c_i and L_k are read off cumulative q-Pochhammer tables built once
+    per call.  Depths with c_{i,s} = 0 are left out, so the poles of L_k
+    at l = 0, -1, -2, ... never enter.  For l a negative integer both the
+    depth and sector sums terminate and the kernel is exact.
     """
     if ctx is None:
         raise DomainError("kernel_G requires a context")
@@ -248,39 +219,56 @@ def kernel_G(
     if shape is None:
         shape = (ctx.npoints, ctx.npoints)
     A, B = shape
-    neg_int = (
-        abs(complex(l).imag) == 0.0
-        and complex(l).real < 0
-        and float(complex(l).real).is_integer()
-    )
+    l = complex(l)
+    neg_int = l.imag == 0.0 and l.real < 0 and float(l.real).is_integer()
     s_cap = min(A, B)
     i_cap = sector_max
     if neg_int:
-        l0 = int(-complex(l).real)
+        # (q^(2l); q^2)_k vanishes exactly for k > -l, ending both sums
+        l0 = int(-l.real)
         s_cap = min(s_cap, l0 + 1)
         i_cap = min(i_cap, l0)
-    q2l = cmath.exp(2.0 * complex(l) * math.log(ctx.q))
-    h = ctx.h
+    lnq = math.log(ctx.q)
+    q2 = ctx.q2
+    depth = np.arange(s_cap)
+    j = np.arange(max(A, B, s_cap + i_cap), dtype=float)
+    # (q^2; q^2)_k, and 1 - q^(2l+2j) whose running products are (q^(2l); q^2)_k
+    qq = np.cumprod(np.concatenate(([1.0], 1.0 - q2 ** j[1:])))
+    fac = 1.0 - np.exp((2.0 * l + 2.0 * j) * lnq)
+    ql = np.cumprod(np.concatenate(([1.0], fac[:-1])))
+
+    def legs(npoints: int) -> tuple[np.ndarray, np.ndarray]:
+        # F[s, a] = q^(2l(a-s)) (q^2;q^2)_a / (q^2;q^2)_(a-s), zero for a < s,
+        # and the offsets a - s clipped at zero
+        d = np.arange(npoints, dtype=float) - depth[:, None]
+        dd = np.maximum(d, 0.0)
+        P = np.where(d >= 0, qq[:npoints] / qq[dd.astype(int)], 0.0)
+        return np.exp(2.0 * dd * l * lnq) * P, dd
+
+    (Fa, Da), (Fb, Db) = legs(A), legs(B)
+    if mode == "derivative":
+        # L_k = sum_{j<k} q^(2j) / (1 - q^(2l+2j)); a vanishing factor only
+        # occurs where c = 0, so its term is masked rather than divided
+        lterms = np.divide(q2**j, fac, out=np.zeros_like(fac), where=fac != 0)
+        L = np.concatenate(([0.0], np.cumsum(lterms)))
+        q2l = cmath.exp(2.0 * l * lnq)
+        # 2s - a - b = -(a - s) - (b - s): each offset rides on its own leg,
+        # so the leading depth s = min(a, b) adds no cancellation
+        DFa, DFb = Da * Fa, Db * Fb
     terms: dict[tuple[int, int], np.ndarray] = {}
-    arange_a = np.arange(A, dtype=float)
-    arange_b = np.arange(B, dtype=float)
     for i in range(-i_cap, i_cap + 1):
-        acc = np.zeros((A, B), dtype=complex)
-        for s in range(s_cap):
-            k, n = (s, s + i) if i >= 0 else (s - i, s)
-            if neg_int and max(k, n) > int(-complex(l).real):
-                break
-            c = _coef_cs(i, s, l, ctx)
-            if c == 0:
-                continue
-            fa = _leg_factor(s, l, ctx, A)
-            fb = _leg_factor(s, l, ctx, B)
-            block = c * np.outer(fa, fb)
-            if mode == "derivative":
-                lsum = l_sum(q2l, k, ctx.q) + l_sum(q2l, n, ctx.q)
-                offsets = 2.0 * s - arange_a[:, None] - arange_b[None, :]
-                block = block * (h * (q2l * lsum + offsets))
-            acc += block
+        k = depth + max(-i, 0)
+        n = depth + max(i, 0)
+        c = q2**k * (ql[k] * ql[n]) / (qq[k] * qq[n])
+        live = c != 0
+        fa, fb, cl = Fa[live], Fb[live], c[live, None]
+        if mode == "plain":
+            acc = fa.T @ (cl * fb)
+        else:
+            w = (c * q2l * (L[k] + L[n]))[live, None]
+            acc = ctx.h * (
+                fa.T @ (w * fb) - DFa[live].T @ (cl * fb) - fa.T @ (cl * DFb[live])
+            )
         if np.any(acc):
             terms[(i, -i)] = acc
     return Kernel(terms, ctx, (A, B), i_cap, 0.0, exact=neg_int and mode == "plain")

@@ -1,6 +1,7 @@
 """Green functions, kernels, integral operators, classical limits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qdisc import (
     DiscElement,
     DomainError,
     GridFunction,
+    QContext,
     apply_kernel,
     classical_limit_report,
     coef_order1,
@@ -30,7 +32,9 @@ from qdisc import (
     rep_matrix,
     sector_laplacian_matrix,
 )
+from qdisc.discalg import _poch_down
 from qdisc.green import gm_quadrature_grid
+from qdisc.qspecial import l_sum
 from conftest import random_element
 
 
@@ -167,13 +171,14 @@ def test_assembled_coefficients(ctx):
 
 
 def test_kernel_centre_delta_gives_fundamental_solutions(ctx):
-    f0 = delta_fn(0, ctx)
-    for order in (1, 2):
-        K = kernel_assembled(order, ctx, sector_max=1)
-        sol = apply_kernel(K, f0, ctx)
-        assert sorted(sol.sectors) == [0]
-        ref = g_radial_grid(order, ctx)
-        assert np.max(np.abs(sol.sector(0).values - ref.values)) < 1e-10
+    for c in (ctx, QContext(0.3, grid_horizon=32), QContext(0.8, grid_horizon=32)):
+        f0 = delta_fn(0, c)
+        for order in (1, 2):
+            K = kernel_assembled(order, c, sector_max=1)
+            sol = apply_kernel(K, f0, c)
+            assert sorted(sol.sectors) == [0]
+            ref = g_radial_grid(order, c)
+            assert np.max(np.abs(sol.sector(0).values - ref.values)) < 1e-10
 
 
 def test_kernel_application_uses_orthogonality(ctx):
@@ -217,9 +222,10 @@ def test_main_inversion_identity(ctx):
 
 
 def test_assembled_invariance_below_tail(ctx):
-    for order in (1, 2):
-        K = kernel_assembled(order, ctx, sector_max=2)
-        assert kernel_invariance_residual(K, ctx) <= max(K.tail_bound, 1e-12)
+    for c in (ctx, QContext(0.3, grid_horizon=32), QContext(0.8, grid_horizon=32)):
+        for order in (1, 2):
+            K = kernel_assembled(order, c, sector_max=2)
+            assert kernel_invariance_residual(K, c) <= max(K.tail_bound, 1e-12)
 
 
 def test_green_solve_preserves_sectors(ctx, rng):
@@ -284,6 +290,13 @@ def test_route_consistency(ctx):
     assert twice.max_abs_diff(direct) < 1e-6
 
 
+def test_capacity_when_tail_not_certified():
+    # near q = 1 the coefficient series still has a tail of about 1e-8
+    # after the default 200 terms
+    with pytest.raises(CapacityError):
+        kernel_assembled(1, QContext(0.95), sector_max=1)
+
+
 def test_capacity_on_missing_sector(ctx):
     K = kernel_assembled(1, ctx, sector_max=1)
     f = DiscElement({2: GridFunction.delta(0, ctx.npoints)}, ctx)
@@ -340,3 +353,67 @@ def test_kernel_act_k_scales_each_sector_pair(ctx):
     for (i, j), psi in K.terms.items():
         assert np.allclose(KK.terms[(i, j)], ctx.q ** (2 * (i + j)) * psi, rtol=1e-14, atol=0)
         assert np.allclose(back.terms[(i, j)], psi, rtol=1e-12, atol=0)
+
+
+def _kernel_G_by_depth(l, mode, ctx, shape, sector_max):
+    """Reference: the per-depth np.outer loop with scalar q-Pochhammer
+    coefficients and l_sum, skipping depths with a zero coefficient."""
+    l = complex(l)
+    lnq = math.log(ctx.q)
+    q2 = ctx.q2
+    A, B = shape
+    neg_int = l.imag == 0.0 and l.real < 0 and float(l.real).is_integer()
+    s_cap, i_cap = min(A, B), sector_max
+    if neg_int:
+        s_cap, i_cap = min(s_cap, int(-l.real) + 1), min(i_cap, int(-l.real))
+
+    def qpoch_l(k):
+        return math.prod(1.0 - np.exp((2.0 * l + 2 * j) * lnq) for j in range(k))
+
+    def qpoch_q(k):
+        return math.prod(1.0 - q2**j for j in range(1, k + 1))
+
+    def leg(s, npoints):
+        out = np.zeros(npoints, dtype=complex)
+        a = np.arange(s, npoints, dtype=float)
+        out[s:] = np.exp(2.0 * (a - s) * l * lnq) * _poch_down(s, ctx, npoints)[s:]
+        return out
+
+    q2l = np.exp(2.0 * l * lnq)
+    offsets = np.arange(A)[:, None] + np.arange(B)[None, :]
+    terms = {}
+    for i in range(-i_cap, i_cap + 1):
+        acc = np.zeros((A, B), dtype=complex)
+        for s in range(s_cap):
+            k, n = (s, s + i) if i >= 0 else (s - i, s)
+            c = q2**k * qpoch_l(k) * qpoch_l(n) / (qpoch_q(k) * qpoch_q(n))
+            if c == 0:
+                continue
+            block = c * np.outer(leg(s, A), leg(s, B))
+            if mode == "derivative":
+                lsum = l_sum(q2l, k, ctx.q) + l_sum(q2l, n, ctx.q)
+                block = block * (ctx.h * (q2l * lsum + 2.0 * s - offsets))
+            acc += block
+        if np.any(acc):
+            terms[(i, -i)] = acc
+    return terms, neg_int and mode == "plain"
+
+
+def test_kernel_G_matches_depth_loop(ctx):
+    # the F^T diag(c) F products against the per-depth outer-product sums;
+    # the derivative at l = 0, -1, -2, -3 sits on poles of L_k, where it
+    # must stay free of warnings and NaN and keep the loop's sector pairs
+    for l in (-3.0, -2.0, -1.0, 0.0, 0.7, 1.0, 2.3, 1 + 0.5j):
+        for mode in ("plain", "derivative"):
+            for shape in ((10, 10), (8, 12), (12, 8)):
+                for sector_max in range(4):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        K = kernel_G(l, mode, ctx, shape, sector_max)
+                    ref, exact = _kernel_G_by_depth(l, mode, ctx, shape, sector_max)
+                    assert sorted(K.terms) == sorted(ref)
+                    assert K.exact == exact
+                    for key, arr in ref.items():
+                        err = np.max(np.abs(K.terms[key] - arr)) / np.max(np.abs(arr))
+                        assert err <= 1e-13, (l, mode, shape, sector_max, key)
+
