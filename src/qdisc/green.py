@@ -32,11 +32,15 @@ On the grid t = q^(2a), P_s(q^(2a)) = (q^2;q^2)_a / (q^2;q^2)_(a-s), so
 every factor is a ratio of running products.  kernel_G stacks the legs
 into F[s, a] = F_s(q^(2a); l) and evaluates each term as the single
 product psi_i = F^T diag(c_i) F over the depth s.
+
+The coproduct action on a kernel acts on each leg with the element
+formulas of uqsl2._ef_terms, applied along that leg's grid axis.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +50,7 @@ from .context import QContext
 from .discalg import DiscElement, GridFunction, _poch_up, _shift
 from .errors import CapacityError, DomainError
 from .qspecial import dilog
+from .uqsl2 import _ef_terms, laplacian_apply
 
 # --- radial Green functions -------------------------------------------
 
@@ -66,6 +71,32 @@ def coef_order2(m: int, q: float) -> float:
     return q2 ** (m - 1) * (1.0 + q2**m) * (1.0 - q2) ** 2 / (1.0 - q2**m) ** 2
 
 
+def _green_sums(order: int, q: float, t: float, tol: float) -> tuple[float, float]:
+    """Sums s1 = sum_{m>=1} coef_order1(m) t^m and, for order 2,
+    s2 = sum_{m>=1} coef_order2(m) t^m (else 0.0).
+
+    Both coefficient families have consecutive ratios below q^2, so the
+    increment ratio is at most r = q^2 t < 1 and inc r / (1 - r) bounds
+    the tail; the sums stop once that bound is below tol.
+    """
+    s1 = 0.0
+    s2 = 0.0
+    power = 1.0
+    r = q * q * t
+    for m in range(1, 10_000_001):
+        power *= t
+        term = coef_order1(m, q) * power
+        s1 += term
+        inc = abs(term)
+        if order == 2:
+            term = coef_order2(m, q) * power
+            s2 += term
+            inc = max(inc, abs(term))
+        if inc * r / (1.0 - r) < tol:
+            return s1, s2
+    raise DomainError("green series did not converge")
+
+
 def g_radial(order: int, n: int, ctx: QContext) -> complex:
     """Fundamental solution value at y = q^(2n).
 
@@ -76,27 +107,7 @@ def g_radial(order: int, n: int, ctx: QContext) -> complex:
     """
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
-    q = ctx.q
-    t = ctx.q2**n
-    s1 = 0.0
-    s2 = 0.0
-    m = 1
-    power = 1.0
-    # both coefficient families have consecutive ratios below q^2, so the
-    # increment ratio is at most r = q^2 t <= q^2, giving a geometric tail
-    r = ctx.q2 * t
-    while True:
-        power *= t
-        inc = abs(coef_order1(m, q) * power)
-        s1 += coef_order1(m, q) * power
-        if order == 2:
-            s2 += coef_order2(m, q) * power
-            inc = max(inc, abs(coef_order2(m, q) * power))
-        if inc * r / (1.0 - r) < ctx.series_tol:
-            break
-        m += 1
-        if m > 200_000:
-            raise DomainError("green series did not converge")
+    s1, s2 = _green_sums(order, ctx.q, ctx.q2**n, ctx.series_tol)
     if order == 1:
         return (1.0 - ctx.q2) * s1
     # the log factor ln(y) = -n h cancels h against the series prefactor;
@@ -167,16 +178,6 @@ class Kernel:
         if t is None:
             return np.zeros(self.shape, dtype=complex)
         return t
-
-    def scaled(self, c: complex) -> "Kernel":
-        return Kernel(
-            {k: c * v for k, v in self.terms.items()},
-            self.ctx,
-            self.shape,
-            self.sector_max,
-            abs(c) * self.tail_bound,
-            self.exact,
-        )
 
 
 def _accumulate(acc: dict, key, arr: np.ndarray) -> None:
@@ -269,12 +270,14 @@ def kernel_G(
             acc = ctx.h * (
                 fa.T @ (w * fb) - DFa[live].T @ (cl * fb) - fa.T @ (cl * DFb[live])
             )
+        if not np.isfinite(acc).all():
+            raise CapacityError(
+                f"kernel term {(i, -i)} at l={l} is not finite in double "
+                f"precision on a {A}x{B} grid"
+            )
         if np.any(acc):
             terms[(i, -i)] = acc
     return Kernel(terms, ctx, (A, B), i_cap, 0.0, exact=neg_int and mode == "plain")
-
-
-_ASSEMBLED_CACHE: dict[tuple, Kernel] = {}
 
 
 def kernel_assembled(
@@ -292,7 +295,10 @@ def kernel_assembled(
 
     The coefficient series decay geometrically (ratio q^2 up to a linear
     factor); terms are accumulated until a measured-ratio tail bound is
-    below tol, else CapacityError.
+    below tol, else CapacityError.  Kernels are cached per (order, ctx,
+    shape, sector_max, tol) with shape and tol filled in, so callers that
+    spell out the defaults share one assembly; cached term arrays are
+    read-only.
     """
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
@@ -300,10 +306,13 @@ def kernel_assembled(
         shape = (ctx.npoints, ctx.npoints)
     if tol is None:
         tol = ctx.series_tol
-    cache_key = (order, ctx.q, ctx.series_tol, ctx.trunc_terms, shape, sector_max, tol)
-    cached = _ASSEMBLED_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
+    return _assembled(order, ctx, tuple(shape), sector_max, tol)
+
+
+@functools.cache
+def _assembled(
+    order: int, ctx: QContext, shape: tuple[int, int], sector_max: int, tol: float
+) -> Kernel:
     acc: dict[tuple[int, int], np.ndarray] = {}
     increments: list[float] = []
     tail = math.inf
@@ -337,9 +346,7 @@ def kernel_assembled(
                     # cached and shared between callers, so read-only
                     for arr in acc.values():
                         arr.flags.writeable = False
-                    built = Kernel(acc, ctx, shape, sector_max, tail, False)
-                    _ASSEMBLED_CACHE[cache_key] = built
-                    return built
+                    return Kernel(acc, ctx, shape, sector_max, tail, False)
     raise CapacityError(
         f"kernel series tail bound {tail:.2e} not below {tol:.2e} "
         f"within {ctx.trunc_terms} terms"
@@ -420,8 +427,6 @@ def sector_laplacian_matrix(sector: int, dim: int, ctx: QContext) -> np.ndarray:
     column); used as the independent linear-solve oracle for the kernel
     route.
     """
-    from .uqsl2 import laplacian_apply
-
     big = QContext(
         ctx.q,
         series_tol=ctx.series_tol,
@@ -445,55 +450,32 @@ def sector_laplacian_matrix(sector: int, dim: int, ctx: QContext) -> np.ndarray:
 # --- kernel invariance ---------------------------------------------------
 
 
-def _act_leg(label: str, sector: int, npts: int, axis: int, ctx: QContext):
-    """E or F acting on one leg of a kernel term along the given axis.
-
-    Returns the leg's new sector and the action as (coefficient, shift)
-    terms: the image of psi is sum c * shift(psi, s), shifted along the
-    axis, with c a scalar or a grid column broadcast along it.  Mirrors
-    the element action formulas.
-    """
-    q = ctx.q
-    shape = [1, 1]
-    shape[axis] = npts
-    yg = ctx.ygrid(npts).reshape(shape)
-    if label == "E":
-        alpha = -(q**0.5) / (1.0 - ctx.q2)
-        if sector >= 0:
-            return sector + 1, ((alpha, 0), (-alpha * q ** (2 * sector), 1))
-        return sector + 1, ((alpha * (yg - q ** (2 * sector)), 0), (alpha * (1.0 - yg), -1))
-    if label == "F":
-        beta = -(q**2.5) / (1.0 - ctx.q2)
-        if sector >= 1:
-            return sector - 1, ((beta * (yg - q ** (-2 * sector)), 0), (beta * (1.0 - yg), -1))
-        return sector - 1, ((beta, 0), (-beta * q ** (-2 * sector), 1))
-    raise DomainError(f"unknown generator {label!r}")
-
-
 def _coproduct_legs(label: str, K: Kernel, ctx: QContext):
     """E or F acting on K through the coproduct, E as E (x) 1 + K (x) E and
     F as F (x) K^-1 + 1 (x) F.
 
-    Yields (target pair, psi, axis, terms) for each stored term and leg,
-    with the K or K^-1 factor of the other leg folded into the terms.
+    Yields (target pair, psi, axis, c0, c1, s) for each stored term and
+    leg: the leg image is c0 psi + c1 shift(psi, s) along the axis, with
+    c0, c1 from the element formulas of _ef_terms on that leg's grid and
+    the K or K^-1 factor of the other leg folded in.
     """
     q = ctx.q
     for (i, j), psi in K.terms.items():
-        i2, first = _act_leg(label, i, psi.shape[0], 0, ctx)
-        j2, second = _act_leg(label, j, psi.shape[1], 1, ctx)
+        A, B = psi.shape
+        i2, a0, a1, sa = _ef_terms(label, i, ctx.ygrid(A)[:, None], q)
+        j2, b0, b1, sb = _ef_terms(label, j, ctx.ygrid(B)[None, :], q)
         if label == "E":
-            second = [(q ** (2 * i) * c, s) for c, s in second]
+            b0, b1 = q ** (2 * i) * b0, q ** (2 * i) * b1
         else:
-            first = [(q ** (-2 * j) * c, s) for c, s in first]
-        yield (i2, j), psi, 0, first
-        yield (i, j2), psi, 1, second
+            a0, a1 = q ** (-2 * j) * a0, q ** (-2 * j) * a1
+        yield (i2, j), psi, 0, a0, a1, sa
+        yield (i, j2), psi, 1, b0, b1, sb
 
 
-def _leg_image(terms, psi: np.ndarray, axis: int) -> np.ndarray:
-    """sum c * shift(psi, s) over the (coefficient, shift) terms."""
-    if axis == 0:
-        return sum(c * _shift(psi, s) for c, s in terms)
-    return sum(c * _shift(psi.T, s).T for c, s in terms)
+def _leg_image(psi: np.ndarray, axis: int, c0, c1, s: int) -> np.ndarray:
+    """c0 psi + c1 shift(psi, s), shifted along the axis."""
+    shifted = _shift(psi, s) if axis == 0 else _shift(psi.T, s).T
+    return c0 * psi + c1 * shifted
 
 
 def kernel_act(label: str, K: Kernel, ctx: QContext | None = None) -> Kernel:
@@ -506,8 +488,8 @@ def kernel_act(label: str, K: Kernel, ctx: QContext | None = None) -> Kernel:
         for (i, j), psi in K.terms.items():
             out[(i, j)] = ctx.q ** (2 * s * (i + j)) * psi
     else:
-        for key, psi, axis, terms in _coproduct_legs(label, K, ctx):
-            _accumulate(out, key, _leg_image(terms, psi, axis))
+        for key, *leg in _coproduct_legs(label, K, ctx):
+            _accumulate(out, key, _leg_image(*leg))
     return Kernel(out, ctx, K.shape, K.sector_max + 1, K.tail_bound, False)
 
 
@@ -516,9 +498,9 @@ def kernel_invariance_residual(K: Kernel, ctx: QContext | None = None) -> float:
 
     max over xi in {E, F, K-1} of the entrywise residual of xi(K),
     normalized by the magnitude of the contributions entering each entry,
-    sum |c| shift(|psi|) over the same terms (kernel functions grow along
-    the grid, so raw sup norms would drown exact cancellations in
-    rounding noise).  The top grid row/column of each term is excluded,
+    |c0| |psi| + |c1| shift(|psi|, s) over the same legs (kernel functions
+    grow along the grid, so raw sup norms would drown exact cancellations
+    in rounding noise).  The top grid row/column of each term is excluded,
     matching the one-step reach of the difference formulas.
 
     For exact (terminating) kernels every sector pair is measured.  For
@@ -532,9 +514,8 @@ def kernel_invariance_residual(K: Kernel, ctx: QContext | None = None) -> float:
     for lab in ("E", "F"):
         acted = kernel_act(lab, K, ctx).terms
         mags: dict[tuple[int, int], np.ndarray] = {}
-        for key, psi, axis, terms in _coproduct_legs(lab, K, ctx):
-            abs_terms = [(abs(c), s) for c, s in terms]
-            _accumulate(mags, key, _leg_image(abs_terms, np.abs(psi), axis))
+        for key, psi, axis, c0, c1, s in _coproduct_legs(lab, K, ctx):
+            _accumulate(mags, key, _leg_image(np.abs(psi), axis, abs(c0), abs(c1), s))
         for key, arr in acted.items():
             if not K.exact and max(abs(key[0]), abs(key[1])) > K.sector_max:
                 continue
@@ -562,42 +543,6 @@ class LimitRow:
     reflection_residual: float
 
 
-def _series_order1(q: float, t: float, tol: float = 1e-15) -> float:
-    total = 0.0
-    power = 1.0
-    m = 1
-    while True:
-        power *= t
-        term = coef_order1(m, q) * power
-        total += term
-        if abs(term) < tol * (1.0 - max(t, q * q)):
-            return total
-        m += 1
-        if m > 10_000_000:
-            raise DomainError("limit series did not converge")
-
-
-def _series_order2(q: float, t: float, tol: float = 1e-15) -> float:
-    q2 = q * q
-    h = -2.0 * math.log(q)
-    direct = 0.0
-    logfam = 0.0
-    power = 1.0
-    m = 1
-    while True:
-        power *= t
-        d = coef_order2(m, q) * power
-        lf = coef_order1(m, q) * power
-        direct += d
-        logfam += lf
-        if max(abs(d), abs(lf)) < tol * (1.0 - max(t, q2)):
-            break
-        m += 1
-        if m > 10_000_000:
-            raise DomainError("limit series did not converge")
-    return direct + (1.0 - q2) / h * math.log(t) * logfam
-
-
 def classical_limit_report(
     t_list, q_list, ctx: QContext | None = None
 ) -> list[LimitRow]:
@@ -620,8 +565,10 @@ def classical_limit_report(
             if t == 0.0:
                 rows.append(LimitRow(q, t, 0.0, 0.0, 0.0))
                 continue
-            s1 = _series_order1(q, t)
-            s2 = _series_order2(q, t)
+            # one order-2 pass gives the order-1 sum (also the log family)
+            # and the direct family
+            s1, direct = _green_sums(2, q, t, 1e-15)
+            s2 = direct + (1.0 - q * q) / (-2.0 * math.log(q)) * math.log(t) * s1
             target1 = math.log(1.0 - t)
             target2 = 2.0 * dilog(t) + math.log(t) * math.log(1.0 - t)
             refl = abs(

@@ -17,6 +17,7 @@ the test suite.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -245,7 +246,6 @@ class SpectralFunction:
 
     nodes: np.ndarray
     values: np.ndarray
-    rule: str = "trapezoid-periodic"
     source: "GridFunction | None" = None
 
     @property
@@ -272,12 +272,6 @@ def _nodes(count: int, ctx: QContext) -> np.ndarray:
     return period * np.arange(count) / count
 
 
-# Quadrature data on the equispaced node sets, which the transforms reuse
-# across calls; entries are read-only since every caller shares them.
-_PHI_CACHE: dict[tuple, np.ndarray] = {}
-_DENSITY_CACHE: dict[tuple, np.ndarray] = {}
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -286,19 +280,28 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def _node_phi(count: int, npoints: int, ctx: QContext) -> np.ndarray:
     """phi_matrix on the node set of the given size, cached per
     (q, count, npoints)."""
-    key = (ctx.q, count, npoints)
-    if key not in _PHI_CACHE:
-        _PHI_CACHE[key] = _frozen(phi_matrix(_nodes(count, ctx), npoints, ctx))
-    return _PHI_CACHE[key]
+    return _phi_on_nodes(ctx.q, count, npoints)
 
 
 def _node_density(count: int, ctx: QContext) -> np.ndarray:
     """_density_vector on the node set of the given size, cached per
     (q, count)."""
-    key = (ctx.q, count)
-    if key not in _DENSITY_CACHE:
-        _DENSITY_CACHE[key] = _frozen(_density_vector(_nodes(count, ctx), ctx))
-    return _DENSITY_CACHE[key]
+    return _density_on_nodes(ctx.q, count)
+
+
+# Quadrature data on the equispaced node sets depends on q alone, so the
+# transforms share it across contexts; cached arrays are read-only since
+# every caller shares them.
+@functools.cache
+def _phi_on_nodes(q: float, count: int, npoints: int) -> np.ndarray:
+    ctx = QContext(q)
+    return _frozen(phi_matrix(_nodes(count, ctx), npoints, ctx))
+
+
+@functools.cache
+def _density_on_nodes(q: float, count: int) -> np.ndarray:
+    ctx = QContext(q)
+    return _frozen(_density_vector(_nodes(count, ctx), ctx))
 
 
 def _forward(phi: np.ndarray, g: GridFunction, ctx: QContext) -> np.ndarray:

@@ -22,11 +22,6 @@ from .context import QContext
 from .discalg import DiscElement, GridFunction, _shift
 from .errors import DomainError
 
-GENERATORS = ("K", "Kinv", "E", "F")
-
-# counit on the generators
-EPSILON = {"K": 1.0, "Kinv": 1.0, "E": 0.0, "F": 0.0}
-
 
 def act(label: str, f: DiscElement, ctx: QContext | None = None) -> DiscElement:
     """Covariant action of a generator on an element in normal form.
@@ -58,49 +53,35 @@ def act(label: str, f: DiscElement, ctx: QContext | None = None) -> DiscElement:
              for m, g in f.sectors.items()},
             ctx,
         )
-    yg = ctx.ygrid()
-    out: dict[int, np.ndarray] = {}
-    fin: dict[int, bool] = {}
-
-    def add(m, vals, finite):
-        if m in out:
-            out[m] = out[m] + vals
-            fin[m] = fin[m] and finite
-        else:
-            out[m] = vals
-            fin[m] = finite
-
-    if label == "E":
-        alpha = -(q**0.5) / (1.0 - ctx.q2)
-        for m, g in f.sectors.items():
-            if m >= 0:
-                vals = alpha * (g.values - q ** (2 * m) * _shift(g.values, 1))
-                add(m + 1, vals, g.finite_support)
-            else:
-                j = -m
-                vals = alpha * (
-                    (yg - q ** (-2 * j)) * g.values
-                    + (1.0 - yg) * _shift(g.values, -1)
-                )
-                add(m + 1, vals, g.finite_support)
-    elif label == "F":
-        beta = -(q**2.5) / (1.0 - ctx.q2)
-        for m, g in f.sectors.items():
-            if m >= 1:
-                vals = beta * (
-                    (yg - q ** (-2 * m)) * g.values
-                    + (1.0 - yg) * _shift(g.values, -1)
-                )
-                add(m - 1, vals, g.finite_support)
-            else:
-                j = -m
-                vals = beta * (g.values - q ** (2 * j) * _shift(g.values, 1))
-                add(m - 1, vals, g.finite_support)
-    else:
+    if label not in ("E", "F"):
         raise DomainError(f"unknown generator {label!r}")
-    return DiscElement(
-        {m: GridFunction(v, fin[m]) for m, v in out.items()}, ctx
-    )
+    yg = ctx.ygrid()
+    out: dict[int, GridFunction] = {}
+    # E and F move every sector by the same step, so no two sectors meet
+    for m, g in f.sectors.items():
+        m2, c0, c1, s = _ef_terms(label, m, yg, q)
+        out[m2] = GridFunction(c0 * g.values + c1 * _shift(g.values, s), g.finite_support)
+    return DiscElement(out, ctx)
+
+
+def _ef_terms(label: str, sector: int, yg, q: float):
+    """E or F on sector `sector` as (new sector, c0, c1, s): the image of
+    psi is c0 psi + c1 shift(psi, s), with c0, c1 scalars or grid arrays
+    shaped like yg.  These are the four difference formulas of act; the
+    kernel leg action reuses them along each axis.
+    """
+    q2 = q * q
+    if label == "E":
+        alpha = -(q**0.5) / (1.0 - q2)
+        if sector >= 0:
+            return sector + 1, alpha, -alpha * q ** (2 * sector), 1
+        return sector + 1, alpha * (yg - q ** (2 * sector)), alpha * (1.0 - yg), -1
+    if label == "F":
+        beta = -(q**2.5) / (1.0 - q2)
+        if sector >= 1:
+            return sector - 1, beta * (yg - q ** (-2 * sector)), beta * (1.0 - yg), -1
+        return sector - 1, beta, -beta * q ** (-2 * sector), 1
+    raise DomainError(f"unknown generator {label!r}")
 
 
 def act_word(labels: Iterable[str], f: DiscElement, ctx: QContext | None = None) -> DiscElement:
@@ -169,19 +150,6 @@ def radial_laplacian(g: GridFunction | np.ndarray, ctx: QContext) -> GridFunctio
     up, diag, down = stencil_coefficients(ctx, len(vals))
     out = up * _shift(vals, -1) + diag * vals + down * _shift(vals, 1)
     return GridFunction(out, finite)
-
-
-def radial_laplacian_matrix(ctx: QContext, dim: int) -> np.ndarray:
-    """Dense dim x dim truncation of the radial stencil."""
-    up, diag, down = stencil_coefficients(ctx, dim)
-    m = np.zeros((dim, dim))
-    for n in range(dim):
-        m[n, n] = diag[n].real
-        if n > 0:
-            m[n, n - 1] = up[n].real
-        if n + 1 < dim:
-            m[n, n + 1] = down[n].real
-    return m
 
 
 def sector_rotate(f: DiscElement, angle: float) -> DiscElement:

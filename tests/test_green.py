@@ -12,6 +12,7 @@ from qdisc import (
     DomainError,
     GridFunction,
     QContext,
+    act,
     apply_kernel,
     classical_limit_report,
     coef_order1,
@@ -297,6 +298,28 @@ def test_capacity_when_tail_not_certified():
         kernel_assembled(1, QContext(0.95), sector_max=1)
 
 
+def test_kernel_G_raises_capacity_when_terms_overflow():
+    # the leg factors q^(2l(a-s)) and their products pass the double range
+    # for small q or large -l on deep grids; such terms must not be returned
+    for l, ctx in ((-3.0, QContext(0.05, grid_horizon=32)), (-5.0, QContext(0.5))):
+        for mode in ("plain", "derivative"):
+            with np.errstate(all="ignore"), pytest.raises(CapacityError):
+                kernel_G(l, mode, ctx)
+    # nearby cases stay finite: the same l on shallower grids, and the
+    # registry's exact kernels down to q = 0.05
+    for l, ctx, shape in (
+        (-3.0, QContext(0.05, grid_horizon=18), None),
+        (-5.0, QContext(0.5, grid_horizon=48), None),
+        (-1.0, QContext(0.05), (10, 10)),
+        (-2.0, QContext(0.05), (10, 10)),
+        (-3.0, QContext(0.05), (10, 10)),
+    ):
+        for mode in ("plain", "derivative"):
+            K = kernel_G(l, mode, ctx, shape)
+            assert K.exact == (mode == "plain")
+            assert all(np.isfinite(arr).all() for arr in K.terms.values())
+
+
 def test_capacity_on_missing_sector(ctx):
     K = kernel_assembled(1, ctx, sector_max=1)
     f = DiscElement({2: GridFunction.delta(0, ctx.npoints)}, ctx)
@@ -342,6 +365,50 @@ def test_assembled_kernel_terms_are_read_only(ctx):
     for arr in K.terms.values():
         with pytest.raises(ValueError):
             arr[0, 0] = 0.0
+
+
+def test_assembled_cache_key_fills_in_defaults(ctx):
+    # the default shape and tol and their spelled-out values share one assembly
+    assert kernel_assembled(1, ctx, sector_max=1) is kernel_assembled(
+        1, ctx, (ctx.npoints, ctx.npoints), 1, ctx.series_tol
+    )
+
+
+def test_kernel_act_on_rank_one_terms_matches_element_action():
+    # K = outer(f, g) at (i, j): E acts as E (x) 1 + K (x) E and F as
+    # F (x) K^-1 + 1 (x) F, each leg by the element action of its sector
+    from qdisc.discalg import _shift
+    from qdisc.green import Kernel, kernel_act
+    from qdisc.uqsl2 import _ef_terms
+
+    rng = np.random.default_rng(7)
+    for q in (0.3, 0.5, 0.8):
+        ctx = QContext(q, grid_horizon=12)
+        n = ctx.npoints
+        yg = ctx.ygrid()
+
+        def leg(label, sector, v):
+            el = DiscElement({sector: GridFunction(v)}, ctx)
+            m2, c0, c1, s = _ef_terms(label, sector, yg, q)
+            mag = np.abs(c0) * np.abs(v) + np.abs(c1) * _shift(np.abs(v), s)
+            return m2, act(label, el, ctx).sector(m2).values, mag
+
+        for i in range(-3, 4):
+            for j in range(-3, 4):
+                f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                K = Kernel({(i, j): np.outer(f, g)}, ctx, (n, n), 3, exact=True)
+                for label, kf, kg in (("E", 1.0, q ** (2 * i)), ("F", q ** (-2 * j), 1.0)):
+                    i2, lf, mf = leg(label, i, f)
+                    j2, lg, mg = leg(label, j, g)
+                    want = {
+                        (i2, j): (kf * np.outer(lf, g), kf * np.outer(mf, np.abs(g))),
+                        (i, j2): (kg * np.outer(f, lg), kg * np.outer(np.abs(f), mg)),
+                    }
+                    got = kernel_act(label, K, ctx).terms
+                    assert sorted(got) == sorted(want)
+                    for key, (val, mag) in want.items():
+                        assert np.all(np.abs(got[key] - val) <= 1e-14 * mag), (q, i, j, label)
 
 
 def test_kernel_act_k_scales_each_sector_pair(ctx):
