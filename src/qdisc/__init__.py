@@ -60,7 +60,6 @@ from .qspecial import (
     qpochhammer,
 )
 from .spherical import (
-    PlancherelDensity,
     SpectralFunction,
     c_coefficient,
     lambda_rho,

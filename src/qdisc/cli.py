@@ -19,8 +19,6 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import green as G
 from . import spherical as S
 from .context import Q_MAX, Q_MIN, QContext
@@ -206,11 +204,10 @@ def cmd_tabulate(cfg: RunConfig) -> int:
     ]
     _emit_table(rows, ["n", "y", "g1", "g2"], cfg)
     if cfg.with_density:
-        period = ctx.rho_period()
-        rhos = period * np.arange(cfg.node_count) / cfg.node_count
+        rhos = S._nodes(cfg.node_count, ctx)
         dens = [
-            {"rho": float(r), "density": S.sigma_density(float(r), ctx)}
-            for r in rhos
+            {"rho": float(r), "density": float(d)}
+            for r, d in zip(rhos, S._density_on_nodes(ctx.q, cfg.node_count))
         ]
         out2 = (cfg.out + ".density") if cfg.out else None
         sub = RunConfig(command="tabulate", q=cfg.q, out=out2, format=cfg.format)
@@ -223,16 +220,16 @@ def cmd_transform(cfg: RunConfig) -> int:
     el = _input_element(cfg, ctx)
     radial = el.sector(0)
     F = S.transform_forward(radial, ctx, cfg.node_count)
-    rows = []
-    for rho, val in zip(F.nodes, F.values):
-        rows.append(
-            {
-                "rho": float(rho),
-                "density": S.sigma_density(float(rho), ctx),
-                "fhat_re": float(val.real),
-                "fhat_im": float(val.imag),
-            }
-        )
+    dens = S._density_on_nodes(ctx.q, cfg.node_count)
+    rows = [
+        {
+            "rho": float(rho),
+            "density": float(d),
+            "fhat_re": float(val.real),
+            "fhat_im": float(val.imag),
+        }
+        for rho, d, val in zip(F.nodes, dens, F.values)
+    ]
     _emit_table(rows, ["rho", "density", "fhat_re", "fhat_im"], cfg)
     return EXIT_OK
 

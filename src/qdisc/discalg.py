@@ -135,11 +135,6 @@ class DiscElement:
             self.ctx,
         )
 
-    def conj_sector_values(self) -> "DiscElement":
-        return DiscElement(
-            {m: g.conj() for m, g in self.sectors.items()}, self.ctx
-        )
-
     def max_abs_diff(self, other: "DiscElement") -> float:
         d = 0.0
         for m in set(self.sectors) | set(other.sectors):
@@ -172,10 +167,6 @@ class DiscElement:
     @classmethod
     def radial_y(cls, ctx: QContext) -> "DiscElement":
         return cls({0: GridFunction(ctx.ygrid().astype(complex), False)}, ctx)
-
-    @classmethod
-    def from_sector(cls, m: int, values, ctx: QContext, finite: bool = True) -> "DiscElement":
-        return cls({m: GridFunction(values, finite)}, ctx)
 
 
 def delta_fn(n: int, ctx: QContext) -> DiscElement:

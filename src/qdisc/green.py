@@ -50,6 +50,7 @@ from .context import QContext
 from .discalg import DiscElement, GridFunction, _poch_up, _shift
 from .errors import CapacityError, DomainError
 from .qspecial import dilog
+from .spherical import transform_inverse
 from .uqsl2 import _ef_terms, laplacian_apply
 
 # --- radial Green functions -------------------------------------------
@@ -150,8 +151,6 @@ def gm_quadrature(m: int, n: int, ctx: QContext) -> complex:
 
 
 def gm_quadrature_grid(m: int, ctx: QContext, npoints: int | None = None) -> GridFunction:
-    from .spherical import transform_inverse
-
     if npoints is None:
         npoints = ctx.npoints
     return transform_inverse(

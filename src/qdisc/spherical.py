@@ -7,11 +7,11 @@ for radial grid functions, plus a truncated-matrix probe of the spectrum.
 Evaluation notes.  The terminating series defining the spherical function
 phi_rho(q^(2n)) cancels catastrophically in fixed precision once n is
 moderate (individual terms reach size ~ q^(-n(n-1)) while the value decays
-like q^n), so the reference evaluator switches to adaptive multiprecision
-arithmetic.  Transform machinery instead evaluates phi columns through
-the eigen-recurrence seeded at the disc centre, which is numerically
-stable on the continuous spectrum; the two routes are cross-checked in
-the test suite.
+like q^n), so the reference evaluator sums it in multiprecision at every
+grid index, with the working precision growing with n.  Transform
+machinery instead evaluates phi columns through the eigen-recurrence
+seeded at the disc centre, which is numerically stable on the continuous
+spectrum; the two routes are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -32,18 +32,20 @@ from .qspecial import qgamma, qpochhammer
 from .uqsl2 import stencil_coefficients
 
 
-def lambda_rho(rho: complex, ctx: QContext) -> complex:
+def lambda_rho(rho, ctx: QContext) -> complex | np.ndarray:
     """Eigenvalue -(1 - q^(1+2i rho))(1 - q^(1-2i rho)) / (1-q^2)^2.
 
-    Real and inside [-1/(1-q)^2, -1/(1+q)^2] for real rho.
+    Real and inside [-1/(1-q)^2, -1/(1+q)^2] for real rho.  Takes a
+    scalar (returns a complex) or an array of rho (returns a complex
+    array); entries with real rho carry an exactly zero imaginary part.
     """
-    q = ctx.q
-    a = cmath.exp((1 + 2j * rho) * math.log(q))
-    b = cmath.exp((1 - 2j * rho) * math.log(q))
+    rho = np.asarray(rho, dtype=complex)
+    lnq = math.log(ctx.q)
+    a = np.exp((1 + 2j * rho) * lnq)
+    b = np.exp((1 - 2j * rho) * lnq)
     val = -(1.0 - a) * (1.0 - b) / (1.0 - ctx.q2) ** 2
-    if abs(complex(rho).imag) == 0.0:
-        return complex(val.real)
-    return val
+    val = np.where(rho.imag == 0.0, val.real, val)
+    return complex(val) if val.ndim == 0 else val
 
 
 def _phi_digits(n: int, q: float) -> int:
@@ -63,14 +65,12 @@ def phi_rho(rho: complex, n: int, ctx: QContext) -> complex:
         sum_k (q^(-2n); q^2)_k (q^(1+2i rho); q^2)_k (q^(1-2i rho); q^2)_k
               / ((q^2; q^2)_k)^2 * q^(2k),
 
-    normalized by phi_rho(1) = 1.  Evaluated in double precision for
-    small n and in multiprecision above (see module docstring).
+    normalized by phi_rho(1) = 1.  Summed in multiprecision (see module
+    docstring).
     """
     if n < 0:
         raise DomainError("grid index must be nonnegative")
     q = ctx.q
-    if n <= 3:
-        return _phi_series_double(rho, n, q)
     digits = _phi_digits(n, q)
     with mpmath.workdps(digits):
         qm = mpmath.mpf(q)
@@ -90,47 +90,22 @@ def phi_rho(rho: complex, n: int, ctx: QContext) -> complex:
         return complex(total)
 
 
-def _phi_series_double(rho: complex, n: int, q: float) -> complex:
-    q2 = q * q
-    w = cmath.exp(2j * complex(rho) * math.log(q))
-    a1, a2 = q * w, q / w
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for k in range(n):
-        f_top = (1.0 - q2 ** (k - n)) * (1.0 - a1 * q2**k) * (1.0 - a2 * q2**k)
-        f_bot = (1.0 - q2 ** (k + 1)) ** 2
-        term *= f_top / f_bot * q2
-        total += term
-    if abs(complex(rho).imag) == 0.0:
-        return complex(total.real)
-    return total
-
-
 def phi_column(rho: float, npoints: int, ctx: QContext) -> np.ndarray:
-    """phi_rho on grid rows 0..npoints-1 via the eigen-recurrence.
+    """phi_rho on grid rows 0..npoints-1 via the eigen-recurrence."""
+    return phi_matrix(np.array([rho], dtype=float), npoints, ctx)[0]
+
+
+def phi_matrix(rhos: np.ndarray, npoints: int, ctx: QContext) -> np.ndarray:
+    """Matrix phi[rho_j, n] on grid rows 0..npoints-1 for all rho_j at once.
 
     Stable evaluation used by the transform machinery: seed phi(1) = 1,
     step with the three-term stencil at eigenvalue lambda(rho).  On the
     continuous spectrum both solutions share the q^n envelope, so forward
     stepping does not amplify.  Cross-checked against phi_rho in tests.
     """
-    lam = lambda_rho(rho, ctx)
+    lam = lambda_rho(rhos, ctx)
     up, diag, down = stencil_coefficients(ctx, npoints)
-    out = np.zeros(npoints, dtype=complex)
-    out[0] = 1.0
-    if npoints == 1:
-        return out
-    out[1] = (lam - diag[0]) * out[0] / down[0]
-    for n in range(1, npoints - 1):
-        out[n + 1] = ((lam - diag[n]) * out[n] - up[n] * out[n - 1]) / down[n]
-    return out
-
-
-def phi_matrix(rhos: np.ndarray, npoints: int, ctx: QContext) -> np.ndarray:
-    """Matrix phi[rho_j, n] for all quadrature nodes at once."""
-    lam = np.array([lambda_rho(r, ctx) for r in rhos], dtype=complex)
-    up, diag, down = stencil_coefficients(ctx, npoints)
-    out = np.zeros((len(rhos), npoints), dtype=complex)
+    out = np.zeros((len(lam), npoints), dtype=complex)
     out[:, 0] = 1.0
     if npoints > 1:
         out[:, 1] = (lam - diag[0]) / down[0]
@@ -238,33 +213,19 @@ def _density_vector(rhos: np.ndarray, ctx: QContext) -> np.ndarray:
 class SpectralFunction:
     """Transform values on equispaced nodes of the spectral period.
 
-    Transforms of grid functions keep a reference to their source so
-    refinement can re-evaluate exactly; quadrature then never relies on
+    Transforms keep a reference to their source grid function so
+    refinement re-evaluates exactly; quadrature then never relies on
     interpolation, which would smear the rounding of the large
     near-midpoint values of deep transforms over the whole period.
     """
 
     nodes: np.ndarray
     values: np.ndarray
-    source: "GridFunction | None" = None
+    source: GridFunction
 
     @property
     def node_count(self) -> int:
         return len(self.nodes)
-
-
-@dataclass(frozen=True)
-class PlancherelDensity:
-    """The spectral measure as a callable density on [0, 2*pi/h]."""
-
-    ctx: QContext
-
-    @property
-    def normalization(self) -> float:
-        return self.ctx.h / (4.0 * math.pi * (1.0 - self.ctx.q2))
-
-    def __call__(self, rho: float) -> float:
-        return sigma_density(rho, self.ctx)
 
 
 def _nodes(count: int, ctx: QContext) -> np.ndarray:
@@ -275,18 +236,6 @@ def _nodes(count: int, ctx: QContext) -> np.ndarray:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-def _node_phi(count: int, npoints: int, ctx: QContext) -> np.ndarray:
-    """phi_matrix on the node set of the given size, cached per
-    (q, count, npoints)."""
-    return _phi_on_nodes(ctx.q, count, npoints)
-
-
-def _node_density(count: int, ctx: QContext) -> np.ndarray:
-    """_density_vector on the node set of the given size, cached per
-    (q, count)."""
-    return _density_on_nodes(ctx.q, count)
 
 
 # Quadrature data on the equispaced node sets depends on q alone, so the
@@ -321,7 +270,7 @@ def transform_forward(
     """
     if not g.finite_support:
         raise DomainError("spherical transform requires finite support")
-    vals = _forward(_node_phi(node_count, len(g.values), ctx), g, ctx)
+    vals = _forward(_phi_on_nodes(ctx.q, node_count, len(g.values)), g, ctx)
     return SpectralFunction(_nodes(node_count, ctx), vals, source=g)
 
 
@@ -343,25 +292,23 @@ def transform_inverse(
 
     f(q^(2n)) = integral_0^{2 pi/h} phi_rho(q^(2n)) F(rho) dsigma(rho).
 
-    F is either a SpectralFunction sampled on equispaced nodes or a
-    callable rho -> value.  The integrand is periodic and analytic in
-    rho, so the node count is doubled until outputs move by less than
-    max(quad_abs_tol, quad_rel_tol * scale, rounding floor); failure to
-    settle, or a node range too short to hold two node counts, raises
-    QuadratureError with diagnostics.  Spectral functions
-    carrying their source grid function are re-evaluated exactly at the
-    refined nodes; others are refined by trigonometric interpolation.
+    F is either a SpectralFunction, re-evaluated exactly from its source
+    grid function at each node set, or a callable rho -> value.  The
+    integrand is periodic and analytic in rho, so the node count is
+    doubled until outputs move by less than max(quad_abs_tol,
+    quad_rel_tol * scale, rounding floor); failure to settle, or a node
+    range too short to hold two node counts, raises QuadratureError with
+    diagnostics.
     """
     if npoints is None:
         npoints = ctx.npoints
     period = ctx.rho_period()
 
     if isinstance(F, SpectralFunction):
-        if F.source is not None:
-            src = F.source
-            fvals_for = lambda rhos: _forward(_node_phi(len(rhos), len(src.values), ctx), src, ctx)
-        else:
-            fvals_for = lambda rhos: _resample(F, rhos)
+        src = F.source
+        fvals_for = lambda rhos: _forward(
+            _phi_on_nodes(ctx.q, len(rhos), len(src.values)), src, ctx
+        )
         start_nodes = max(start_nodes, F.node_count)
     else:
         fvals_for = lambda rhos: np.array([F(r) for r in rhos], dtype=complex)
@@ -376,8 +323,8 @@ def transform_inverse(
     while count <= max_nodes:
         rhos = _nodes(count, ctx)
         fv = fvals_for(rhos)
-        dens = _node_density(count, ctx)
-        phi = _node_phi(count, npoints, ctx)
+        dens = _density_on_nodes(ctx.q, count)
+        phi = _phi_on_nodes(ctx.q, count, npoints)
         out = (period / count) * (phi.T @ (fv * dens))
         # rounding floor of the quadrature sums: spectral values of deep
         # deltas reach q^(-2n) sizes and the summation noise accumulates
@@ -402,32 +349,6 @@ def transform_inverse(
         f"inverse transform did not settle below tol by {max_nodes} nodes "
         f"(last change {diff:.3e})"
     )
-
-
-def _resample(F: SpectralFunction, rhos: np.ndarray) -> np.ndarray:
-    """Values of a sourceless spectral function at a refined node set.
-
-    Trigonometric interpolation, exact for band-limited data such as the
-    transforms of finite functions (which are trigonometric polynomials
-    of degree bounded by the support).
-    """
-    n = F.node_count
-    if len(rhos) == n:
-        return F.values
-    # trigonometric interpolation via FFT zero-padding
-    m = len(rhos)
-    if m % n:
-        raise QuadratureError("resampling requires node counts in ratio 2^k")
-    spec = np.fft.fft(F.values)
-    padded = np.zeros(m, dtype=complex)
-    half = n // 2
-    padded[:half] = spec[:half]
-    padded[-half:] = spec[-half:]
-    if n % 2 == 0:
-        # split the shared Nyquist coefficient symmetrically
-        padded[half] = spec[half] / 2.0
-        padded[m - half] = spec[half] / 2.0
-    return np.fft.ifft(padded) * (m / n)
 
 
 def spectrum_probe(dim: int, ctx: QContext) -> tuple[float, float]:

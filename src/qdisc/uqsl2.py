@@ -179,19 +179,14 @@ def _sup_norm(f: DiscElement, margin: int) -> float:
     return worst
 
 
-def invariance_residual(v, ctx: QContext | None = None) -> float:
-    """Deviation of v from invariance under the symmetry.
+def invariance_residual(v: DiscElement, ctx: QContext | None = None) -> float:
+    """Deviation of the element v from invariance under the symmetry.
 
-    For an element: max over xi in {E, F, K-1} of the sup norm of
-    xi(v) - eps(xi) v, normalized by the element's magnitude.  Rows past
-    the horizon reach of non-finite sectors are excluded.
-
-    Kernels provide their own leg-wise action; this dispatches on type.
+    Max over xi in {E, F, K-1} of the sup norm of xi(v) - eps(xi) v,
+    normalized by the element's magnitude.  Rows past the horizon reach of
+    non-finite sectors are excluded.  Kernels have their own leg-wise
+    residual, green.kernel_invariance_residual.
     """
-    from .green import Kernel, kernel_invariance_residual  # cycle-free at call time
-
-    if isinstance(v, Kernel):
-        return kernel_invariance_residual(v, ctx or v.ctx)
     ctx = ctx or v.ctx
     worst = 0.0
     scale = max(1.0, v.max_abs())

@@ -455,7 +455,7 @@ def check_transform(ctx: QContext, nmax: int = 20, node_count: int = 1024):
         lhs = inner(f, g)
         Ff = S.transform_forward(f.sector(0), ctx, node_count)
         Fg = S.transform_forward(g.sector(0), ctx, node_count)
-        dens = S._node_density(node_count, ctx)
+        dens = S._density_on_nodes(ctx.q, node_count)
         period = ctx.rho_period()
         rhs = period / node_count * np.sum(Ff.values * np.conj(Fg.values) * dens)
         worst_p = max(worst_p, abs(lhs - rhs) / max(1.0, abs(lhs)))
@@ -469,7 +469,7 @@ def check_transform(ctx: QContext, nmax: int = 20, node_count: int = 1024):
         lap = radial_laplacian(g, ctx)
         Fg = S.transform_forward(g, ctx, 128)
         Fl = S.transform_forward(lap, ctx, 128)
-        lams = np.array([S.lambda_rho(r, ctx) for r in Fg.nodes])
+        lams = S.lambda_rho(Fg.nodes, ctx)
         worst_m = max(
             worst_m,
             float(np.max(np.abs(Fl.values - lams * Fg.values)))

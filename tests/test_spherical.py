@@ -9,6 +9,7 @@ from qdisc import (
     DomainError,
     GridFunction,
     PoleError,
+    QContext,
     c_coefficient,
     delta_fn,
     inner,
@@ -24,7 +25,7 @@ from qdisc import (
     transform_inverse,
 )
 from qdisc.discalg import DiscElement
-from qdisc.spherical import PlancherelDensity, _density_vector, forward_at
+from qdisc.spherical import _density_vector, forward_at
 
 
 def test_lambda_endpoints(ctx):
@@ -33,6 +34,24 @@ def test_lambda_endpoints(ctx):
     assert abs(lambda_rho(math.pi / ctx.h, ctx) + 1.0 / (1 - q) ** 2) < 1e-12
     for rho in (0.3, 1.4):
         assert abs(lambda_rho(rho, ctx) - lambda_rho(-rho, ctx)) < 1e-15
+
+
+def test_lambda_on_arrays(ctx):
+    rhos = np.linspace(-0.4, 1.3, 11) * ctx.rho_period()
+    lams = lambda_rho(rhos, ctx)
+    scalars = np.array([lambda_rho(float(r), ctx) for r in rhos])
+    assert lams.shape == rhos.shape
+    assert np.max(np.abs(lams - scalars) / np.abs(scalars)) <= 1e-15
+    assert np.all(lams.imag == 0.0)
+    assert type(lambda_rho(0.7, ctx)) is complex
+    assert lambda_rho(0.7, ctx).imag == 0.0
+    # off the real axis the eigenvalue is genuinely complex
+    rho = 0.3 + 0.2j
+    a, b = ctx.q ** (1 + 2j * rho), ctx.q ** (1 - 2j * rho)
+    expected = -(1 - a) * (1 - b) / (1 - ctx.q2) ** 2
+    for lam in (lambda_rho(rho, ctx), lambda_rho(np.array([rho, 0.5]), ctx)[0]):
+        assert lam.imag != 0.0
+        assert abs(lam - expected) < 1e-14 * abs(expected)
 
 
 def test_phi_normalization(ctx):
@@ -54,11 +73,25 @@ def test_phi_eigen_equation(ctx):
         assert np.max(np.abs(res)) < 1e-9
 
 
-def test_phi_column_matches_reference(ctx):
-    for rho in (0.4, 1.5):
-        col = phi_column(rho, 26, ctx)
-        for n in (0, 1, 5, 11, 18, 25):
-            assert abs(col[n] - phi_rho(rho, n, ctx)) < 1e-9
+def test_phi_first_rows_solve_the_stencil():
+    # the multiprecision series on the rows next to the disc centre
+    for q in (0.1, 0.3, 0.5, 0.8):
+        c = QContext(q, grid_horizon=32)
+        for f in (0.1, 0.37, 0.8):
+            rho = f * c.rho_period() / 2
+            vals = np.array([phi_rho(rho, n, c) for n in range(7)])
+            lap = radial_laplacian(GridFunction(vals, False), c).values
+            res = lap[:6] - lambda_rho(rho, c) * vals[:6]
+            assert np.max(np.abs(res)) / max(1.0, np.max(np.abs(vals))) <= 1e-13
+
+
+def test_phi_column_matches_reference():
+    for q in (0.1, 0.3, 0.5, 0.8):
+        c = QContext(q, grid_horizon=32)
+        for rho in (0.4, 1.5):
+            col = phi_column(rho, 26, c)
+            for n in (0, 1, 5, 11, 18, 25):
+                assert abs(col[n] - phi_rho(rho, n, c)) < 1e-9
 
 
 def test_psi_eigen_equation_interior(ctx):
@@ -135,12 +168,6 @@ def test_density_vector_matches_scalar(ctx):
     vec = _density_vector(rhos, ctx)
     for r, v in zip(rhos, vec):
         assert abs(v - sigma_density(float(r), ctx)) < 1e-14
-
-
-def test_plancherel_density_object(ctx):
-    dens = PlancherelDensity(ctx)
-    assert abs(dens.normalization - ctx.h / (4 * math.pi * (1 - ctx.q2))) < 1e-18
-    assert dens(0.3) == sigma_density(0.3, ctx)
 
 
 def test_total_mass(ctx):
@@ -267,10 +294,10 @@ def test_phi_matrix_shape_follows_nodes(ctx):
 
 
 def test_cached_quadrature_arrays_are_read_only(ctx):
-    from qdisc.spherical import _node_density, _node_phi
+    from qdisc.spherical import _density_on_nodes, _phi_on_nodes
 
     transform_inverse(transform_forward(delta_fn(1, ctx).sector(0), ctx, 64), ctx)
-    for arr in (_node_phi(64, ctx.npoints, ctx), _node_density(64, ctx)):
+    for arr in (_phi_on_nodes(ctx.q, 64, ctx.npoints), _density_on_nodes(ctx.q, 64)):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
