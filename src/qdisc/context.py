@@ -29,7 +29,10 @@ class QContext:
         series_tol: absolute tail bound at which truncated series stop.
         grid_horizon: largest grid index N_max; grid points are q^(2n),
            n = 0..N_max.
-        trunc_terms: term budget for the kernel coefficient series.
+        trunc_terms: cap on the terms of the kernel coefficient series.  The
+           count is fixed a priori from the tail bound, so a certified
+           request never reaches the cap; one that would raises
+           CapacityError before any kernel work.
     """
 
     q: float

@@ -28,10 +28,10 @@ with c_{i,s}(l) = q^(2k) (q^(2l); q^2)_k (q^(2l); q^2)_n / ((q^2;q^2)_k
 (q^2;q^2)_n) for (k, n) = (s, s+i) when i >= 0 and (s+|i|, s) otherwise.
 For l a negative integer the s- and i-ranges terminate exactly.
 
-On the grid t = q^(2a), P_s(q^(2a)) = (q^2;q^2)_a / (q^2;q^2)_(a-s), so
-every factor is a ratio of running products.  kernel_G stacks the legs
-into F[s, a] = F_s(q^(2a); l) and evaluates each term as the single
-product psi_i = F^T diag(c_i) F over the depth s.
+On the grid t = q^(2a), P_s(q^(2a)) = (q^2;q^2)_a / (q^2;q^2)_(a-s), and
+F_s(y; l) F_s(eta; l) = q^(2ld) P_s(a) P_s(b) with d = a + b - 2s.  So
+every kernel, plain, derivative or assembled, is a table H[i, s, d] fed
+to one materializer, psi_i[a, b] = sum_s P_s(a) P_s(b) H[i, s, a+b-2s].
 
 The coproduct action on a kernel acts on each leg with the element
 formulas of uqsl2._ef_terms, applied along that leg's grid axis.
@@ -183,6 +183,49 @@ def _accumulate(acc: dict, key, arr: np.ndarray) -> None:
     acc[key] = acc[key] + arr if key in acc else arr
 
 
+def _depth_coefficients(l: np.ndarray, q: float, s_cap: int, i_cap: int):
+    """c[p, i, s] = c_{i,s}(l_p) and (L_k + L_n)(l_p), sectors |i| <= i_cap,
+    depths s < s_cap, with L_k(l) = sum_{j<k} q^(2j) / (1 - q^(2l+2j)).
+    A vanishing 1 - q^(2l+2j) only occurs where c = 0, so its L term is
+    masked rather than divided.  At l = inf, c is its bound cbar.
+    """
+    q2 = q * q
+    j = np.arange(s_cap + i_cap, dtype=float)
+    # 1 - q^(2l+2j), and R_k = (q^(2l); q^2)_k / (q^2; q^2)_k as running products
+    fac = 1.0 - np.exp((2.0 * l[:, None] + 2.0 * j) * math.log(q))
+    ratios = fac[:, :-1] / (1.0 - q2 ** (j[:-1] + 1.0))
+    R = np.cumprod(np.pad(ratios, ((0, 0), (1, 0)), constant_values=1.0), axis=1)
+    lterms = np.divide(q2**j, fac, out=np.zeros_like(fac), where=fac != 0)
+    L = np.pad(np.cumsum(lterms, axis=1), ((0, 0), (1, 0)))
+    i = np.arange(-i_cap, i_cap + 1)[:, None]
+    k = np.arange(s_cap) + np.maximum(-i, 0)
+    n = np.arange(s_cap) + np.maximum(i, 0)
+    return q2**k * R[:, k] * R[:, n], L[:, k] + L[:, n]
+
+
+def _materialize(H: np.ndarray, q2: float, shape: tuple[int, int]) -> dict:
+    """Nonzero terms psi_i[a, b] = sum_s P_s(a) P_s(b) H[i, s, a+b-2s], keyed
+    (i, -i) for the rows i = -I..I of H; non-finite ones raise CapacityError.
+
+    Depth s fills the block a, b >= s, where P_s is nonzero, with a Hankel
+    matrix in the offsets d = 0..A+B-2 of H.
+    """
+    A, B = shape
+    qq = np.cumprod(np.concatenate(([1.0], 1.0 - q2 ** np.arange(1.0, max(A, B)))))
+    offsets = np.add.outer(np.arange(A), np.arange(B))
+    psi = np.zeros((H.shape[0], A, B), dtype=H.dtype)
+    for s in range(H.shape[1]):
+        P = np.outer(qq[s:A] / qq[: A - s], qq[s:B] / qq[: B - s])
+        psi[:, s:, s:] += P * H[:, s, offsets[: A - s, : B - s]]
+    terms = {}
+    for i, acc in enumerate(psi, start=-(len(psi) // 2)):
+        if not np.isfinite(acc).all():
+            raise CapacityError(f"kernel term {(i, -i)} is not finite in double precision")
+        if np.any(acc):
+            terms[(i, -i)] = acc
+    return terms
+
+
 def kernel_G(
     l: complex,
     mode: str = "plain",
@@ -200,17 +243,10 @@ def kernel_G(
 
     where the first piece is the logarithmic derivative of the Pochhammer
     coefficients and the grid offsets realize ln(y) + ln(eta) exactly.
-
-    Each sector term is one matrix product over the contraction depth s,
-
-        psi_i = F_a^T diag(c_i) F_b,    F[s, a] = F_s(q^(2a); l),
-
-    and the derivative term is h * (F_a^T diag(c_i q^(2l) (L_k + L_n)) F_b
-    - (D F_a)^T diag(c_i) F_b - F_a^T diag(c_i) (D F_b)), D[s, a] = a - s.
-    F, c_i and L_k are read off cumulative q-Pochhammer tables built once
-    per call.  Depths with c_{i,s} = 0 are left out, so the poles of L_k
-    at l = 0, -1, -2, ... never enter.  For l a negative integer both the
-    depth and sector sums terminate and the kernel is exact.
+    The table for _materialize is H = c_{i,s}(l) q^(2ld), times that factor
+    for the derivative; kernel_assembled sums these tables in closed form.
+    Depths with c = 0 give zero, so the poles of L_k at l = 0, -1, ... never
+    enter.  For l a negative integer both sums terminate and it is exact.
     """
     if ctx is None:
         raise DomainError("kernel_G requires a context")
@@ -221,61 +257,16 @@ def kernel_G(
     A, B = shape
     l = complex(l)
     neg_int = l.imag == 0.0 and l.real < 0 and float(l.real).is_integer()
-    s_cap = min(A, B)
-    i_cap = sector_max
+    s_cap, i_cap = min(A, B), sector_max
     if neg_int:
         # (q^(2l); q^2)_k vanishes exactly for k > -l, ending both sums
-        l0 = int(-l.real)
-        s_cap = min(s_cap, l0 + 1)
-        i_cap = min(i_cap, l0)
-    lnq = math.log(ctx.q)
-    q2 = ctx.q2
-    depth = np.arange(s_cap)
-    j = np.arange(max(A, B, s_cap + i_cap), dtype=float)
-    # (q^2; q^2)_k, and 1 - q^(2l+2j) whose running products are (q^(2l); q^2)_k
-    qq = np.cumprod(np.concatenate(([1.0], 1.0 - q2 ** j[1:])))
-    fac = 1.0 - np.exp((2.0 * l + 2.0 * j) * lnq)
-    ql = np.cumprod(np.concatenate(([1.0], fac[:-1])))
-
-    def legs(npoints: int) -> tuple[np.ndarray, np.ndarray]:
-        # F[s, a] = q^(2l(a-s)) (q^2;q^2)_a / (q^2;q^2)_(a-s), zero for a < s,
-        # and the offsets a - s clipped at zero
-        d = np.arange(npoints, dtype=float) - depth[:, None]
-        dd = np.maximum(d, 0.0)
-        P = np.where(d >= 0, qq[:npoints] / qq[dd.astype(int)], 0.0)
-        return np.exp(2.0 * dd * l * lnq) * P, dd
-
-    (Fa, Da), (Fb, Db) = legs(A), legs(B)
+        s_cap, i_cap = min(s_cap, 1 - int(l.real)), min(i_cap, -int(l.real))
+    (c,), (lsum,) = _depth_coefficients(np.array([l]), ctx.q, s_cap, i_cap)
+    d = np.arange(A + B - 1)
+    H = c[:, :, None] * np.exp(2.0 * l * d * math.log(ctx.q))
     if mode == "derivative":
-        # L_k = sum_{j<k} q^(2j) / (1 - q^(2l+2j)); a vanishing factor only
-        # occurs where c = 0, so its term is masked rather than divided
-        lterms = np.divide(q2**j, fac, out=np.zeros_like(fac), where=fac != 0)
-        L = np.concatenate(([0.0], np.cumsum(lterms)))
-        q2l = cmath.exp(2.0 * l * lnq)
-        # 2s - a - b = -(a - s) - (b - s): each offset rides on its own leg,
-        # so the leading depth s = min(a, b) adds no cancellation
-        DFa, DFb = Da * Fa, Db * Fb
-    terms: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(-i_cap, i_cap + 1):
-        k = depth + max(-i, 0)
-        n = depth + max(i, 0)
-        c = q2**k * (ql[k] * ql[n]) / (qq[k] * qq[n])
-        live = c != 0
-        fa, fb, cl = Fa[live], Fb[live], c[live, None]
-        if mode == "plain":
-            acc = fa.T @ (cl * fb)
-        else:
-            w = (c * q2l * (L[k] + L[n]))[live, None]
-            acc = ctx.h * (
-                fa.T @ (w * fb) - DFa[live].T @ (cl * fb) - fa.T @ (cl * DFb[live])
-            )
-        if not np.isfinite(acc).all():
-            raise CapacityError(
-                f"kernel term {(i, -i)} at l={l} is not finite in double "
-                f"precision on a {A}x{B} grid"
-            )
-        if np.any(acc):
-            terms[(i, -i)] = acc
+        H = ctx.h * H * (ctx.q2**l * lsum[:, :, None] - d)
+    terms = _materialize(H, ctx.q2, (A, B))
     return Kernel(terms, ctx, (A, B), i_cap, 0.0, exact=neg_int and mode == "plain")
 
 
@@ -292,12 +283,18 @@ def kernel_assembled(
     order 2:    sum_{m>=1} coef_order2(m) G(m)
               - (1-q^2)/h sum_{m>=1} (q^-2 - 1)/(q^-2m - 1) dG(m)/dl
 
-    The coefficient series decay geometrically (ratio q^2 up to a linear
-    factor); terms are accumulated until a measured-ratio tail bound is
-    below tol, else CapacityError.  Kernels are cached per (order, ctx,
-    shape, sector_max, tol) with shape and tol filled in, so callers that
-    spell out the defaults share one assembly; cached term arrays are
-    read-only.
+    The tables H of kernel_G summed over m <= M are one product W[(i, s), m]
+    X[m, d], X = q^(2md), materialized once.  M is fixed first by an
+    a-priori bound on every tail entry, kept as tail_bound: as
+    |c_{i,s}(m)| <= cbar = c_{i,s}(inf), coefficient ratios are at most q^2
+    and L_k(m) decreases in m, the tail past M >= M0 is at most
+    |coef_order1(M+1)| max_{i,a,b} sum_s cbar P_s(a) P_s(b) lin
+    q^(2(M0+1)d) / (1 - q^(2+2d)), lin = 1 for order 1 or the order-2 factor
+    at M0 + 1, where |coef_order1(M0+1)| / (1 - q^2) < tol.  A count past
+    the cap ctx.trunc_terms, which a certified request never reaches,
+    raises CapacityError before any kernel work.  Kernels are cached per
+    (order, ctx, shape, sector_max, tol) with shape and tol filled in;
+    cached term arrays are read-only.
     """
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
@@ -312,44 +309,45 @@ def kernel_assembled(
 def _assembled(
     order: int, ctx: QContext, shape: tuple[int, int], sector_max: int, tol: float
 ) -> Kernel:
-    acc: dict[tuple[int, int], np.ndarray] = {}
-    increments: list[float] = []
-    tail = math.inf
-    for m in range(1, ctx.trunc_terms + 1):
-        g = kernel_G(float(m), "plain", ctx, shape, sector_max)
-        c1 = coef_order1(m, ctx.q)
-        inc_norm = 0.0
-        if order == 1:
-            pieces = [(c1, g)]
-        else:
-            ghat = kernel_G(float(m), "derivative", ctx, shape, sector_max)
-            pieces = [
-                (coef_order2(m, ctx.q), g),
-                ((1.0 - ctx.q2) / ctx.h * c1, ghat),
-            ]
-        for c, ker in pieces:
-            for key, arr in ker.terms.items():
-                block = c * arr
-                _accumulate(acc, key, block)
-                inc_norm = max(inc_norm, float(np.max(np.abs(block))))
-        increments.append(inc_norm)
-        if len(increments) >= 4:
-            recent = increments[-3:]
-            ratios = [
-                recent[k + 1] / recent[k] for k in range(2) if recent[k] > 0
-            ]
-            r = max(ratios) if ratios else 0.0
-            if r < 0.95:
-                tail = increments[-1] * r / (1.0 - r) if r > 0 else 0.0
-                if tail < tol:
-                    # cached and shared between callers, so read-only
-                    for arr in acc.values():
-                        arr.flags.writeable = False
-                    return Kernel(acc, ctx, shape, sector_max, tail, False)
-    raise CapacityError(
-        f"kernel series tail bound {tail:.2e} not below {tol:.2e} "
-        f"within {ctx.trunc_terms} terms"
-    )
+    q, q2 = ctx.q, ctx.q2
+    d = np.arange(sum(shape) - 1)
+    count = 0
+    while abs(coef_order1(count + 1, q)) / (1.0 - q2) >= tol:
+        count += 1
+    if count <= ctx.trunc_terms:
+        m0 = count + 1
+        l_bound = np.array([m0, np.inf])
+        (_, cbar), (lsum, _) = _depth_coefficients(l_bound, q, min(shape), sector_max)
+        lin = 1.0
+        if order == 2:
+            lin = coef_order2(m0, q) / abs(coef_order1(m0, q))
+            lin = lin + (1.0 - q2) * (q2**m0 * lsum[:, :, None] + d)
+        H = cbar[:, :, None] * lin * q2 ** (m0 * d) / (1.0 - q2 ** (1.0 + d))
+        majorant = max(t.max() for t in _materialize(H, q2, shape).values())
+        while abs(coef_order1(count + 1, q)) * majorant >= tol:
+            count += 1
+    if count > ctx.trunc_terms:
+        raise CapacityError(
+            f"kernel series needs at least {count} terms for a tail below "
+            f"{tol:.2e}, past the cap trunc_terms={ctx.trunc_terms}"
+        )
+    m = np.arange(1.0, count + 1)
+    c, lsum = _depth_coefficients(m, q, min(shape), sector_max)
+    X = np.exp(2.0 * np.outer(m, d) * math.log(q))
+    W = coef_order1(m, q)[:, None, None] * c
+    if order == 1:
+        H = np.tensordot(W, X, (0, 0))
+    else:
+        # the direct family plus (1-q^2)/h coef_order1 times the derivative tables
+        Wd = (1.0 - q2) * W
+        direct = coef_order2(m, q)[:, None, None] * c + Wd * (q2**m)[:, None, None] * lsum
+        H = np.tensordot(direct, X, (0, 0)) - d * np.tensordot(Wd, X, (0, 0))
+    terms = _materialize(H, q2, shape)
+    for arr in terms.values():
+        # cached and shared between callers, so read-only
+        arr.flags.writeable = False
+    tail = abs(coef_order1(count + 1, q)) * majorant
+    return Kernel(terms, ctx, shape, sector_max, float(tail), False)
 
 
 # --- kernel application -------------------------------------------------

@@ -55,17 +55,21 @@ def qpochhammer(a: complex, q: float, n: int | float) -> complex:
 def qgamma(x: complex, q: float) -> complex:
     """q-Gamma function (q; q)_inf / (q^x; q)_inf * (1-q)^(1-x).
 
-    The power (1-q)^(1-x) uses the principal branch.  Poles (where
-    (q^x; q)_inf vanishes) raise PoleError.
+    The power (1-q)^(1-x) uses the principal branch.  Poles, where a
+    factor 1 - q^(x+n) of (q^x; q)_inf vanishes, that is
+    x = -n + 2 pi i k / ln q, raise PoleError.  Only the factor with
+    n = round(-Re x) can vanish, so it alone is tested; the product
+    itself is tiny near q = 1 far from any pole.
     """
     if not 0 < q < 1:
         raise DomainError("qgamma requires 0 < q < 1")
-    qx = cmath.exp(complex(x) * math.log(q))
-    denom = qpochhammer(qx, q, math.inf)
-    if abs(denom) < 1e-12:
+    x = complex(x)
+    n = round(-x.real)
+    if n >= 0 and abs(1.0 - cmath.exp((x + n) * math.log(q))) < 1e-12:
         raise PoleError(f"qgamma pole at x={x}")
+    denom = qpochhammer(cmath.exp(x * math.log(q)), q, math.inf)
     num = qpochhammer(q, q, math.inf)
-    power = cmath.exp((1.0 - complex(x)) * math.log(1.0 - q))
+    power = cmath.exp((1.0 - x) * math.log(1.0 - q))
     return num / denom * power
 
 

@@ -41,6 +41,7 @@ from .discalg import (
     rep_matrix,
     star,
 )
+from .errors import QDiscError
 from .qspecial import qgamma
 from .uqsl2 import (
     act,
@@ -82,8 +83,11 @@ def _group(*names: str):
     The decorated body is a generator yielding one (residual, tolerance,
     detail) triple per name; a count mismatch raises ValueError.  Each
     result's runtime is the time since the previous yield, or since the
-    group started for the first one.  The names are kept on the function
-    as `.names`, so the registry can skip a group without running it.
+    group started for the first one.  If the body raises a QDiscError, the
+    results already yielded stand and every remaining name fails with
+    residual inf, tolerance 0 and the error as its detail.  The names are
+    kept on the function as `.names`, so the registry can skip a group
+    without running it.
     """
 
     def decorate(body):
@@ -91,10 +95,17 @@ def _group(*names: str):
         def run(*args, **kwargs) -> list[CheckResult]:
             out = []
             t0 = time.perf_counter()
-            for name, (residual, tol, detail) in zip(names, body(*args, **kwargs), strict=True):
-                t1 = time.perf_counter()
-                out.append(CheckResult(name, residual, tol, detail, t1 - t0))
-                t0 = t1
+            try:
+                for name, (residual, tol, detail) in zip(names, body(*args, **kwargs), strict=True):
+                    t1 = time.perf_counter()
+                    out.append(CheckResult(name, residual, tol, detail, t1 - t0))
+                    t0 = t1
+            except QDiscError as exc:
+                detail = f"{type(exc).__name__}: {exc}"
+                runtime = time.perf_counter() - t0
+                for name in names[len(out):]:
+                    out.append(CheckResult(name, math.inf, 0.0, detail, runtime))
+                    runtime = 0.0
             return out
 
         run.names = names

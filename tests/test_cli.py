@@ -57,6 +57,24 @@ def test_verify_subset_passes(tmp_path):
     assert cas["residual"] < 1e-12
 
 
+def test_verify_reports_a_group_error_as_failed_checks(tmp_path):
+    # at q = 0.95 the kernel series needs more than the default 200 terms;
+    # the run still writes its report and exits with a check failure
+    out = tmp_path / "report.json"
+    code, _ = run_cli(
+        ["verify", "--q", "0.95", "--checks", "kernel_centre", "--format", "json",
+         "--out", str(out)]
+    )
+    assert code == 1
+    with open(out) as fh:
+        report = json.load(fh)
+    assert report["passed"] is False
+    [check] = report["checks"]
+    assert check["check"] == "kernel_centre_delta"
+    assert check["pass"] is False
+    assert "CapacityError" in check["detail"]
+
+
 def test_tabulate_header_and_centre_value(tmp_path):
     out = tmp_path / "table.csv"
     code, _ = run_cli(["tabulate", "--q", "0.5", "--nmax", "8", "--out", str(out)])

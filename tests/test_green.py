@@ -1,6 +1,8 @@
 """Green functions, kernels, integral operators, classical limits."""
 
+import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -33,6 +35,7 @@ from qdisc import (
     rep_matrix,
     sector_laplacian_matrix,
 )
+from qdisc import green
 from qdisc.discalg import _poch_down
 from qdisc.green import gm_quadrature_grid
 from qdisc.qspecial import l_sum
@@ -291,11 +294,27 @@ def test_route_consistency(ctx):
     assert twice.max_abs_diff(direct) < 1e-6
 
 
-def test_capacity_when_tail_not_certified():
-    # near q = 1 the coefficient series still has a tail of about 1e-8
-    # after the default 200 terms
-    with pytest.raises(CapacityError):
-        kernel_assembled(1, QContext(0.95), sector_max=1)
+def test_capacity_when_tail_not_certified(monkeypatch):
+    # at q = 0.95 the a-priori tail bound needs more terms than the default
+    # cap of 200, which is known before any kernel is materialized
+    def no_work(*args):
+        raise AssertionError("materialized before the term count was checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(green, "_materialize", no_work)
+        with pytest.raises(CapacityError) as err:
+            kernel_assembled(1, QContext(0.95), sector_max=1)
+    needed = re.search(r"needs at least (\d+) terms", str(err.value))
+    assert needed and int(needed.group(1)) > 200
+    assert "trunc_terms=200" in str(err.value)
+    # a larger cap certifies both orders, and the kernels still invert
+    ctx = QContext(0.95, trunc_terms=1000)
+    for order in (1, 2):
+        K = kernel_assembled(order, ctx, sector_max=3)
+        assert K.tail_bound < ctx.series_tol
+        sol = apply_kernel(K, delta_fn(0, ctx), ctx)
+        ref = g_radial_grid(order, ctx)
+        assert np.max(np.abs(sol.sector(0).values - ref.values)) < 1e-10
 
 
 def test_kernel_G_raises_capacity_when_terms_overflow():
@@ -467,7 +486,7 @@ def _kernel_G_by_depth(l, mode, ctx, shape, sector_max):
 
 
 def test_kernel_G_matches_depth_loop(ctx):
-    # the F^T diag(c) F products against the per-depth outer-product sums;
+    # the materialized depth tables against the per-depth outer-product sums;
     # the derivative at l = 0, -1, -2, -3 sits on poles of L_k, where it
     # must stay free of warnings and NaN and keep the loop's sector pairs
     for l in (-3.0, -2.0, -1.0, 0.0, 0.7, 1.0, 2.3, 1 + 0.5j):
@@ -484,3 +503,39 @@ def test_kernel_G_matches_depth_loop(ctx):
                         err = np.max(np.abs(K.terms[key] - arr)) / np.max(np.abs(arr))
                         assert err <= 1e-13, (l, mode, shape, sector_max, key)
 
+
+def test_assembled_kernel_matches_summed_depth_loop():
+    # the closed-form assembly against the per-depth loop summed term by
+    # term far past convergence; the gap must stay inside the stored tail
+    # bound, which at tol = 1e-6 is far above rounding.  Terms do not depend
+    # on the block shape or sector_max, so one 10 x 12 reference serves all.
+    for q in (0.3, 0.5, 0.8):
+        ctx = QContext(q, grid_horizon=12)
+        ref = {1: {}, 2: {}}
+        m = 1
+        while abs(coef_order1(m, q)) >= 1e-18:
+            plain, _ = _kernel_G_by_depth(float(m), "plain", ctx, (10, 12), 3)
+            deriv, _ = _kernel_G_by_depth(float(m), "derivative", ctx, (10, 12), 3)
+            c1, c2 = coef_order1(m, q), coef_order2(m, q)
+            for key in plain:
+                blocks = {
+                    1: c1 * plain[key],
+                    2: c2 * plain[key] + (1 - ctx.q2) / ctx.h * c1 * deriv[key],
+                }
+                for order, block in blocks.items():
+                    ref[order][key] = ref[order].get(key, 0.0) + block
+            m += 1
+        for order, shape, sector_max, tol in itertools.product(
+            (1, 2), ((10, 10), (8, 12)), (0, 3), (None, 1e-6)
+        ):
+            K = kernel_assembled(order, ctx, shape, sector_max, tol)
+            want = {
+                key: arr[: shape[0], : shape[1]]
+                for key, arr in ref[order].items()
+                if abs(key[0]) <= sector_max
+            }
+            assert sorted(K.terms) == sorted(want)
+            for key, arr in want.items():
+                gap = np.abs(K.terms[key] - arr)
+                bound = K.tail_bound + 1e-13 * np.max(np.abs(arr))
+                assert np.all(gap <= bound), (q, order, shape, sector_max, tol, key)

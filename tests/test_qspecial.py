@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -9,6 +10,7 @@ import scipy.special
 from qdisc import (
     DomainError,
     PoleError,
+    QContext,
     basic_hypergeometric,
     dilog,
     jackson_integral,
@@ -16,6 +18,7 @@ from qdisc import (
     qgamma,
     qpochhammer,
 )
+from qdisc.verify import run_registry
 
 Q = 0.5
 
@@ -81,6 +84,23 @@ def test_qgamma_pole():
         qgamma(0.0, Q)
     with pytest.raises(PoleError):
         qgamma(-2.0, Q)
+
+
+def test_qgamma_poles_near_base_one():
+    # the poles x = -n + 2 pi i k / ln(base) raise at every base; near base
+    # 1 the product (q^x; q)_inf is tiny everywhere, and that alone is no pole
+    for base in (0.25, 0.98**2, 0.995**2):
+        for n in (0, 1, 3):
+            for k in (0, 1, -2):
+                with pytest.raises(PoleError):
+                    qgamma(-n + 2j * math.pi * k / math.log(base), base)
+    x = 0.5 + 4.665106419967962j
+    with mpmath.workdps(30):
+        ref = complex(mpmath.qgamma(x, 0.98**2))
+    assert abs(qgamma(x, 0.98**2) - ref) <= 1e-10 * abs(ref)
+    # the connection check at q = 0.98 evaluates there and gives a result
+    [result] = run_registry(QContext(0.98), ["connection"])
+    assert result.name == "connection_formula"
 
 
 def test_qgamma_diverges_toward_zero_argument():

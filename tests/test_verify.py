@@ -1,8 +1,10 @@
 """Check registry: group declaration, timing records and name filtering."""
 
+import math
+
 import pytest
 
-from qdisc import QContext
+from qdisc import CapacityError, QContext
 from qdisc import verify
 from qdisc.verify import REGISTRY, _group, run_registry
 
@@ -28,6 +30,21 @@ def test_group_rejects_a_count_mismatch():
 
     with pytest.raises(ValueError):
         short()
+
+
+def test_group_error_fails_the_remaining_names():
+    @_group("first", "second", "third")
+    def breaks():
+        yield 0.5, 1.0, "a"
+        raise CapacityError("term budget exhausted")
+
+    results = breaks()
+    assert [r.name for r in results] == ["first", "second", "third"]
+    assert [r.passed for r in results] == [True, False, False]
+    assert results[0].detail == "a"
+    for r in results[1:]:
+        assert r.residual == math.inf
+        assert r.detail == "CapacityError: term budget exhausted"
 
 
 def test_registry_declares_every_check_once():
