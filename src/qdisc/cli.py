@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import green as G
 from . import spherical as S
@@ -26,7 +26,8 @@ from .discalg import (
     DiscElement,
     delta_fn,
     element_from_json_dict,
-    element_to_json_dict,
+    load_element,
+    save_element,
 )
 from .errors import DomainError, QDiscError
 from .verify import run_registry
@@ -43,7 +44,6 @@ class RunConfig:
     q: float = 0.5
     series_tol: float = 1e-14
     grid_horizon: int = 64
-    trunc_terms: int = 200
     out: str | None = None
     format: str = "csv"
     nmax: int = 40
@@ -62,16 +62,11 @@ class RunConfig:
             raise DomainError("series_tol must be positive")
         if self.format not in ("csv", "json"):
             raise DomainError("format must be csv or json")
-        if self.grid_horizon < 1 or self.trunc_terms < 1:
-            raise DomainError("horizons must be positive")
+        if self.grid_horizon < 1:
+            raise DomainError("grid_horizon must be positive")
 
     def context(self) -> QContext:
-        return QContext(
-            self.q,
-            series_tol=self.series_tol,
-            grid_horizon=self.grid_horizon,
-            trunc_terms=self.trunc_terms,
-        )
+        return QContext(self.q, series_tol=self.series_tol, grid_horizon=self.grid_horizon)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -169,8 +164,7 @@ def _input_element(cfg: RunConfig, ctx: QContext) -> DiscElement:
     if isinstance(cfg.input, dict):
         return element_from_json_dict(cfg.input, ctx)
     try:
-        with open(cfg.input) as fh:
-            return element_from_json_dict(json.load(fh), ctx)
+        return load_element(cfg.input, ctx)
     except OSError as exc:
         raise IOError(f"cannot read input element: {exc}") from exc
 
@@ -254,30 +248,15 @@ def cmd_greens(cfg: RunConfig) -> int:
     sol2 = G.green_solve(el, 2, ctx)
     if cfg.out:
         for order, sol in ((1, sol1), (2, sol2)):
-            path = f"{cfg.out}.solution{order}.json"
-            with open(path, "w") as fh:
-                json.dump(element_to_json_dict(sol), fh, indent=1)
+            save_element(sol, f"{cfg.out}.solution{order}.json")
     return EXIT_OK
 
 
 def cmd_limit(cfg: RunConfig) -> int:
     if not cfg.q_list:
         raise DomainError("limit sweep needs a nonempty q_list")
-    rows_out = []
-    rows = G.classical_limit_report(cfg.t_list, cfg.q_list, None)
-    for r in rows:
-        rows_out.append(
-            {
-                "q": r.q,
-                "t": r.t,
-                "err_order1": r.err_order1,
-                "err_order2": r.err_order2,
-                "reflection_residual": r.reflection_residual,
-            }
-        )
-    _emit_table(
-        rows_out, ["q", "t", "err_order1", "err_order2", "reflection_residual"], cfg
-    )
+    rows = [asdict(r) for r in G.classical_limit_report(cfg.t_list, cfg.q_list, None)]
+    _emit_table(rows, ["q", "t", "err_order1", "err_order2", "reflection_residual"], cfg)
     return EXIT_OK
 
 

@@ -1,7 +1,7 @@
 """Deformation-parameter context shared by every module.
 
 All radial objects live on the geometric grid y = q^(2n), n = 0..grid_horizon.
-The context bundles q, the log-scale h = ln(1/q^2), truncation horizons and
+The context bundles q, the log-scale h = ln(1/q^2), the grid horizon and
 the series tolerance, and precomputes the grid arrays everything else uses.
 """
 
@@ -26,19 +26,16 @@ class QContext:
     Attributes:
         q: deformation parameter, strictly inside (0, 1); validated to
            [0.05, 0.995].
-        series_tol: absolute tail bound at which truncated series stop.
+        series_tol: absolute tail bound at which truncated series stop,
+           including the kernel coefficient series, whose term count is
+           fixed a priori from that bound with no cap.
         grid_horizon: largest grid index N_max; grid points are q^(2n),
            n = 0..N_max.
-        trunc_terms: cap on the terms of the kernel coefficient series.  The
-           count is fixed a priori from the tail bound, so a certified
-           request never reaches the cap; one that would raises
-           CapacityError before any kernel work.
     """
 
     q: float
     series_tol: float = 1e-14
     grid_horizon: int = 64
-    trunc_terms: int = 200
     h: float = field(init=False)
 
     def __post_init__(self):
@@ -48,8 +45,8 @@ class QContext:
             )
         if self.series_tol <= 0:
             raise DomainError("series_tol must be positive")
-        if self.grid_horizon < 0 or self.trunc_terms < 0:
-            raise DomainError("grid_horizon and trunc_terms must be nonnegative")
+        if self.grid_horizon < 0:
+            raise DomainError("grid_horizon must be nonnegative")
         object.__setattr__(self, "h", -2.0 * math.log(self.q))
 
     @property

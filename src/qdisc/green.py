@@ -42,7 +42,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -275,7 +275,6 @@ def kernel_assembled(
     ctx: QContext,
     shape: tuple[int, int] | None = None,
     sector_max: int = 4,
-    tol: float | None = None,
 ) -> Kernel:
     """Inverse kernel for the given power of the Laplacian.
 
@@ -290,47 +289,37 @@ def kernel_assembled(
     and L_k(m) decreases in m, the tail past M >= M0 is at most
     |coef_order1(M+1)| max_{i,a,b} sum_s cbar P_s(a) P_s(b) lin
     q^(2(M0+1)d) / (1 - q^(2+2d)), lin = 1 for order 1 or the order-2 factor
-    at M0 + 1, where |coef_order1(M0+1)| / (1 - q^2) < tol.  A count past
-    the cap ctx.trunc_terms, which a certified request never reaches,
-    raises CapacityError before any kernel work.  Kernels are cached per
-    (order, ctx, shape, sector_max, tol) with shape and tol filled in;
-    cached term arrays are read-only.
+    at M0 + 1, where |coef_order1(M0+1)| / (1 - q^2) < ctx.series_tol.  M is
+    the smallest count whose bound is below ctx.series_tol; that bound is
+    the certificate, and there is no cap on M.  Kernels are cached per
+    (order, ctx, shape, sector_max) with shape filled in; cached term
+    arrays are read-only.
     """
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
     if shape is None:
         shape = (ctx.npoints, ctx.npoints)
-    if tol is None:
-        tol = ctx.series_tol
-    return _assembled(order, ctx, tuple(shape), sector_max, tol)
+    return _assembled(order, ctx, tuple(shape), sector_max)
 
 
 @functools.cache
-def _assembled(
-    order: int, ctx: QContext, shape: tuple[int, int], sector_max: int, tol: float
-) -> Kernel:
-    q, q2 = ctx.q, ctx.q2
+def _assembled(order: int, ctx: QContext, shape: tuple[int, int], sector_max: int) -> Kernel:
+    q, q2, tol = ctx.q, ctx.q2, ctx.series_tol
     d = np.arange(sum(shape) - 1)
     count = 0
     while abs(coef_order1(count + 1, q)) / (1.0 - q2) >= tol:
         count += 1
-    if count <= ctx.trunc_terms:
-        m0 = count + 1
-        l_bound = np.array([m0, np.inf])
-        (_, cbar), (lsum, _) = _depth_coefficients(l_bound, q, min(shape), sector_max)
-        lin = 1.0
-        if order == 2:
-            lin = coef_order2(m0, q) / abs(coef_order1(m0, q))
-            lin = lin + (1.0 - q2) * (q2**m0 * lsum[:, :, None] + d)
-        H = cbar[:, :, None] * lin * q2 ** (m0 * d) / (1.0 - q2 ** (1.0 + d))
-        majorant = max(t.max() for t in _materialize(H, q2, shape).values())
-        while abs(coef_order1(count + 1, q)) * majorant >= tol:
-            count += 1
-    if count > ctx.trunc_terms:
-        raise CapacityError(
-            f"kernel series needs at least {count} terms for a tail below "
-            f"{tol:.2e}, past the cap trunc_terms={ctx.trunc_terms}"
-        )
+    m0 = count + 1
+    l_bound = np.array([m0, np.inf])
+    (_, cbar), (lsum, _) = _depth_coefficients(l_bound, q, min(shape), sector_max)
+    lin = 1.0
+    if order == 2:
+        lin = coef_order2(m0, q) / abs(coef_order1(m0, q))
+        lin = lin + (1.0 - q2) * (q2**m0 * lsum[:, :, None] + d)
+    H = cbar[:, :, None] * lin * q2 ** (m0 * d) / (1.0 - q2 ** (1.0 + d))
+    majorant = max(t.max() for t in _materialize(H, q2, shape).values())
+    while abs(coef_order1(count + 1, q)) * majorant >= tol:
+        count += 1
     m = np.arange(1.0, count + 1)
     c, lsum = _depth_coefficients(m, q, min(shape), sector_max)
     X = np.exp(2.0 * np.outer(m, d) * math.log(q))
@@ -424,12 +413,7 @@ def sector_laplacian_matrix(sector: int, dim: int, ctx: QContext) -> np.ndarray:
     column); used as the independent linear-solve oracle for the kernel
     route.
     """
-    big = QContext(
-        ctx.q,
-        series_tol=ctx.series_tol,
-        grid_horizon=dim,
-        trunc_terms=ctx.trunc_terms,
-    )
+    big = replace(ctx, grid_horizon=dim)
     mat = np.zeros((dim, dim), dtype=complex)
     for offset in range(3):
         vals = np.zeros(big.npoints, dtype=complex)

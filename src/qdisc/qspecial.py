@@ -20,6 +20,7 @@ from .context import QContext
 from .errors import DomainError, PoleError
 
 _ZERO_CUTOFF = 1e-15  # |1 - a q^k| below this counts as a terminating zero
+_MAX_TERMS = 100_000  # basic_hypergeometric guard against non-termination (NaN input)
 
 
 def qpochhammer(a: complex, q: float, n: int | float) -> complex:
@@ -79,7 +80,6 @@ def basic_hypergeometric(
     q: float,
     z: complex,
     series_tol: float = 1e-14,
-    max_terms: int = 100_000,
 ) -> complex:
     """Basic hypergeometric series rPhis(upper; lower; q; z).
 
@@ -96,7 +96,7 @@ def basic_hypergeometric(
     term = 1.0 + 0.0j
     qn = 1.0 + 0.0j  # q^n
     qpow = 1.0 + 0.0j  # running q^(n+1) for the (q;q)_{n+1} factor
-    for n in range(max_terms):
+    for n in range(_MAX_TERMS):
         # ratio from term n to term n+1
         num = 1.0 + 0.0j
         terminated = False
@@ -131,7 +131,7 @@ def basic_hypergeometric(
             return total
         if n > 50 and abs(term) > 1e6 * (1.0 + abs(total)):
             raise DomainError("basic hypergeometric series diverges")
-    raise DomainError("basic hypergeometric series did not converge")
+    raise DomainError(f"basic hypergeometric series did not converge in {_MAX_TERMS} terms")
 
 
 @dataclass

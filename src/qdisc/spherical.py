@@ -274,20 +274,38 @@ def transform_forward(
     return SpectralFunction(_nodes(node_count, ctx), vals, source=g)
 
 
-def forward_at(g: GridFunction, rhos: np.ndarray, ctx: QContext) -> np.ndarray:
-    """Forward transform evaluated at arbitrary nodes."""
-    return _forward(phi_matrix(np.asarray(rhos, dtype=float), len(g.values), ctx), g, ctx)
+# node-doubling range and settle tolerances of transform_inverse
+_START_NODES = 64
+_MAX_NODES = 8192
+_QUAD_ABS_TOL = 1e-11
+_QUAD_REL_TOL = 1e-12
 
 
-def transform_inverse(
-    F,
-    ctx: QContext,
-    npoints: int | None = None,
-    start_nodes: int = 64,
-    max_nodes: int = 8192,
-    quad_abs_tol: float = 1e-11,
-    quad_rel_tol: float = 1e-12,
-) -> GridFunction:
+def _inverse_on_nodes(F, ctx: QContext, count: int, npoints: int) -> tuple[np.ndarray, float]:
+    """Periodic-trapezoid inverse transform on count equispaced nodes, and
+    the rounding floor of its sums.
+
+    F is either a SpectralFunction, re-evaluated exactly from its source
+    grid function on these nodes, or a callable rho -> value.
+    """
+    if isinstance(F, SpectralFunction):
+        fv = _forward(_phi_on_nodes(ctx.q, count, len(F.source.values)), F.source, ctx)
+    else:
+        fv = np.array([F(r) for r in _nodes(count, ctx)], dtype=complex)
+    weighted = fv * _density_on_nodes(ctx.q, count)
+    period = ctx.rho_period()
+    out = (period / count) * (_phi_on_nodes(ctx.q, count, npoints).T @ weighted)
+    # rounding floor of the quadrature sums: spectral values of deep
+    # deltas reach q^(-2n) sizes and the summation noise accumulates
+    # like sqrt(count); differences below this are indistinguishable
+    # from rounding (the integrands here are entire and periodic, so
+    # the discretization error collapses far faster than this floor)
+    mean = float(np.mean(np.abs(weighted)))
+    floor = 32.0 * np.finfo(float).eps * period * math.sqrt(count) * mean
+    return out, floor
+
+
+def transform_inverse(F, ctx: QContext, npoints: int | None = None) -> GridFunction:
     """Inverse spherical transform by periodic-trapezoid quadrature.
 
     f(q^(2n)) = integral_0^{2 pi/h} phi_rho(q^(2n)) F(rho) dsigma(rho).
@@ -295,58 +313,33 @@ def transform_inverse(
     F is either a SpectralFunction, re-evaluated exactly from its source
     grid function at each node set, or a callable rho -> value.  The
     integrand is periodic and analytic in rho, so the node count is
-    doubled until outputs move by less than max(quad_abs_tol,
-    quad_rel_tol * scale, rounding floor); failure to settle, or a node
-    range too short to hold two node counts, raises QuadratureError with
-    diagnostics.
+    doubled, from max(64, F.node_count) up to 8192 nodes, until outputs
+    move by less than max(1e-11, 1e-12 * scale, rounding floor); failure
+    to settle, or a node range too short to hold two node counts, raises
+    QuadratureError with diagnostics.
     """
     if npoints is None:
         npoints = ctx.npoints
-    period = ctx.rho_period()
-
+    count = _START_NODES
     if isinstance(F, SpectralFunction):
-        src = F.source
-        fvals_for = lambda rhos: _forward(
-            _phi_on_nodes(ctx.q, len(rhos), len(src.values)), src, ctx
-        )
-        start_nodes = max(start_nodes, F.node_count)
-    else:
-        fvals_for = lambda rhos: np.array([F(r) for r in rhos], dtype=complex)
-    if start_nodes < 1 or 2 * start_nodes > max_nodes:
+        count = max(count, F.node_count)
+    if 2 * count > _MAX_NODES:
         raise QuadratureError(
-            f"node doubling from {start_nodes} to at most {max_nodes} gives "
+            f"node doubling from {count} to at most {_MAX_NODES} gives "
             "fewer than the two node counts the convergence test needs"
         )
-
     prev = None
-    count = start_nodes
-    while count <= max_nodes:
-        rhos = _nodes(count, ctx)
-        fv = fvals_for(rhos)
-        dens = _density_on_nodes(ctx.q, count)
-        phi = _phi_on_nodes(ctx.q, count, npoints)
-        out = (period / count) * (phi.T @ (fv * dens))
-        # rounding floor of the quadrature sums: spectral values of deep
-        # deltas reach q^(-2n) sizes and the summation noise accumulates
-        # like sqrt(count); differences below this are indistinguishable
-        # from rounding (the integrands here are entire and periodic, so
-        # the discretization error collapses far faster than this floor)
-        floor = (
-            32.0
-            * np.finfo(float).eps
-            * period
-            * math.sqrt(count)
-            * float(np.mean(np.abs(fv * dens)))
-        )
+    while count <= _MAX_NODES:
+        out, floor = _inverse_on_nodes(F, ctx, count, npoints)
         if prev is not None:
             diff = float(np.max(np.abs(out - prev)))
             scale = float(np.max(np.abs(out)))
-            if diff <= max(quad_abs_tol, quad_rel_tol * scale, floor):
+            if diff <= max(_QUAD_ABS_TOL, _QUAD_REL_TOL * scale, floor):
                 return GridFunction(out, finite_support=False)
         prev = out
         count *= 2
     raise QuadratureError(
-        f"inverse transform did not settle below tol by {max_nodes} nodes "
+        f"inverse transform did not settle below tol by {_MAX_NODES} nodes "
         f"(last change {diff:.3e})"
     )
 

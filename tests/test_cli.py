@@ -58,11 +58,11 @@ def test_verify_subset_passes(tmp_path):
 
 
 def test_verify_reports_a_group_error_as_failed_checks(tmp_path):
-    # at q = 0.95 the kernel series needs more than the default 200 terms;
-    # the run still writes its report and exits with a check failure
+    # at q = 0.995 the inverse transform does not settle by 8192 nodes; the
+    # run still writes its report and exits with a check failure
     out = tmp_path / "report.json"
     code, _ = run_cli(
-        ["verify", "--q", "0.95", "--checks", "kernel_centre", "--format", "json",
+        ["verify", "--q", "0.995", "--checks", "transform_centre", "--format", "json",
          "--out", str(out)]
     )
     assert code == 1
@@ -70,9 +70,16 @@ def test_verify_reports_a_group_error_as_failed_checks(tmp_path):
         report = json.load(fh)
     assert report["passed"] is False
     [check] = report["checks"]
-    assert check["check"] == "kernel_centre_delta"
+    assert check["check"] == "transform_centre_delta"
     assert check["pass"] is False
-    assert "CapacityError" in check["detail"]
+    assert "QuadratureError" in check["detail"]
+
+
+def test_usage_error_unknown_config_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trunc_terms": 200}))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert "unknown config key 'trunc_terms'" in capsys.readouterr().err
 
 
 def test_tabulate_header_and_centre_value(tmp_path):

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import re
 import warnings
 
 import numpy as np
@@ -35,7 +34,6 @@ from qdisc import (
     rep_matrix,
     sector_laplacian_matrix,
 )
-from qdisc import green
 from qdisc.discalg import _poch_down
 from qdisc.green import gm_quadrature_grid
 from qdisc.qspecial import l_sum
@@ -294,27 +292,17 @@ def test_route_consistency(ctx):
     assert twice.max_abs_diff(direct) < 1e-6
 
 
-def test_capacity_when_tail_not_certified(monkeypatch):
-    # at q = 0.95 the a-priori tail bound needs more terms than the default
-    # cap of 200, which is known before any kernel is materialized
-    def no_work(*args):
-        raise AssertionError("materialized before the term count was checked")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(green, "_materialize", no_work)
-        with pytest.raises(CapacityError) as err:
-            kernel_assembled(1, QContext(0.95), sector_max=1)
-    needed = re.search(r"needs at least (\d+) terms", str(err.value))
-    assert needed and int(needed.group(1)) > 200
-    assert "trunc_terms=200" in str(err.value)
-    # a larger cap certifies both orders, and the kernels still invert
-    ctx = QContext(0.95, trunc_terms=1000)
-    for order in (1, 2):
-        K = kernel_assembled(order, ctx, sector_max=3)
-        assert K.tail_bound < ctx.series_tol
-        sol = apply_kernel(K, delta_fn(0, ctx), ctx)
-        ref = g_radial_grid(order, ctx)
-        assert np.max(np.abs(sol.sector(0).values - ref.values)) < 1e-10
+def test_default_context_certifies_near_q_one():
+    # the a-priori term count has no cap: near q = 1 both orders certify
+    # on the default context, and the kernels still invert
+    for q in (0.95, 0.995):
+        ctx = QContext(q)
+        for order in (1, 2):
+            K = kernel_assembled(order, ctx, sector_max=3)
+            assert K.tail_bound < ctx.series_tol
+            sol = apply_kernel(K, delta_fn(0, ctx), ctx)
+            ref = g_radial_grid(order, ctx)
+            assert np.max(np.abs(sol.sector(0).values - ref.values)) < 1e-10, (q, order)
 
 
 def test_kernel_G_raises_capacity_when_terms_overflow():
@@ -387,10 +375,12 @@ def test_assembled_kernel_terms_are_read_only(ctx):
 
 
 def test_assembled_cache_key_fills_in_defaults(ctx):
-    # the default shape and tol and their spelled-out values share one assembly
-    assert kernel_assembled(1, ctx, sector_max=1) is kernel_assembled(
-        1, ctx, (ctx.npoints, ctx.npoints), 1, ctx.series_tol
-    )
+    # the default shape and its spelled-out value share one assembly; a
+    # context with another series_tol gets its own
+    K = kernel_assembled(1, ctx, sector_max=1)
+    assert K is kernel_assembled(1, ctx, (ctx.npoints, ctx.npoints), 1)
+    loose = QContext(ctx.q, series_tol=1e-6)
+    assert kernel_assembled(1, loose, sector_max=1) is not K
 
 
 def test_kernel_act_on_rank_one_terms_matches_element_action():
@@ -507,8 +497,9 @@ def test_kernel_G_matches_depth_loop(ctx):
 def test_assembled_kernel_matches_summed_depth_loop():
     # the closed-form assembly against the per-depth loop summed term by
     # term far past convergence; the gap must stay inside the stored tail
-    # bound, which at tol = 1e-6 is far above rounding.  Terms do not depend
-    # on the block shape or sector_max, so one 10 x 12 reference serves all.
+    # bound, which at series_tol = 1e-6 is far above rounding.  Terms do not
+    # depend on the block shape or sector_max, so one 10 x 12 reference
+    # serves all.
     for q in (0.3, 0.5, 0.8):
         ctx = QContext(q, grid_horizon=12)
         ref = {1: {}, 2: {}}
@@ -525,10 +516,11 @@ def test_assembled_kernel_matches_summed_depth_loop():
                 for order, block in blocks.items():
                     ref[order][key] = ref[order].get(key, 0.0) + block
             m += 1
-        for order, shape, sector_max, tol in itertools.product(
-            (1, 2), ((10, 10), (8, 12)), (0, 3), (None, 1e-6)
+        loose = QContext(q, series_tol=1e-6, grid_horizon=12)
+        for order, shape, sector_max, kctx in itertools.product(
+            (1, 2), ((10, 10), (8, 12)), (0, 3), (ctx, loose)
         ):
-            K = kernel_assembled(order, ctx, shape, sector_max, tol)
+            K = kernel_assembled(order, kctx, shape, sector_max)
             want = {
                 key: arr[: shape[0], : shape[1]]
                 for key, arr in ref[order].items()
@@ -538,4 +530,4 @@ def test_assembled_kernel_matches_summed_depth_loop():
             for key, arr in want.items():
                 gap = np.abs(K.terms[key] - arr)
                 bound = K.tail_bound + 1e-13 * np.max(np.abs(arr))
-                assert np.all(gap <= bound), (q, order, shape, sector_max, tol, key)
+                assert np.all(gap <= bound), (q, order, shape, sector_max, kctx.series_tol, key)
