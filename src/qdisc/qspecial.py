@@ -20,7 +20,7 @@ from .context import QContext
 from .errors import DomainError, PoleError
 
 _ZERO_CUTOFF = 1e-15  # |1 - a q^k| below this counts as a terminating zero
-_MAX_TERMS = 100_000  # basic_hypergeometric guard against non-termination (NaN input)
+_MAX_TERMS = 100_000  # basic_hypergeometric guard against series that neither settle nor blow up
 
 
 def qpochhammer(a: complex, q: float, n: int | float) -> complex:
@@ -86,8 +86,14 @@ def basic_hypergeometric(
     Each term carries the standard balancing factor
     ((-1)^n q^(n(n-1)/2))^(1 + s - r).  The series terminates when some
     upper-parameter factor hits an exact zero; otherwise it is summed
-    until the absolute tail bound falls below series_tol.
+    until the absolute tail bound falls below series_tol.  A non-finite
+    parameter or argument raises DomainError before any term is summed.
     """
+    named = [("q", q), ("z", z)]
+    named += [("upper parameter", a) for a in upper] + [("lower parameter", b) for b in lower]
+    for name, value in named:
+        if not cmath.isfinite(value):
+            raise DomainError(f"basic_hypergeometric {name} {value} is not finite")
     if not 0 < abs(q) < 1:
         raise DomainError("basic_hypergeometric requires 0 < |q| < 1")
     r, s = len(upper), len(lower)

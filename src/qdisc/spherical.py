@@ -8,7 +8,9 @@ Evaluation notes.  The terminating series defining the spherical function
 phi_rho(q^(2n)) cancels catastrophically in fixed precision once n is
 moderate (individual terms reach size ~ q^(-n(n-1)) while the value decays
 like q^n), so the reference evaluator sums it in multiprecision at every
-grid index, with the working precision growing with n.  Transform
+grid index, with the working precision growing with n.  The rows asked for
+in one call share their tables, built once at the precision of the
+largest row, so a whole column costs one multiprecision pass.  Transform
 machinery instead evaluates phi columns through the eigen-recurrence
 seeded at the disc centre, which is numerically stable on the continuous
 spectrum; the two routes are cross-checked in the test suite.
@@ -57,37 +59,48 @@ def _phi_digits(n: int, q: float) -> int:
     return 30 + int(n * (n + 1) * math.log10(1.0 / q)) + 10
 
 
-def phi_rho(rho: complex, n: int, ctx: QContext) -> complex:
-    """Spherical function phi_rho at the grid point y = q^(2n).
+def phi_rho(rho: complex, n, ctx: QContext) -> complex | np.ndarray:
+    """Spherical function phi_rho at the grid points y = q^(2n).
 
     Terminating series of n+1 terms
 
         sum_k (q^(-2n); q^2)_k (q^(1+2i rho); q^2)_k (q^(1-2i rho); q^2)_k
               / ((q^2; q^2)_k)^2 * q^(2k),
 
-    normalized by phi_rho(1) = 1.  Summed in multiprecision (see module
-    docstring).
+    normalized by phi_rho(1) = 1.  Takes an int n (returns a complex) or a
+    sequence of row indices (returns a complex array, in the given order).
+    Across rows the terms differ only in the factor (q^(-2n); q^2)_k, so
+    all rows share one table of q^(2j), of 1 - q^(-2j) and of the n-free
+    term ratio, built in multiprecision at the precision of the largest
+    row (see module docstring); row n then takes n multiplications.
     """
-    if n < 0:
+    rows = np.atleast_1d(n)
+    if min(rows, default=0) < 0:
         raise DomainError("grid index must be nonnegative")
+    top = int(max(rows, default=0))
     q = ctx.q
-    digits = _phi_digits(n, q)
-    with mpmath.workdps(digits):
+    with mpmath.workdps(_phi_digits(top, q)):
         qm = mpmath.mpf(q)
         q2 = qm * qm
-        w = mpmath.exp(2j * mpmath.mpc(rho) * mpmath.log(qm))
-        a1 = qm * w        # q^(1+2i rho)
-        a2 = qm / w        # q^(1-2i rho)
-        total = mpmath.mpc(1)
-        term = mpmath.mpc(1)
-        for k in range(n):
-            # factor (1 - q^(2(k-n))) built with an integer exponent so the
-            # terminating zero at k = n is exact
-            f_top = (1 - q2 ** (k - n)) * (1 - a1 * q2**k) * (1 - a2 * q2**k)
-            f_bot = (1 - q2 ** (k + 1)) ** 2
-            term *= f_top / f_bot * q2
-            total += term
-        return complex(total)
+        # (1 - q^(1+2i rho) x)(1 - q^(1-2i rho) x) = 1 - s x + q^2 x^2, with
+        # s real for real rho, so real rho sums in real arithmetic
+        s = 2 * qm * mpmath.cos(2 * mpmath.mpmathify(rho) * mpmath.log(qm))
+        q2j = [mpmath.mpf(1)]
+        for _ in range(top):
+            q2j.append(q2j[-1] * q2)
+        # drop[j] = 1 - q^(-2j) is the (q^(-2n); q^2) factor at k = n - j;
+        # row n stops before k = n, where it would vanish
+        drop = [1 - 1 / p for p in q2j]
+        ratio = [(1 - (s - q2 * x) * x) * q2 / (1 - x * q2) ** 2 for x in q2j[:top]]
+        vals = []
+        for m in rows:
+            total = mpmath.mpf(1)
+            term = mpmath.mpf(1)
+            for k in range(m):
+                term *= drop[m - k] * ratio[k]
+                total += term
+            vals.append(complex(total))
+    return vals[0] if np.ndim(n) == 0 else np.array(vals, dtype=complex)
 
 
 def phi_column(rho: float, npoints: int, ctx: QContext) -> np.ndarray:
@@ -120,12 +133,15 @@ def psi_rho(rho: complex, n: int, ctx: QContext) -> complex:
     Series coefficients (q^(1-2i rho); q^2)_k^2 /
     ((q^(2-4i rho); q^2)_k (q^2; q^2)_k) q^(2k) y^k; the prefactor is
     exp((1/2 - i rho) * 2n ln q).  Defined away from rho in (1/2i) N,
-    where a denominator factor vanishes (PoleError).
+    where a denominator factor vanishes (PoleError); a non-finite rho
+    raises DomainError.
     """
+    rho = complex(rho)
+    if not cmath.isfinite(rho):
+        raise DomainError(f"psi_rho rho {rho} is not finite")
     q = ctx.q
     q2 = ctx.q2
     lnq = math.log(q)
-    rho = complex(rho)
     b = cmath.exp((1 - 2j * rho) * lnq)       # q^(1-2i rho)
     c = cmath.exp((2 - 4j * rho) * lnq)       # q^(2-4i rho)
     y = q2**n

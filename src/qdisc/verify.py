@@ -380,10 +380,15 @@ def check_eigenfunctions(ctx: QContext, nmax: int = 30):
     # eigenfunction magnitudes blow up near the band edges as q -> 1, so
     # residuals are taken relative to the eigenfunction scale
     rhos = _rho_samples(ctx)
+    connection_rows = (0, 2, 5, 9, 14, 20)
+    # one multiprecision pass per rho gives the rows of the eigen-equation
+    # and of the connection formula
+    rows = range(max(nmax + 2, connection_rows[-1] + 1))
+    phis = [S.phi_rho(rho, rows, ctx) for rho in rhos]
     worst_phi = 0.0
     worst_rec = 0.0
-    for rho in rhos:
-        vals = np.array([S.phi_rho(rho, n, ctx) for n in range(nmax + 2)])
+    for rho, phi in zip(rhos, phis):
+        vals = phi[: nmax + 2]
         lam = S.lambda_rho(rho, ctx)
         res = radial_laplacian(GridFunction(vals, False), ctx).values - lam * vals
         scale = max(1.0, float(np.max(np.abs(vals))))
@@ -404,13 +409,13 @@ def check_eigenfunctions(ctx: QContext, nmax: int = 30):
 
     period = ctx.rho_period()
     worst_c = 0.0
-    for rho in rhos:
+    for rho, phi in zip(rhos, phis):
         if min(rho, abs(rho - period / 2), abs(period - rho)) < 0.05 * period / 2:
             continue
         cp = S.c_coefficient(rho, ctx)
         cm = S.c_coefficient(-rho, ctx)
-        for n in (0, 2, 5, 9, 14, 20):
-            lhs = S.phi_rho(rho, n, ctx)
+        for n in connection_rows:
+            lhs = phi[n]
             a = cp * S.psi_rho(rho, n, ctx)
             b = cm * S.psi_rho(-rho, n, ctx)
             scale = max(1.0, abs(a), abs(b))

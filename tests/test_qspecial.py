@@ -152,6 +152,14 @@ def test_hypergeometric_lower_pole():
         basic_hypergeometric([0.3], [Q**-2], Q**2, 0.5)
 
 
+def test_hypergeometric_rejects_non_finite_input():
+    # every stopping test is false on NaN, so only an up-front check ends it at once
+    with pytest.raises(DomainError, match="z nan is not finite"):
+        basic_hypergeometric([0.5], [0.3], 0.5, math.nan)
+    with pytest.raises(DomainError, match="upper parameter inf"):
+        basic_hypergeometric([math.inf], [0.3], 0.5, 0.2)
+
+
 def test_jackson_constant(ctx):
     res = jackson_integral(np.ones(ctx.npoints), ctx, finite_support=False)
     assert abs(res.value - 1.0) <= res.tail_bound + 1e-14

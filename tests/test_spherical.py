@@ -67,7 +67,7 @@ def test_phi_symmetry_in_rho(ctx):
 def test_phi_eigen_equation(ctx):
     # reference terminating-series evaluation against the stencil
     for rho in (0.35, 1.2, 2.0):
-        vals = np.array([phi_rho(rho, n, ctx) for n in range(14)])
+        vals = phi_rho(rho, range(14), ctx)
         lam = lambda_rho(rho, ctx)
         res = radial_laplacian(GridFunction(vals, False), ctx).values[:13] - lam * vals[:13]
         assert np.max(np.abs(res)) < 1e-9
@@ -79,7 +79,7 @@ def test_phi_first_rows_solve_the_stencil():
         c = QContext(q, grid_horizon=32)
         for f in (0.1, 0.37, 0.8):
             rho = f * c.rho_period() / 2
-            vals = np.array([phi_rho(rho, n, c) for n in range(7)])
+            vals = phi_rho(rho, range(7), c)
             lap = radial_laplacian(GridFunction(vals, False), c).values
             res = lap[:6] - lambda_rho(rho, c) * vals[:6]
             assert np.max(np.abs(res)) / max(1.0, np.max(np.abs(vals))) <= 1e-13
@@ -89,9 +89,50 @@ def test_phi_column_matches_reference():
     for q in (0.1, 0.3, 0.5, 0.8):
         c = QContext(q, grid_horizon=32)
         for rho in (0.4, 1.5):
+            rows = [0, 1, 5, 11, 18, 25]
             col = phi_column(rho, 26, c)
-            for n in (0, 1, 5, 11, 18, 25):
-                assert abs(col[n] - phi_rho(rho, n, c)) < 1e-9
+            assert np.max(np.abs(col[rows] - phi_rho(rho, rows, c))) < 1e-9
+
+
+def test_phi_rows_equal_single_rows():
+    # the row form shares its tables across rows, at the precision of the
+    # largest one; each value must still be the one-row value exactly
+    for q in (0.1, 0.3, 0.5, 0.8, 0.95):
+        c = QContext(q, grid_horizon=32)
+        for f in (0.1, 0.37, 0.8):
+            rho = f * c.rho_period() / 2
+            rows = phi_rho(rho, range(32), c)
+            assert np.all(rows == np.array([phi_rho(rho, n, c) for n in range(32)]))
+            picked = phi_rho(rho, [5, 0, 5, 2], c)
+            assert np.all(picked == rows[[5, 0, 5, 2]])
+
+
+def test_phi_row_form_types_and_domain(ctx):
+    assert type(phi_rho(0.7, 3, ctx)) is complex
+    rows = phi_rho(0.7, range(4), ctx)
+    assert isinstance(rows, np.ndarray) and rows.shape == (4,) and rows.dtype == complex
+    for n in (-1, [3, -2, 0], range(-1, 3)):
+        with pytest.raises(DomainError):
+            phi_rho(0.7, n, ctx)
+
+
+def test_eigenfunction_checks_sum_phi_once_per_rho(monkeypatch):
+    # check_eigenfunctions takes every phi row it needs, the connection
+    # formula's included, from one row-form call per rho sample
+    from qdisc import spherical, verify
+
+    calls = []
+    real = spherical.phi_rho
+
+    def counted(rho, n, ctx):
+        calls.append(rho)
+        return real(rho, n, ctx)
+
+    monkeypatch.setattr(spherical, "phi_rho", counted)
+    ctx = QContext(0.5)
+    results = verify.check_eigenfunctions(ctx)
+    assert all(r.passed for r in results)
+    assert len(calls) == len(verify._rho_samples(ctx)) == 16
 
 
 def test_psi_eigen_equation_interior(ctx):
@@ -120,6 +161,12 @@ def test_psi_series_term_form(ctx):
         total += num / den * q2**k * y**k
     expected = np.exp((0.5 - 1j * rho) * 2 * n * lnq) * total
     assert abs(psi_rho(rho, n, ctx) - expected) < 1e-13
+
+
+def test_psi_rejects_non_finite_rho(ctx):
+    # every stopping test is false on NaN, so only an up-front check ends it at once
+    with pytest.raises(DomainError, match="rho \\(nan\\+0j\\) is not finite"):
+        psi_rho(math.nan, 3, ctx)
 
 
 def test_psi_pole_detection(ctx):
