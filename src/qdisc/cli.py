@@ -255,7 +255,7 @@ def cmd_greens(cfg: RunConfig) -> int:
 def cmd_limit(cfg: RunConfig) -> int:
     if not cfg.q_list:
         raise DomainError("limit sweep needs a nonempty q_list")
-    rows = [asdict(r) for r in G.classical_limit_report(cfg.t_list, cfg.q_list, None)]
+    rows = [asdict(r) for r in G.classical_limit_report(cfg.t_list, cfg.q_list)]
     _emit_table(rows, ["q", "t", "err_order1", "err_order2", "reflection_residual"], cfg)
     return EXIT_OK
 

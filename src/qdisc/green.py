@@ -524,9 +524,7 @@ class LimitRow:
     reflection_residual: float
 
 
-def classical_limit_report(
-    t_list, q_list, ctx: QContext | None = None
-) -> list[LimitRow]:
+def classical_limit_report(t_list, q_list) -> list[LimitRow]:
     """Errors of the coefficient-series limits against the classical targets.
 
     For each q and argument t (scalar or list) the first series is

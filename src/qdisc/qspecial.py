@@ -86,7 +86,8 @@ def basic_hypergeometric(
     Each term carries the standard balancing factor
     ((-1)^n q^(n(n-1)/2))^(1 + s - r).  The series terminates when some
     upper-parameter factor hits an exact zero; otherwise it is summed
-    until the absolute tail bound falls below series_tol.  A non-finite
+    until a bound on every later term ratio certifies an absolute tail
+    below series_tol, which needs 1 + s - r >= 0.  A non-finite
     parameter or argument raises DomainError before any term is summed.
     """
     named = [("q", q), ("z", z)]
@@ -129,12 +130,18 @@ def basic_hypergeometric(
             term *= (-qn) ** balance
         total += term
         qn *= q
-        # geometric tail certificate: once terms shrink steadily and the
-        # next-step ratio is below 1, the remaining sum is bounded by
-        # |term| * ratio / (1 - ratio).
-        ratio = abs(z) * abs(qn) ** max(balance, 0)
-        if n > 4 and ratio < 0.9 and abs(term) * ratio / (1 - ratio) < series_tol:
-            return total
+        # geometric tail certificate: with balance >= 0 and every |b q^n| < 1,
+        # R below bounds every later term ratio (each factor is monotone in
+        # |q^n|), so the remaining sum is at most |term| * R / (1 - R).
+        aqn = abs(qn)
+        if balance >= 0 and all(abs(b) * aqn < 1.0 for b in lower):
+            bound = abs(z) * aqn**balance / (1.0 - abs(q) * aqn)
+            for a in upper:
+                bound *= 1.0 + abs(a) * aqn
+            for b in lower:
+                bound /= 1.0 - abs(b) * aqn
+            if bound < 1.0 and abs(term) * bound / (1.0 - bound) < series_tol:
+                return total
         if n > 50 and abs(term) > 1e6 * (1.0 + abs(total)):
             raise DomainError("basic hypergeometric series diverges")
     raise DomainError(f"basic hypergeometric series did not converge in {_MAX_TERMS} terms")

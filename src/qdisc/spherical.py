@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-import scipy.linalg
 
 from .context import QContext
 from .discalg import GridFunction
@@ -366,12 +365,12 @@ def spectrum_probe(dim: int, ctx: QContext) -> tuple[float, float]:
     The radial operator is symmetric under the weight q^(-2n); conjugating
     by diag(q^(-n)) gives a real symmetric tridiagonal matrix whose
     spectrum sits inside [-1/(1-q)^2, -1/(1+q)^2] and fills it as dim
-    grows.
+    grows.  The eigenvalues come from a dense symmetric solve, meant for
+    dims up to a few hundred.
     """
     if dim < 2:
         raise DomainError("spectrum probe needs dim >= 2")
-    up, diag, down = stencil_coefficients(ctx, dim)
-    d = diag.real.copy()
-    e = ctx.q * down.real[: dim - 1]
-    vals = scipy.linalg.eigvalsh_tridiagonal(d, e)
+    _, diag, down = stencil_coefficients(ctx, dim)
+    off = ctx.q * down[: dim - 1]
+    vals = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     return float(vals[0]), float(vals[-1])

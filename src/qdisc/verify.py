@@ -250,15 +250,13 @@ def check_hopf(ctx: QContext):
 
     worst = 0.0
     for f in basis:
-        scale = max(
-            1.0,
-            act_word("K E Kinv".split(), f).max_abs(),
-            act_word("EF", f).max_abs(),
-            act_word("FE", f).max_abs(),
-        )
-        r1 = act_word("K E Kinv".split(), f).max_abs_diff(act("E", f).scaled(q**2))
+        kek = act_word("K E Kinv".split(), f)
+        ef = act_word("EF", f)
+        fe = act_word("FE", f)
+        scale = max(1.0, kek.max_abs(), ef.max_abs(), fe.max_abs())
+        r1 = kek.max_abs_diff(act("E", f).scaled(q**2))
         r2 = act_word("K F Kinv".split(), f).max_abs_diff(act("F", f).scaled(q**-2))
-        lhs = act_word("EF", f) - act_word("FE", f)
+        lhs = ef - fe
         rhs = (act("K", f) - act("Kinv", f)).scaled(1.0 / (q - 1.0 / q))
         r3 = lhs.max_abs_diff(rhs)
         worst = max(worst, _rel(max(r1, r2, r3), scale))
@@ -741,9 +739,7 @@ def _interior_max(d: DiscElement, margin: int) -> float:
 
 @_group("classical_limit_monotone", "dilog_reflection")
 def check_limits(ctx: QContext):
-    rows = G.classical_limit_report(
-        [0.25, 0.5, 0.75], [0.9, 0.99, 0.999], ctx
-    )
+    rows = G.classical_limit_report([0.25, 0.5, 0.75], [0.9, 0.99, 0.999])
     mono_ok = True
     for t in (0.25, 0.5, 0.75):
         errs1 = [r.err_order1 for r in rows if r.t == t]

@@ -1,9 +1,12 @@
 """Batch front-end: exit codes, output formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import qdisc
 from qdisc.cli import main
 
 
@@ -187,6 +190,21 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,y,g1,g2")
+
+
+def test_import_never_loads_scipy():
+    # the package needs only numpy, mpmath and the stdlib
+    src = str(Path(qdisc.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    code = (
+        "import qdisc, sys; qdisc.QContext(0.5); "
+        "sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_full_suite_passes(tmp_path):
