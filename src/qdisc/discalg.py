@@ -12,7 +12,9 @@ phi(y) -> phi(q^{-+2} y), and z*^k z^k / z^k z*^k contract to explicit
 polynomial grid functions.
 
 A truncated weighted-shift matrix representation serves as an independent
-oracle for products, the involution, and the invariant integral.
+oracle for products, the involution, and the invariant integral; each
+sector of it is one diagonal of subdiagonal-weight products.  The pairing
+sums only the sector pairs that land in sector 0, the one integrated.
 """
 
 from __future__ import annotations
@@ -62,17 +64,8 @@ class GridFunction:
         v[n] = 1.0
         return cls(v)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def shifted(self, s: int) -> "GridFunction":
-        return GridFunction(_shift(self.values, s), self.finite_support)
-
     def conj(self) -> "GridFunction":
         return GridFunction(np.conj(self.values), self.finite_support)
-
-    def is_zero(self) -> bool:
-        return not np.any(self.values)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values))) if len(self.values) else 0.0
@@ -91,9 +84,7 @@ class DiscElement:
     ctx: QContext
 
     def __post_init__(self):
-        self.sectors = {
-            m: g for m, g in self.sectors.items() if not g.is_zero()
-        }
+        self.sectors = {m: g for m, g in self.sectors.items() if g.values.any()}
 
     @property
     def finite(self) -> bool:
@@ -255,16 +246,23 @@ def normal_mul(f: DiscElement, g: DiscElement, ctx: QContext | None = None) -> D
             else:
                 acc[m] = term.values
                 fin[m] = term.finite_support
-    return DiscElement(
-        {m: GridFunction(v, fin[m]) for m, v in acc.items()}, ctx
-    )
+    return DiscElement({m: GridFunction(v, fin[m]) for m, v in acc.items()}, ctx)
 
 
 def star(f: DiscElement) -> DiscElement:
     """Involution: sector m maps to sector -m with conjugated values."""
-    return DiscElement(
-        {-m: g.conj() for m, g in f.sectors.items()}, f.ctx
-    )
+    return DiscElement({-m: g.conj() for m, g in f.sectors.items()}, f.ctx)
+
+
+def _integral_weights(values: np.ndarray, ctx: QContext) -> np.ndarray:
+    """Weights q^(-2n) on the nonzero rows of values and 0 on the rest, so a
+    weight past the double range cannot turn the sum into inf * 0 = nan; one
+    that is needed raises CapacityError."""
+    with np.errstate(over="ignore"):
+        w = np.where(values != 0, ctx.weights(len(values)), 0.0)
+    if not np.isfinite(w).all():
+        raise CapacityError("integral weight q^(-2n) overflows on the element's support")
+    return w
 
 
 def inv_integral(f: DiscElement, ctx: QContext | None = None) -> complex:
@@ -278,9 +276,8 @@ def inv_integral(f: DiscElement, ctx: QContext | None = None) -> complex:
         raise DomainError("invariant integral requires a finite element")
     g = f.sectors.get(0)
     if g is None:
-        return 0.0 + 0.0j
-    w = ctx.weights(len(g.values))
-    return (1.0 - ctx.q2) * complex(np.sum(g.values * w))
+        return 0j
+    return (1.0 - ctx.q2) * complex(np.sum(g.values * _integral_weights(g.values, ctx)))
 
 
 def integral_scale(f: DiscElement, ctx: QContext | None = None) -> float:
@@ -288,15 +285,27 @@ def integral_scale(f: DiscElement, ctx: QContext | None = None) -> float:
     ctx = ctx or f.ctx
     s = 0.0
     for g in f.sectors.values():
-        w = ctx.weights(len(g.values))
-        s += float(np.sum(np.abs(g.values) * w))
+        s += float(np.sum(np.abs(g.values) * _integral_weights(g.values, ctx)))
     return (1.0 - ctx.q2) * s
 
 
 def inner(f: DiscElement, g: DiscElement, ctx: QContext | None = None) -> complex:
-    """Sesquilinear pairing integral(g* f); positive definite on finite elements."""
+    """Sesquilinear pairing integral(g* f); positive definite on finite elements.
+
+    Only sector 0 of g* f is integrated: the pairs g_m* f_m, summed in g's
+    sector order, so bit-identical to inv_integral(normal_mul(star(g), f));
+    a horizon CapacityError comes only from them.  Needs f or g finite.
+    """
     ctx = ctx or f.ctx
-    return inv_integral(normal_mul(star(g), f, ctx), ctx)
+    if not (f.finite or g.finite):
+        raise DomainError("pairing requires a finite element")
+    pairs = (
+        _mul_terms(-m, psi.conj(), m, f.sectors[m], ctx)[1].values
+        for m, psi in g.sectors.items()
+        if m in f.sectors
+    )
+    radial = sum(pairs, np.zeros(ctx.npoints, dtype=complex))
+    return inv_integral(DiscElement({0: GridFunction(radial)}, ctx), ctx)
 
 
 # --- faithful weighted-shift representation ---------------------------
@@ -310,34 +319,24 @@ class RepMatrix:
     entries: np.ndarray
 
 
-def _rep_z(dim: int, ctx: QContext) -> np.ndarray:
-    """z e_k = sqrt(1 - q^(2(k+1))) e_{k+1}; y = 1 - z z* is diagonal q^(2k)."""
-    m = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim - 1):
-        m[k + 1, k] = np.sqrt(1.0 - ctx.q2 ** (k + 1))
-    return m
-
-
 def rep_matrix(f: DiscElement, dim: int, ctx: QContext | None = None) -> RepMatrix:
-    """Matrix of f on the first dim basis vectors of the representation."""
+    """Matrix of f on the first dim basis vectors of the representation.
+
+    z e_k = w_k e_(k+1) with w_k = sqrt(1 - q^(2(k+1))) and y e_k = q^(2k) e_k,
+    so (z^m psi)[k+m, k] = w_k ... w_(k+m-1) psi(q^(2k)); psi z*^|m| is its
+    transpose, m = 0 the diagonal, and |m| >= dim has no entry.
+    """
     ctx = ctx or f.ctx
     if dim < 1:
         raise DomainError("representation dimension must be positive")
-    z = _rep_z(dim, ctx)
-    zs = z.conj().T
-    diag_y = np.power(ctx.q2, np.arange(dim, dtype=float))
+    w = np.sqrt(1.0 - ctx.ygrid(dim)[1:])
     out = np.zeros((dim, dim), dtype=complex)
     for m, g in f.sectors.items():
-        vals = np.zeros(dim, dtype=complex)
-        take = min(dim, len(g.values))
-        vals[:take] = g.values[:take]
-        dmat = np.diag(vals)
-        if m == 0:
-            out += dmat
-        elif m > 0:
-            out += np.linalg.matrix_power(z, m) @ dmat
-        else:
-            out += dmat @ np.linalg.matrix_power(zs, -m)
+        a = abs(m)
+        n = min(dim - a, len(g.values))
+        if n > 0:
+            block = out[a : a + n, :n] if m > 0 else out[:n, a : a + n]
+            np.fill_diagonal(block, _window_products(w, a, n) * g.values[:n])
     return RepMatrix(dim, out)
 
 

@@ -88,7 +88,9 @@ def basic_hypergeometric(
     upper-parameter factor hits an exact zero; otherwise it is summed
     until a bound on every later term ratio certifies an absolute tail
     below series_tol, which needs 1 + s - r >= 0.  A non-finite
-    parameter or argument raises DomainError before any term is summed.
+    parameter or argument raises DomainError before any term is summed,
+    and so does a term that stops being finite; an exactly zero term ends
+    the sum, since every later term is a multiple of it.
     """
     named = [("q", q), ("z", z)]
     named += [("upper parameter", a) for a in upper] + [("lower parameter", b) for b in lower]
@@ -128,6 +130,12 @@ def basic_hypergeometric(
         term *= z * num / den
         if balance:
             term *= (-qn) ** balance
+        if not cmath.isfinite(term):
+            raise DomainError(
+                f"basic hypergeometric series {r}phi{s} diverges: term {n + 1} is not finite"
+            )
+        if term == 0:
+            return total
         total += term
         qn *= q
         # geometric tail certificate: with balance >= 0 and every |b q^n| < 1,

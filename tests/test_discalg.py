@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from qdisc import discalg
 from qdisc import (
     CapacityError,
     DiscElement,
@@ -21,7 +22,7 @@ from qdisc import (
     rep_matrix,
     star,
 )
-from qdisc.discalg import _poch_down, _poch_up
+from qdisc.discalg import _poch_down, _poch_up, integral_scale
 from conftest import random_element
 
 
@@ -270,3 +271,107 @@ def test_contraction_polynomials_match_products():
                 if d < npoints:
                     # the shifted lower polynomial is the upper one
                     assert np.array_equal(_poch_down(d, ctx, npoints + d)[d:], up)
+
+
+def _dense_rep(f, dim, ctx):
+    """Reference representation: a dense z from its subdiagonal weights,
+    and each sector through matrix powers of z or z*."""
+    z = np.zeros((dim, dim), dtype=complex)
+    for k in range(dim - 1):
+        z[k + 1, k] = np.sqrt(1.0 - ctx.q2 ** (k + 1))
+    out = np.zeros((dim, dim), dtype=complex)
+    for m, g in f.sectors.items():
+        vals = np.zeros(dim, dtype=complex)
+        take = min(dim, len(g.values))
+        vals[:take] = g.values[:take]
+        if m >= 0:
+            out += np.linalg.matrix_power(z, m) @ np.diag(vals)
+        else:
+            out += np.diag(vals) @ np.linalg.matrix_power(z.conj().T, -m)
+    return out
+
+
+def _random_sectors(ctx, rng, sectors, support):
+    """Finite element on the given sectors, random values on rows 0..support."""
+    out = {}
+    for m in sectors:
+        v = np.zeros(ctx.npoints, dtype=complex)
+        v[: support + 1] = rng.standard_normal(support + 1) + 1j * rng.standard_normal(
+            support + 1
+        )
+        out[int(m)] = GridFunction(v)
+    return DiscElement(out, ctx)
+
+
+def test_rep_matrix_matches_dense_powers():
+    # one sector at a time and all at once, with |m| >= dim and dim past the horizon
+    rng = np.random.default_rng(31)
+    for q in (0.05, 0.5, 0.995):
+        ctx = QContext(q, grid_horizon=32)
+        for dim in (1, 2, 12, 40):
+            singles = [
+                _random_sectors(ctx, rng, [m], ctx.grid_horizon) for m in range(-7, 8)
+            ]
+            whole = _random_sectors(ctx, rng, range(-7, 8), ctx.grid_horizon)
+            for f in singles + [whole]:
+                got = rep_matrix(f, dim, ctx).entries
+                ref = _dense_rep(f, dim, ctx)
+                assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_rep_matrix_never_uses_contraction_polynomials(ctx, rng, monkeypatch):
+    # the oracle must stay independent of the products it checks
+    def refuse(*args):
+        raise AssertionError("rep_matrix called a contraction polynomial")
+
+    monkeypatch.setattr(discalg, "_poch_down", refuse)
+    monkeypatch.setattr(discalg, "_poch_up", refuse)
+    f = random_element(ctx, rng, sectors=5)
+    ref = _dense_rep(f, 24, ctx)
+    assert np.max(np.abs(rep_matrix(f, 24, ctx).entries - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_inner_is_bit_identical_to_the_integral_of_the_product():
+    rng = np.random.default_rng(77)
+    for q in (0.05, 0.3, 0.9, 0.995):
+        for horizon in (32, 64):
+            ctx = QContext(q, grid_horizon=horizon)
+            for _ in range(8):
+                f, g = (
+                    _random_sectors(
+                        ctx,
+                        rng,
+                        rng.choice(np.arange(-4, 5), rng.integers(1, 8), replace=False),
+                        int(rng.integers(0, horizon - 8)),
+                    )
+                    for _ in range(2)
+                )
+                assert inner(f, g) == inv_integral(normal_mul(star(g), f))
+
+
+def test_inner_of_disjoint_sectors_is_exactly_zero(ctx, rng):
+    f = _random_sectors(ctx, rng, [-2, 1, 3], 6)
+    g = _random_sectors(ctx, rng, [-1, 0, 2], 6)
+    for value in (inner(f, g), inner(g, f)):
+        assert value == 0j and isinstance(value, complex)
+
+
+def test_inner_needs_a_finite_factor(ctx):
+    one, z = DiscElement.one(ctx), DiscElement.generator_z(ctx)
+    with pytest.raises(DomainError):
+        inner(one, z)
+    f0 = delta_fn(0, ctx)
+    assert inner(one, f0) == inner(f0, one) == 1 - ctx.q2
+
+
+def test_integral_weights_only_on_nonzero_rows():
+    # q^(-2n) overflows past row 118 at q = 0.05 and past row 154 at q = 0.1
+    for q in (0.05, 0.1):
+        ctx = QContext(q, grid_horizon=160)
+        f0 = delta_fn(0, ctx)
+        assert inner(f0, f0) == inv_integral(f0) == integral_scale(f0) == 1 - ctx.q2
+    ctx = QContext(0.05, grid_horizon=160)
+    far = delta_fn(125, ctx)
+    for integral in (inv_integral, integral_scale, lambda f: inner(f, f)):
+        with pytest.raises(CapacityError, match="integral weight"):
+            integral(far)

@@ -167,6 +167,14 @@ def test_hypergeometric_rejects_non_finite_input():
         basic_hypergeometric([math.inf], [0.3], 0.5, 0.2)
 
 
+def test_hypergeometric_overflowing_terms_raise_domain_error():
+    # 1 + s - r < 0: the terms grow like q^(-n^2/2) and overflow near term 50
+    with pytest.raises(DomainError, match="basic hypergeometric series 3phi1 diverges"):
+        basic_hypergeometric([0.3, 0.4, 0.5], [0.6], 0.5, 0.1)
+    # a zero argument ends the same series at its first term
+    assert basic_hypergeometric([0.3, 0.4, 0.5], [0.6], 0.5, 0.0) == 1.0
+
+
 def test_jackson_constant(ctx):
     res = jackson_integral(np.ones(ctx.npoints), ctx, finite_support=False)
     assert abs(res.value - 1.0) <= res.tail_bound + 1e-14
