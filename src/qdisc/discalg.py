@@ -127,15 +127,13 @@ class DiscElement:
         )
 
     def max_abs_diff(self, other: "DiscElement") -> float:
-        d = 0.0
-        for m in set(self.sectors) | set(other.sectors):
-            d = max(
-                d,
-                float(
-                    np.max(np.abs(self.sector(m).values - other.sector(m).values))
-                ),
-            )
-        return d
+        """Largest |self - other| entry over all sectors; nan if any entry is nan."""
+        # np.max propagates nan, where a fold with max() would drop it
+        devs = [
+            np.max(np.abs(self.sector(m).values - other.sector(m).values))
+            for m in set(self.sectors) | set(other.sectors)
+        ]
+        return float(np.max(devs, initial=0.0))
 
     # --- constructors -------------------------------------------------
 

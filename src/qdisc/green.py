@@ -39,7 +39,6 @@ formulas of uqsl2._ef_terms, applied along that leg's grid axis.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -47,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .context import QContext
-from .discalg import DiscElement, GridFunction, _poch_up, _shift
+from .discalg import DiscElement, GridFunction, _integral_weights, _poch_up, _shift
 from .errors import CapacityError, DomainError
 from .qspecial import dilog
 from .spherical import transform_inverse
@@ -124,17 +123,20 @@ def g_radial_grid(order: int, ctx: QContext, npoints: int | None = None) -> Grid
     return GridFunction(vals, finite_support=False)
 
 
-def gm_spectral(m: int, rho: float, ctx: QContext) -> complex:
+def gm_spectral(m: int, rho, ctx: QContext) -> complex | np.ndarray:
     """Spectral image of the m-th fundamental solution:
     (-1)^m (1-q^2)^(2m+1) / ((1-q^(1+2i rho))^m (1-q^(1-2i rho))^m).
 
-    Satisfies lambda(rho)^m * gm_spectral = 1 - q^2 identically.
+    Satisfies lambda(rho)^m * gm_spectral = 1 - q^2 identically.  Takes a
+    scalar rho (returns a complex) or an array of rho (returns a complex
+    array), so the inverse transform evaluates it once per node set.
     """
-    q = ctx.q
-    lnq = math.log(q)
-    a = cmath.exp((1 + 2j * rho) * lnq)
-    b = cmath.exp((1 - 2j * rho) * lnq)
-    return (-1.0) ** m * (1.0 - ctx.q2) ** (2 * m + 1) / ((1.0 - a) ** m * (1.0 - b) ** m)
+    lnq = math.log(ctx.q)
+    rho = np.asarray(rho)
+    a = np.exp((1 + 2j * rho) * lnq)
+    b = np.exp((1 - 2j * rho) * lnq)
+    val = (-1.0) ** m * (1.0 - ctx.q2) ** (2 * m + 1) / ((1.0 - a) ** m * (1.0 - b) ** m)
+    return complex(val) if val.ndim == 0 else val
 
 
 def gm_quadrature(m: int, n: int, ctx: QContext) -> complex:
@@ -349,11 +351,11 @@ def apply_kernel(K: Kernel, f: DiscElement, ctx: QContext | None = None) -> Disc
     Only the second-leg sector opposite to each sector of f survives the
     integral; the pairing contracts the legs with the exact grid
     polynomials of the generator contractions.  Insufficient kernel
-    truncation for the support or sectors of f raises CapacityError.
+    truncation for the support or sectors of f, or an integral weight
+    q^(-2n) past the double range on f's support, raises CapacityError.
     """
     ctx = ctx or f.ctx
     B = K.shape[1]
-    w = ctx.weights(B)
     out: dict[int, np.ndarray] = {}
     for m, phi in f.sectors.items():
         if not phi.finite_support:
@@ -370,6 +372,7 @@ def apply_kernel(K: Kernel, f: DiscElement, ctx: QContext | None = None) -> Disc
             raise CapacityError("kernel second-leg block too small for supp f")
         col = np.zeros(B, dtype=complex)
         col[: min(B, len(phi.values))] = phi.values[:B]
+        w = _integral_weights(col, ctx)
         # the |j| generator contractions between the second leg and f
         # leave the polynomial Q_|j|; for j > 0 they also shift the
         # integral weight by q^(-2j)

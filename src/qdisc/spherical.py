@@ -27,7 +27,7 @@ import mpmath
 import numpy as np
 
 from .context import QContext
-from .discalg import GridFunction
+from .discalg import GridFunction, _integral_weights
 from .errors import DomainError, PoleError, QuadratureError
 from .qspecial import qgamma, qpochhammer
 from .uqsl2 import stencil_coefficients
@@ -238,10 +238,6 @@ class SpectralFunction:
     values: np.ndarray
     source: GridFunction
 
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
 
 def _nodes(count: int, ctx: QContext) -> np.ndarray:
     period = ctx.rho_period()
@@ -269,8 +265,8 @@ def _density_on_nodes(q: float, count: int) -> np.ndarray:
 
 
 def _forward(phi: np.ndarray, g: GridFunction, ctx: QContext) -> np.ndarray:
-    """(1-q^2) sum_m phi[:, m] g(q^(2m)) q^(-2m)."""
-    return (1.0 - ctx.q2) * phi @ (g.values * ctx.weights(len(g.values)))
+    """(1-q^2) sum_m phi[:, m] g(q^(2m)) q^(-2m), weighted on g's nonzero rows only."""
+    return (1.0 - ctx.q2) * phi @ (g.values * _integral_weights(g.values, ctx))
 
 
 def transform_forward(
@@ -281,7 +277,8 @@ def transform_forward(
     hat f(rho) = integral_0^1 phi_rho(y) f(y) y^(-2) d_{q^2} y
                = (1-q^2) sum_m phi_rho(q^(2m)) f(q^(2m)) q^(-2m),
 
-    an exact finite sum, evaluated on equispaced nodes.
+    an exact finite sum, evaluated on equispaced nodes.  A weight q^(-2m)
+    past the double range on g's support raises CapacityError.
     """
     if not g.finite_support:
         raise DomainError("spherical transform requires finite support")
@@ -289,11 +286,20 @@ def transform_forward(
     return SpectralFunction(_nodes(node_count, ctx), vals, source=g)
 
 
-# node-doubling range and settle tolerances of transform_inverse
-_START_NODES = 64
-_MAX_NODES = 8192
+# settle tolerances of transform_inverse
 _QUAD_ABS_TOL = 1e-11
 _QUAD_REL_TOL = 1e-12
+
+
+def _start_nodes(ctx: QContext, depth: int = 0) -> int:
+    """Start count N0 of transform_inverse for a source reaching row depth:
+    the power of two past ln(1/eps)/ln(1/q) + 2 depth.  The trapezoid error
+    falls like q^N in the strip |Im h rho| < ln(1/q) of analyticity
+    (Trefethen-Weideman 2014, Thm 3.2), eps = 1e-14 is three decades under
+    the absolute settle tolerance and 2 depth covers the forward weights'
+    range q^(-2 depth); powers of two nest, so depths share cached tables."""
+    need = math.log(1e3 / _QUAD_ABS_TOL) / math.log(1.0 / ctx.q) + 2 * depth
+    return 1 << math.ceil(math.log2(need))
 
 
 def _inverse_on_nodes(F, ctx: QContext, count: int, npoints: int) -> tuple[np.ndarray, float]:
@@ -301,12 +307,12 @@ def _inverse_on_nodes(F, ctx: QContext, count: int, npoints: int) -> tuple[np.nd
     the rounding floor of its sums.
 
     F is either a SpectralFunction, re-evaluated exactly from its source
-    grid function on these nodes, or a callable rho -> value.
+    grid function on these nodes, or a callable called on the node array.
     """
     if isinstance(F, SpectralFunction):
         fv = _forward(_phi_on_nodes(ctx.q, count, len(F.source.values)), F.source, ctx)
     else:
-        fv = np.array([F(r) for r in _nodes(count, ctx)], dtype=complex)
+        fv = F(_nodes(count, ctx))
     weighted = fv * _density_on_nodes(ctx.q, count)
     period = ctx.rho_period()
     out = (period / count) * (_phi_on_nodes(ctx.q, count, npoints).T @ weighted)
@@ -326,35 +332,27 @@ def transform_inverse(F, ctx: QContext, npoints: int | None = None) -> GridFunct
     f(q^(2n)) = integral_0^{2 pi/h} phi_rho(q^(2n)) F(rho) dsigma(rho).
 
     F is either a SpectralFunction, re-evaluated exactly from its source
-    grid function at each node set, or a callable rho -> value.  The
-    integrand is periodic and analytic in rho, so the node count is
-    doubled, from max(64, F.node_count) up to 8192 nodes, until outputs
-    move by less than max(1e-11, 1e-12 * scale, rounding floor); failure
-    to settle, or a node range too short to hold two node counts, raises
-    QuadratureError with diagnostics.
+    at each node set (its node count plays no part), or a callable on an
+    array of rho.  The sum starts at _start_nodes' N0 for the last nonzero
+    row of F's source (0 for a callable) and doubles until outputs move by
+    less than max(1e-11, 1e-12 * scale, rounding floor); not settling by
+    4 N0 nodes raises QuadratureError.
     """
     if npoints is None:
         npoints = ctx.npoints
-    count = _START_NODES
+    depth = 0
     if isinstance(F, SpectralFunction):
-        count = max(count, F.node_count)
-    if 2 * count > _MAX_NODES:
-        raise QuadratureError(
-            f"node doubling from {count} to at most {_MAX_NODES} gives "
-            "fewer than the two node counts the convergence test needs"
-        )
-    prev = None
-    while count <= _MAX_NODES:
+        depth = int(np.flatnonzero(F.source.values).max(initial=0))
+    start = _start_nodes(ctx, depth)
+    prev, _ = _inverse_on_nodes(F, ctx, start, npoints)
+    for count in (2 * start, 4 * start):
         out, floor = _inverse_on_nodes(F, ctx, count, npoints)
-        if prev is not None:
-            diff = float(np.max(np.abs(out - prev)))
-            scale = float(np.max(np.abs(out)))
-            if diff <= max(_QUAD_ABS_TOL, _QUAD_REL_TOL * scale, floor):
-                return GridFunction(out, finite_support=False)
+        diff = float(np.max(np.abs(out - prev)))
+        if diff <= max(_QUAD_ABS_TOL, _QUAD_REL_TOL * float(np.max(np.abs(out))), floor):
+            return GridFunction(out, finite_support=False)
         prev = out
-        count *= 2
     raise QuadratureError(
-        f"inverse transform did not settle below tol by {_MAX_NODES} nodes "
+        f"inverse transform did not settle below tol by {count} nodes "
         f"(last change {diff:.3e})"
     )
 

@@ -459,6 +459,8 @@ def check_transform(ctx: QContext, nmax: int = 20, node_count: int = 1024):
 
     rng = np.random.default_rng(31)
     worst_p = 0.0
+    # the pairing is a trapezoid sum too: at least the inverse's start count
+    count = max(node_count, S._start_nodes(ctx, nmax))
     for _ in range(6):
         fv = np.zeros(ctx.npoints, dtype=complex)
         gv = np.zeros(ctx.npoints, dtype=complex)
@@ -467,11 +469,10 @@ def check_transform(ctx: QContext, nmax: int = 20, node_count: int = 1024):
         f = DiscElement({0: GridFunction(fv)}, ctx)
         g = DiscElement({0: GridFunction(gv)}, ctx)
         lhs = inner(f, g)
-        Ff = S.transform_forward(f.sector(0), ctx, node_count)
-        Fg = S.transform_forward(g.sector(0), ctx, node_count)
-        dens = S._density_on_nodes(ctx.q, node_count)
-        period = ctx.rho_period()
-        rhs = period / node_count * np.sum(Ff.values * np.conj(Fg.values) * dens)
+        Ff = S.transform_forward(f.sector(0), ctx, count)
+        Fg = S.transform_forward(g.sector(0), ctx, count)
+        dens = S._density_on_nodes(ctx.q, count)
+        rhs = ctx.rho_period() / count * np.sum(Ff.values * np.conj(Fg.values) * dens)
         worst_p = max(worst_p, abs(lhs - rhs) / max(1.0, abs(lhs)))
     yield worst_p, 1e-8, "the transform is unitary for the weighted pairing"
 
@@ -512,12 +513,14 @@ def check_transform(ctx: QContext, nmax: int = 20, node_count: int = 1024):
         "density vanishes at the period ends, is symmetric, matches Gammas",
     )
 
+    # the inverse's own start count N0 against 2 N0, so the start rule is checked
     d = GridFunction.delta(1, ctx.npoints)
     Fd = S.transform_forward(d, ctx, 512)
-    out_a, _ = S._inverse_on_nodes(Fd, ctx, 1024, ctx.npoints)
-    out_b, _ = S._inverse_on_nodes(Fd, ctx, 2048, ctx.npoints)
+    start = S._start_nodes(ctx, 1)
+    out_a, _ = S._inverse_on_nodes(Fd, ctx, start, ctx.npoints)
+    out_b, _ = S._inverse_on_nodes(Fd, ctx, 2 * start, ctx.npoints)
     doubling = float(np.max(np.abs(out_a - out_b)))
-    yield doubling, 1e-10, "node doubling leaves the inverse transform unchanged"
+    yield doubling, 1e-10, f"doubling the start count {start} leaves the inverse transform unchanged"
 
 
 @_group("spectrum_inside_segment", "spectrum_endpoint_approach")

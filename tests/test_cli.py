@@ -60,9 +60,15 @@ def test_verify_subset_passes(tmp_path):
     assert cas["residual"] < 1e-12
 
 
-def test_verify_reports_a_group_error_as_failed_checks(tmp_path):
-    # at q = 0.995 the inverse transform does not settle by 8192 nodes; the
-    # run still writes its report and exits with a check failure
+def test_verify_reports_a_group_error_as_failed_checks(tmp_path, monkeypatch):
+    # an inverse transform that does not settle fails its checks; the run
+    # still writes its report and exits with a check failure
+    from qdisc import QuadratureError, spherical
+
+    def unsettled(*args, **kwargs):
+        raise QuadratureError("inverse transform did not settle")
+
+    monkeypatch.setattr(spherical, "transform_inverse", unsettled)
     out = tmp_path / "report.json"
     code, _ = run_cli(
         ["verify", "--q", "0.995", "--checks", "transform_centre", "--format", "json",

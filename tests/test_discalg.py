@@ -375,3 +375,16 @@ def test_integral_weights_only_on_nonzero_rows():
     for integral in (inv_integral, integral_scale, lambda f: inner(f, f)):
         with pytest.raises(CapacityError, match="integral weight"):
             integral(far)
+
+
+def test_max_abs_diff_keeps_nan():
+    ctx = QContext(0.5, grid_horizon=8)
+    ones = np.ones(ctx.npoints, dtype=complex)
+    bad = ones.copy()
+    bad[3] = np.nan
+    f = DiscElement({0: GridFunction(ones), 2: GridFunction(bad)}, ctx)
+    g = DiscElement({0: GridFunction(2 * ones), 2: GridFunction(ones)}, ctx)
+    assert np.isnan(f.max_abs_diff(g))
+    assert np.isnan(g.max_abs_diff(f))
+    assert DiscElement({0: GridFunction(ones)}, ctx).max_abs_diff(g) == 1.0
+    assert DiscElement.zero(ctx).max_abs_diff(DiscElement.zero(ctx)) == 0.0

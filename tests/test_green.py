@@ -91,6 +91,17 @@ def test_spectral_image_inverts_eigenvalue(ctx):
             assert abs(prod - (1 - ctx.q2)) < 1e-13
 
 
+def test_spectral_image_on_arrays_matches_scalars(ctx):
+    rhos = np.linspace(-0.3, 1.2, 13) * ctx.rho_period()
+    for m in (1, 2):
+        vec = gm_spectral(m, rhos, ctx)
+        assert vec.shape == rhos.shape
+        for r, v in zip(rhos, vec):
+            scalar = gm_spectral(m, float(r), ctx)
+            assert isinstance(scalar, complex)
+            assert abs(v - scalar) <= 1e-15 * abs(scalar)
+
+
 def test_kernel_terminating_expansion(ctx):
     # expansion of the l = -1 kernel: coefficient 1 on the (0,0) depth-0
     # block, -1 and -q^-2 on the two mixed-sector blocks, q^-2 on depth 1
@@ -234,6 +245,18 @@ def test_green_solve_preserves_sectors(ctx, rng):
     f = random_element(ctx, rng, sectors=2, support=5)
     sol = green_solve(f, 1, ctx)
     assert set(sol.sectors) <= set(f.sectors)
+
+
+def test_green_solve_past_the_weight_range():
+    # q^(-2n) overflows past row 118 at q = 0.05; the kernel pairing weighs
+    # only f's support, and a weight on the support raises
+    ctx = QContext(0.05, grid_horizon=160)
+    for order in (1, 2):
+        sol = green_solve(delta_fn(0, ctx), order, ctx).sector(0).values
+        ref = g_radial_grid(order, ctx).values
+        assert np.max(np.abs(sol - ref)) < 1e-12
+    with pytest.raises(CapacityError, match="integral weight"):
+        green_solve(delta_fn(125, ctx), 1, ctx)
 
 
 def test_green_solve_requires_finite(ctx):

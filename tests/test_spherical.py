@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from qdisc import (
+    CapacityError,
     DomainError,
     GridFunction,
     PoleError,
     QContext,
+    QuadratureError,
     c_coefficient,
     delta_fn,
     inner,
@@ -25,7 +27,7 @@ from qdisc import (
     transform_inverse,
 )
 from qdisc.discalg import DiscElement
-from qdisc.spherical import _density_vector, _inverse_on_nodes
+from qdisc.spherical import _density_vector, _inverse_on_nodes, _start_nodes
 
 
 def test_lambda_endpoints(ctx):
@@ -251,7 +253,7 @@ def test_conjugate_symmetry_for_real_functions(ctx, rng):
     v = np.zeros(ctx.npoints, dtype=complex)
     v[:6] = rng.standard_normal(6)
     F = transform_forward(GridFunction(v), ctx, 64)
-    n = F.node_count
+    n = len(F.nodes)
     scale = np.max(np.abs(F.values))
     for j in range(1, n // 2):
         assert abs(np.conj(F.values[j]) - F.values[n - j]) < 1e-13 * scale
@@ -347,10 +349,55 @@ def test_cached_quadrature_arrays_are_read_only(ctx):
             arr[0] = 0.0
 
 
-def test_inverse_needs_two_node_counts():
-    from qdisc import QContext, QuadratureError
-
+def test_inverse_ignores_the_forward_node_count():
+    # the inverse re-evaluates F from its source, so the node count F was
+    # built at plays no part
     ctx = QContext(0.5, grid_horizon=16)
-    F = transform_forward(GridFunction.delta(1, 17), ctx, 8192)
-    with pytest.raises(QuadratureError):
-        transform_inverse(F, ctx)
+    d = GridFunction.delta(1, 17)
+    coarse = transform_inverse(transform_forward(d, ctx, 64), ctx)
+    fine = transform_inverse(transform_forward(d, ctx, 8192), ctx)
+    assert np.array_equal(coarse.values, fine.values)
+
+
+def test_unsettled_callable_raises_by_four_start_counts(ctx):
+    # seeded random values never settle; the sums stop at 4 N0 nodes
+    rng = np.random.default_rng(5)
+    counts = []
+
+    def noise(rhos):
+        counts.append(len(rhos))
+        return rng.standard_normal(len(rhos))
+
+    start = _start_nodes(ctx)
+    with pytest.raises(QuadratureError, match=f"by {4 * start} nodes"):
+        transform_inverse(noise, ctx)
+    assert counts == [start, 2 * start, 4 * start]
+
+
+def test_start_count_is_a_power_of_two_from_the_strip():
+    for q in (0.05, 0.5, 0.9, 0.995):
+        ctx = QContext(q)
+        for depth in (0, 1, 20):
+            start = _start_nodes(ctx, depth)
+            need = math.log(1e14) / math.log(1.0 / q) + 2 * depth
+            assert start & (start - 1) == 0
+            assert need <= start < 2 * need
+
+
+def test_forward_of_centre_delta_past_the_weight_range():
+    # q^(-2n) overflows past row 118 at q = 0.05; rows off the support
+    # take no weight, and a weight on the support raises
+    ctx = QContext(0.05, grid_horizon=160)
+    F = transform_forward(delta_fn(0, ctx).sector(0), ctx, 64)
+    assert np.all(F.values == 1 - ctx.q2)
+    with pytest.raises(CapacityError, match="integral weight"):
+        transform_forward(delta_fn(125, ctx).sector(0), ctx, 64)
+
+
+def test_round_trips_at_the_top_of_the_range():
+    # the strip narrows to ln(1/q) = 0.005; the start count follows it
+    ctx = QContext(0.995, grid_horizon=24)
+    for n in (0, 1, 20):
+        d = GridFunction.delta(n, ctx.npoints)
+        back = transform_inverse(transform_forward(d, ctx, 64), ctx)
+        assert np.max(np.abs(back.values - d.values)) < 1e-8
