@@ -252,14 +252,24 @@ def star(f: DiscElement) -> DiscElement:
     return DiscElement({-m: g.conj() for m, g in f.sectors.items()}, f.ctx)
 
 
+def _row_weights(rows: np.ndarray, ctx: QContext) -> np.ndarray:
+    """Integral weights q^(-2n) on the given rows n alone; a weight past the
+    double range raises CapacityError."""
+    with np.errstate(over="ignore"):
+        w = np.power(1.0 / ctx.q2, np.asarray(rows, dtype=float))
+    if not np.isfinite(w).all():
+        raise CapacityError("integral weight q^(-2n) overflows on the element's support")
+    return w
+
+
 def _integral_weights(values: np.ndarray, ctx: QContext) -> np.ndarray:
     """Weights q^(-2n) on the nonzero rows of values and 0 on the rest, so a
     weight past the double range cannot turn the sum into inf * 0 = nan; one
-    that is needed raises CapacityError."""
-    with np.errstate(over="ignore"):
-        w = np.where(values != 0, ctx.weights(len(values)), 0.0)
-    if not np.isfinite(w).all():
-        raise CapacityError("integral weight q^(-2n) overflows on the element's support")
+    that is needed raises CapacityError.  Only the nonzero rows' powers are
+    taken."""
+    nz = np.flatnonzero(values)
+    w = np.zeros(len(values))
+    w[nz] = _row_weights(nz, ctx)
     return w
 
 

@@ -4,16 +4,20 @@ Eigenfunctions, the eigenvalue curve lambda(rho), the spectral density on
 the period [0, 2*pi/h], and the forward/inverse spherical transform pair
 for radial grid functions, plus a truncated-matrix probe of the spectrum.
 
-Evaluation notes.  The terminating series defining the spherical function
-phi_rho(q^(2n)) cancels catastrophically in fixed precision once n is
-moderate (individual terms reach size ~ q^(-n(n-1)) while the value decays
-like q^n), so the reference evaluator sums it in multiprecision at every
-grid index, with the working precision growing with n.  The rows asked for
-in one call share their tables, built once at the precision of the
-largest row, so a whole column costs one multiprecision pass.  Transform
-machinery instead evaluates phi columns through the eigen-recurrence
-seeded at the disc centre, which is numerically stable on the continuous
-spectrum; the two routes are cross-checked in the test suite.
+Evaluation notes.  The terminating 3phi2 series defining the spherical
+function phi_rho(q^(2n)) cancels catastrophically in fixed precision once
+n is moderate (its terms reach size ~ q^(-n(n-1)) while the value decays
+like q^n).  phi_rho is also an Al-Salam-Chihara polynomial in base q^2,
+and its ascending form from the generating function has no such terms, so
+phi_rho sums that form in double and bounds each row's rounding error a
+priori.  A row whose bound exceeds 1e-13 (about half of rows 0..31 at
+q = 0.7, all but the first one or two from q = 0.9 on) falls back to the 3phi2 series
+summed in multiprecision, with the working precision growing with n; the
+rows of one call share those tables, built once at the precision of the
+largest row.  Transform machinery instead evaluates phi columns through
+the eigen-recurrence seeded at the disc centre, which is numerically
+stable on the continuous spectrum; the routes are cross-checked in the
+test suite and by the verify registry.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import mpmath
 import numpy as np
 
 from .context import QContext
-from .discalg import GridFunction, _integral_weights
+from .discalg import GridFunction, _row_weights
 from .errors import DomainError, PoleError, QuadratureError
 from .qspecial import qgamma, qpochhammer
 from .uqsl2 import stencil_coefficients
@@ -58,8 +62,110 @@ def _phi_digits(n: int, q: float) -> int:
     return 30 + int(n * (n + 1) * math.log10(1.0 / q)) + 10
 
 
+# a row of the ascending sum is accepted when its rounding certificate is
+# at most this; any other row is summed in multiprecision
+_PHI_CERT_TOL = 1e-13
+
+
+def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cauchy products d_j = sum_{i<=j} a_i b_(j-i) along the last axis.
+
+    Row j of the table a_i b_((j-i) mod n) is added in the order i = 0..j
+    and read at i = j, so d_j depends on a[..., :j+1] and b[..., :j+1]
+    alone: longer tables give bitwise the same entries.
+    """
+    n = a.shape[-1]
+    lag = np.arange(n)[:, None] - np.arange(n)
+    partial = np.cumsum(a[..., None, :] * np.take(b, lag, axis=-1, mode="wrap"), axis=-1)
+    return np.diagonal(partial, axis1=-2, axis2=-1)
+
+
+def _phi_ascending(rho: complex, top: int, ctx: QContext) -> tuple[np.ndarray, np.ndarray]:
+    """phi_rho on rows 0..top in double, and an a-priori bound on the
+    rounding error of each row.
+
+    With p = q^2 and theta = 2 rho ln q, phi_rho(n) = q^n Q_n(cos theta;
+    q, q | p) / (p; p)_n, an Al-Salam-Chihara polynomial, and the
+    generating function (Koekoek-Lesky-Swarttouw 14.8.13)
+
+        sum_n Q_n t^n / (p; p)_n = (qt, qt; p)_inf / (t e^(i theta), t e^(-i theta); p)_inf
+
+    gives the ascending form phi_rho(n) = q^n sum_{j<=n} c_j h_(n-j), with
+    c_j = [t^j] (qt; p)_inf^2, the self-convolution of Euler's coefficients
+    (-1)^j q^(j^2) / (p; p)_j, and h_m = sum_k e^(i(m-2k) theta) / ((p; p)_k
+    (p; p)_(m-k)).  Every sum is finite, so nothing is truncated.
+
+    The bound is gamma_K q^n sum |terms| (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 3), the sum taken over the same tables in
+    absolute value, with gamma_K = Ku/(1 - 2Ku) so that it also covers the
+    rounding of that sum.  K = (12 + 6 |theta|) n + 30 bounds the roundings
+    that reach one term of row n: 10 for each factor 1 - p^i of a (p; p)_k,
+    taken as -expm1(2 i ln q) so it does not cancel as q -> 1 (log and
+    expm1 within 4 ulp each); 4 for each pow; 6 |m theta| ulp of phase
+    error in e^(i m theta); and n for the three nested sums.  Terms that
+    underflow are below 1e-300 times the table sizes and are not counted.
+    """
+    q = ctx.q
+    lnq = math.log(q)
+    theta = 2.0 * complex(rho) * lnq
+    k = range(top + 1)
+    poch = np.cumprod([1.0] + [-math.expm1(2 * i * lnq) for i in k[1:]])
+    euler = np.array([(-1) ** j * math.pow(q, j * j) for j in k]) / poch
+    try:
+        up = np.array([cmath.exp(1j * m * theta) for m in k]) / poch
+        down = np.array([cmath.exp(-1j * m * theta) for m in k]) / poch
+    except OverflowError:
+        # e^(i m theta) leaves the double range (rho far off the real
+        # axis), so no row is certified
+        return np.full(top + 1, np.nan, dtype=complex), np.full(top + 1, np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # row 0 of each stack carries the values, row 1 their absolute twins
+        twins = np.stack([euler, abs(euler)])
+        c = _cauchy(twins, twins)
+        h = _cauchy(np.stack([up, abs(up)]), np.stack([down, abs(down)]))
+        total = _cauchy(c, h)
+        qn = np.array([math.pow(q, n) for n in k])
+        vals = qn * total[0]
+        Ku = ((12.0 + 6.0 * abs(theta)) * np.arange(top + 1) + 30.0) * 2.0**-53
+        gamma = np.where(Ku < 0.5, Ku / (1.0 - 2.0 * Ku), np.inf)
+        bound = gamma * qn * total[1].real
+    if complex(rho).imag == 0.0:
+        vals = vals.real.astype(complex)
+    return vals, bound
+
+
 def phi_rho(rho: complex, n, ctx: QContext) -> complex | np.ndarray:
     """Spherical function phi_rho at the grid points y = q^(2n).
+
+    The terminating series of n+1 terms
+
+        sum_k (q^(-2n); q^2)_k (q^(1+2i rho); q^2)_k (q^(1-2i rho); q^2)_k
+              / ((q^2; q^2)_k)^2 * q^(2k),
+
+    normalized by phi_rho(1) = 1.  Takes an int n (returns a complex) or a
+    sequence of row indices (returns a complex array, in the given order).
+    Each row is first summed in double from its ascending Al-Salam-Chihara
+    form (_phi_ascending), whose terms have no q^(-n(n-1)) sizes; a row
+    whose a-priori rounding bound exceeds 1e-13 is summed instead from the
+    series above in multiprecision (_phi_series).  The choice is made row
+    by row and each row's sum depends on that row alone, so a row comes
+    out bitwise the same in any call.
+    """
+    rows = np.atleast_1d(n)
+    if min(rows, default=0) < 0:
+        raise DomainError("grid index must be nonnegative")
+    rows = rows.astype(int)
+    vals, bound = _phi_ascending(rho, int(max(rows, default=0)), ctx)
+    out = vals[rows]
+    rough = ~(bound[rows] <= _PHI_CERT_TOL)  # a nan bound is rough too
+    if rough.any():
+        out[rough] = _phi_series(rho, rows[rough], ctx)
+    return complex(out[0]) if np.ndim(n) == 0 else out
+
+
+def _phi_series(rho: complex, n, ctx: QContext) -> complex | np.ndarray:
+    """Multiprecision sum of phi_rho's terminating series: the reference
+    of the ascending form, and phi_rho's route for rows it cannot certify.
 
     Terminating series of n+1 terms
 
@@ -265,8 +371,10 @@ def _density_on_nodes(q: float, count: int) -> np.ndarray:
 
 
 def _forward(phi: np.ndarray, g: GridFunction, ctx: QContext) -> np.ndarray:
-    """(1-q^2) sum_m phi[:, m] g(q^(2m)) q^(-2m), weighted on g's nonzero rows only."""
-    return (1.0 - ctx.q2) * phi @ (g.values * _integral_weights(g.values, ctx))
+    """(1-q^2) sum_m phi[:, m] g(q^(2m)) q^(-2m), contracted over g's nonzero
+    rows m only, and weighted only there."""
+    nz = np.flatnonzero(g.values)
+    return (1.0 - ctx.q2) * phi[:, nz] @ (g.values[nz] * _row_weights(nz, ctx))
 
 
 def transform_forward(

@@ -1,5 +1,6 @@
 """Spectral theory: eigenfunctions, density, transform pair, spectrum."""
 
+import functools
 import math
 
 import numpy as np
@@ -26,8 +27,16 @@ from qdisc import (
     transform_forward,
     transform_inverse,
 )
+from qdisc import verify
 from qdisc.discalg import DiscElement
-from qdisc.spherical import _density_vector, _inverse_on_nodes, _start_nodes
+from qdisc.spherical import (
+    _PHI_CERT_TOL,
+    _density_vector,
+    _inverse_on_nodes,
+    _phi_ascending,
+    _phi_series,
+    _start_nodes,
+)
 
 
 def test_lambda_endpoints(ctx):
@@ -135,6 +144,62 @@ def test_eigenfunction_checks_sum_phi_once_per_rho(monkeypatch):
     results = verify.check_eigenfunctions(ctx)
     assert all(r.passed for r in results)
     assert len(calls) == len(verify._rho_samples(ctx)) == 16
+
+
+# q over the supported range, for real rho across the half period and one
+# complex rho; the multiprecision series is the reference
+_CLOSED_FORM_QS = (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.995)
+
+
+def _closed_form_cases(q):
+    ctx = QContext(q, grid_horizon=32)
+    half = ctx.rho_period() / 2
+    return ctx, (0.06 * half, 0.41 * half, 0.83 * half, 0.3 + 0.2j)
+
+
+@functools.cache
+def _series_rows(q, rho):
+    ctx = QContext(q, grid_horizon=32)
+    return _phi_series(rho, range(32), ctx)
+
+
+@pytest.mark.parametrize("q", _CLOSED_FORM_QS)
+def test_phi_rho_matches_the_series(q):
+    ctx, rhos = _closed_form_cases(q)
+    for rho in rhos:
+        ref = _series_rows(q, rho)
+        vals = phi_rho(rho, range(32), ctx)
+        assert np.all(np.abs(vals - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("q", _CLOSED_FORM_QS)
+def test_ascending_sum_within_its_certificate(q):
+    ctx, rhos = _closed_form_cases(q)
+    for rho in rhos:
+        vals, bound = _phi_ascending(rho, 31, ctx)
+        ok = bound <= _PHI_CERT_TOL
+        assert ok[0]
+        assert np.all(np.abs(vals - _series_rows(q, rho))[ok] <= bound[ok])
+
+
+def test_phi_far_off_the_real_axis_takes_the_series():
+    # e^(i m theta) overflows in the ascending tables from about row 13 at
+    # Im rho = 40; phi_rho then sums every row in multiprecision
+    ctx = QContext(0.5)
+    rho = 0.3 + 40j
+    assert np.all(_phi_ascending(rho, 31, ctx)[1] == np.inf)
+    picked = [3, 31]
+    vals = phi_rho(rho, picked, ctx)
+    assert np.array_equal(vals, _phi_series(rho, picked, ctx))
+    assert np.isfinite(vals[0])
+
+
+def test_ascending_sum_certifies_every_row_at_small_q():
+    # the fallback is for q near 1: below q = 1/2 no verify row needs it
+    for q in (0.05, 0.1, 0.3, 0.5):
+        ctx = QContext(q)
+        for rho in verify._rho_samples(ctx):
+            assert np.all(_phi_ascending(rho, 31, ctx)[1] <= _PHI_CERT_TOL)
 
 
 def test_psi_eigen_equation_interior(ctx):

@@ -1,12 +1,15 @@
 """Check registry: group declaration, timing records and name filtering."""
 
+import dataclasses
+import itertools
 import math
 
+import numpy as np
 import pytest
 
-from qdisc import CapacityError, QContext
-from qdisc import verify
-from qdisc.verify import REGISTRY, _group, run_registry
+from qdisc import CapacityError, DiscElement, GridFunction, QContext
+from qdisc import green, spherical, verify
+from qdisc.verify import REGISTRY, _group, _max, run_registry
 
 
 def test_group_names_each_yield_in_order():
@@ -49,7 +52,7 @@ def test_group_error_fails_the_remaining_names():
 
 def test_registry_declares_every_check_once():
     names = [name for group in REGISTRY for name in group.names]
-    assert len(names) == 46
+    assert len(names) == 47
     assert len(set(names)) == len(names)
 
 
@@ -68,3 +71,65 @@ def test_registry_skips_groups_without_a_matching_name(monkeypatch):
     )
     results = run_registry(QContext(0.5), ["algebra_qr"])
     assert [r.name for r in results] == ["algebra_qr_identity"]
+
+
+def test_max_keeps_nan_wherever_it_is():
+    assert _max(0.5, 2.0, 1.0) == 2.0
+    for vals in ((math.nan, 1.0), (1.0, math.nan), (0.0, 1.0, math.nan)):
+        assert math.isnan(_max(*vals))
+
+
+def _nan_like(x):
+    if isinstance(x, DiscElement):
+        return x.scaled(math.nan)
+    if isinstance(x, GridFunction):
+        return GridFunction(x.values * math.nan, x.finite_support)
+    if isinstance(x, np.ndarray):
+        return x * math.nan
+    if isinstance(x, tuple):
+        return tuple(_nan_like(v) for v in x)
+    if isinstance(x, list):
+        return [*x[:-1], _nan_like(x[-1])]
+    if dataclasses.is_dataclass(x):
+        fields = [f.name for f in dataclasses.fields(x)]
+        return dataclasses.replace(x, **{f: math.nan for f in fields if isinstance(getattr(x, f), float)})
+    return math.nan
+
+
+# one term per group: the module and function whose result turns nan, the
+# call that turns (a later one where the check folds several terms) and the
+# check that must then fail
+_NAN_TERMS = [
+    (verify.check_algebra, verify, "_shift", 2, "algebra_commutation_shifts"),
+    (verify.check_hopf, verify, "act_word", 5, "hopf_defining_relations"),
+    (verify.check_casimir, verify, "laplacian_apply", 2, "casimir_equals_laplacian"),
+    (verify.check_invariance_elements, verify, "invariance_residual", 1, "unit_invariance"),
+    (verify.check_eigenfunctions, spherical, "phi_column", 2, "phi_recurrence_agreement"),
+    (verify.check_transform, spherical, "transform_inverse", 2, "transform_roundtrip"),
+    (verify.check_spectrum, spherical, "spectrum_probe", 1, "spectrum_inside_segment"),
+    (verify.check_green_radial, green, "gm_quadrature_grid", 2, "green_series_vs_quadrature"),
+    (verify.check_kernels, green, "kernel_invariance_residual", 2, "kernel_invariance_exact"),
+    (verify.check_green_operator, green, "green_solve", 2, "matrix_solve_oracle"),
+    (verify.check_limits, green, "classical_limit_report", 1, "dilog_reflection"),
+]
+
+
+def test_nan_terms_cover_every_group():
+    assert {entry[0] for entry in _NAN_TERMS} == set(REGISTRY)
+
+
+@pytest.mark.parametrize(
+    "group, module, name, at, check", _NAN_TERMS, ids=[entry[4] for entry in _NAN_TERMS]
+)
+def test_a_nan_term_fails_its_check(monkeypatch, group, module, name, at, check):
+    real = getattr(module, name)
+    calls = itertools.count(1)
+
+    def poisoned(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return _nan_like(out) if next(calls) == at else out
+
+    monkeypatch.setattr(module, name, poisoned)
+    (result,) = [r for r in group(QContext(0.5)) if r.name == check]
+    assert math.isnan(result.residual)
+    assert not result.passed
