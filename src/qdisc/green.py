@@ -15,7 +15,7 @@ indexed by a sector pair (i, j): the (i, j) term represents
 with each leg kept in the same normal-form convention as DiscElement
 (generator left of the function for nonnegative sectors, conjugate
 generator right of it for negative ones).  On the grid each term is a
-dense matrix psi_ij[q^(2a), q^(2b)].
+matrix psi_ij[q^(2a), q^(2b)].
 
 The one-parameter family G(l) expands into such terms with sector pairs
 (i, -i): writing s for the contraction depth,
@@ -30,8 +30,12 @@ For l a negative integer the s- and i-ranges terminate exactly.
 
 On the grid t = q^(2a), P_s(q^(2a)) = (q^2;q^2)_a / (q^2;q^2)_(a-s), and
 F_s(y; l) F_s(eta; l) = q^(2ld) P_s(a) P_s(b) with d = a + b - 2s.  So
-every kernel, plain, derivative or assembled, is a table H[i, s, d] fed
-to one materializer, psi_i[a, b] = sum_s P_s(a) P_s(b) H[i, s, a+b-2s].
+every kernel, plain, derivative or assembled, is stored as its table
+H[i, s, d], one row per sector pair (i, -i).  apply_kernel contracts the
+table with f directly; the dense matrices
+psi_i[a, b] = sum_s P_s(a) P_s(b) H[i, s, a+b-2s] are materialized only
+on request (Kernel.terms), for the coproduct action and the invariance
+residual.
 
 The coproduct action on a kernel acts on each leg with the element
 formulas of uqsl2._ef_terms, applied along that leg's grid axis.
@@ -165,14 +169,47 @@ def gm_quadrature_grid(m: int, ctx: QContext, npoints: int | None = None) -> Gri
 
 @dataclass
 class Kernel:
-    """Two-leg kernel: sector-pair indexed grid matrices plus truncation data."""
+    """Two-leg kernel: its depth table per sector pair plus truncation data.
 
-    terms: dict[tuple[int, int], np.ndarray]
+    table[i] = H[i, s, d] for the pair (i, -i) (see the module docstring).
+    A kernel from kernel_act has no table and is given by its dense terms
+    (Kernel.from_terms).  A table must be finite wherever the grid block
+    reads it, d + 2 s <= A + B - 2, or CapacityError is raised.
+    """
+
+    table: dict[int, np.ndarray]
     ctx: QContext
     shape: tuple[int, int]
     sector_max: int
     tail_bound: float = 0.0
     exact: bool = False
+
+    def __post_init__(self):
+        A, B = self.shape
+        for i, H in self.table.items():
+            S, D = H.shape
+            read = np.arange(D) + 2 * np.arange(S)[:, None] <= A + B - 2
+            if not np.isfinite(H[read]).all():
+                raise CapacityError(f"kernel term {(i, -i)} is not finite in double precision")
+
+    @classmethod
+    def from_terms(
+        cls, terms: dict, ctx: QContext, shape, sector_max: int, tail_bound: float = 0.0,
+        exact: bool = False,
+    ) -> Kernel:
+        """Kernel given by dense sector-pair terms alone, with no table."""
+        K = cls({}, ctx, shape, sector_max, tail_bound, exact)
+        K.terms = terms
+        return K
+
+    @functools.cached_property
+    def terms(self) -> dict[tuple[int, int], np.ndarray]:
+        """Dense grid matrices psi_ij per nonzero sector pair, materialized
+        from the table on first use; read-only."""
+        terms = _materialize(self.table, self.ctx.q2, self.shape)
+        for arr in terms.values():
+            arr.flags.writeable = False
+        return terms
 
     def term(self, i: int, j: int) -> np.ndarray:
         t = self.terms.get((i, j))
@@ -185,47 +222,69 @@ def _accumulate(acc: dict, key, arr: np.ndarray) -> None:
     acc[key] = acc[key] + arr if key in acc else arr
 
 
-def _depth_coefficients(l: np.ndarray, q: float, s_cap: int, i_cap: int):
-    """c[p, i, s] = c_{i,s}(l_p) and (L_k + L_n)(l_p), sectors |i| <= i_cap,
+def _depth_coefficients(l: np.ndarray, q: float, s_cap: int, sectors):
+    """c[p, r, s] = c_{i,s}(l_p) and (L_k + L_n)(l_p) for i = sectors[r] and
     depths s < s_cap, with L_k(l) = sum_{j<k} q^(2j) / (1 - q^(2l+2j)).
     A vanishing 1 - q^(2l+2j) only occurs where c = 0, so its L term is
     masked rather than divided.  At l = inf, c is its bound cbar.
     """
     q2 = q * q
-    j = np.arange(s_cap + i_cap, dtype=float)
+    i = np.asarray(sectors)[:, None]
+    j = np.arange(s_cap + np.abs(i).max(), dtype=float)
     # 1 - q^(2l+2j), and R_k = (q^(2l); q^2)_k / (q^2; q^2)_k as running products
     fac = 1.0 - np.exp((2.0 * l[:, None] + 2.0 * j) * math.log(q))
     ratios = fac[:, :-1] / (1.0 - q2 ** (j[:-1] + 1.0))
     R = np.cumprod(np.pad(ratios, ((0, 0), (1, 0)), constant_values=1.0), axis=1)
     lterms = np.divide(q2**j, fac, out=np.zeros_like(fac), where=fac != 0)
     L = np.pad(np.cumsum(lterms, axis=1), ((0, 0), (1, 0)))
-    i = np.arange(-i_cap, i_cap + 1)[:, None]
     k = np.arange(s_cap) + np.maximum(-i, 0)
     n = np.arange(s_cap) + np.maximum(i, 0)
     return q2**k * R[:, k] * R[:, n], L[:, k] + L[:, n]
 
 
-def _materialize(H: np.ndarray, q2: float, shape: tuple[int, int]) -> dict:
+def _leg_factors(q2: float, depths: int, npoints: int) -> np.ndarray:
+    """P[s, a] = P_s(q^(2a)) = (q^2;q^2)_a / (q^2;q^2)_(a-s), zero for a < s."""
+    qq = np.cumprod(np.concatenate(([1.0], 1.0 - q2 ** np.arange(1.0, npoints))))
+    a = np.arange(npoints)
+    s = np.arange(depths)[:, None]
+    return np.where(a >= s, qq[a] / qq[np.maximum(a - s, 0)], 0.0)
+
+
+def _materialize(table: dict, q2: float, shape: tuple[int, int]) -> dict:
     """Nonzero terms psi_i[a, b] = sum_s P_s(a) P_s(b) H[i, s, a+b-2s], keyed
-    (i, -i) for the rows i = -I..I of H; non-finite ones raise CapacityError.
+    (i, -i).
 
     Depth s fills the block a, b >= s, where P_s is nonzero, with a Hankel
     matrix in the offsets d = 0..A+B-2 of H.
     """
+    if not table:
+        return {}
     A, B = shape
-    qq = np.cumprod(np.concatenate(([1.0], 1.0 - q2 ** np.arange(1.0, max(A, B)))))
+    H = np.stack(list(table.values()))
+    P = _leg_factors(q2, H.shape[1], max(A, B))
     offsets = np.add.outer(np.arange(A), np.arange(B))
     psi = np.zeros((H.shape[0], A, B), dtype=H.dtype)
     for s in range(H.shape[1]):
-        P = np.outer(qq[s:A] / qq[: A - s], qq[s:B] / qq[: B - s])
-        psi[:, s:, s:] += P * H[:, s, offsets[: A - s, : B - s]]
-    terms = {}
-    for i, acc in enumerate(psi, start=-(len(psi) // 2)):
-        if not np.isfinite(acc).all():
-            raise CapacityError(f"kernel term {(i, -i)} is not finite in double precision")
-        if np.any(acc):
-            terms[(i, -i)] = acc
-    return terms
+        psi[:, s:, s:] += np.outer(P[s, s:A], P[s, s:B]) * H[:, s, offsets[: A - s, : B - s]]
+    return {(i, -i): acc for i, acc in zip(table, psi) if np.any(acc)}
+
+
+def _majorant(H: np.ndarray, q2: float, shape: tuple[int, int]) -> float:
+    """max_{a, b} sum_s P_s(a) P_s(b) H[s, a+b-2s] for a nonnegative row H.
+
+    On each antidiagonal a + b = t every summand is largest at the most
+    balanced split inside the block, as ln P_s is concave along the grid;
+    so one sum per t, at (floor(t/2), ceil(t/2)) clipped to the shape, and
+    summed over s in the materializer's order, gives its maximum exactly.
+    """
+    A, B = shape
+    t = np.arange(A + B - 1)
+    a = np.clip(t // 2, t - (B - 1), A - 1)
+    b = t - a
+    P = _leg_factors(q2, H.shape[0], max(A, B))
+    s = np.arange(H.shape[0])[:, None]
+    summands = np.where(t >= 2 * s, P[:, a] * P[:, b] * H[s, np.maximum(t - 2 * s, 0)], 0.0)
+    return float(np.add.accumulate(summands, axis=0)[-1].max())
 
 
 def kernel_G(
@@ -237,18 +296,19 @@ def kernel_G(
 ) -> Kernel:
     """Kernel of the one-parameter family at parameter l, or its l-derivative.
 
-    mode "plain" materializes G(l); mode "derivative" materializes the
-    closed-form d/dl G(l) (the kernel carrying the logarithmic terms),
-    whose depth-s summand carries the factor
+    mode "plain" gives G(l); mode "derivative" gives the closed-form
+    d/dl G(l) (the kernel carrying the logarithmic terms), whose depth-s
+    summand carries the factor
 
         h * [ q^(2l) (L_k + L_n)(q^(2l)) + 2 s - a - b ],
 
     where the first piece is the logarithmic derivative of the Pochhammer
     coefficients and the grid offsets realize ln(y) + ln(eta) exactly.
-    The table for _materialize is H = c_{i,s}(l) q^(2ld), times that factor
-    for the derivative; kernel_assembled sums these tables in closed form.
-    Depths with c = 0 give zero, so the poles of L_k at l = 0, -1, ... never
-    enter.  For l a negative integer both sums terminate and it is exact.
+    The kernel's table is H = c_{i,s}(l) q^(2ld), times that factor for the
+    derivative; kernel_assembled sums these tables in closed form.  Depths
+    with c = 0 give zero, so the poles of L_k at l = 0, -1, ... never enter,
+    and sector pairs whose table vanishes are left out.  For l a negative
+    integer both sums terminate and it is exact.
     """
     if ctx is None:
         raise DomainError("kernel_G requires a context")
@@ -263,13 +323,14 @@ def kernel_G(
     if neg_int:
         # (q^(2l); q^2)_k vanishes exactly for k > -l, ending both sums
         s_cap, i_cap = min(s_cap, 1 - int(l.real)), min(i_cap, -int(l.real))
-    (c,), (lsum,) = _depth_coefficients(np.array([l]), ctx.q, s_cap, i_cap)
+    sectors = range(-i_cap, i_cap + 1)
+    (c,), (lsum,) = _depth_coefficients(np.array([l]), ctx.q, s_cap, sectors)
     d = np.arange(A + B - 1)
     H = c[:, :, None] * np.exp(2.0 * l * d * math.log(ctx.q))
     if mode == "derivative":
         H = ctx.h * H * (ctx.q2**l * lsum[:, :, None] - d)
-    terms = _materialize(H, ctx.q2, (A, B))
-    return Kernel(terms, ctx, (A, B), i_cap, 0.0, exact=neg_int and mode == "plain")
+    table = {i: row for i, row in zip(sectors, H) if np.any(row)}
+    return Kernel(table, ctx, (A, B), i_cap, 0.0, exact=neg_int and mode == "plain")
 
 
 def kernel_assembled(
@@ -284,18 +345,21 @@ def kernel_assembled(
     order 2:    sum_{m>=1} coef_order2(m) G(m)
               - (1-q^2)/h sum_{m>=1} (q^-2 - 1)/(q^-2m - 1) dG(m)/dl
 
-    The tables H of kernel_G summed over m <= M are one product W[(i, s), m]
-    X[m, d], X = q^(2md), materialized once.  M is fixed first by an
-    a-priori bound on every tail entry, kept as tail_bound: as
+    Each sector pair's table row is the sum of kernel_G's rows over m <= M,
+    one product W[s, m] X[m, d] with X = q^(2md), and its count M is fixed
+    first by an a-priori bound on every tail entry of that pair: as
     |c_{i,s}(m)| <= cbar = c_{i,s}(inf), coefficient ratios are at most q^2
     and L_k(m) decreases in m, the tail past M >= M0 is at most
-    |coef_order1(M+1)| max_{i,a,b} sum_s cbar P_s(a) P_s(b) lin
+    |coef_order1(M+1)| max_{a,b} sum_s cbar P_s(a) P_s(b) lin
     q^(2(M0+1)d) / (1 - q^(2+2d)), lin = 1 for order 1 or the order-2 factor
     at M0 + 1, where |coef_order1(M0+1)| / (1 - q^2) < ctx.series_tol.  M is
-    the smallest count whose bound is below ctx.series_tol; that bound is
-    the certificate, and there is no cap on M.  Kernels are cached per
-    (order, ctx, shape, sector_max) with shape filled in; cached term
-    arrays are read-only.
+    the smallest count whose bound is below ctx.series_tol; there is no cap
+    on M.  The kernel's tail_bound is the largest bound of its pairs.
+
+    Rows are cached per (order, ctx, shape, sector pair) and shared by every
+    sector_max, so green_solve reuses them; kernels are cached per (order,
+    ctx, shape, sector_max) with shape filled in.  Cached tables and the
+    dense terms built from them are read-only.
     """
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
@@ -306,39 +370,57 @@ def kernel_assembled(
 
 @functools.cache
 def _assembled(order: int, ctx: QContext, shape: tuple[int, int], sector_max: int) -> Kernel:
+    rows = {i: _assembled_row(order, ctx, shape, i) for i in range(-sector_max, sector_max + 1)}
+    tail = max(t for _, t in rows.values())
+    return Kernel({i: H for i, (H, _) in rows.items()}, ctx, shape, sector_max, tail, False)
+
+
+def _tail_table(order: int, ctx: QContext, shape: tuple[int, int], i: int):
+    """M0 - 1 and the nonnegative table cbar lin q^(2 M0 d) / (1 - q^(2+2d))
+    of the pair (i, -i), whose materialized maximum is its majorant."""
     q, q2, tol = ctx.q, ctx.q2, ctx.series_tol
     d = np.arange(sum(shape) - 1)
     count = 0
     while abs(coef_order1(count + 1, q)) / (1.0 - q2) >= tol:
         count += 1
     m0 = count + 1
-    l_bound = np.array([m0, np.inf])
-    (_, cbar), (lsum, _) = _depth_coefficients(l_bound, q, min(shape), sector_max)
+    (_, cbar), (lsum, _) = _depth_coefficients(np.array([m0, np.inf]), q, min(shape), [i])
     lin = 1.0
     if order == 2:
         lin = coef_order2(m0, q) / abs(coef_order1(m0, q))
-        lin = lin + (1.0 - q2) * (q2**m0 * lsum[:, :, None] + d)
-    H = cbar[:, :, None] * lin * q2 ** (m0 * d) / (1.0 - q2 ** (1.0 + d))
-    majorant = max(t.max() for t in _materialize(H, q2, shape).values())
-    while abs(coef_order1(count + 1, q)) * majorant >= tol:
+        lin = lin + (1.0 - q2) * (q2**m0 * lsum[0, :, None] + d)
+    return count, cbar[0, :, None] * lin * q2 ** (m0 * d) / (1.0 - q2 ** (1.0 + d))
+
+
+def _term_count(order: int, ctx: QContext, shape: tuple[int, int], i: int) -> tuple[int, float]:
+    """The certified term count M of the pair (i, -i) and its majorant."""
+    count, H = _tail_table(order, ctx, shape, i)
+    majorant = _majorant(H, ctx.q2, shape)
+    while abs(coef_order1(count + 1, ctx.q)) * majorant >= ctx.series_tol:
         count += 1
+    return count, majorant
+
+
+@functools.cache
+def _assembled_row(order: int, ctx: QContext, shape: tuple[int, int], i: int):
+    """Table row H[i, s, d] of the order-th inverse kernel and its tail bound."""
+    q, q2 = ctx.q, ctx.q2
+    count, majorant = _term_count(order, ctx, shape, i)
+    d = np.arange(sum(shape) - 1)
     m = np.arange(1.0, count + 1)
-    c, lsum = _depth_coefficients(m, q, min(shape), sector_max)
+    c, lsum = (x[:, 0] for x in _depth_coefficients(m, q, min(shape), [i]))
     X = np.exp(2.0 * np.outer(m, d) * math.log(q))
-    W = coef_order1(m, q)[:, None, None] * c
+    W = coef_order1(m, q)[:, None] * c
     if order == 1:
-        H = np.tensordot(W, X, (0, 0))
+        H = W.T @ X
     else:
         # the direct family plus (1-q^2)/h coef_order1 times the derivative tables
         Wd = (1.0 - q2) * W
-        direct = coef_order2(m, q)[:, None, None] * c + Wd * (q2**m)[:, None, None] * lsum
-        H = np.tensordot(direct, X, (0, 0)) - d * np.tensordot(Wd, X, (0, 0))
-    terms = _materialize(H, q2, shape)
-    for arr in terms.values():
-        # cached and shared between callers, so read-only
-        arr.flags.writeable = False
-    tail = abs(coef_order1(count + 1, q)) * majorant
-    return Kernel(terms, ctx, shape, sector_max, float(tail), False)
+        direct = coef_order2(m, q)[:, None] * c + Wd * (q2**m)[:, None] * lsum
+        H = direct.T @ X - d * (Wd.T @ X)
+    # cached and shared between kernels, so read-only
+    H.flags.writeable = False
+    return H, float(abs(coef_order1(count + 1, q)) * majorant)
 
 
 # --- kernel application -------------------------------------------------
@@ -350,12 +432,18 @@ def apply_kernel(K: Kernel, f: DiscElement, ctx: QContext | None = None) -> Disc
 
     Only the second-leg sector opposite to each sector of f survives the
     integral; the pairing contracts the legs with the exact grid
-    polynomials of the generator contractions.  Insufficient kernel
-    truncation for the support or sectors of f, or an integral weight
-    q^(-2n) past the double range on f's support, raises CapacityError.
+    polynomials of the generator contractions.  For sector m of f, with
+    weighted values w on its support, it contracts the table directly:
+
+        out(a) = (1-q^2) sum_{b in supp f} sum_{s<=b} P_s(a) P_s(b) H[m, s, a+b-2s] w(b),
+
+    at cost O(n^2 N) for f supported on rows below n, never forming the
+    N x N term.  Insufficient kernel truncation for the support or sectors
+    of f, or an integral weight q^(-2n) past the double range on f's
+    support, raises CapacityError.
     """
     ctx = ctx or f.ctx
-    B = K.shape[1]
+    A, B = K.shape
     out: dict[int, np.ndarray] = {}
     for m, phi in f.sectors.items():
         if not phi.finite_support:
@@ -364,25 +452,40 @@ def apply_kernel(K: Kernel, f: DiscElement, ctx: QContext | None = None) -> Disc
         if len(supp) == 0:
             continue
         j = -m
-        if (m, j) not in K.terms:
+        H = K.table.get(m)
+        if H is None:
             raise CapacityError(
                 f"kernel lacks the sector pair {(m, j)} needed for f's sector {m}"
             )
         if supp[-1] >= B:
             raise CapacityError("kernel second-leg block too small for supp f")
-        col = np.zeros(B, dtype=complex)
-        col[: min(B, len(phi.values))] = phi.values[:B]
-        w = _integral_weights(col, ctx)
+        v = phi.values[: supp[-1] + 1]
         # the |j| generator contractions between the second leg and f
         # leave the polynomial Q_|j|; for j > 0 they also shift the
         # integral weight by q^(-2j)
-        weighted = col * _poch_up(abs(j), ctx, B) * w * (ctx.q2**-j if j > 0 else 1.0)
-        out[m] = (1.0 - ctx.q2) * K.terms[(m, j)] @ weighted
+        w = _integral_weights(v, ctx) * (ctx.q2**-j if j > 0 else 1.0)
+        weighted = v * _poch_up(abs(j), ctx, len(v)) * w
+        out[m] = (1.0 - ctx.q2) * _contract(H, ctx.q2, A, weighted)
     sectors = {
         i: GridFunction(_fit(v, ctx.npoints), finite_support=False)
         for i, v in out.items()
     }
     return DiscElement(sectors, ctx)
+
+
+def _contract(H: np.ndarray, q2: float, A: int, v: np.ndarray) -> np.ndarray:
+    """out(a) = sum_b sum_s P_s(a) P_s(b) H[s, a+b-2s] v(b) for a < A.
+
+    Depth s reaches only a, b >= s, where the b-sum is a correlation of
+    H[s] with P_s v, taken by np.convolve with the reversed vector.
+    """
+    depths = min(H.shape[0], len(v))
+    P = _leg_factors(q2, depths, max(A, len(v)))
+    out = np.zeros(A, dtype=complex)
+    for s in range(depths):
+        u = (P[s, s : len(v)] * v[s:])[::-1]
+        out[s:] += P[s, s:A] * np.convolve(H[s, : A - s + len(u) - 1], u, "valid")
+    return out
 
 
 def _fit(v: np.ndarray, npoints: int) -> np.ndarray:
@@ -396,8 +499,10 @@ def _fit(v: np.ndarray, npoints: int) -> np.ndarray:
 def green_solve(f: DiscElement, order: int, ctx: QContext | None = None) -> DiscElement:
     """Solution of the order-th power of the Laplacian applied inversely to f.
 
-    Assembles the inverse kernel sized to f's sectors and support and
-    applies it; the solution lives in the closure of each sector of f.
+    Applies the inverse kernel on the full grid with the sector pairs of
+    f's sectors.  Its table rows are cached per sector pair, so they are
+    shared with every kernel_assembled call and never rebuilt for another
+    sector range; the solution lives in the closure of each sector of f.
     """
     ctx = ctx or f.ctx
     if not f.finite:
@@ -474,7 +579,7 @@ def kernel_act(label: str, K: Kernel, ctx: QContext | None = None) -> Kernel:
     else:
         for key, *leg in _coproduct_legs(label, K, ctx):
             _accumulate(out, key, _leg_image(*leg))
-    return Kernel(out, ctx, K.shape, K.sector_max + 1, K.tail_bound, False)
+    return Kernel.from_terms(out, ctx, K.shape, K.sector_max + 1, K.tail_bound)
 
 
 def kernel_invariance_residual(K: Kernel, ctx: QContext | None = None) -> float:

@@ -724,7 +724,8 @@ def check_green_operator(ctx: QContext):
 
     rng = np.random.default_rng(41)
     worst = 0.0
-    dim = 200
+    # the truncated matrix reaches at least 135 rows past the grid (200 rows on the default one)
+    dim = max(200, ctx.npoints + 135)
     for sector in (-2, 0, 1, 3):
         mat = G.sector_laplacian_matrix(sector, dim, ctx)
         v = np.zeros(ctx.npoints, dtype=complex)

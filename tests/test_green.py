@@ -34,8 +34,15 @@ from qdisc import (
     rep_matrix,
     sector_laplacian_matrix,
 )
-from qdisc.discalg import _poch_down
-from qdisc.green import gm_quadrature_grid
+from qdisc.discalg import _integral_weights, _poch_down, _poch_up
+from qdisc.green import (
+    _assembled_row,
+    _majorant,
+    _materialize,
+    _tail_table,
+    _term_count,
+    gm_quadrature_grid,
+)
 from qdisc.qspecial import l_sum
 from conftest import random_element
 
@@ -198,7 +205,7 @@ def test_kernel_application_uses_orthogonality(ctx):
     # a kernel with only a nonzero-sector second leg pairs to zero against
     # a radial element
     K = kernel_G(-1.0, "plain", ctx, shape=(8, 8), sector_max=1)
-    K.terms.pop((0, 0))
+    K.table.pop(0)
     with pytest.raises(CapacityError):
         apply_kernel(K, delta_fn(0, ctx), ctx)
 
@@ -392,9 +399,90 @@ def test_limit_rejects_bad_arguments():
 
 def test_assembled_kernel_terms_are_read_only(ctx):
     K = kernel_assembled(1, ctx, sector_max=1)
-    for arr in K.terms.values():
+    for arr in [*K.table.values(), *K.terms.values()]:
         with pytest.raises(ValueError):
             arr[0, 0] = 0.0
+
+
+def test_green_solve_reuses_the_cached_sector_pairs():
+    # table rows are cached per sector pair: after the sector_max = 3 kernel,
+    # green_solve on sectors -2, 0, 1 and 3 builds no new row
+    ctx = QContext(0.45, grid_horizon=20)
+    kernel_assembled(1, ctx, sector_max=3)
+    built = _assembled_row.cache_info().misses
+    rng = np.random.default_rng(3)
+    for m in (-2, 0, 1, 3):
+        v = np.zeros(ctx.npoints, dtype=complex)
+        v[:6] = rng.standard_normal(6)
+        green_solve(DiscElement({m: GridFunction(v)}, ctx), 1, ctx)
+    assert _assembled_row.cache_info().misses == built
+    # the dense terms a kernel_G kernel builds on request are read-only too
+    for arr in kernel_G(0.7, "plain", ctx, sector_max=2).terms.values():
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+
+
+def _dense_apply(K, f, ctx):
+    """Reference: (1 - q^2) psi_(m,-m) @ weighted per sector m of f, with the
+    sum (1 - q^2) |psi| @ |weighted| of the absolute contributions."""
+    B = K.shape[1]
+    out = {}
+    for m, phi in f.sectors.items():
+        col = np.zeros(B, dtype=complex)
+        col[: min(B, len(phi.values))] = phi.values[:B]
+        j = -m
+        weighted = col * _poch_up(abs(j), ctx, B) * _integral_weights(col, ctx)
+        weighted = weighted * (ctx.q2**-j if j > 0 else 1.0)
+        psi = K.terms[(m, j)]
+        out[m] = (1 - ctx.q2) * (psi @ weighted), (1 - ctx.q2) * (np.abs(psi) @ np.abs(weighted))
+    return out
+
+
+def test_apply_kernel_matches_the_dense_route():
+    # the table contraction against the materialized terms times the weighted
+    # values, on the spanning set (rows 0..8) and a random element of each sector
+    rng = np.random.default_rng(13)
+    for q in (0.05, 0.5, 0.9, 0.995):
+        ctx = QContext(q, grid_horizon=24)
+        kernels = [kernel_assembled(order, ctx, sector_max=3) for order in (1, 2)]
+        kernels += [kernel_G(l, "plain", ctx, sector_max=3) for l in (-2.0, 0.7)]
+        for K, m in itertools.product(kernels, range(-3, 4)):
+            if abs(m) > K.sector_max:
+                continue
+            v = np.zeros(ctx.npoints, dtype=complex)
+            v[:9] = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+            rows = [GridFunction.delta(n, ctx.npoints) for n in range(9)] + [GridFunction(v)]
+            for g in rows:
+                f = DiscElement({m: g}, ctx)
+                got = apply_kernel(K, f, ctx).sector(m).values
+                ref, mag = _dense_apply(K, f, ctx)[m]
+                assert np.all(np.abs(got - ref) <= 1e-14 * mag), (q, m)
+
+
+def test_midpoint_majorant_equals_the_materialized_one():
+    # the majorant read at the balanced split of each antidiagonal is the
+    # maximum of the materialized tail table, bit for bit
+    for q, horizon in itertools.product((0.05, 0.5, 0.9, 0.995), (16, 64)):
+        ctx = QContext(q, grid_horizon=horizon)
+        n = ctx.npoints
+        for shape, order, i in itertools.product(((n, n), (n, 9)), (1, 2), range(-4, 5)):
+            _, H = _tail_table(order, ctx, shape, i)
+            ref = _materialize({i: H}, ctx.q2, shape)[(i, -i)].max()
+            assert _term_count(order, ctx, shape, i)[1] == ref, (q, horizon, shape, order, i)
+    # the tail tables peak at the corner; tables of random nonnegative entries
+    # peak inside the block, where the split matters (there a near tie may
+    # round either way, so they agree to rounding)
+    rng = np.random.default_rng(5)
+    for q, shape in itertools.product((0.05, 0.5, 0.9, 0.995), ((17, 17), (17, 9), (9, 17))):
+        H = rng.random((min(shape), sum(shape) - 1))
+        ref = _materialize({0: H}, q * q, shape)[(0, 0)].max()
+        assert _majorant(H, q * q, shape) == pytest.approx(ref, rel=1e-15, abs=0), (q, shape)
+    # so the sector_max = 3 kernels on the default grid keep their term counts
+    for q, counts in ((0.95, (367, 344)), (0.98, (995, 915)), (0.995, (4418, 3958))):
+        ctx = QContext(q)
+        shape = (ctx.npoints, ctx.npoints)
+        for order, want in zip((1, 2), counts):
+            assert max(_term_count(order, ctx, shape, i)[0] for i in range(-3, 4)) == want
 
 
 def test_assembled_cache_key_fills_in_defaults(ctx):
@@ -429,7 +517,7 @@ def test_kernel_act_on_rank_one_terms_matches_element_action():
             for j in range(-3, 4):
                 f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                K = Kernel({(i, j): np.outer(f, g)}, ctx, (n, n), 3, exact=True)
+                K = Kernel.from_terms({(i, j): np.outer(f, g)}, ctx, (n, n), 3, exact=True)
                 for label, kf, kg in (("E", 1.0, q ** (2 * i)), ("F", q ** (-2 * j), 1.0)):
                     i2, lf, mf = leg(label, i, f)
                     j2, lg, mg = leg(label, j, g)

@@ -133,3 +133,11 @@ def test_a_nan_term_fails_its_check(monkeypatch, group, module, name, at, check)
     (result,) = [r for r in group(QContext(0.5)) if r.name == check]
     assert math.isnan(result.residual)
     assert not result.passed
+
+
+def test_matrix_solve_oracle_is_sized_from_the_grid():
+    # the truncated-matrix oracle reaches past the grid at every horizon, so a
+    # horizon of 200 or more gives a result instead of a broadcast error
+    [res] = run_registry(QContext(0.5, grid_horizon=200), ["matrix_solve"])
+    assert res.name == "matrix_solve_oracle"
+    assert res.passed
