@@ -7,6 +7,7 @@ the series tolerance, and precomputes the grid arrays everything else uses.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -17,6 +18,19 @@ from .errors import DomainError
 # Series bounds degrade as q -> 1; enforced range keeps double precision honest.
 Q_MIN = 0.05
 Q_MAX = 0.995
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only, since every caller shares it."""
+    arr.flags.writeable = False
+    return arr
+
+
+# keyed on q^2 and the length, not the context, so contexts that differ only
+# in horizon or tolerance share one table
+@functools.lru_cache(maxsize=512)
+def _ygrid(q2: float, npoints: int) -> np.ndarray:
+    return _frozen(np.power(q2, np.arange(npoints, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -59,10 +73,11 @@ class QContext:
         return self.grid_horizon + 1
 
     def ygrid(self, npoints: int | None = None) -> np.ndarray:
-        """Grid values q^(2n) for n = 0..npoints-1 (q^0 is exactly 1.0)."""
+        """Grid values q^(2n) for n = 0..npoints-1 (q^0 is exactly 1.0);
+        cached per (q^2, npoints) and read-only."""
         if npoints is None:
             npoints = self.npoints
-        return np.power(self.q2, np.arange(npoints, dtype=float))
+        return _ygrid(self.q2, npoints)
 
     def weights(self, npoints: int | None = None) -> np.ndarray:
         """Integration weights q^(-2n) of the invariant integral."""

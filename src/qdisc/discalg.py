@@ -19,12 +19,13 @@ sums only the sector pairs that land in sector 0, the one integrated.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .context import QContext
+from .context import QContext, _frozen, _ygrid
 from .errors import CapacityError, DomainError, RangeError
 
 
@@ -36,7 +37,7 @@ def _shift(values: np.ndarray, s: int) -> np.ndarray:
     """
     if s == 0:
         return values.copy()
-    out = np.zeros_like(values)
+    out = np.zeros(values.shape, values.dtype)
     if s > 0:
         if s < len(values):
             out[:-s] = values[s:]
@@ -60,6 +61,8 @@ class GridFunction:
 
     @classmethod
     def delta(cls, n: int, npoints: int) -> "GridFunction":
+        if not 0 <= n < npoints:
+            raise RangeError(f"grid index {n} outside 0..{npoints - 1}")
         v = np.zeros(npoints, dtype=complex)
         v[n] = 1.0
         return cls(v)
@@ -84,7 +87,7 @@ class DiscElement:
     ctx: QContext
 
     def __post_init__(self):
-        self.sectors = {m: g for m, g in self.sectors.items() if g.values.any()}
+        self.sectors = {m: g for m, g in self.sectors.items() if np.count_nonzero(g.values)}
 
     @property
     def finite(self) -> bool:
@@ -168,17 +171,30 @@ def delta_fn(n: int, ctx: QContext) -> DiscElement:
 def _poch_down(d: int, ctx: QContext, npoints: int) -> np.ndarray:
     """P_d[n] = prod_{s=0}^{d-1} (1 - q^{2(n-s)}); exactly zero for n < d.
 
-    This is the grid function of z^d z*^d.
+    This is the grid function of z^d z*^d; cached per (q^2, d, npoints) and
+    read-only.
     """
-    out = np.zeros(npoints, dtype=complex)
-    if d < npoints:
-        out[d:] = _window_products(1.0 - ctx.ygrid(npoints)[1:], d, npoints - d)
-    return out
+    return _poch_down_table(ctx.q2, d, npoints)
 
 
 def _poch_up(d: int, ctx: QContext, npoints: int) -> np.ndarray:
-    """Q_d[n] = prod_{s=1}^{d} (1 - q^{2(n+s)}); the grid function of z*^d z^d."""
-    return _window_products(1.0 - ctx.ygrid(npoints + d)[1:], d, npoints).astype(complex)
+    """Q_d[n] = prod_{s=1}^{d} (1 - q^{2(n+s)}); the grid function of z*^d z^d,
+    cached per (q^2, d, npoints) and read-only."""
+    return _poch_up_table(ctx.q2, d, npoints)
+
+
+@functools.lru_cache(maxsize=1024)
+def _poch_down_table(q2: float, d: int, npoints: int) -> np.ndarray:
+    out = np.zeros(npoints, dtype=complex)
+    if d < npoints:
+        out[d:] = _window_products(1.0 - _ygrid(q2, npoints)[1:], d, npoints - d)
+    return _frozen(out)
+
+
+@functools.lru_cache(maxsize=1024)
+def _poch_up_table(q2: float, d: int, npoints: int) -> np.ndarray:
+    up = _window_products(1.0 - _ygrid(q2, npoints + d)[1:], d, npoints)
+    return _frozen(up.astype(complex))
 
 
 def _window_products(factors: np.ndarray, d: int, count: int) -> np.ndarray:
@@ -337,15 +353,21 @@ def rep_matrix(f: DiscElement, dim: int, ctx: QContext | None = None) -> RepMatr
     ctx = ctx or f.ctx
     if dim < 1:
         raise DomainError("representation dimension must be positive")
-    w = np.sqrt(1.0 - ctx.ygrid(dim)[1:])
     out = np.zeros((dim, dim), dtype=complex)
     for m, g in f.sectors.items():
         a = abs(m)
         n = min(dim - a, len(g.values))
         if n > 0:
             block = out[a : a + n, :n] if m > 0 else out[:n, a : a + n]
-            np.fill_diagonal(block, _window_products(w, a, n) * g.values[:n])
+            np.fill_diagonal(block, _shift_weights(ctx.q2, dim, a)[:n] * g.values[:n])
     return RepMatrix(dim, out)
+
+
+# the oracle's own table, kept apart from the contraction polynomials it checks
+@functools.lru_cache(maxsize=1024)
+def _shift_weights(q2: float, dim: int, a: int) -> np.ndarray:
+    """w_k ... w_(k+a-1) for k < dim - a, w_k = sqrt(1 - q^(2(k+1))); read-only."""
+    return _frozen(_window_products(np.sqrt(1.0 - _ygrid(q2, dim)[1:]), a, dim - a))
 
 
 # --- JSON serialization (consumed by the CLI) -------------------------

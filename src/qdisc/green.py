@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .context import QContext
+from .context import QContext, _frozen
 from .discalg import DiscElement, GridFunction, _integral_weights, _poch_up, _shift
 from .errors import CapacityError, DomainError
 from .qspecial import dilog
@@ -207,9 +207,7 @@ class Kernel:
         """Dense grid matrices psi_ij per nonzero sector pair, materialized
         from the table on first use; read-only."""
         terms = _materialize(self.table, self.ctx.q2, self.shape)
-        for arr in terms.values():
-            arr.flags.writeable = False
-        return terms
+        return {key: _frozen(arr) for key, arr in terms.items()}
 
     def term(self, i: int, j: int) -> np.ndarray:
         t = self.terms.get((i, j))
@@ -242,12 +240,14 @@ def _depth_coefficients(l: np.ndarray, q: float, s_cap: int, sectors):
     return q2**k * R[:, k] * R[:, n], L[:, k] + L[:, n]
 
 
+@functools.lru_cache(maxsize=64)
 def _leg_factors(q2: float, depths: int, npoints: int) -> np.ndarray:
-    """P[s, a] = P_s(q^(2a)) = (q^2;q^2)_a / (q^2;q^2)_(a-s), zero for a < s."""
+    """P[s, a] = P_s(q^(2a)) = (q^2;q^2)_a / (q^2;q^2)_(a-s), zero for a < s;
+    cached per (q^2, depths, npoints) and read-only."""
     qq = np.cumprod(np.concatenate(([1.0], 1.0 - q2 ** np.arange(1.0, npoints))))
     a = np.arange(npoints)
     s = np.arange(depths)[:, None]
-    return np.where(a >= s, qq[a] / qq[np.maximum(a - s, 0)], 0.0)
+    return _frozen(np.where(a >= s, qq[a] / qq[np.maximum(a - s, 0)], 0.0))
 
 
 def _materialize(table: dict, q2: float, shape: tuple[int, int]) -> dict:
@@ -419,8 +419,7 @@ def _assembled_row(order: int, ctx: QContext, shape: tuple[int, int], i: int):
         direct = coef_order2(m, q)[:, None] * c + Wd * (q2**m)[:, None] * lsum
         H = direct.T @ X - d * (Wd.T @ X)
     # cached and shared between kernels, so read-only
-    H.flags.writeable = False
-    return H, float(abs(coef_order1(count + 1, q)) * majorant)
+    return _frozen(H), float(abs(coef_order1(count + 1, q)) * majorant)
 
 
 # --- kernel application -------------------------------------------------
@@ -479,8 +478,10 @@ def _contract(H: np.ndarray, q2: float, A: int, v: np.ndarray) -> np.ndarray:
     Depth s reaches only a, b >= s, where the b-sum is a correlation of
     H[s] with P_s v, taken by np.convolve with the reversed vector.
     """
+    # the kernel-wide leg table: one cache entry per kernel shape, whatever
+    # the support of v (len(v) <= B = H.shape[1] - A + 1)
     depths = min(H.shape[0], len(v))
-    P = _leg_factors(q2, depths, max(A, len(v)))
+    P = _leg_factors(q2, H.shape[0], max(A, H.shape[1] - A + 1))
     out = np.zeros(A, dtype=complex)
     for s in range(depths):
         u = (P[s, s : len(v)] * v[s:])[::-1]

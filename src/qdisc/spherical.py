@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .context import QContext
+from .context import QContext, _frozen
 from .discalg import GridFunction, _row_weights
 from .errors import DomainError, PoleError, QuadratureError
 from .qspecial import qgamma, qpochhammer
@@ -348,11 +348,6 @@ class SpectralFunction:
 def _nodes(count: int, ctx: QContext) -> np.ndarray:
     period = ctx.rho_period()
     return period * np.arange(count) / count
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 # Quadrature data on the equispaced node sets depends on q alone, so the

@@ -94,17 +94,26 @@ def act_word(labels: Iterable[str], f: DiscElement, ctx: QContext | None = None)
 
 
 def casimir_apply(f: DiscElement, ctx: QContext | None = None) -> DiscElement:
-    """Casimir action FE + (q^-1 K^-1 + q K - q - q^-1) / (q^-1 - q)^2."""
+    """Casimir action FE + (q^-1 K^-1 + q K - q - q^-1) / (q^-1 - q)^2.
+
+    One pass per sector: E's and then F's difference formula from _ef_terms,
+    plus the K part, with the arithmetic of act("F", act("E", f)) plus the
+    scaled K images, so the result is the same to the bit.
+    """
     ctx = ctx or f.ctx
     q = ctx.q
-    fe = act("F", act("E", f, ctx), ctx)
+    yg = ctx.ygrid()
     denom = (1.0 / q - q) ** 2
-    kpart = (
-        act("Kinv", f, ctx).scaled(1.0 / q)
-        + act("K", f, ctx).scaled(q)
-        + f.scaled(-(q + 1.0 / q))
-    ).scaled(1.0 / denom)
-    return fe + kpart
+    out: dict[int, GridFunction] = {}
+    for m, g in f.sectors.items():
+        v = g.values
+        m1, c0, c1, s = _ef_terms("E", m, yg, q)
+        e = c0 * v + c1 * _shift(v, s)
+        _, c0, c1, s = _ef_terms("F", m1, yg, q)
+        fe = c0 * e + c1 * _shift(e, s)
+        kpart = 1.0 / q * (q ** (-2 * m) * v) + q * (q ** (2 * m) * v) + -(q + 1.0 / q) * v
+        out[m] = GridFunction(fe + 1.0 / denom * kpart, g.finite_support)
+    return DiscElement(out, ctx)
 
 
 def laplacian_apply(f: DiscElement, ctx: QContext | None = None) -> DiscElement:

@@ -41,7 +41,7 @@ from .discalg import (
     rep_matrix,
     star,
 )
-from .errors import QDiscError
+from .errors import CapacityError, QDiscError
 from .qspecial import qgamma
 from .uqsl2 import (
     act,
@@ -81,31 +81,37 @@ def _group(*names: str):
     """Declare a check group producing the named checks, in order.
 
     The decorated body is a generator yielding one (residual, tolerance,
-    detail) triple per name; a count mismatch raises ValueError.  Each
-    result's runtime is the time since the previous yield, or since the
-    group started for the first one.  If the body raises a QDiscError, the
-    results already yielded stand and every remaining name fails with
-    residual inf, tolerance 0 and the error as its detail.  The names are
-    kept on the function as `.names`, so the registry can skip a group
-    without running it.
+    detail) triple per name; on a full run a count mismatch raises
+    ValueError.  With `last` set to one of the names, the generator is
+    closed once that check has been yielded, and the later checks are
+    neither run nor reported.  Each result's runtime is the time since the
+    previous yield, or since the group started for the first one.  If the
+    body raises a QDiscError, the results already yielded stand and every
+    remaining name up to `last` fails with residual inf, tolerance 0 and the
+    error as its detail.  The names are kept on the function as `.names`, so
+    the registry can skip a group without running it.
     """
 
     def decorate(body):
         @functools.wraps(body)
-        def run(*args, **kwargs) -> list[CheckResult]:
+        def run(*args, last: str | None = None, **kwargs) -> list[CheckResult]:
+            kept = names[: names.index(last) + 1] if last else names
             out = []
             t0 = time.perf_counter()
+            checks = body(*args, **kwargs)
             try:
-                for name, (residual, tol, detail) in zip(names, body(*args, **kwargs), strict=True):
+                for name, (residual, tol, detail) in zip(kept, checks, strict=kept == names):
                     t1 = time.perf_counter()
                     out.append(CheckResult(name, residual, tol, detail, t1 - t0))
                     t0 = t1
             except QDiscError as exc:
                 detail = f"{type(exc).__name__}: {exc}"
                 runtime = time.perf_counter() - t0
-                for name in names[len(out):]:
+                for name in kept[len(out):]:
                     out.append(CheckResult(name, math.inf, 0.0, detail, runtime))
                     runtime = 0.0
+            finally:
+                checks.close()
             return out
 
         run.names = names
@@ -114,8 +120,17 @@ def _group(*names: str):
     return decorate
 
 
+def _fit_support(ctx: QContext, support: int) -> None:
+    """CapacityError unless rows 0..support lie on the grid."""
+    if support >= ctx.npoints:
+        raise CapacityError(
+            f"check support of rows 0..{support} passes the grid horizon {ctx.grid_horizon}"
+        )
+
+
 def _spanning_set(ctx: QContext, sectors: int = 3, support: int = 10):
     """Delta basis of the sector/grid block used by the covariance suite."""
+    _fit_support(ctx, support)
     out = []
     for m in range(-sectors, sectors + 1):
         for n in range(support + 1):
@@ -126,6 +141,7 @@ def _spanning_set(ctx: QContext, sectors: int = 3, support: int = 10):
 
 
 def _random_elements(ctx: QContext, count: int, seed: int = 2024, sectors: int = 3, support: int = 10):
+    _fit_support(ctx, support)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
@@ -348,6 +364,7 @@ def check_casimir(ctx: QContext):
 
     worst = 0.0
     rng = np.random.default_rng(17)
+    _fit_support(ctx, 11)
     for _ in range(6):
         v = np.zeros(ctx.npoints, dtype=complex)
         v[:12] = rng.standard_normal(12) + 1j * rng.standard_normal(12)
@@ -483,6 +500,7 @@ def check_transform(ctx: QContext, nmax: int = 20, node_count: int = 1024):
     yield _max(const_dev, f0_dev), 1e-10, "the centre delta transforms to the constant and back"
 
     rng = np.random.default_rng(31)
+    _fit_support(ctx, nmax)
     worst_p = 0.0
     # the pairing is a trapezoid sum too: at least the inverse's start count
     count = max(node_count, S._start_nodes(ctx, nmax))
@@ -812,12 +830,14 @@ REGISTRY = (
 
 def run_registry(ctx: QContext, patterns: list[str] | None = None) -> list[CheckResult]:
     """Run all (or name-filtered) checks and return their results in
-    registry order.  Groups with no matching names are skipped entirely."""
+    registry order.  Groups with no matching names are skipped entirely, and
+    a group stops after its last matching check."""
     def wanted(name: str) -> bool:
         return not patterns or any(p in name for p in patterns)
 
     out: list[CheckResult] = []
     for group in REGISTRY:
-        if any(wanted(name) for name in group.names):
-            out.extend(r for r in group(ctx) if wanted(r.name))
+        names = [name for name in group.names if wanted(name)]
+        if names:
+            out.extend(r for r in group(ctx, last=names[-1]) if wanted(r.name))
     return out

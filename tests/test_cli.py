@@ -84,6 +84,27 @@ def test_verify_reports_a_group_error_as_failed_checks(tmp_path, monkeypatch):
     assert "QuadratureError" in check["detail"]
 
 
+def test_verify_writes_a_report_at_small_horizons(tmp_path):
+    # checks whose fixed supports pass the grid fail with a typed error;
+    # the run still writes its report and exits with a check failure
+    for horizon in (1, 12, 19):
+        cfg = tmp_path / f"h{horizon}.json"
+        cfg.write_text(json.dumps({"grid_horizon": horizon}))
+        out = tmp_path / f"report{horizon}.json"
+        code, _ = run_cli(
+            ["verify", "--q", "0.5", "--config", str(cfg), "--format", "json", "--out", str(out)]
+        )
+        assert code == 1
+        report = json.loads(out.read_text())
+        assert len(report["checks"]) == 47
+        typed = {
+            c["check"]
+            for c in report["checks"]
+            if not c["pass"] and c["detail"].startswith(("CapacityError", "RangeError"))
+        }
+        assert "transform_roundtrip" in typed
+
+
 def test_usage_error_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trunc_terms": 200}))

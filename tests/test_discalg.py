@@ -22,7 +22,7 @@ from qdisc import (
     rep_matrix,
     star,
 )
-from qdisc.discalg import _poch_down, _poch_up, integral_scale
+from qdisc.discalg import _poch_down, _poch_up, _shift_weights, integral_scale
 from conftest import random_element
 
 
@@ -33,6 +33,10 @@ def test_delta_fn_basics(ctx):
     assert f0.finite
     with pytest.raises(RangeError):
         delta_fn(ctx.grid_horizon + 1, ctx)
+    # a negative row used to write the last one
+    for n in (-1, ctx.npoints):
+        with pytest.raises(RangeError):
+            GridFunction.delta(n, ctx.npoints)
 
 
 def test_delta_partition(ctx):
@@ -388,3 +392,21 @@ def test_max_abs_diff_keeps_nan():
     assert np.isnan(g.max_abs_diff(f))
     assert DiscElement({0: GridFunction(ones)}, ctx).max_abs_diff(g) == 1.0
     assert DiscElement.zero(ctx).max_abs_diff(DiscElement.zero(ctx)) == 0.0
+
+
+def test_cached_grid_tables_are_read_only():
+    # shared between callers, and keyed on q^2 rather than on the context
+    ctx = QContext(0.5, grid_horizon=8)
+    assert ctx.ygrid(12) is QContext(0.5, grid_horizon=40, series_tol=1e-12).ygrid(12)
+    tables = [ctx.ygrid(), _poch_down(3, ctx, 9), _poch_up(3, ctx, 9), _shift_weights(ctx.q2, 9, 2)]
+    for arr in tables:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_zero_sectors_are_dropped_by_value(ctx):
+    nan = np.zeros(ctx.npoints, dtype=complex)
+    nan[3] = np.nan
+    negzero = np.full(ctx.npoints, -0.0 - 0.0j)
+    f = DiscElement({1: GridFunction(nan), 2: GridFunction(negzero)}, ctx)
+    assert list(f.sectors) == [1]

@@ -37,6 +37,7 @@ from qdisc import (
 from qdisc.discalg import _integral_weights, _poch_down, _poch_up
 from qdisc.green import (
     _assembled_row,
+    _leg_factors,
     _majorant,
     _materialize,
     _tail_table,
@@ -399,7 +400,8 @@ def test_limit_rejects_bad_arguments():
 
 def test_assembled_kernel_terms_are_read_only(ctx):
     K = kernel_assembled(1, ctx, sector_max=1)
-    for arr in [*K.table.values(), *K.terms.values()]:
+    legs = _leg_factors(ctx.q2, ctx.npoints, ctx.npoints)
+    for arr in [*K.table.values(), *K.terms.values(), legs]:
         with pytest.raises(ValueError):
             arr[0, 0] = 0.0
 

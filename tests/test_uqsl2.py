@@ -5,6 +5,7 @@ import numpy as np
 from qdisc import (
     DiscElement,
     GridFunction,
+    QContext,
     act,
     casimir_apply,
     delta_fn,
@@ -194,3 +195,34 @@ def test_sector_rotation_phases(ctx, rng):
     for m, g in f.sectors.items():
         expected = np.exp(1j * m * np.pi / 3) * g.values
         assert np.max(np.abs(rot.sector(m).values - expected)) < 1e-15
+
+
+def _composed_casimir(f, ctx):
+    """FE through two generator actions plus the K part, as separate elements."""
+    q = ctx.q
+    kpart = (
+        act("Kinv", f, ctx).scaled(1.0 / q)
+        + act("K", f, ctx).scaled(q)
+        + f.scaled(-(q + 1.0 / q))
+    ).scaled(1.0 / (1.0 / q - q) ** 2)
+    return act("F", act("E", f, ctx), ctx) + kpart
+
+
+def test_one_pass_casimir_matches_the_composed_route():
+    rng = np.random.default_rng(19)
+    for q in (0.05, 0.5, 0.9, 0.995):
+        for horizon in (64, 128):
+            ctx = QContext(q, grid_horizon=horizon)
+            for count in range(1, 8):
+                sectors = {}
+                for m in rng.choice(np.arange(-3, 4), size=count, replace=False):
+                    v = np.zeros(ctx.npoints, dtype=complex)
+                    rows = int(rng.integers(1, horizon // 4))
+                    v[:rows] = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+                    sectors[int(m)] = GridFunction(v, finite_support=bool(m % 2))
+                f = DiscElement(sectors, ctx)
+                got, ref = casimir_apply(f, ctx), _composed_casimir(f, ctx)
+                assert set(got.sectors) == set(ref.sectors)
+                for m, g in got.sectors.items():
+                    assert g.values.tobytes() == ref.sectors[m].values.tobytes()
+                    assert g.finite_support == ref.sectors[m].finite_support

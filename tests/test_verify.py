@@ -50,6 +50,46 @@ def test_group_error_fails_the_remaining_names():
         assert r.detail == "CapacityError: term budget exhausted"
 
 
+def test_group_stops_after_the_last_requested_name():
+    ran = []
+
+    @_group("first", "second", "third")
+    def three():
+        try:
+            for label in ("a", "b", "c"):
+                ran.append(label)
+                yield 0.0, 1.0, label
+        finally:
+            ran.append("closed")
+
+    results = three(last="second")
+    assert [r.name for r in results] == ["first", "second"]
+    assert ran == ["a", "b", "closed"]
+    assert [r.name for r in three()] == ["first", "second", "third"]
+
+
+def test_registry_stops_a_group_after_its_last_requested_check(monkeypatch):
+    # only the kernel-centre check is asked for, so neither assembled kernel
+    # is materialized for the later checks of its group
+    ctx = QContext(0.5, grid_horizon=200)
+    green._assembled.cache_clear()
+    calls = itertools.count()
+    real = green._materialize
+
+    def counted(*args, **kwargs):
+        next(calls)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(green, "_materialize", counted)
+    [res] = run_registry(ctx, ["kernel_centre"])
+    assert next(calls) == 0
+    monkeypatch.undo()
+    full = {r.name: r for r in verify.check_green_operator(ctx)}
+    assert res.name == "kernel_centre_delta"
+    assert res.residual == full["kernel_centre_delta"].residual
+    assert res.passed
+
+
 def test_registry_declares_every_check_once():
     names = [name for group in REGISTRY for name in group.names]
     assert len(names) == 47
