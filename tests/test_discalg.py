@@ -33,7 +33,7 @@ def test_delta_fn_basics(ctx):
     assert f0.finite
     with pytest.raises(RangeError):
         delta_fn(ctx.grid_horizon + 1, ctx)
-    # a negative row used to write the last one
+    # a negative row is off the grid too, not the last row
     for n in (-1, ctx.npoints):
         with pytest.raises(RangeError):
             GridFunction.delta(n, ctx.npoints)
@@ -398,8 +398,7 @@ def test_cached_grid_tables_are_read_only():
     # shared between callers, and keyed on q^2 rather than on the context
     ctx = QContext(0.5, grid_horizon=8)
     assert ctx.ygrid(12) is QContext(0.5, grid_horizon=40, series_tol=1e-12).ygrid(12)
-    tables = [ctx.ygrid(), _poch_down(3, ctx, 9), _poch_up(3, ctx, 9), _shift_weights(ctx.q2, 9, 2)]
-    for arr in tables:
+    for arr in (ctx.ygrid(), _poch_down(3, ctx, 9), _poch_up(3, ctx, 9), _shift_weights(ctx.q2, 9, 2)):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
