@@ -2,7 +2,7 @@
 
 All radial objects live on the geometric grid y = q^(2n), n = 0..grid_horizon.
 The context bundles q, the log-scale h = ln(1/q^2), the grid horizon and
-the series tolerance, and precomputes the grid arrays everything else uses.
+the series tolerance, and serves the cached grid values everything else uses.
 """
 
 from __future__ import annotations
@@ -78,12 +78,6 @@ class QContext:
         if npoints is None:
             npoints = self.npoints
         return _ygrid(self.q2, npoints)
-
-    def weights(self, npoints: int | None = None) -> np.ndarray:
-        """Integration weights q^(-2n) of the invariant integral."""
-        if npoints is None:
-            npoints = self.npoints
-        return np.power(1.0 / self.q2, np.arange(npoints, dtype=float))
 
     def rho_period(self) -> float:
         """Period 2*pi/h of the spectral parameter."""

@@ -9,7 +9,8 @@ with each psi living on the grid y = q^(2n).  The generator relation
 z* z = q^2 z z* + (1 - q^2) drives the normal-ordered product: powers of
 z and z* commute past grid functions via the argument shifts
 phi(y) -> phi(q^{-+2} y), and z*^k z^k / z^k z*^k contract to explicit
-polynomial grid functions.
+polynomial grid functions, rows of one contraction table that also gives
+the legs of the Green kernels.
 
 A truncated weighted-shift matrix representation serves as an independent
 oracle for products, the involution, and the invariant integral; each
@@ -171,39 +172,34 @@ def delta_fn(n: int, ctx: QContext) -> DiscElement:
 def _poch_down(d: int, ctx: QContext, npoints: int) -> np.ndarray:
     """P_d[n] = prod_{s=0}^{d-1} (1 - q^{2(n-s)}); exactly zero for n < d.
 
-    This is the grid function of z^d z*^d; cached per (q^2, d, npoints) and
+    This is the grid function of z^d z*^d, row d of the contraction table;
     read-only.
     """
-    return _poch_down_table(ctx.q2, d, npoints)
+    return _contraction_table(ctx.q2, d + 1, npoints)[d]
 
 
 def _poch_up(d: int, ctx: QContext, npoints: int) -> np.ndarray:
-    """Q_d[n] = prod_{s=1}^{d} (1 - q^{2(n+s)}); the grid function of z*^d z^d,
-    cached per (q^2, d, npoints) and read-only."""
-    return _poch_up_table(ctx.q2, d, npoints)
+    """Q_d[n] = prod_{s=1}^{d} (1 - q^{2(n+s)}) = P_d[n + d]; the grid function
+    of z*^d z^d, row d of the contraction table d columns wider; read-only."""
+    return _contraction_table(ctx.q2, d + 1, npoints + d)[d, d:]
 
 
 @functools.lru_cache(maxsize=1024)
-def _poch_down_table(q2: float, d: int, npoints: int) -> np.ndarray:
-    out = np.zeros(npoints, dtype=complex)
-    if d < npoints:
-        out[d:] = _window_products(1.0 - _ygrid(q2, npoints)[1:], d, npoints - d)
-    return _frozen(out)
+def _contraction_table(q2: float, depths: int, npoints: int) -> np.ndarray:
+    """P[s, a] = P_s(q^(2a)) = prod_{r=0}^{s-1} (1 - q^(2(a-r))) for s < depths,
+    a < npoints, zero for a < s; cached per (q^2, depths, npoints), read-only.
 
-
-@functools.lru_cache(maxsize=1024)
-def _poch_up_table(q2: float, d: int, npoints: int) -> np.ndarray:
-    up = _window_products(1.0 - _ygrid(q2, npoints + d)[1:], d, npoints)
-    return _frozen(up.astype(complex))
-
-
-def _window_products(factors: np.ndarray, d: int, count: int) -> np.ndarray:
-    """out[n] = factors[n] * factors[n+1] * ... * factors[n+d-1], n < count,
-    multiplied in that order."""
-    out = np.ones(count)
-    for k in range(d):
-        out *= factors[k : k + count]
-    return out
+    Row s is row s-1 shifted one column times 1 - q^(2a), so P[s, a]
+    multiplies 1 - q^(2(a-s+1)) up to 1 - q^(2a) in that order, whatever
+    the table's size.  Stored complex like the grid functions it multiplies,
+    so products cast nothing; the kernels read its (exact) real part.
+    """
+    y = _ygrid(q2, npoints)
+    P = np.zeros((depths, npoints))
+    P[:1] = 1.0
+    for s in range(1, depths):
+        P[s, s:] = P[s - 1, s - 1 : -1] * (1.0 - y[s:])
+    return _frozen(P.astype(complex))
 
 
 def _mul_terms(
@@ -366,8 +362,13 @@ def rep_matrix(f: DiscElement, dim: int, ctx: QContext | None = None) -> RepMatr
 # the oracle's own table, kept apart from the contraction polynomials it checks
 @functools.lru_cache(maxsize=1024)
 def _shift_weights(q2: float, dim: int, a: int) -> np.ndarray:
-    """w_k ... w_(k+a-1) for k < dim - a, w_k = sqrt(1 - q^(2(k+1))); read-only."""
-    return _frozen(_window_products(np.sqrt(1.0 - _ygrid(q2, dim)[1:]), a, dim - a))
+    """w_k ... w_(k+a-1) for k < dim - a, w_k = sqrt(1 - q^(2(k+1))), multiplied
+    in that order; read-only."""
+    w = np.sqrt(1.0 - _ygrid(q2, dim)[1:])
+    out = np.ones(dim - a)
+    for k in range(a):
+        out *= w[k : k + dim - a]
+    return _frozen(out)
 
 
 # --- JSON serialization (consumed by the CLI) -------------------------

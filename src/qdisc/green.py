@@ -28,7 +28,8 @@ with c_{i,s}(l) = q^(2k) (q^(2l); q^2)_k (q^(2l); q^2)_n / ((q^2;q^2)_k
 (q^2;q^2)_n) for (k, n) = (s, s+i) when i >= 0 and (s+|i|, s) otherwise.
 For l a negative integer the s- and i-ranges terminate exactly.
 
-On the grid t = q^(2a), P_s(q^(2a)) = (q^2;q^2)_a / (q^2;q^2)_(a-s), and
+On the grid t = q^(2a), P_s(q^(2a)) = (q^2;q^2)_a / (q^2;q^2)_(a-s), read
+from the contraction table of discalg that normal_mul uses, and
 F_s(y; l) F_s(eta; l) = q^(2ld) P_s(a) P_s(b) with d = a + b - 2s.  So
 every kernel, plain, derivative or assembled, is stored as its table
 H[i, s, d], one row per sector pair (i, -i).  apply_kernel contracts the
@@ -50,7 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .context import QContext, _frozen
-from .discalg import DiscElement, GridFunction, _integral_weights, _poch_up, _shift
+from .discalg import DiscElement, GridFunction, _contraction_table, _integral_weights, _poch_up, _shift
 from .errors import CapacityError, DomainError
 from .qspecial import dilog
 from .spherical import transform_inverse
@@ -240,16 +241,6 @@ def _depth_coefficients(l: np.ndarray, q: float, s_cap: int, sectors):
     return q2**k * R[:, k] * R[:, n], L[:, k] + L[:, n]
 
 
-@functools.lru_cache(maxsize=64)
-def _leg_factors(q2: float, depths: int, npoints: int) -> np.ndarray:
-    """P[s, a] = P_s(q^(2a)) = (q^2;q^2)_a / (q^2;q^2)_(a-s), zero for a < s;
-    cached per (q^2, depths, npoints) and read-only."""
-    qq = np.cumprod(np.concatenate(([1.0], 1.0 - q2 ** np.arange(1.0, npoints))))
-    a = np.arange(npoints)
-    s = np.arange(depths)[:, None]
-    return _frozen(np.where(a >= s, qq[a] / qq[np.maximum(a - s, 0)], 0.0))
-
-
 def _materialize(table: dict, q2: float, shape: tuple[int, int]) -> dict:
     """Nonzero terms psi_i[a, b] = sum_s P_s(a) P_s(b) H[i, s, a+b-2s], keyed
     (i, -i).
@@ -261,7 +252,7 @@ def _materialize(table: dict, q2: float, shape: tuple[int, int]) -> dict:
         return {}
     A, B = shape
     H = np.stack(list(table.values()))
-    P = _leg_factors(q2, H.shape[1], max(A, B))
+    P = _contraction_table(q2, H.shape[1], max(A, B)).real
     offsets = np.add.outer(np.arange(A), np.arange(B))
     psi = np.zeros((H.shape[0], A, B), dtype=H.dtype)
     for s in range(H.shape[1]):
@@ -281,7 +272,7 @@ def _majorant(H: np.ndarray, q2: float, shape: tuple[int, int]) -> float:
     t = np.arange(A + B - 1)
     a = np.clip(t // 2, t - (B - 1), A - 1)
     b = t - a
-    P = _leg_factors(q2, H.shape[0], max(A, B))
+    P = _contraction_table(q2, H.shape[0], max(A, B)).real
     s = np.arange(H.shape[0])[:, None]
     summands = np.where(t >= 2 * s, P[:, a] * P[:, b] * H[s, np.maximum(t - 2 * s, 0)], 0.0)
     return float(np.add.accumulate(summands, axis=0)[-1].max())
@@ -481,7 +472,7 @@ def _contract(H: np.ndarray, q2: float, A: int, v: np.ndarray) -> np.ndarray:
     # the kernel-wide leg table: one cache entry per kernel shape, whatever
     # the support of v (len(v) <= B = H.shape[1] - A + 1)
     depths = min(H.shape[0], len(v))
-    P = _leg_factors(q2, H.shape[0], max(A, H.shape[1] - A + 1))
+    P = _contraction_table(q2, H.shape[0], max(A, H.shape[1] - A + 1)).real
     out = np.zeros(A, dtype=complex)
     for s in range(depths):
         u = (P[s, s : len(v)] * v[s:])[::-1]

@@ -353,6 +353,8 @@ def check_casimir(ctx: QContext):
         worst = _max(worst, _rel(lhs.max_abs_diff(rhs), max(1.0, lhs.max_abs())))
     yield worst, 1e-12, "the Laplacian is 1/q times the Casimir action"
 
+    # the Casimir reaches row 11 of the random elements and E/F one more
+    _fit_support(ctx, 12)
     worst = 0.0
     for f in elements[:3]:
         om = casimir_apply(f, ctx)
@@ -519,6 +521,8 @@ def check_transform(ctx: QContext, nmax: int = 20, node_count: int = 1024):
         worst_p = _max(worst_p, abs(lhs - rhs) / max(1.0, abs(lhs)))
     yield worst_p, 1e-8, "the transform is unitary for the weighted pairing"
 
+    # the radial Laplacian reads one row past the random functions
+    _fit_support(ctx, nmax + 1)
     worst_m = 0.0
     for _ in range(4):
         gv = np.zeros(ctx.npoints, dtype=complex)
@@ -544,16 +548,18 @@ def check_transform(ctx: QContext, nmax: int = 20, node_count: int = 1024):
         dens_devs.append(
             abs(S.sigma_density(frac * period, ctx) - S.sigma_density((1 - frac) * period, ctx))
         )
-    # quotient form against the direct Gamma route away from poles
-    for rho in (0.11 * period, 0.29 * period):
+    # scalar and vector (node-table) densities against the Gamma route away from poles
+    rhos = (0.11 * period, 0.29 * period)
+    for rho, vec in zip(rhos, S._density_vector(np.array(rhos), ctx)):
         direct = abs(
             qgamma(0.5 - 1j * rho, ctx.q2) ** 2 / qgamma(-2j * rho, ctx.q2)
         ) ** 2 * ctx.h / (4 * math.pi * (1 - ctx.q2))
         dens_devs.append(abs(direct - S.sigma_density(rho, ctx)) / direct)
+        dens_devs.append(abs(direct - vec) / direct)
     yield (
         _max(*dens_devs),
         1e-10,
-        "density vanishes at the period ends, is symmetric, matches Gammas",
+        "density vanishes at the period ends, is symmetric, both evaluators match Gammas",
     )
 
     # the inverse's own start count N0 against 2 N0, so the start rule is checked

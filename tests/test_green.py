@@ -34,10 +34,10 @@ from qdisc import (
     rep_matrix,
     sector_laplacian_matrix,
 )
-from qdisc.discalg import _integral_weights, _poch_down, _poch_up
+from qdisc import discalg, green
+from qdisc.discalg import _contraction_table, _integral_weights, _poch_down, _poch_up
 from qdisc.green import (
     _assembled_row,
-    _leg_factors,
     _majorant,
     _materialize,
     _tail_table,
@@ -400,10 +400,30 @@ def test_limit_rejects_bad_arguments():
 
 def test_assembled_kernel_terms_are_read_only(ctx):
     K = kernel_assembled(1, ctx, sector_max=1)
-    legs = _leg_factors(ctx.q2, ctx.npoints, ctx.npoints)
+    legs = _contraction_table(ctx.q2, ctx.npoints, ctx.npoints)
     for arr in [*K.table.values(), *K.terms.values(), legs]:
         with pytest.raises(ValueError):
             arr[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.995])
+def test_kernel_legs_and_product_polynomials_are_one_table(q):
+    # the kernels read their legs P_s(q^(2a)) from the table behind
+    # _poch_down and _poch_up, and those read its rows bit for bit,
+    # past the grid (d >= npoints) too
+    assert green._contraction_table is discalg._contraction_table
+    ctx = QContext(q)
+    for npoints in (1, 5, 66):
+        legs = _contraction_table(ctx.q2, npoints + 3, npoints)
+        for d in range(npoints + 3):
+            down = _poch_down(d, ctx, npoints)
+            assert down.tobytes() == legs[d].tobytes()
+            wide = _contraction_table(ctx.q2, npoints + 3, npoints + d)
+            assert _poch_up(d, ctx, npoints).tobytes() == wide[d, d:].tobytes()
+            # a row does not depend on the size of the table it is read from
+            assert wide[d, :npoints].tobytes() == down.tobytes()
+        # the kernels read the real part, so the table must carry nothing else
+        assert not legs[npoints:].any() and not legs.imag.any()
 
 
 def test_green_solve_reuses_the_cached_sector_pairs():

@@ -181,3 +181,20 @@ def test_matrix_solve_oracle_is_sized_from_the_grid():
     [res] = run_registry(QContext(0.5, grid_horizon=200), ["matrix_solve"])
     assert res.name == "matrix_solve_oracle"
     assert res.passed
+
+
+@pytest.mark.parametrize("horizon", [11, 12, 20, 21])
+def test_checks_that_would_read_past_the_grid_fail_on_a_typed_error(horizon):
+    # casimir_centrality reaches row 12 and multiplication_law row nmax + 1 = 21;
+    # on a shorter grid each fails on CapacityError, not on a residual read
+    # from the zero-filled rows past it
+    ctx = QContext(0.5, grid_horizon=horizon)
+    results = {r.name: r for r in run_registry(ctx, ["casimir_centrality", "multiplication_law"])}
+    for name, row in (("casimir_centrality", 12), ("multiplication_law", 21)):
+        res = results[name]
+        if horizon >= row:
+            assert res.passed, res
+        else:
+            # below horizon 20 the transform group stops earlier, on a delta off the grid
+            assert res.residual == math.inf
+            assert res.detail.startswith(("CapacityError", "RangeError")), res
