@@ -18,6 +18,13 @@ largest row.  Transform machinery instead evaluates phi columns through
 the eigen-recurrence seeded at the disc centre, which is numerically
 stable on the continuous spectrum; the routes are cross-checked in the
 test suite and by the verify registry.
+
+Node tables.  The transform's nodes are real, so phi_matrix steps the
+recurrence in real arithmetic, one contiguous row of float64 per grid
+point, and the transform contracts those tables with complex operands as
+real GEMMs on the operands' (k, 2) float views, so no table is ever cast
+to complex.  The tables and densities on each node set are kept in
+bounded LRU caches, read-only.
 """
 
 from __future__ import annotations
@@ -209,8 +216,10 @@ def _phi_series(rho: complex, n, ctx: QContext) -> complex | np.ndarray:
 
 
 def phi_column(rho: float, npoints: int, ctx: QContext) -> np.ndarray:
-    """phi_rho on grid rows 0..npoints-1 via the eigen-recurrence."""
-    return phi_matrix(np.array([rho], dtype=float), npoints, ctx)[0]
+    """phi_rho on grid rows 0..npoints-1 via the eigen-recurrence, as a
+    float64 array.  rho must be real (a complex rho with a nonzero
+    imaginary part raises DomainError); phi_rho covers complex rho."""
+    return phi_matrix(np.array([rho]), npoints, ctx)[0]
 
 
 def phi_matrix(rhos: np.ndarray, npoints: int, ctx: QContext) -> np.ndarray:
@@ -220,16 +229,25 @@ def phi_matrix(rhos: np.ndarray, npoints: int, ctx: QContext) -> np.ndarray:
     step with the three-term stencil at eigenvalue lambda(rho).  On the
     continuous spectrum both solutions share the q^n envelope, so forward
     stepping does not amplify.  Cross-checked against phi_rho in tests.
+
+    Every rho must be real (a nonzero imaginary part raises DomainError),
+    so lambda(rho) and every entry are real: the recurrence runs in
+    float64 and writes one contiguous row per grid point.  The result has
+    shape (len(rhos), npoints) and is the transpose of that row-major
+    (npoints, len(rhos)) array.
     """
-    lam = lambda_rho(rhos, ctx)
+    rhos = np.asarray(rhos)
+    if np.iscomplexobj(rhos) and np.any(rhos.imag != 0.0):
+        raise DomainError("phi tables take real rho only; phi_rho takes complex rho")
+    lam = lambda_rho(rhos.real, ctx).real
     up, diag, down = stencil_coefficients(ctx, npoints)
-    out = np.zeros((len(lam), npoints), dtype=complex)
-    out[:, 0] = 1.0
+    rows = np.empty((npoints, len(lam)))
+    rows[:1] = 1.0
     if npoints > 1:
-        out[:, 1] = (lam - diag[0]) / down[0]
+        rows[1] = (lam - diag[0]) / down[0]
         for n in range(1, npoints - 1):
-            out[:, n + 1] = ((lam - diag[n]) * out[:, n] - up[n] * out[:, n - 1]) / down[n]
-    return out
+            rows[n + 1] = ((lam - diag[n]) * rows[n] - up[n] * rows[n - 1]) / down[n]
+    return rows.T
 
 
 def psi_rho(rho: complex, n: int, ctx: QContext) -> complex:
@@ -352,24 +370,33 @@ def _nodes(count: int, ctx: QContext) -> np.ndarray:
 
 # Quadrature data on the equispaced node sets depends on q alone, so the
 # transforms share it across contexts; cached arrays are read-only since
-# every caller shares them.
-@functools.cache
+# every caller shares them.  The bounds keep every key of a pass resident
+# (a spectral benchmark pass uses about 145 phi and 45 density keys).
+@functools.lru_cache(maxsize=256)
 def _phi_on_nodes(q: float, count: int, npoints: int) -> np.ndarray:
+    """Row-major phi table: entry [n, j] is phi at row n and node j."""
     ctx = QContext(q)
-    return _frozen(phi_matrix(_nodes(count, ctx), npoints, ctx))
+    return _frozen(phi_matrix(_nodes(count, ctx), npoints, ctx).T)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=64)
 def _density_on_nodes(q: float, count: int) -> np.ndarray:
     ctx = QContext(q)
     return _frozen(_density_vector(_nodes(count, ctx), ctx))
 
 
+def _real_matmul(table: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """table @ v for a real table and a complex vector, as one real GEMM on
+    v's (k, 2) float view; table @ v itself would cast table to complex."""
+    pairs = np.ascontiguousarray(v, dtype=complex).view(float).reshape(-1, 2)
+    return (table @ pairs).view(complex).ravel()
+
+
 def _forward(phi: np.ndarray, g: GridFunction, ctx: QContext) -> np.ndarray:
-    """(1-q^2) sum_m phi[:, m] g(q^(2m)) q^(-2m), contracted over g's nonzero
-    rows m only, and weighted only there."""
+    """(1-q^2) sum_m phi[m, :] g(q^(2m)) q^(-2m) over a row-major phi table,
+    contracted over g's nonzero rows m only, and weighted only there."""
     nz = np.flatnonzero(g.values)
-    return (1.0 - ctx.q2) * phi[:, nz] @ (g.values[nz] * _row_weights(nz, ctx))
+    return (1.0 - ctx.q2) * _real_matmul(phi[nz].T, g.values[nz] * _row_weights(nz, ctx))
 
 
 def transform_forward(
@@ -418,7 +445,7 @@ def _inverse_on_nodes(F, ctx: QContext, count: int, npoints: int) -> tuple[np.nd
         fv = F(_nodes(count, ctx))
     weighted = fv * _density_on_nodes(ctx.q, count)
     period = ctx.rho_period()
-    out = (period / count) * (_phi_on_nodes(ctx.q, count, npoints).T @ weighted)
+    out = (period / count) * _real_matmul(_phi_on_nodes(ctx.q, count, npoints), weighted)
     # rounding floor of the quadrature sums: spectral values of deep
     # deltas reach q^(-2n) sizes and the summation noise accumulates
     # like sqrt(count); differences below this are indistinguishable

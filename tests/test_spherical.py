@@ -28,15 +28,22 @@ from qdisc import (
     transform_inverse,
 )
 from qdisc import verify
-from qdisc.discalg import DiscElement
+from qdisc.discalg import DiscElement, _row_weights
 from qdisc.spherical import (
     _PHI_CERT_TOL,
+    SpectralFunction,
+    _density_on_nodes,
     _density_vector,
+    _forward,
     _inverse_on_nodes,
+    _nodes,
     _phi_ascending,
+    _phi_on_nodes,
     _phi_series,
     _start_nodes,
+    phi_matrix,
 )
+from qdisc.uqsl2 import stencil_coefficients
 
 
 def test_lambda_endpoints(ctx):
@@ -399,19 +406,92 @@ def test_spectrum_probe_convergence(ctx):
 
 def test_phi_matrix_shape_follows_nodes(ctx):
     # node sets of different sizes never share a cached matrix
-    from qdisc.spherical import _nodes, phi_matrix
-
     assert phi_matrix(np.array([0.3]), 5, ctx).shape == (1, 5)
     assert phi_matrix(_nodes(7, ctx), 5, ctx).shape == (7, 5)
 
 
 def test_cached_quadrature_arrays_are_read_only(ctx):
-    from qdisc.spherical import _density_on_nodes, _phi_on_nodes
-
     transform_inverse(transform_forward(delta_fn(1, ctx).sector(0), ctx, 64), ctx)
     for arr in (_phi_on_nodes(ctx.q, 64, ctx.npoints), _density_on_nodes(ctx.q, 64)):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def _complex_phi_recurrence(rhos, npoints, ctx):
+    # phi_matrix's recurrence in complex arithmetic, one column per row n:
+    # the reference for the real, row-major node tables
+    lam = lambda_rho(rhos, ctx)
+    up, diag, down = stencil_coefficients(ctx, npoints)
+    out = np.zeros((len(lam), npoints), dtype=complex)
+    out[:, 0] = 1.0
+    if npoints > 1:
+        out[:, 1] = (lam - diag[0]) / down[0]
+        for n in range(1, npoints - 1):
+            out[:, n + 1] = ((lam - diag[n]) * out[:, n] - up[n] * out[:, n - 1]) / down[n]
+    return out
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.995])
+def test_real_node_tables_match_the_complex_recurrence(q):
+    # complex division does not round like real division, so the entries
+    # move by a few ulp; scaled by the running maximum of |phi| down each
+    # node's column (rows 0..n) they stay at rounding level
+    ctx = QContext(q)
+    for count in (16, 1024):
+        nodes = _nodes(count, ctx)
+        for npoints in (1, 2, 33, 65):
+            table = _phi_on_nodes(q, count, npoints)
+            assert table.dtype == np.float64 and table.shape == (npoints, count)
+            assert table.flags.c_contiguous and not table.flags.writeable
+            ref = _complex_phi_recurrence(nodes, npoints, ctx).T
+            assert np.all(ref.imag == 0.0)
+            scale = np.maximum.accumulate(np.abs(ref.real), axis=0)
+            assert np.max(np.abs(table - ref.real) / scale) <= 1e-13
+            assert np.array_equal(phi_column(nodes[count // 3], npoints, ctx), table[:, count // 3])
+    assert phi_matrix(_nodes(7, ctx), 5, ctx).shape == (7, 5)
+
+
+def test_phi_tables_take_real_rho_only(ctx):
+    for rho in (0.3 + 0.2j, complex(0.3, math.nan)):
+        with pytest.raises(DomainError, match="real rho"):
+            phi_column(rho, 5, ctx)
+        with pytest.raises(DomainError, match="real rho"):
+            phi_matrix(np.array([0.1, rho]), 5, ctx)
+    # a complex dtype with zero imaginary parts is real rho
+    real = phi_matrix(np.array([0.1, 0.3]), 5, ctx)
+    assert real.dtype == np.float64
+    assert np.array_equal(phi_matrix(np.array([0.1, 0.3], dtype=complex), 5, ctx), real)
+    assert np.array_equal(phi_column(0.3 + 0j, 5, ctx), real[1])
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.995])
+def test_real_gemm_contractions_match_the_complex_matvec(q):
+    # the transform contracts real node tables with complex operands as
+    # real GEMMs; a complex matvec over the same table is the reference,
+    # on the node counts transform_inverse takes for each source
+    ctx = QContext(q, grid_horizon=32)
+    rng = np.random.default_rng(7)
+    period = ctx.rho_period()
+    sources = [GridFunction.delta(n, ctx.npoints) for n in (0, 1, 7, 20, 32)]
+    for top in (3, 12, 32):
+        v = np.zeros(ctx.npoints, dtype=complex)
+        v[: top + 1] = rng.standard_normal(top + 1) + 1j * rng.standard_normal(top + 1)
+        sources.append(GridFunction(v))
+    for g in sources:
+        nz = np.flatnonzero(g.values)
+        start = _start_nodes(ctx, int(nz.max()))
+        for count in (start, 2 * start, 4 * start):
+            phi = _phi_on_nodes(q, count, ctx.npoints)
+            v = g.values[nz] * _row_weights(nz, ctx)
+            fv = _forward(phi, g, ctx)
+            ref = (1.0 - ctx.q2) * (phi[nz].T.astype(complex) @ v)
+            scale = (1.0 - ctx.q2) * (np.abs(phi[nz].T) @ np.abs(v))
+            assert np.all(np.abs(fv - ref) <= 1e-15 * scale)
+            out, _ = _inverse_on_nodes(SpectralFunction(_nodes(count, ctx), fv, g), ctx, count, ctx.npoints)
+            weighted = fv * _density_on_nodes(q, count)
+            ref = (period / count) * (phi.astype(complex) @ weighted)
+            scale = (period / count) * (np.abs(phi) @ np.abs(weighted))
+            assert np.all(np.abs(out - ref) <= 1e-15 * scale)
 
 
 def test_inverse_ignores_the_forward_node_count():
