@@ -448,7 +448,6 @@ def test_real_node_tables_match_the_complex_recurrence(q):
             scale = np.maximum.accumulate(np.abs(ref.real), axis=0)
             assert np.max(np.abs(table - ref.real) / scale) <= 1e-13
             assert np.array_equal(phi_column(nodes[count // 3], npoints, ctx), table[:, count // 3])
-    assert phi_matrix(_nodes(7, ctx), 5, ctx).shape == (7, 5)
 
 
 def test_phi_tables_take_real_rho_only(ctx):
