@@ -6,12 +6,14 @@ dilogarithm used as a classical comparison target.
 
 Everything here is a pure function of its arguments in double-precision
 complex arithmetic.  Infinite products and series stop once a geometric
-tail bound falls below the requested tolerance.
+tail bound falls below the requested tolerance.  The one product that
+depends on the base alone, (q; q)_inf, is cached per base.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -53,6 +55,13 @@ def qpochhammer(a: complex, q: float, n: int | float) -> complex:
     return prod
 
 
+@functools.lru_cache(maxsize=64)
+def _euler_product(q: float) -> complex:
+    """(q; q)_inf, cached per base: qgamma's numerator and the constant
+    of the spectral density depend on the base alone."""
+    return qpochhammer(q, q, math.inf)
+
+
 def qgamma(x: complex, q: float) -> complex:
     """q-Gamma function (q; q)_inf / (q^x; q)_inf * (1-q)^(1-x).
 
@@ -69,7 +78,7 @@ def qgamma(x: complex, q: float) -> complex:
     if n >= 0 and abs(1.0 - cmath.exp((x + n) * math.log(q))) < 1e-12:
         raise PoleError(f"qgamma pole at x={x}")
     denom = qpochhammer(cmath.exp(x * math.log(q)), q, math.inf)
-    num = qpochhammer(q, q, math.inf)
+    num = _euler_product(q)
     power = cmath.exp((1.0 - x) * math.log(1.0 - q))
     return num / denom * power
 

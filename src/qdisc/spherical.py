@@ -10,14 +10,17 @@ n is moderate (its terms reach size ~ q^(-n(n-1)) while the value decays
 like q^n).  phi_rho is also an Al-Salam-Chihara polynomial in base q^2,
 and its ascending form from the generating function has no such terms, so
 phi_rho sums that form in double and bounds each row's rounding error a
-priori.  A row whose bound exceeds 1e-13 (about half of rows 0..31 at
-q = 0.7, all but the first one or two from q = 0.9 on) falls back to the 3phi2 series
-summed in multiprecision, with the working precision growing with n; the
+priori; everything in that sum that depends on q alone is cached per
+(q, top), and its three Cauchy products are np.convolve calls.  A row
+whose bound exceeds 1e-13 (about half of rows 0..31 at q = 0.7, all but
+the first one or two from q = 0.9 on) falls back to the 3phi2 series
+summed in Python-integer fixed point, with the working precision growing
+with n and mpmath used only for the one scalar 2q cos(2 rho ln q); the
 rows of one call share those tables, built once at the precision of the
-largest row.  Transform machinery instead evaluates phi columns through
-the eigen-recurrence seeded at the disc centre, which is numerically
-stable on the continuous spectrum; the routes are cross-checked in the
-test suite and by the verify registry.
+largest row, and each row is summed at its own.  Transform machinery
+instead evaluates phi columns through the eigen-recurrence seeded at the
+disc centre, which is numerically stable on the continuous spectrum; the
+routes are cross-checked in the test suite and by the verify registry.
 
 Node tables.  The transform's nodes are real, so phi_matrix steps the
 recurrence in real arithmetic, one contiguous row of float64 per grid
@@ -38,9 +41,9 @@ import mpmath
 import numpy as np
 
 from .context import QContext, _frozen
-from .discalg import GridFunction, _row_weights
+from .discalg import GridFunction, _integral_weights
 from .errors import DomainError, PoleError, QuadratureError
-from .qspecial import qgamma, qpochhammer
+from .qspecial import _euler_product, qgamma, qpochhammer
 from .uqsl2 import stencil_coefficients
 
 
@@ -74,17 +77,24 @@ def _phi_digits(n: int, q: float) -> int:
 _PHI_CERT_TOL = 1e-13
 
 
-def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cauchy products d_j = sum_{i<=j} a_i b_(j-i) along the last axis.
+@functools.lru_cache(maxsize=256)
+def _ascending_tables(q: float, top: int) -> tuple[np.ndarray, ...]:
+    """The q-only tables of _phi_ascending, read-only: the index k,
+    (p; p)_k, Euler's self-convolution c and its absolute twin, and q^k.
 
-    Row j of the table a_i b_((j-i) mod n) is added in the order i = 0..j
-    and read at i = j, so d_j depends on a[..., :j+1] and b[..., :j+1]
-    alone: longer tables give bitwise the same entries.
+    They run to row top + 1, one past the last row kept.  np.convolve
+    sums entry j of a full convolution of two length-N vectors as one dot
+    product over their entries 0..j when j < N - 1, but entry N - 1 by a
+    short-kernel loop of its own when N is small; with N = top + 2 every
+    row kept takes the dot product, whatever top is.
     """
-    n = a.shape[-1]
-    lag = np.arange(n)[:, None] - np.arange(n)
-    partial = np.cumsum(a[..., None, :] * np.take(b, lag, axis=-1, mode="wrap"), axis=-1)
-    return np.diagonal(partial, axis1=-2, axis2=-1)
+    lnq = math.log(q)
+    k = np.arange(top + 2.0)
+    poch = np.cumprod(np.concatenate(([1.0], -np.expm1(2 * k[1:] * lnq))))
+    euler = np.where(k % 2, -1.0, 1.0) * np.power(q, k * k) / poch
+    c = np.convolve(euler, euler)[: top + 2]
+    c_abs = np.convolve(abs(euler), abs(euler))[: top + 2]
+    return tuple(_frozen(t) for t in (k, poch, c, c_abs, np.power(q, k)))
 
 
 def _phi_ascending(rho: complex, top: int, ctx: QContext) -> tuple[np.ndarray, np.ndarray]:
@@ -100,7 +110,12 @@ def _phi_ascending(rho: complex, top: int, ctx: QContext) -> tuple[np.ndarray, n
     gives the ascending form phi_rho(n) = q^n sum_{j<=n} c_j h_(n-j), with
     c_j = [t^j] (qt; p)_inf^2, the self-convolution of Euler's coefficients
     (-1)^j q^(j^2) / (p; p)_j, and h_m = sum_k e^(i(m-2k) theta) / ((p; p)_k
-    (p; p)_(m-k)).  Every sum is finite, so nothing is truncated.
+    (p; p)_(m-k)).  Every sum is finite, so nothing is truncated.  The
+    q-only tables (c among them) are cached per (q, top); a call builds
+    the vectors e^(+-i m theta) / (p; p)_m and takes h, the row sums and
+    their absolute twins as np.convolve products cut at row top.  Entry j
+    of a convolution is a sum over entries 0..j alone, so a row comes out
+    the same whatever top is.
 
     The bound is gamma_K q^n sum |terms| (Higham, Accuracy and Stability
     of Numerical Algorithms, ch. 3), the sum taken over the same tables in
@@ -109,33 +124,30 @@ def _phi_ascending(rho: complex, top: int, ctx: QContext) -> tuple[np.ndarray, n
     that reach one term of row n: 10 for each factor 1 - p^i of a (p; p)_k,
     taken as -expm1(2 i ln q) so it does not cancel as q -> 1 (log and
     expm1 within 4 ulp each); 4 for each pow; 6 |m theta| ulp of phase
-    error in e^(i m theta); and n for the three nested sums.  Terms that
-    underflow are below 1e-300 times the table sizes and are not counted.
+    error in e^(i m theta); and n for the three nested sums.  np.convolve
+    adds each entry's terms in an order of its own (BLAS dot kernels
+    split them over several accumulators), but any order of summing n
+    terms errs by at most gamma_(n-1) times their absolute sum (Higham
+    Lemma 3.1 and Section 4.2), which those n roundings of K already
+    count.  Terms that underflow are below 1e-300 times the table sizes
+    and are not counted.  If e^(+-i m theta) / (p; p)_m leaves the double
+    range on any row (rho far off the real axis), no row is certified.
     """
-    q = ctx.q
-    lnq = math.log(q)
-    theta = 2.0 * complex(rho) * lnq
-    k = range(top + 1)
-    poch = np.cumprod([1.0] + [-math.expm1(2 * i * lnq) for i in k[1:]])
-    euler = np.array([(-1) ** j * math.pow(q, j * j) for j in k]) / poch
-    try:
-        up = np.array([cmath.exp(1j * m * theta) for m in k]) / poch
-        down = np.array([cmath.exp(-1j * m * theta) for m in k]) / poch
-    except OverflowError:
-        # e^(i m theta) leaves the double range (rho far off the real
-        # axis), so no row is certified
-        return np.full(top + 1, np.nan, dtype=complex), np.full(top + 1, np.inf)
+    k, poch, c, c_abs, qn = _ascending_tables(ctx.q, top)
+    theta = 2.0 * complex(rho) * math.log(ctx.q)
+    rows = slice(top + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        # row 0 of each stack carries the values, row 1 their absolute twins
-        twins = np.stack([euler, abs(euler)])
-        c = _cauchy(twins, twins)
-        h = _cauchy(np.stack([up, abs(up)]), np.stack([down, abs(down)]))
-        total = _cauchy(c, h)
-        qn = np.array([math.pow(q, n) for n in k])
-        vals = qn * total[0]
-        Ku = ((12.0 + 6.0 * abs(theta)) * np.arange(top + 1) + 30.0) * 2.0**-53
+        up = np.exp(1j * theta * k) / poch
+        down = np.exp(-1j * theta * k) / poch
+        if not (np.isfinite(up).all() and np.isfinite(down).all()):
+            return np.full(top + 1, np.nan, dtype=complex), np.full(top + 1, np.inf)
+        # h and its twin keep the extra row too, for the second convolution
+        h = np.convolve(up, down)[: top + 2]
+        h_abs = np.convolve(abs(up), abs(down))[: top + 2]
+        vals = qn[rows] * np.convolve(c, h)[rows]
+        Ku = ((12.0 + 6.0 * abs(theta)) * k[rows] + 30.0) * 2.0**-53
         gamma = np.where(Ku < 0.5, Ku / (1.0 - 2.0 * Ku), np.inf)
-        bound = gamma * qn * total[1].real
+        bound = gamma * qn[rows] * np.convolve(c_abs, h_abs)[rows]
     if complex(rho).imag == 0.0:
         vals = vals.real.astype(complex)
     return vals, bound
@@ -154,9 +166,9 @@ def phi_rho(rho: complex, n, ctx: QContext) -> complex | np.ndarray:
     Each row is first summed in double from its ascending Al-Salam-Chihara
     form (_phi_ascending), whose terms have no q^(-n(n-1)) sizes; a row
     whose a-priori rounding bound exceeds 1e-13 is summed instead from the
-    series above in multiprecision (_phi_series).  The choice is made row
-    by row and each row's sum depends on that row alone, so a row comes
-    out bitwise the same in any call.
+    series above in integer fixed point (_phi_series).  The choice is made
+    row by row and each row's sum depends on that row alone, so a row
+    comes out bitwise the same in any call.
     """
     rows = np.atleast_1d(n)
     if min(rows, default=0) < 0:
@@ -170,9 +182,25 @@ def phi_rho(rho: complex, n, ctx: QContext) -> complex | np.ndarray:
     return complex(out[0]) if np.ndim(n) == 0 else out
 
 
+def _series_bits(n: int, q: float) -> int:
+    """_phi_digits(n, q) in bits, plus 32 guard bits: the fixed-point
+    precision of _phi_series on row n."""
+    return math.ceil(_phi_digits(n, q) * math.log2(10)) + 32
+
+
+def _fixed_to_float(x: int, bits: int) -> float:
+    """The fixed-point number x / 2^bits as the nearest double (true
+    integer division rounds correctly); past the double range, +-inf."""
+    try:
+        return x / (1 << bits)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _phi_series(rho: complex, n, ctx: QContext) -> complex | np.ndarray:
-    """Multiprecision sum of phi_rho's terminating series: the reference
-    of the ascending form, and phi_rho's route for rows it cannot certify.
+    """phi_rho's terminating series summed in integer fixed point: the
+    reference of the ascending form, and phi_rho's route for rows it
+    cannot certify.
 
     Terminating series of n+1 terms
 
@@ -183,35 +211,78 @@ def _phi_series(rho: complex, n, ctx: QContext) -> complex | np.ndarray:
     sequence of row indices (returns a complex array, in the given order).
     Across rows the terms differ only in the factor (q^(-2n); q^2)_k, so
     all rows share one table of q^(2j), of 1 - q^(-2j) and of the n-free
-    term ratio, built in multiprecision at the precision of the largest
-    row (see module docstring); row n then takes n multiplications.
+    term ratio, built at the precision of the largest row (see module
+    docstring); row n then takes n multiplications.
+
+    The sums run in Python-integer fixed point: an integer X stands for
+    X / 2^B, and a complex number is a pair of them.  B is _phi_digits in
+    bits plus 32 guard bits: the tables are built at the largest row's B,
+    and each row is summed at its own, with the tables cut down to it.  q
+    is read exactly (float.as_integer_ratio), so the one rounded input is
+    the scalar s = 2q cos(2 rho ln q), taken from mpmath at the tables' B.
+    Each table entry and each product drops less than one unit of 2^-B,
+    and q^(-2j) is stepped from 1/q^2 so that it keeps its relative
+    precision.  A term past 2^64 keeps B + 64 significant bits, like a
+    float, which is all the cancellation down to the q^n-sized value
+    needs.  Each sum is rounded to double once, by true integer division;
+    a value past the double range becomes +-inf.  For real rho every
+    imaginary part is exactly zero and its products cost next to nothing.
     """
     rows = np.atleast_1d(n)
     if min(rows, default=0) < 0:
         raise DomainError("grid index must be nonnegative")
     top = int(max(rows, default=0))
     q = ctx.q
-    with mpmath.workdps(_phi_digits(top, q)):
+    bits = _series_bits(top, q)
+    one = 1 << bits
+    a, b = q.as_integer_ratio()
+    q2 = (a * a << bits) // (b * b)
+    with mpmath.workprec(bits):
         qm = mpmath.mpf(q)
-        q2 = qm * qm
-        # (1 - q^(1+2i rho) x)(1 - q^(1-2i rho) x) = 1 - s x + q^2 x^2, with
-        # s real for real rho, so real rho sums in real arithmetic
-        s = 2 * qm * mpmath.cos(2 * mpmath.mpmathify(rho) * mpmath.log(qm))
-        q2j = [mpmath.mpf(1)]
-        for _ in range(top):
-            q2j.append(q2j[-1] * q2)
-        # drop[j] = 1 - q^(-2j) is the (q^(-2n); q^2) factor at k = n - j;
-        # row n stops before k = n, where it would vanish
-        drop = [1 - 1 / p for p in q2j]
-        ratio = [(1 - (s - q2 * x) * x) * q2 / (1 - x * q2) ** 2 for x in q2j[:top]]
-        vals = []
-        for m in rows:
-            total = mpmath.mpf(1)
-            term = mpmath.mpf(1)
-            for k in range(m):
-                term *= drop[m - k] * ratio[k]
-                total += term
-            vals.append(complex(total))
+        s = mpmath.mpc(2 * qm * mpmath.cos(2 * mpmath.mpmathify(rho) * mpmath.log(qm)))
+        s_re, s_im = (mpmath.libmp.to_fixed(part._mpf_, bits) for part in (s.real, s.imag))
+    q2j = [one]
+    inv = [one]
+    inv_q2 = (b * b << bits) // (a * a)
+    for _ in range(top):
+        q2j.append(q2j[-1] * q2 >> bits)
+        inv.append(inv[-1] * inv_q2 >> bits)
+    # drop[j] = 1 - q^(-2j) is the (q^(-2n); q^2) factor at k = n - j;
+    # row n stops before k = n, where it would vanish.  q^(-2j) is stepped
+    # from 1/q^2 itself, so it keeps its relative precision at small q
+    drop = [one - p for p in inv]
+    # (1 - q^(1+2i rho) x)(1 - q^(1-2i rho) x) = 1 - s x + q^2 x^2 at
+    # x = q^(2k), times q^2 / (1 - q^2 x)^2, a real factor
+    ratio = []
+    for x in q2j[:top]:
+        num_re = one + (q2 * (x * x >> bits) >> bits) - (s_re * x >> bits)
+        den = (one - (q2 * x >> bits)) ** 2 >> bits
+        ratio.append((num_re * q2 // den, -(s_im * x >> bits) * q2 // den))
+    vals = []
+    for m in rows:
+        # row m is summed at the bits of its own _phi_digits, so the
+        # shared tables are cut down to them
+        prec = _series_bits(m, q)
+        cut = bits - prec
+        total_re, total_im = 1 << prec, 0
+        # term = (term_re + i term_im) 2^(scale - prec): past 2^64 a term
+        # drops its low bits like a float, keeping prec + 64 of them
+        term_re, term_im, scale = 1 << prec, 0, 0
+        for k in range(m):
+            d, (r_re, r_im) = drop[m - k] >> cut, ratio[k]
+            f_re, f_im = d * (r_re >> cut) >> prec, d * (r_im >> cut) >> prec
+            term_re, term_im = (
+                (term_re * f_re - term_im * f_im) >> prec,
+                (term_re * f_im + term_im * f_re) >> prec,
+            )
+            excess = max(term_re.bit_length(), term_im.bit_length()) - prec - 64
+            if excess > 0:
+                term_re >>= excess
+                term_im >>= excess
+                scale += excess
+            total_re += term_re << scale
+            total_im += term_im << scale
+        vals.append(complex(_fixed_to_float(total_re, prec), _fixed_to_float(total_im, prec)))
     return vals[0] if np.ndim(n) == 0 else np.array(vals, dtype=complex)
 
 
@@ -315,7 +386,7 @@ def sigma_density(rho: float, ctx: QContext) -> float:
     q2 = ctx.q2
     lnq = math.log(q)
     half = (
-        qpochhammer(q2, q2, math.inf)
+        _euler_product(q2)
         * qpochhammer(cmath.exp(-4j * rho * lnq), q2, math.inf)
         / qpochhammer(cmath.exp((1 - 2j * rho) * lnq), q2, math.inf) ** 2
     )
@@ -394,9 +465,11 @@ def _real_matmul(table: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _forward(phi: np.ndarray, g: GridFunction, ctx: QContext) -> np.ndarray:
     """(1-q^2) sum_m phi[m, :] g(q^(2m)) q^(-2m) over a row-major phi table,
-    contracted over g's nonzero rows m only, and weighted only there."""
-    nz = np.flatnonzero(g.values)
-    return (1.0 - ctx.q2) * _real_matmul(phi[nz].T, g.values[nz] * _row_weights(nz, ctx))
+    contracted over the basic slice of rows up to g's last nonzero one, so
+    the table is not copied, and weighted only on the nonzero rows."""
+    rows = int(np.flatnonzero(g.values).max(initial=-1)) + 1
+    v = g.values[:rows]
+    return (1.0 - ctx.q2) * _real_matmul(phi[:rows].T, v * _integral_weights(v, ctx))
 
 
 def transform_forward(

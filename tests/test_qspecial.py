@@ -1,5 +1,6 @@
 """Scalar special-function kernel tests."""
 
+import cmath
 import math
 
 import mpmath
@@ -17,6 +18,7 @@ from qdisc import (
     qgamma,
     qpochhammer,
 )
+from qdisc.qspecial import _euler_product
 from qdisc.verify import run_registry
 
 Q = 0.5
@@ -76,6 +78,20 @@ def test_qgamma_functional_equation():
         lhs = qgamma(x + 1, Q) / qgamma(x, Q)
         rhs = (1 - Q**x) / (1 - Q)
         assert abs(lhs - rhs) < 1e-12
+
+
+def test_qgamma_keeps_its_uncached_bits():
+    # (q; q)_inf is cached per base; qgamma's values stay those of the
+    # product taken afresh on every call
+    for q in (0.05, 0.25, 0.72, 0.98**2):
+        assert _euler_product(q) == qpochhammer(q, q, math.inf)
+        for x in (0.3 + 0j, 2.5 - 0.4j, -1.5 + 0.7j):
+            fresh = (
+                qpochhammer(q, q, math.inf)
+                / qpochhammer(cmath.exp(x * math.log(q)), q, math.inf)
+                * cmath.exp((1.0 - x) * math.log(1.0 - q))
+            )
+            assert qgamma(x, q) == fresh
 
 
 def test_qgamma_pole():

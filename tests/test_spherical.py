@@ -3,8 +3,11 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdisc import (
     CapacityError,
@@ -38,6 +41,7 @@ from qdisc.spherical import (
     _inverse_on_nodes,
     _nodes,
     _phi_ascending,
+    _phi_digits,
     _phi_on_nodes,
     _phi_series,
     _start_nodes,
@@ -153,8 +157,34 @@ def test_eigenfunction_checks_sum_phi_once_per_rho(monkeypatch):
     assert len(calls) == len(verify._rho_samples(ctx)) == 16
 
 
+def _mp_phi_series(rho, rows, ctx):
+    """Reference: phi_rho's terminating 3phi2 series summed in mpmath at
+    _phi_digits of the largest row, all rows from shared tables of q^(2j),
+    1 - q^(-2j) and the n-free term ratio (1 - s x + q^2 x^2) q^2 /
+    (1 - q^2 x)^2 at x = q^(2k), s = 2q cos(2 rho ln q)."""
+    top = max(rows)
+    with mpmath.workdps(_phi_digits(top, ctx.q)):
+        qm = mpmath.mpf(ctx.q)
+        q2 = qm * qm
+        s = 2 * qm * mpmath.cos(2 * mpmath.mpmathify(rho) * mpmath.log(qm))
+        q2j = [mpmath.mpf(1)]
+        for _ in range(top):
+            q2j.append(q2j[-1] * q2)
+        drop = [1 - 1 / p for p in q2j]
+        ratio = [(1 - (s - q2 * x) * x) * q2 / (1 - x * q2) ** 2 for x in q2j[:top]]
+        vals = []
+        for m in rows:
+            total = mpmath.mpf(1)
+            term = mpmath.mpf(1)
+            for k in range(m):
+                term *= drop[m - k] * ratio[k]
+                total += term
+            vals.append(complex(total))
+    return np.array(vals, dtype=complex)
+
+
 # q over the supported range, for real rho across the half period and one
-# complex rho; the multiprecision series is the reference
+# complex rho; the mpmath series is the reference
 _CLOSED_FORM_QS = (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.995)
 
 
@@ -167,7 +197,35 @@ def _closed_form_cases(q):
 @functools.cache
 def _series_rows(q, rho):
     ctx = QContext(q, grid_horizon=32)
-    return _phi_series(rho, range(32), ctx)
+    return _mp_phi_series(rho, range(32), ctx)
+
+
+def _ulps_apart(a, b):
+    """Largest distance between a and b in units in the last place, over
+    real and imaginary parts; equal parts (equal infinities too) are 0."""
+    gaps = [0.0]
+    for x, y in ((a.real, b.real), (a.imag, b.imag)):
+        with np.errstate(invalid="ignore"):
+            gap = np.abs(x - y) / np.spacing(np.maximum(np.abs(x), np.abs(y)))
+        gaps.extend(np.where(x == y, 0.0, np.where(np.isfinite(gap), gap, np.inf)))
+    return max(gaps)
+
+
+@pytest.mark.parametrize("q", _CLOSED_FORM_QS)
+def test_integer_series_matches_the_mpmath_reference(q):
+    # the fixed-point sum rounds once to double, and so does mpmath's; at
+    # Im rho = 40 the rows leave the double range from row 4 at q = 0.05,
+    # row 13 at q = 0.5 and row 26 at q = 0.7, in both
+    ctx, rhos = _closed_form_cases(q)
+    for rho in rhos:
+        assert _ulps_apart(_phi_series(rho, range(32), ctx), _series_rows(q, rho)) <= 1.0
+    rows = [0, 3, 4, 12, 13, 25, 26, 31]
+    far = _phi_series(0.3 + 40j, rows, ctx)
+    ref = _mp_phi_series(0.3 + 40j, rows, ctx)
+    assert _ulps_apart(far, ref) <= 1.0
+    assert np.array_equal(np.isinf(far.real), np.isinf(ref.real))
+    assert np.array_equal(np.isinf(far.imag), np.isinf(ref.imag))
+    assert np.isinf(far[-1]) == (q <= 0.7)
 
 
 @pytest.mark.parametrize("q", _CLOSED_FORM_QS)
@@ -199,6 +257,33 @@ def test_phi_far_off_the_real_axis_takes_the_series():
     vals = phi_rho(rho, picked, ctx)
     assert np.array_equal(vals, _phi_series(rho, picked, ctx))
     assert np.isfinite(vals[0])
+
+
+def test_ascending_rows_do_not_depend_on_top():
+    # row j of the ascending tables reads entries 0..j alone, so a longer
+    # table gives bitwise the same rows and bounds
+    for q in (0.05, 0.3, 0.7, 0.9, 0.995):
+        ctx = QContext(q)
+        half = ctx.rho_period() / 2
+        for rho in (0.0, 0.13 * half, 0.62 * half, 0.99 * half, 0.3 + 0.2j):
+            vals, bound = _phi_ascending(rho, 40, ctx)
+            for top in range(0, 40, 3):
+                part, part_bound = _phi_ascending(rho, top, ctx)
+                assert np.array_equal(part, vals[: top + 1])
+                assert np.array_equal(part_bound, bound[: top + 1])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    q=st.floats(0.05, 0.995),
+    frac=st.floats(0.0, 1.0),
+    n=st.integers(0, 31),
+)
+def test_phi_rho_matches_the_mpmath_series(q, frac, n):
+    ctx = QContext(q)
+    rho = frac * ctx.rho_period() / 2
+    ref = _mp_phi_series(rho, [n], ctx)[0]
+    assert abs(phi_rho(rho, n, ctx) - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 def test_ascending_sum_certifies_every_row_at_small_q():
