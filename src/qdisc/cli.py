@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--checks",
                 type=str,
                 default=None,
-                help="comma-separated name substrings to select checks",
+                help="comma-separated name substrings to select checks; each must match one",
             )
         if name == "tabulate":
             sp.add_argument("--nmax", type=int, default=None)

@@ -60,6 +60,17 @@ def test_verify_subset_passes(tmp_path):
     assert cas["residual"] < 1e-12
 
 
+def test_verify_rejects_a_checks_pattern_that_matches_nothing(tmp_path, capsys):
+    # a renamed check must not drop silently out of a --checks selection
+    out = tmp_path / "report.json"
+    code, _ = run_cli(
+        ["verify", "--q", "0.5", "--checks", "algebra_qr,no_such_check", "--out", str(out)]
+    )
+    assert code == 2
+    assert "no_such_check" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_reports_a_group_error_as_failed_checks(tmp_path, monkeypatch):
     # an inverse transform that does not settle fails its checks; the run
     # still writes its report and exits with a check failure

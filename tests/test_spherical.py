@@ -139,8 +139,8 @@ def test_phi_row_form_types_and_domain(ctx):
 
 
 def test_eigenfunction_checks_sum_phi_once_per_rho(monkeypatch):
-    # check_eigenfunctions takes every phi row it needs, the connection
-    # formula's included, from one row-form call per rho sample
+    # the eigenfunction checks take every phi row they need, the connection
+    # formula's included, from one shared row-form call per rho sample
     from qdisc import spherical, verify
 
     calls = []
@@ -152,7 +152,10 @@ def test_eigenfunction_checks_sum_phi_once_per_rho(monkeypatch):
 
     monkeypatch.setattr(spherical, "phi_rho", counted)
     ctx = QContext(0.5)
-    results = verify.check_eigenfunctions(ctx)
+    results = verify.run_registry(
+        ctx, ["eigen_equation_phi", "phi_recurrence_agreement", "connection_formula", "phi_closed"]
+    )
+    assert len(results) == 4
     assert all(r.passed for r in results)
     assert len(calls) == len(verify._rho_samples(ctx)) == 16
 

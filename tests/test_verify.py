@@ -1,4 +1,4 @@
-"""Check registry: group declaration, timing records and name filtering."""
+"""Check registry: name filtering, per-check errors and shared fixtures."""
 
 import dataclasses
 import itertools
@@ -7,70 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from qdisc import CapacityError, DiscElement, GridFunction, QContext
+from qdisc import DiscElement, GridFunction, QContext
 from qdisc import green, spherical, verify
-from qdisc.verify import REGISTRY, _group, _max, run_registry
+from qdisc.verify import REGISTRY, _max, run_registry
 
 
-def test_group_names_each_yield_in_order():
-    @_group("first", "second")
-    def pair(scale):
-        yield 0.5 * scale, 1.0, "a"
-        yield 2.0 * scale, 1.0, "b"
-
-    results = pair(1.0)
-    assert pair.names == ("first", "second")
-    assert [r.name for r in results] == ["first", "second"]
-    assert [r.passed for r in results] == [True, False]
-    assert [r.detail for r in results] == ["a", "b"]
-    assert all(r.runtime >= 0.0 for r in results)
-
-
-def test_group_rejects_a_count_mismatch():
-    @_group("first", "second")
-    def short():
-        yield 0.0, 1.0, "only one"
-
-    with pytest.raises(ValueError):
-        short()
-
-
-def test_group_error_fails_the_remaining_names():
-    @_group("first", "second", "third")
-    def breaks():
-        yield 0.5, 1.0, "a"
-        raise CapacityError("term budget exhausted")
-
-    results = breaks()
-    assert [r.name for r in results] == ["first", "second", "third"]
-    assert [r.passed for r in results] == [True, False, False]
-    assert results[0].detail == "a"
-    for r in results[1:]:
-        assert r.residual == math.inf
-        assert r.detail == "CapacityError: term budget exhausted"
-
-
-def test_group_stops_after_the_last_requested_name():
-    ran = []
-
-    @_group("first", "second", "third")
-    def three():
-        try:
-            for label in ("a", "b", "c"):
-                ran.append(label)
-                yield 0.0, 1.0, label
-        finally:
-            ran.append("closed")
-
-    results = three(last="second")
-    assert [r.name for r in results] == ["first", "second"]
-    assert ran == ["a", "b", "closed"]
-    assert [r.name for r in three()] == ["first", "second", "third"]
-
-
-def test_registry_stops_a_group_after_its_last_requested_check(monkeypatch):
-    # only the kernel-centre check is asked for, so neither assembled kernel
-    # is materialized for the later checks of its group
+def test_registry_runs_only_the_requested_checks(monkeypatch):
+    # only the kernel-centre check is asked for, so no other check
+    # materializes an assembled kernel
     ctx = QContext(0.5, grid_horizon=200)
     green._assembled.cache_clear()
     calls = itertools.count()
@@ -84,33 +28,33 @@ def test_registry_stops_a_group_after_its_last_requested_check(monkeypatch):
     [res] = run_registry(ctx, ["kernel_centre"])
     assert next(calls) == 0
     monkeypatch.undo()
-    full = {r.name: r for r in verify.check_green_operator(ctx)}
     assert res.name == "kernel_centre_delta"
-    assert res.residual == full["kernel_centre_delta"].residual
+    assert (res.residual, res.tolerance, res.detail) == verify.kernel_centre_delta(
+        ctx, verify.Fixtures(ctx)
+    )
     assert res.passed
 
+    def never_run(check):
+        def boom(ctx, fx):
+            raise AssertionError(f"{check.__name__} ran without a matching name")
 
-def test_registry_declares_every_check_once():
-    names = [name for group in REGISTRY for name in group.names]
-    assert len(names) == 47
-    assert len(set(names)) == len(names)
-
-
-def test_registry_skips_groups_without_a_matching_name(monkeypatch):
-    def never_run(group):
-        def boom(*args, **kwargs):
-            raise AssertionError(f"{group.__name__} ran without a matching name")
-
-        boom.names = group.names
+        boom.__name__ = check.__name__
         return boom
 
     monkeypatch.setattr(
         verify,
         "REGISTRY",
-        tuple(g if g is verify.check_algebra else never_run(g) for g in REGISTRY),
+        tuple(c if c is verify.algebra_rep_involution else never_run(c) for c in REGISTRY),
     )
-    results = run_registry(QContext(0.5), ["algebra_qr"])
-    assert [r.name for r in results] == ["algebra_qr_identity"]
+    results = run_registry(QContext(0.5), ["algebra_rep_inv"])
+    assert [r.name for r in results] == ["algebra_rep_involution"]
+    assert results[0].passed
+
+
+def test_registry_declares_every_check_once():
+    names = [check.__name__ for check in REGISTRY]
+    assert len(names) == 47
+    assert len(set(names)) == len(names)
 
 
 def test_max_keeps_nan_wherever_it_is():
@@ -136,32 +80,26 @@ def _nan_like(x):
     return math.nan
 
 
-# one term per group: the module and function whose result turns nan, the
-# call that turns (a later one where the check folds several terms) and the
-# check that must then fail
+# one term per check family: the module and function whose result turns
+# nan, the call that turns (a later one where the check folds several terms)
+# and the check that must then fail
 _NAN_TERMS = [
-    (verify.check_algebra, verify, "_shift", 2, "algebra_commutation_shifts"),
-    (verify.check_hopf, verify, "act_word", 5, "hopf_defining_relations"),
-    (verify.check_casimir, verify, "laplacian_apply", 2, "casimir_equals_laplacian"),
-    (verify.check_invariance_elements, verify, "invariance_residual", 1, "unit_invariance"),
-    (verify.check_eigenfunctions, spherical, "phi_column", 2, "phi_recurrence_agreement"),
-    (verify.check_transform, spherical, "transform_inverse", 2, "transform_roundtrip"),
-    (verify.check_spectrum, spherical, "spectrum_probe", 1, "spectrum_inside_segment"),
-    (verify.check_green_radial, green, "gm_quadrature_grid", 2, "green_series_vs_quadrature"),
-    (verify.check_kernels, green, "kernel_invariance_residual", 2, "kernel_invariance_exact"),
-    (verify.check_green_operator, green, "green_solve", 2, "matrix_solve_oracle"),
-    (verify.check_limits, green, "classical_limit_report", 1, "dilog_reflection"),
+    (verify, "_shift", 2, "algebra_commutation_shifts"),
+    (verify, "act_word", 5, "hopf_defining_relations"),
+    (verify, "laplacian_apply", 2, "casimir_equals_laplacian"),
+    (verify, "invariance_residual", 1, "unit_invariance"),
+    (spherical, "phi_column", 2, "phi_recurrence_agreement"),
+    (spherical, "transform_inverse", 2, "transform_roundtrip"),
+    (spherical, "spectrum_probe", 1, "spectrum_inside_segment"),
+    (green, "gm_quadrature_grid", 2, "green_series_vs_quadrature"),
+    (green, "kernel_invariance_residual", 2, "kernel_invariance_exact"),
+    (green, "green_solve", 2, "matrix_solve_oracle"),
+    (green, "classical_limit_report", 1, "dilog_reflection"),
 ]
 
 
-def test_nan_terms_cover_every_group():
-    assert {entry[0] for entry in _NAN_TERMS} == set(REGISTRY)
-
-
-@pytest.mark.parametrize(
-    "group, module, name, at, check", _NAN_TERMS, ids=[entry[4] for entry in _NAN_TERMS]
-)
-def test_a_nan_term_fails_its_check(monkeypatch, group, module, name, at, check):
+@pytest.mark.parametrize("module, name, at, check", _NAN_TERMS, ids=[entry[3] for entry in _NAN_TERMS])
+def test_a_nan_term_fails_its_check(monkeypatch, module, name, at, check):
     real = getattr(module, name)
     calls = itertools.count(1)
 
@@ -170,7 +108,7 @@ def test_a_nan_term_fails_its_check(monkeypatch, group, module, name, at, check)
         return _nan_like(out) if next(calls) == at else out
 
     monkeypatch.setattr(module, name, poisoned)
-    (result,) = [r for r in group(QContext(0.5)) if r.name == check]
+    [result] = [r for r in run_registry(QContext(0.5), [check]) if r.name == check]
     assert math.isnan(result.residual)
     assert not result.passed
 
@@ -183,18 +121,34 @@ def test_matrix_solve_oracle_is_sized_from_the_grid():
     assert res.passed
 
 
+# checks whose rows fit a grid of horizon 11 or more
+_FIT_FROM_11 = (
+    "algebra_rep_involution",
+    "algebra_integral_values",
+    "radial_part_identity",
+    "sector_preservation",
+    "transform_centre_delta",
+    "density_symmetry_and_quotient",
+    "quadrature_self_consistency",
+)
+
+
 @pytest.mark.parametrize("horizon", [11, 12, 20, 21])
 def test_checks_that_would_read_past_the_grid_fail_on_a_typed_error(horizon):
     # casimir_centrality reaches row 12 and multiplication_law row nmax + 1 = 21;
     # on a shorter grid each fails on CapacityError, not on a residual read
-    # from the zero-filled rows past it
+    # from the zero-filled rows past it, and the checks that fit still pass
     ctx = QContext(0.5, grid_horizon=horizon)
-    results = {r.name: r for r in run_registry(ctx, ["casimir_centrality", "multiplication_law"])}
+    results = {
+        r.name: r
+        for r in run_registry(ctx, ["casimir_centrality", "multiplication_law", *_FIT_FROM_11])
+    }
+    for name in _FIT_FROM_11:
+        assert results[name].passed, results[name]
     for name, row in (("casimir_centrality", 12), ("multiplication_law", 21)):
         res = results[name]
         if horizon >= row:
             assert res.passed, res
         else:
-            # below horizon 20 the transform group stops earlier, on a delta off the grid
             assert res.residual == math.inf
-            assert res.detail.startswith(("CapacityError", "RangeError")), res
+            assert res.detail.startswith("CapacityError"), res
