@@ -12,9 +12,9 @@ from qdisc import green, spherical, verify
 from qdisc.verify import REGISTRY, _max, run_registry
 
 
-def test_registry_runs_only_the_requested_checks(monkeypatch):
-    # only the kernel-centre check is asked for, so no other check
-    # materializes an assembled kernel
+def test_registry_stops_a_group_after_its_last_requested_check(monkeypatch):
+    # only the kernel-centre check is asked for, so none of the checks
+    # declared after it materializes an assembled kernel
     ctx = QContext(0.5, grid_horizon=200)
     green._assembled.cache_clear()
     calls = itertools.count()
@@ -34,6 +34,8 @@ def test_registry_runs_only_the_requested_checks(monkeypatch):
     )
     assert res.passed
 
+
+def test_registry_skips_groups_without_a_matching_name(monkeypatch):
     def never_run(check):
         def boom(ctx, fx):
             raise AssertionError(f"{check.__name__} ran without a matching name")
