@@ -10,8 +10,8 @@ n is moderate (its terms reach size ~ q^(-n(n-1)) while the value decays
 like q^n).  phi_rho is also an Al-Salam-Chihara polynomial in base q^2,
 and its ascending form from the generating function has no such terms, so
 phi_rho sums that form in double and bounds each row's rounding error a
-priori; everything in that sum that depends on q alone is cached per
-(q, top), and its three Cauchy products are np.convolve calls.  A row
+priori; everything in that sum that depends on q alone is cut from one
+table per q, and its three Cauchy products are np.convolve calls.  A row
 whose bound exceeds 1e-13 (about half of rows 0..31 at q = 0.7, all but
 the first one or two from q = 0.9 on) falls back to the 3phi2 series
 summed in Python-integer fixed point, with the working precision growing
@@ -26,8 +26,12 @@ Node tables.  The transform's nodes are real, so phi_matrix steps the
 recurrence in real arithmetic, one contiguous row of float64 per grid
 point, and the transform contracts those tables with complex operands as
 real GEMMs on the operands' (k, 2) float views, so no table is ever cast
-to complex.  The tables and densities on each node set are kept in
-bounded LRU caches, read-only.
+to complex.  The node set of N nodes is every other node of the set of
+2N, and both phi and the density are evaluated node by node, so each is
+built once per (q, odd part of the count) as a cover that grows by only
+the nodes (and phi rows) it lacks; every node set is served a contiguous
+copy of the cover's slice, bit for bit what a direct build gives.  Covers
+and copies are read-only and kept in bounded caches.
 """
 
 from __future__ import annotations
@@ -77,24 +81,49 @@ def _phi_digits(n: int, q: float) -> int:
 _PHI_CERT_TOL = 1e-13
 
 
-@functools.lru_cache(maxsize=256)
+# Covers: per key, the largest q-only table asked for so far, read-only.
+# A larger request replaces the cover with a grown one, and the smaller one
+# is dropped; smaller requests are served as its slices.  The dict keeps
+# the covers in order of use and holds at most _COVER_LIMIT of them (a
+# spectral benchmark pass uses 48: 16 q, three kinds).
+_COVERS: dict = {}
+_COVER_LIMIT = 64
+
+
+def _keep(key: tuple, cover):
+    """Store cover under key as the most recently used one, dropping the
+    least recently used covers past _COVER_LIMIT."""
+    _COVERS.pop(key, None)
+    _COVERS[key] = cover
+    while len(_COVERS) > _COVER_LIMIT:
+        del _COVERS[next(iter(_COVERS))]
+    return cover
+
+
 def _ascending_tables(q: float, top: int) -> tuple[np.ndarray, ...]:
     """The q-only tables of _phi_ascending, read-only: the index k,
     (p; p)_k, Euler's self-convolution c and its absolute twin, and q^k.
 
-    They run to row top + 1, one past the last row kept.  np.convolve
-    sums entry j of a full convolution of two length-N vectors as one dot
-    product over their entries 0..j when j < N - 1, but entry N - 1 by a
-    short-kernel loop of its own when N is small; with N = top + 2 every
-    row kept takes the dot product, whatever top is.
+    They run to row top + 1, one past the last row kept, cut from one
+    cover per q whose length is the smallest power of two >= top + 2, so
+    it is rebuilt only when top passes it.  np.convolve sums entry j of a
+    full convolution of two length-N vectors as one dot product over their
+    entries 0..j when j < N - 1, but entry N - 1 by a short-kernel loop of
+    its own when N is small; with N >= top + 2 every row kept takes the
+    dot product, so the rows kept are the same whatever the cover's length.
     """
-    lnq = math.log(q)
-    k = np.arange(top + 2.0)
-    poch = np.cumprod(np.concatenate(([1.0], -np.expm1(2 * k[1:] * lnq))))
-    euler = np.where(k % 2, -1.0, 1.0) * np.power(q, k * k) / poch
-    c = np.convolve(euler, euler)[: top + 2]
-    c_abs = np.convolve(abs(euler), abs(euler))[: top + 2]
-    return tuple(_frozen(t) for t in (k, poch, c, c_abs, np.power(q, k)))
+    key = ("ascending", q)
+    cover = _COVERS.get(key)
+    if cover is None or len(cover[0]) < top + 2:
+        size = 1 << (top + 1).bit_length()
+        lnq = math.log(q)
+        k = np.arange(float(size))
+        poch = np.cumprod(np.concatenate(([1.0], -np.expm1(2 * k[1:] * lnq))))
+        euler = np.where(k % 2, -1.0, 1.0) * np.power(q, k * k) / poch
+        c = np.convolve(euler, euler)[:size]
+        c_abs = np.convolve(abs(euler), abs(euler))[:size]
+        cover = tuple(_frozen(t) for t in (k, poch, c, c_abs, np.power(q, k)))
+    return tuple(t[: top + 2] for t in _keep(key, cover))
 
 
 def _phi_ascending(rho: complex, top: int, ctx: QContext) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +140,7 @@ def _phi_ascending(rho: complex, top: int, ctx: QContext) -> tuple[np.ndarray, n
     c_j = [t^j] (qt; p)_inf^2, the self-convolution of Euler's coefficients
     (-1)^j q^(j^2) / (p; p)_j, and h_m = sum_k e^(i(m-2k) theta) / ((p; p)_k
     (p; p)_(m-k)).  Every sum is finite, so nothing is truncated.  The
-    q-only tables (c among them) are cached per (q, top); a call builds
+    q-only tables (c among them) are cut from one table per q; a call builds
     the vectors e^(+-i m theta) / (p; p)_m and takes h, the row sums and
     their absolute twins as np.convolve products cut at row top.  Entry j
     of a convolution is a sum over entries 0..j alone, so a row comes out
@@ -310,15 +339,23 @@ def phi_matrix(rhos: np.ndarray, npoints: int, ctx: QContext) -> np.ndarray:
     rhos = np.asarray(rhos)
     if np.iscomplexobj(rhos) and np.any(rhos.imag != 0.0):
         raise DomainError("phi tables take real rho only; phi_rho takes complex rho")
-    lam = lambda_rho(rhos.real, ctx).real
-    up, diag, down = stencil_coefficients(ctx, npoints)
-    rows = np.empty((npoints, len(lam)))
-    rows[:1] = 1.0
-    if npoints > 1:
-        rows[1] = (lam - diag[0]) / down[0]
-        for n in range(1, npoints - 1):
-            rows[n + 1] = ((lam - diag[n]) * rows[n] - up[n] * rows[n - 1]) / down[n]
+    rows = np.empty((npoints, len(rhos)))
+    _recur(rows, lambda_rho(rhos.real, ctx).real, ctx)
     return rows.T
+
+
+def _recur(rows: np.ndarray, lam: np.ndarray, ctx: QContext, start: int = 0) -> None:
+    """Fill rows[start:] of a row-major phi table, one column per
+    eigenvalue in lam, by the eigen-recurrence from the rows above start.
+    Every step is elementwise in the columns, so a column comes out the
+    same whatever the other columns or the rows below are."""
+    up, diag, down = stencil_coefficients(ctx, len(rows))
+    if start == 0:
+        rows[:1] = 1.0
+    if start <= 1 and len(rows) > 1:
+        rows[1] = (lam - diag[0]) / down[0]
+    for n in range(max(start, 2) - 1, len(rows) - 1):
+        rows[n + 1] = ((lam - diag[n]) * rows[n] - up[n] * rows[n - 1]) / down[n]
 
 
 def psi_rho(rho: complex, n: int, ctx: QContext) -> complex:
@@ -439,21 +476,83 @@ def _nodes(count: int, ctx: QContext) -> np.ndarray:
     return period * np.arange(count) / count
 
 
-# Quadrature data on the equispaced node sets depends on q alone, so the
-# transforms share it across contexts; cached arrays are read-only since
-# every caller shares them.  The bounds keep every key of a pass resident
-# (a spectral benchmark pass uses about 145 phi and 45 density keys).
+# Node tables nest.  The nodes of count N are every (M/N)-th node of count
+# M when M/N is a power of two (period j / N and period (2j) / (2N) round
+# alike), phi and the density are evaluated node by node, and phi's rows
+# 0..n-1 do not depend on the rows below them.  A table on N nodes and n
+# rows is thus every (M/N)-th column and the first n rows of the table on
+# M nodes, bit for bit, and phi and the density each keep one cover per
+# (q, odd part of the count), grown by evaluating only what it lacks.
+def _cover_key(kind: str, q: float, count: int) -> tuple:
+    if count < 1:
+        raise DomainError(f"node count {count} must be positive")
+    return kind, q, count // (count & -count)
+
+
+def _phi_cover(q: float, count: int, npoints: int) -> np.ndarray:
+    """The row-major phi cover of (q, count's odd part), grown to at least
+    count nodes and npoints rows."""
+    key = _cover_key("phi", q, count)
+    cover = _COVERS.get(key, np.empty((0, count)))
+    rows, size = max(npoints, len(cover)), max(count, cover.shape[1])
+    if (rows, size) != cover.shape:
+        ctx = QContext(q)
+        step = size // cover.shape[1]
+        lam = lambda_rho(_nodes(size, ctx), ctx).real
+        grown = np.empty((rows, size))
+        # column j is (j // step, j % step) of this view, and the old
+        # cover's columns are those with j % step == 0
+        cols = grown.reshape(rows, -1, step)
+        cols[: len(cover), :, 0] = cover
+        if step > 1:
+            # the new columns' rows up to the old cover's last one, stepped
+            # in a contiguous array; the pass below steps every column on
+            fresh = np.empty((len(cover), size - size // step))
+            _recur(fresh, lam.reshape(-1, step)[:, 1:].ravel(), ctx)
+            cols[: len(cover), :, 1:] = fresh.reshape(len(cover), -1, step - 1)
+        _recur(grown, lam, ctx, len(cover))
+        cover = _frozen(grown)
+    return _keep(key, cover)
+
+
+def _density_cover(q: float, count: int) -> np.ndarray:
+    """The density cover of (q, count's odd part), grown to at least count
+    nodes."""
+    key = _cover_key("density", q, count)
+    cover = _COVERS.get(key)
+    if cover is None or len(cover) < count:
+        ctx = QContext(q)
+        nodes = _nodes(count, ctx)
+        if cover is None:
+            grown = _density_vector(nodes, ctx)
+        else:
+            step = count // len(cover)
+            grown = np.empty((len(cover), step))
+            grown[:, 0] = cover
+            fresh = _density_vector(nodes.reshape(-1, step)[:, 1:].ravel(), ctx)
+            grown[:, 1:] = fresh.reshape(-1, step - 1)
+        cover = _frozen(grown.reshape(count))
+    return _keep(key, cover)
+
+
+# The tables handed out are contiguous copies of the covers' slices (or a
+# whole cover itself), so a transform contracts contiguous arrays and no
+# view keeps a superseded cover alive; the bounds keep every key of a pass
+# resident (a spectral benchmark pass uses about 145 phi and 45 density
+# keys).
 @functools.lru_cache(maxsize=256)
 def _phi_on_nodes(q: float, count: int, npoints: int) -> np.ndarray:
     """Row-major phi table: entry [n, j] is phi at row n and node j."""
-    ctx = QContext(q)
-    return _frozen(phi_matrix(_nodes(count, ctx), npoints, ctx).T)
+    cover = _phi_cover(q, count, npoints)
+    table = cover[:npoints, :: cover.shape[1] // count]
+    return cover if table.shape == cover.shape else _frozen(table.copy())
 
 
 @functools.lru_cache(maxsize=64)
 def _density_on_nodes(q: float, count: int) -> np.ndarray:
-    ctx = QContext(q)
-    return _frozen(_density_vector(_nodes(count, ctx), ctx))
+    cover = _density_cover(q, count)
+    table = cover[:: len(cover) // count]
+    return cover if table.shape == cover.shape else _frozen(table.copy())
 
 
 def _real_matmul(table: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -500,7 +599,9 @@ def _start_nodes(ctx: QContext, depth: int = 0) -> int:
     falls like q^N in the strip |Im h rho| < ln(1/q) of analyticity
     (Trefethen-Weideman 2014, Thm 3.2), eps = 1e-14 is three decades under
     the absolute settle tolerance and 2 depth covers the forward weights'
-    range q^(-2 depth); powers of two nest, so depths share cached tables."""
+    range q^(-2 depth).  A power of two has odd part 1, so every count the
+    inverse takes at any depth (N0, 2 N0, 4 N0), and the forward's
+    power-of-two counts, are slices of one node-table cover per q."""
     need = math.log(1e3 / _QUAD_ABS_TOL) / math.log(1.0 / ctx.q) + 2 * depth
     return 1 << math.ceil(math.log2(need))
 

@@ -25,6 +25,12 @@ def test_usage_error_bad_q():
     assert code == 2
 
 
+def test_usage_error_node_count_not_positive():
+    for nodes in ("0", "-4"):
+        code, _ = run_cli(["transform", "--q", "0.5", "--nodes", nodes])
+        assert code == 2
+
+
 def test_usage_error_bad_command():
     assert main(["frobnicate"]) == 2
 

@@ -30,6 +30,7 @@ from qdisc import (
     transform_forward,
     transform_inverse,
 )
+from qdisc import spherical as S
 from qdisc import verify
 from qdisc.discalg import DiscElement, _row_weights
 from qdisc.spherical import (
@@ -274,6 +275,15 @@ def test_ascending_rows_do_not_depend_on_top():
                 part, part_bound = _phi_ascending(rho, top, ctx)
                 assert np.array_equal(part, vals[: top + 1])
                 assert np.array_equal(part_bound, bound[: top + 1])
+            # from an emptied cache: the large top first, so every small top
+            # is cut from its cover, and the small tops first, so the cover
+            # is rebuilt longer as they pass it
+            for tops in ([40, *range(0, 40, 3)], [*range(0, 40, 3), 40]):
+                S._COVERS.clear()
+                for top in tops:
+                    part, part_bound = _phi_ascending(rho, top, ctx)
+                    assert np.array_equal(part, vals[: top + 1])
+                    assert np.array_equal(part_bound, bound[: top + 1])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -503,6 +513,51 @@ def test_cached_quadrature_arrays_are_read_only(ctx):
     for arr in (_phi_on_nodes(ctx.q, 64, ctx.npoints), _density_on_nodes(ctx.q, 64)):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def _empty_node_caches():
+    S._COVERS.clear()
+    _phi_on_nodes.cache_clear()
+    _density_on_nodes.cache_clear()
+
+
+def test_walking_the_node_counts_keeps_one_cover_per_key():
+    # each doubling grows the cover in place of the last one
+    _empty_node_caches()
+    q, npoints = 0.5, 33
+    for count in (16 << k for k in range(11)):
+        _phi_on_nodes(q, count, npoints)
+        _density_on_nodes(q, count)
+    assert set(S._COVERS) == {("phi", q, 1), ("density", q, 1)}
+    phi, dens = S._COVERS["phi", q, 1], S._COVERS["density", q, 1]
+    assert phi.shape == (npoints, 16384) and dens.shape == (16384,)
+    assert not phi.flags.writeable and not dens.flags.writeable
+    _empty_node_caches()
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.995])
+def test_node_tables_equal_direct_builds_in_any_order(q):
+    # every table is cut from one cover per (q, odd part of the count),
+    # whatever order the requests grew it in; each must equal a direct
+    # build bit for bit, on a family that is not powers of two and on the
+    # start counts of transform_inverse, whose covers are left in place
+    ctx = QContext(q)
+    start = _start_nodes(ctx)
+    for counts in ((250, 500, 1000), (start, 2 * start, 4 * start)):
+        keys = [(count, horizon + 1) for count in counts for horizon in (32, 64)]
+        phi_ref = {(c, n): phi_matrix(_nodes(c, ctx), n, ctx).T for c, n in keys}
+        dens_ref = {c: _density_vector(_nodes(c, ctx), ctx) for c in counts}
+        # mixed: the first growth skips a count (and adds rows), so new
+        # nodes interleave three to one
+        mixed = [keys[i] for i in (0, 5, 2, 3, 1, 4)]
+        for order in (keys, keys[::-1], mixed):
+            _empty_node_caches()
+            for count, npoints in order:
+                table, dens = _phi_on_nodes(q, count, npoints), _density_on_nodes(q, count)
+                assert np.array_equal(table, phi_ref[count, npoints])
+                assert np.array_equal(dens, dens_ref[count])
+                for arr in (table, dens):
+                    assert arr.flags.c_contiguous and not arr.flags.writeable
 
 
 def _complex_phi_recurrence(rhos, npoints, ctx):
