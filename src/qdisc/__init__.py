@@ -48,7 +48,6 @@ from .green import (
     kernel_G,
     kernel_assembled,
     kernel_invariance_residual,
-    sector_laplacian_matrix,
 )
 from .qspecial import (
     JacksonResult,

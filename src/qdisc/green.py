@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from .discalg import DiscElement, GridFunction, _contraction_table, _integral_we
 from .errors import CapacityError, DomainError
 from .qspecial import dilog
 from .spherical import transform_inverse
-from .uqsl2 import _ef_terms, laplacian_apply
+from .uqsl2 import _ef_terms
 
 # --- radial Green functions -------------------------------------------
 
@@ -503,29 +503,6 @@ def green_solve(f: DiscElement, order: int, ctx: QContext | None = None) -> Disc
     sector_max = max(abs(lo), abs(hi))
     K = kernel_assembled(order, ctx, (ctx.npoints, ctx.npoints), sector_max)
     return apply_kernel(K, f, ctx)
-
-
-def sector_laplacian_matrix(sector: int, dim: int, ctx: QContext) -> np.ndarray:
-    """Matrix of the Laplacian restricted to one sector, on the grid basis.
-
-    Built by applying the operator to delta combs (the operator couples
-    nearest grid neighbours only, so three staggered combs recover every
-    column); used as the independent linear-solve oracle for the kernel
-    route.
-    """
-    big = replace(ctx, grid_horizon=dim)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for offset in range(3):
-        vals = np.zeros(big.npoints, dtype=complex)
-        cols = np.arange(offset, dim, 3)
-        vals[cols] = 1.0
-        el = DiscElement({sector: GridFunction(vals)}, big)
-        img = laplacian_apply(el, big).sector(sector).values
-        for col in cols:
-            lo = max(0, col - 1)
-            hi = min(dim, col + 2)
-            mat[lo:hi, col] = img[lo:hi]
-    return mat
 
 
 # --- kernel invariance ---------------------------------------------------

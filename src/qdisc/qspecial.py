@@ -29,8 +29,8 @@ def qpochhammer(a: complex, q: float, n: int | float) -> complex:
     """q-shifted factorial (a; q)_n = prod_{k<n} (1 - a q^k).
 
     n may be a nonnegative integer or math.inf.  The infinite product
-    requires |q| < 1 and is truncated once |a| q^k drops below 1e-14 with
-    a tail correction of the same order.
+    requires |q| < 1.  It stops at the first k with |a q^k| <= 1e-17 (or
+    after 100000 factors) and applies no tail correction.
     """
     if n is math.inf or n == math.inf:
         if abs(q) >= 1:

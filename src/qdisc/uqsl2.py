@@ -2,8 +2,8 @@
 
 Covariant generator actions (K, K^-1, E, F) on elements in normal form,
 the Casimir element, the invariant Laplacian defined through it, its
-radial part as an explicit three-term difference stencil, and invariance
-residuals for elements and kernels.
+three-term difference stencil on each sector, and invariance residuals
+for elements and kernels.
 
 Sector structure: K scales sector n by q^(2n) exactly, E raises the
 sector index by one, F lowers it.  The difference formulas reference
@@ -119,30 +119,49 @@ def casimir_apply(f: DiscElement, ctx: QContext | None = None) -> DiscElement:
 def laplacian_apply(f: DiscElement, ctx: QContext | None = None) -> DiscElement:
     """Invariant Laplacian: q^-1 times the Casimir action.
 
-    Preserves each sector.  On the radial sector it coincides with the
-    explicit three-term stencil of radial_laplacian.
+    Preserves each sector.  On every sector m it coincides with the
+    explicit three-term stencil of stencil_coefficients(ctx, sector=m).
     """
     ctx = ctx or f.ctx
     return casimir_apply(f, ctx).scaled(1.0 / ctx.q)
 
 
-def stencil_coefficients(ctx: QContext, npoints: int | None = None):
-    """Three-term coefficients of the radial Laplacian on the grid.
+def stencil_coefficients(ctx: QContext, npoints: int | None = None, sector: int = 0):
+    """Three-term coefficients of the Laplacian on sector m = `sector` of the grid.
 
-    Row n couples f at indices n-1, n, n+1:
+    Row n couples f at indices n-1, n, n+1; with y = q^(2n),
 
-        up(n)   = q^2 (1 - q^(2n)) / (1-q^2)^2          (zero at n = 0)
-        diag(n) = -(q^2 (1 - q^(2n)) + 1 - q^(2n+2)) / (1-q^2)^2
-        down(n) = (1 - q^(2n+2)) / (1-q^2)^2
+        up(n)   = q^2 (1 - y) / (1-q^2)^2          (zero at n = 0)
+        down(n) = (1 - q^(2|m|+2) y) / (1-q^2)^2
+        diag(n) = -(up(n) + down(n))
+
+    Derivation for m >= 0 (m < 0 mirrors it with |m|): E then F from
+    _ef_terms, times 1/q, give up(n) f(n-1) + down(n) f(n+1) and put
+    q^2 y - q^(-2m) - q^(2m+2) + q^(2m+2) y over (1-q^2)^2 on the diagonal.
+    The K part adds q^(-2m) + q^(2m+2) - q^2 - 1 there; the q^(-2m) and
+    q^(2m+2) terms cancel exactly, so diag = -(up + down).
     """
-    if npoints is None:
-        npoints = ctx.npoints
     yg = ctx.ygrid(npoints)
     denom = (1.0 - ctx.q2) ** 2
-    up = ctx.q2 * (1.0 - yg) / denom
-    down = (1.0 - ctx.q2 * yg) / denom
-    diag = -(ctx.q2 * (1.0 - yg) + (1.0 - ctx.q2 * yg)) / denom
-    return up, diag, down
+    up = ctx.q2 * (1.0 - yg)
+    down = 1.0 - ctx.q2 ** (abs(sector) + 1) * yg
+    return up / denom, -(up + down) / denom, down / denom
+
+
+def _stencil_solve(up, diag, down, rhs) -> np.ndarray:
+    """Solve the truncated stencil system (row n: up, diag, down at columns
+    n-1, n, n+1) by one elimination and one back substitution, in O(dim)
+    (Golub-Van Loan 4.3).  |diag| = up + down, so no pivoting is needed."""
+    up, diag, down = up.tolist(), diag.tolist(), down.tolist()
+    x = [complex(r) for r in rhs]
+    for n in range(1, len(x)):
+        w = up[n] / diag[n - 1]
+        diag[n] -= w * down[n - 1]
+        x[n] -= w * x[n - 1]
+    x[-1] /= diag[-1]
+    for n in range(len(x) - 2, -1, -1):
+        x[n] = (x[n] - down[n] * x[n + 1]) / diag[n]
+    return np.array(x)
 
 
 def radial_laplacian(g: GridFunction | np.ndarray, ctx: QContext) -> GridFunction:

@@ -43,6 +43,7 @@ from .discalg import (
 from .errors import CapacityError, DomainError, QDiscError
 from .qspecial import qgamma
 from .uqsl2 import (
+    _stencil_solve,
     act,
     act_word,
     casimir_apply,
@@ -50,6 +51,7 @@ from .uqsl2 import (
     laplacian_apply,
     radial_laplacian,
     sector_rotate,
+    stencil_coefficients,
 )
 
 ALGEBRA_RANDOM = 100  # random elements behind the representation oracle
@@ -345,12 +347,17 @@ def _casimir_elements(ctx: QContext):
 
 
 def casimir_equals_laplacian(ctx: QContext, fx: Fixtures):
+    # on sectors m < 0 the Casimir route reads E's image one row past row 10
+    _fit_support(ctx, 11)
     worst = 0.0
     for f in fx.get(_casimir_elements):
         lhs = laplacian_apply(f, ctx)
-        rhs = casimir_apply(f, ctx).scaled(1.0 / ctx.q)
-        worst = _max(worst, _rel(lhs.max_abs_diff(rhs), max(1.0, lhs.max_abs())))
-    return worst, 1e-12, "the Laplacian is 1/q times the Casimir action"
+        for m, g in f.sectors.items():
+            up, diag, down = stencil_coefficients(ctx, sector=m)
+            rhs = up * _shift(g.values, -1) + diag * g.values + down * _shift(g.values, 1)
+            diff = float(np.max(np.abs(lhs.sector(m).values - rhs)))
+            worst = _max(worst, _rel(diff, max(1.0, lhs.max_abs())))
+    return worst, 1e-12, "the Casimir route equals the closed-form three-term stencil on every sector"
 
 
 def casimir_centrality(ctx: QContext, fx: Fixtures):
@@ -796,19 +803,16 @@ def _seed41_draws(ctx: QContext):
 def matrix_solve_oracle(ctx: QContext, fx: Fixtures):
     _fit_support(ctx, 5)
     worst = 0.0
-    # the truncated matrix reaches at least 135 rows past the grid (200 rows on the default one)
-    dim = max(200, ctx.npoints + 135)
+    # the truncation reaches past the grid until q^(2k) drops below 2^-53
+    dim = ctx.npoints + math.ceil(53 * math.log(2) / ctx.h)
     for sector, draw in zip((-2, 0, 1, 3), fx.get(_seed41_draws)[0]):
-        mat = G.sector_laplacian_matrix(sector, dim, ctx)
-        v = np.zeros(ctx.npoints, dtype=complex)
-        v[:6] = draw
-        f = DiscElement({sector: GridFunction(v)}, ctx)
+        rhs = np.zeros(dim, dtype=complex)
+        rhs[:6] = draw
+        f = DiscElement({sector: GridFunction(rhs[: ctx.npoints])}, ctx)
         sol = G.green_solve(f, 1, ctx)
         if set(sol.sectors) - {sector}:
             worst = _max(worst, 1.0)
-        rhs = np.zeros(dim, dtype=complex)
-        rhs[: ctx.npoints] = v
-        x = np.linalg.solve(mat, rhs)
+        x = _stencil_solve(*stencil_coefficients(ctx, dim, sector), rhs)
         worst = _max(
             worst, float(np.max(np.abs(x[: ctx.npoints] - sol.sector(sector).values)))
         )

@@ -32,7 +32,6 @@ from qdisc import (
     laplacian_apply,
     radial_laplacian,
     rep_matrix,
-    sector_laplacian_matrix,
 )
 from qdisc import discalg, green
 from qdisc.discalg import _contraction_table, _integral_weights, _poch_down, _poch_up
@@ -45,6 +44,7 @@ from qdisc.green import (
     gm_quadrature_grid,
 )
 from qdisc.qspecial import l_sum
+from qdisc.uqsl2 import _stencil_solve, stencil_coefficients
 from conftest import random_element
 
 
@@ -276,14 +276,13 @@ def test_matrix_solve_oracle(ctx):
     rng = np.random.default_rng(77)
     dim = 200
     for sector in (-1, 0, 2):
-        mat = sector_laplacian_matrix(sector, dim, ctx)
         v = np.zeros(ctx.npoints, dtype=complex)
         v[:6] = rng.standard_normal(6)
         f = DiscElement({sector: GridFunction(v)}, ctx)
         sol = green_solve(f, 1, ctx)
         rhs = np.zeros(dim, dtype=complex)
         rhs[: ctx.npoints] = v
-        x = np.linalg.solve(mat, rhs)
+        x = _stencil_solve(*stencil_coefficients(ctx, dim, sector), rhs)
         assert np.max(np.abs(x[: ctx.npoints] - sol.sector(sector).values)) < 1e-6
 
 
@@ -292,12 +291,12 @@ def test_uniqueness_transfer(ctx):
     # on the whole spanning set
     dim = 160
     K1 = kernel_assembled(1, ctx, sector_max=2)
-    mats = {s: sector_laplacian_matrix(s, dim, ctx) for s in (-2, -1, 0, 1, 2)}
+    stencils = {s: stencil_coefficients(ctx, dim, s) for s in (-2, -1, 0, 1, 2)}
     f0 = delta_fn(0, ctx)
     route_a = apply_kernel(K1, f0, ctx).sector(0).values
     rhs = np.zeros(dim, dtype=complex)
     rhs[0] = 1.0
-    route_b = np.linalg.solve(mats[0], rhs)
+    route_b = _stencil_solve(*stencils[0], rhs)
     assert np.max(np.abs(route_a - route_b[: ctx.npoints])) < 1e-6
     for s in (-2, -1, 1, 2):
         for n in (0, 3, 7):
@@ -305,7 +304,7 @@ def test_uniqueness_transfer(ctx):
             a = apply_kernel(K1, f, ctx).sector(s).values
             rhs = np.zeros(dim, dtype=complex)
             rhs[n] = 1.0
-            b = np.linalg.solve(mats[s], rhs)
+            b = _stencil_solve(*stencils[s], rhs)
             assert np.max(np.abs(a - b[: ctx.npoints])) < 1e-6
 
 

@@ -18,8 +18,8 @@ from qdisc import (
     sector_rotate,
     star,
 )
-from qdisc.discalg import integral_scale
-from qdisc.uqsl2 import act_word, stencil_coefficients
+from qdisc.discalg import _shift, integral_scale
+from qdisc.uqsl2 import _stencil_solve, act_word, stencil_coefficients
 from conftest import random_element
 
 
@@ -185,8 +185,37 @@ def test_radial_matches_casimir_route(ctx, rng):
 
 def test_stencil_boundary_row_closes(ctx):
     # the off-grid coefficient at the first row vanishes identically
-    up, diag, down = stencil_coefficients(ctx)
-    assert up[0] == 0.0
+    for m in range(-3, 4):
+        up, diag, down = stencil_coefficients(ctx, sector=m)
+        assert up[0] == 0.0
+
+
+def test_sector_stencil_matches_the_casimir_route():
+    rng = np.random.default_rng(29)
+    for q in (0.3, 0.5, 0.9, 0.995):
+        for horizon in (64, 128):
+            ctx = QContext(q, grid_horizon=horizon)
+            for m in range(-3, 4):
+                v = np.zeros(ctx.npoints, dtype=complex)
+                v[:12] = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+                lhs = laplacian_apply(DiscElement({m: GridFunction(v)}, ctx), ctx).sector(m).values
+                up, diag, down = stencil_coefficients(ctx, sector=m)
+                rhs = up * _shift(v, -1) + diag * v + down * _shift(v, 1)
+                assert np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(lhs))) < 1e-12
+
+
+def test_stencil_sweep_matches_the_dense_solve():
+    rng = np.random.default_rng(31)
+    for q in (0.05, 0.5, 0.995):
+        ctx = QContext(q)
+        for dim in (2, 3, 50, 300):
+            for m in range(-3, 4):
+                up, diag, down = stencil_coefficients(ctx, dim, m)
+                mat = np.diag(diag) + np.diag(up[1:], -1) + np.diag(down[:-1], 1)
+                rhs = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                ref = np.linalg.solve(mat, rhs)
+                got = _stencil_solve(up, diag, down, rhs)
+                assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-12
 
 
 def test_sector_rotation_phases(ctx, rng):
