@@ -166,10 +166,13 @@ def basic_hypergeometric(
 
 @dataclass
 class JacksonResult:
-    """Value of a Jackson integral plus truncation metadata."""
+    """Value of a Jackson integral plus truncation metadata.
+
+    tail_estimate is the size of the part past the stored grid, estimated
+    for a truncated integral (zero for an exact one); it is not a bound."""
 
     value: complex
-    tail_bound: float
+    tail_estimate: float
     truncated: bool
 
     def __complex__(self) -> complex:
@@ -181,8 +184,10 @@ def jackson_integral(values, ctx: QContext, finite_support: bool = True) -> Jack
 
     `values` is a grid function (or raw array of grid values up to the
     horizon).  For finite-support functions the result is exact;
-    otherwise a geometric tail estimate based on the last stored value is
-    reported and the result is flagged as truncated.
+    otherwise the result is flagged as truncated and carries a tail
+    estimate, the integral of the last stored value continued as a
+    constant past the grid.  That is an estimate, not a bound: a function
+    that grows past the grid has a larger tail.
     """
     import numpy as np
 
@@ -196,7 +201,7 @@ def jackson_integral(values, ctx: QContext, finite_support: bool = True) -> Jack
     if finite_support:
         return JacksonResult(total, 0.0, False)
     last = abs(vals[-1]) if n else 0.0
-    # bound the tail by a constant continuation of the last value
+    # estimate the tail by a constant continuation of the last value
     tail = last * ctx.q2 ** n / (1.0 - ctx.q2) * (1.0 - ctx.q2)
     return JacksonResult(total, float(tail), True)
 

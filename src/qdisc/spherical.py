@@ -556,10 +556,12 @@ def _density_on_nodes(q: float, count: int) -> np.ndarray:
 
 
 def _real_matmul(table: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """table @ v for a real table and a complex vector, as one real GEMM on
-    v's (k, 2) float view; table @ v itself would cast table to complex."""
-    pairs = np.ascontiguousarray(v, dtype=complex).view(float).reshape(-1, 2)
-    return (table @ pairs).view(complex).ravel()
+    """table @ v for a real table and a complex vector or (k, m) matrix, as
+    one real GEMM on v's (k, 2m) float view; table @ v itself would cast
+    table to complex."""
+    v = np.ascontiguousarray(v, dtype=complex)
+    out = table @ v.view(float).reshape(len(v), -1)
+    return out.view(complex).reshape(table.shape[:1] + v.shape[1:])
 
 
 def _forward(phi: np.ndarray, g: GridFunction, ctx: QContext) -> np.ndarray:
@@ -599,27 +601,39 @@ def _start_nodes(ctx: QContext, depth: int = 0) -> int:
     falls like q^N in the strip |Im h rho| < ln(1/q) of analyticity
     (Trefethen-Weideman 2014, Thm 3.2), eps = 1e-14 is three decades under
     the absolute settle tolerance and 2 depth covers the forward weights'
-    range q^(-2 depth).  A power of two has odd part 1, so every count the
-    inverse takes at any depth (N0, 2 N0, 4 N0), and the forward's
-    power-of-two counts, are slices of one node-table cover per q."""
+    range q^(-2 depth).  The inverse evaluates on 2 N0 and then 4 N0 nodes,
+    reading the N0- and 2 N0-node sums off those passes; a power of two
+    has odd part 1, so those counts, and the forward's power-of-two counts,
+    are slices of one node-table cover per q at any depth."""
     need = math.log(1e3 / _QUAD_ABS_TOL) / math.log(1.0 / ctx.q) + 2 * depth
     return 1 << math.ceil(math.log2(need))
 
 
-def _inverse_on_nodes(F, ctx: QContext, count: int, npoints: int) -> tuple[np.ndarray, float]:
-    """Periodic-trapezoid inverse transform on count equispaced nodes, and
-    the rounding floor of its sums.
+def _inverse_on_nodes(
+    F, ctx: QContext, count: int, npoints: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Periodic-trapezoid inverse transform on count/2 and on count
+    equispaced nodes from one pass over the count nodes, and the rounding
+    floor of the count-node sums.
 
     F is either a SpectralFunction, re-evaluated exactly from its source
-    grid function on these nodes, or a callable called on the node array.
+    grid function on these nodes, or a callable called once on the node
+    array.  The count/2 nodes are the even ones of the count, so one real
+    GEMM of the phi table against two weight columns, the weights with the
+    odd nodes zeroed and all of them, gives both sums.
     """
     if isinstance(F, SpectralFunction):
         fv = _forward(_phi_on_nodes(ctx.q, count, len(F.source.values)), F.source, ctx)
     else:
         fv = F(_nodes(count, ctx))
     weighted = fv * _density_on_nodes(ctx.q, count)
+    columns = np.zeros((count, 2), dtype=complex)
+    columns[::2, 0] = weighted[::2]
+    columns[:, 1] = weighted
+    sums = _real_matmul(_phi_on_nodes(ctx.q, count, npoints), columns)
     period = ctx.rho_period()
-    out = (period / count) * _real_matmul(_phi_on_nodes(ctx.q, count, npoints), weighted)
+    coarse = (2.0 * period / count) * sums[:, 0]
+    fine = (period / count) * sums[:, 1]
     # rounding floor of the quadrature sums: spectral values of deep
     # deltas reach q^(-2n) sizes and the summation noise accumulates
     # like sqrt(count); differences below this are indistinguishable
@@ -627,7 +641,7 @@ def _inverse_on_nodes(F, ctx: QContext, count: int, npoints: int) -> tuple[np.nd
     # the discretization error collapses far faster than this floor)
     mean = float(np.mean(np.abs(weighted)))
     floor = 32.0 * np.finfo(float).eps * period * math.sqrt(count) * mean
-    return out, floor
+    return coarse, fine, floor
 
 
 def transform_inverse(F, ctx: QContext, npoints: int | None = None) -> GridFunction:
@@ -637,10 +651,11 @@ def transform_inverse(F, ctx: QContext, npoints: int | None = None) -> GridFunct
 
     F is either a SpectralFunction, re-evaluated exactly from its source
     at each node set (its node count plays no part), or a callable on an
-    array of rho.  The sum starts at _start_nodes' N0 for the last nonzero
-    row of F's source (0 for a callable) and doubles until outputs move by
-    less than max(1e-11, 1e-12 * scale, rounding floor); not settling by
-    4 N0 nodes raises QuadratureError.
+    array of rho.  With N0 the _start_nodes count for the last nonzero row
+    of F's source (0 for a callable), one pass on 2 N0 nodes gives the N0-
+    and 2 N0-node sums; when they differ by more than max(1e-11, 1e-12 *
+    scale, rounding floor), one pass on 4 N0 nodes compares 2 N0 with 4 N0
+    by the same rule, and not settling there raises QuadratureError.
     """
     if npoints is None:
         npoints = ctx.npoints
@@ -648,13 +663,11 @@ def transform_inverse(F, ctx: QContext, npoints: int | None = None) -> GridFunct
     if isinstance(F, SpectralFunction):
         depth = int(np.flatnonzero(F.source.values).max(initial=0))
     start = _start_nodes(ctx, depth)
-    prev, _ = _inverse_on_nodes(F, ctx, start, npoints)
     for count in (2 * start, 4 * start):
-        out, floor = _inverse_on_nodes(F, ctx, count, npoints)
-        diff = float(np.max(np.abs(out - prev)))
+        coarse, out, floor = _inverse_on_nodes(F, ctx, count, npoints)
+        diff = float(np.max(np.abs(out - coarse)))
         if diff <= max(_QUAD_ABS_TOL, _QUAD_REL_TOL * float(np.max(np.abs(out))), floor):
             return GridFunction(out, finite_support=False)
-        prev = out
     raise QuadratureError(
         f"inverse transform did not settle below tol by {count} nodes "
         f"(last change {diff:.3e})"

@@ -98,7 +98,12 @@ def casimir_apply(f: DiscElement, ctx: QContext | None = None) -> DiscElement:
 
     One pass per sector: E's and then F's difference formula from _ef_terms,
     plus the K part, with the arithmetic of act("F", act("E", f)) plus the
-    scaled K images, so the result is the same to the bit.
+    scaled K images.  On a sector m < 0, F reads E's image at row npoints,
+    one past the grid, which act's shift zero-fills; with f zero past the
+    grid that image is alpha (1 - q^(2 npoints)) f(npoints - 1), alpha =
+    -q^(1/2)/(1-q^2), and it is added to the top row.  Every other row, and
+    the top row wherever f's top row is zero, is the same to the bit as
+    the composed route.
     """
     ctx = ctx or f.ctx
     q = ctx.q
@@ -111,6 +116,10 @@ def casimir_apply(f: DiscElement, ctx: QContext | None = None) -> DiscElement:
         e = c0 * v + c1 * _shift(v, s)
         _, c0, c1, s = _ef_terms("F", m1, yg, q)
         fe = c0 * e + c1 * _shift(e, s)
+        if m < 0 and v[-1] != 0:
+            # F's scalar cofactor c1 takes E's image at row npoints too
+            alpha = -(q**0.5) / (1.0 - ctx.q2)
+            fe[-1] += c1 * (alpha * (1.0 - ctx.q2 ** len(v)) * v[-1])
         kpart = 1.0 / q * (q ** (-2 * m) * v) + q * (q ** (2 * m) * v) + -(q + 1.0 / q) * v
         out[m] = GridFunction(fe + 1.0 / denom * kpart, g.finite_support)
     return DiscElement(out, ctx)

@@ -601,12 +601,12 @@ def density_symmetry_and_quotient(ctx: QContext, fx: Fixtures):
 
 
 def quadrature_self_consistency(ctx: QContext, fx: Fixtures):
-    # the inverse's own start count N0 against 2 N0, so the start rule is checked
+    # the inverse's own start count N0 against 2 N0, both sums read off its
+    # first pass on 2 N0 nodes, so the start rule is checked
     d = GridFunction.delta(1, ctx.npoints)
     Fd = S.transform_forward(d, ctx, 512)
     start = S._start_nodes(ctx, 1)
-    out_a, _ = S._inverse_on_nodes(Fd, ctx, start, ctx.npoints)
-    out_b, _ = S._inverse_on_nodes(Fd, ctx, 2 * start, ctx.npoints)
+    out_a, out_b, _ = S._inverse_on_nodes(Fd, ctx, 2 * start, ctx.npoints)
     doubling = float(np.max(np.abs(out_a - out_b)))
     return doubling, 1e-10, f"doubling the start count {start} leaves the inverse transform unchanged"
 

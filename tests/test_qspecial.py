@@ -193,7 +193,7 @@ def test_hypergeometric_overflowing_terms_raise_domain_error():
 
 def test_jackson_constant(ctx):
     res = jackson_integral(np.ones(ctx.npoints), ctx, finite_support=False)
-    assert abs(res.value - 1.0) <= res.tail_bound + 1e-14
+    assert abs(res.value - 1.0) <= res.tail_estimate + 1e-14
     assert res.truncated
 
 
@@ -202,7 +202,7 @@ def test_jackson_indicator(ctx):
     v[1] = 1.0
     res = jackson_integral(v, ctx)
     assert abs(res.value - (1 - ctx.q2) * ctx.q2) < 1e-16
-    assert res.tail_bound == 0.0 and not res.truncated
+    assert res.tail_estimate == 0.0 and not res.truncated
 
 
 def test_jackson_linear_weight(ctx):

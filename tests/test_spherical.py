@@ -471,8 +471,7 @@ def test_plancherel_pairing(ctx, rng):
 def test_quadrature_doubling_stability(ctx):
     d = delta_fn(1, ctx).sector(0)
     F = transform_forward(d, ctx, 64)
-    a, _ = _inverse_on_nodes(F, ctx, 128, ctx.npoints)
-    b, _ = _inverse_on_nodes(F, ctx, 256, ctx.npoints)
+    a, b, _ = _inverse_on_nodes(F, ctx, 256, ctx.npoints)
     assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -610,7 +609,8 @@ def test_phi_tables_take_real_rho_only(ctx):
 def test_real_gemm_contractions_match_the_complex_matvec(q):
     # the transform contracts real node tables with complex operands as
     # real GEMMs; a complex matvec over the same table is the reference,
-    # on the node counts transform_inverse takes for each source
+    # on the node counts transform_inverse takes for each source, and the
+    # inverse's coarse sum against a matvec over the half-count table
     ctx = QContext(q, grid_horizon=32)
     rng = np.random.default_rng(7)
     period = ctx.rho_period()
@@ -629,11 +629,23 @@ def test_real_gemm_contractions_match_the_complex_matvec(q):
             ref = (1.0 - ctx.q2) * (phi[nz].T.astype(complex) @ v)
             scale = (1.0 - ctx.q2) * (np.abs(phi[nz].T) @ np.abs(v))
             assert np.all(np.abs(fv - ref) <= 1e-15 * scale)
-            out, _ = _inverse_on_nodes(SpectralFunction(_nodes(count, ctx), fv, g), ctx, count, ctx.npoints)
+            coarse, out, _ = _inverse_on_nodes(
+                SpectralFunction(_nodes(count, ctx), fv, g), ctx, count, ctx.npoints
+            )
             weighted = fv * _density_on_nodes(q, count)
             ref = (period / count) * (phi.astype(complex) @ weighted)
             scale = (period / count) * (np.abs(phi) @ np.abs(weighted))
             assert np.all(np.abs(out - ref) <= 1e-15 * scale)
+            # the coarse sum's reference is the same matvec in extended
+            # precision: in double its own rounding reaches 0.92e-15 scale
+            # (q = 0.9, row 1 of a 1024-node sum), where the GEMM errs by
+            # 0.19e-15
+            half = count // 2
+            phi = _phi_on_nodes(q, half, ctx.npoints)
+            weighted = fv[::2] * _density_on_nodes(q, half)
+            ref = (period / half) * (phi.astype(np.clongdouble) @ weighted.astype(np.clongdouble))
+            scale = (period / half) * (np.abs(phi) @ np.abs(weighted))
+            assert np.all(np.abs(coarse - ref) <= 1e-15 * scale)
 
 
 def test_inverse_ignores_the_forward_node_count():
@@ -647,7 +659,8 @@ def test_inverse_ignores_the_forward_node_count():
 
 
 def test_unsettled_callable_raises_by_four_start_counts(ctx):
-    # seeded random values never settle; the sums stop at 4 N0 nodes
+    # seeded random values never settle; one pass on 2 N0 nodes compares
+    # N0 with 2 N0, one on 4 N0 compares 2 N0 with 4 N0, and the sums stop
     rng = np.random.default_rng(5)
     counts = []
 
@@ -658,7 +671,28 @@ def test_unsettled_callable_raises_by_four_start_counts(ctx):
     start = _start_nodes(ctx)
     with pytest.raises(QuadratureError, match=f"by {4 * start} nodes"):
         transform_inverse(noise, ctx)
-    assert counts == [start, 2 * start, 4 * start]
+    assert counts == [2 * start, 4 * start]
+
+
+def test_callable_aliased_at_the_start_count_settles_by_four_start_counts(ctx):
+    # a Fourier mode of order N0 + 1 in h rho aliases onto mode 1 on N0
+    # nodes, so the first pass does not settle; on 2 N0 nodes it meets only
+    # the q^(N0 - 1)-small modes of phi and the density, so the second does
+    start = _start_nodes(ctx)
+    counts = []
+
+    def mode(rhos):
+        counts.append(len(rhos))
+        return np.cos((start + 1) * ctx.h * rhos)
+
+    out = transform_inverse(mode, ctx).values
+    assert counts == [2 * start, 4 * start]
+    nodes = _nodes(4 * start, ctx)
+    weights = np.cos((start + 1) * ctx.h * nodes) * _density_vector(nodes, ctx)
+    terms = phi_matrix(nodes, ctx.npoints, ctx) * weights[:, None]
+    ref = ctx.rho_period() / (4 * start) * terms.sum(axis=0)
+    scale = ctx.rho_period() / (4 * start) * np.abs(terms).sum(axis=0)
+    assert np.all(np.abs(out - ref) <= 1e-14 * scale)
 
 
 def test_start_count_is_a_power_of_two_from_the_strip():

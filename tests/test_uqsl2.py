@@ -204,6 +204,20 @@ def test_sector_stencil_matches_the_casimir_route():
                 assert np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(lhs))) < 1e-12
 
 
+def test_casimir_route_matches_the_stencil_on_elements_that_fill_the_grid():
+    # on sectors m < 0 the top row takes E's image one row past the grid
+    rng = np.random.default_rng(37)
+    for q in (0.5, 0.9):
+        for horizon in range(1, 21):
+            ctx = QContext(q, grid_horizon=horizon)
+            for m in range(-3, 4):
+                v = rng.standard_normal(ctx.npoints) + 1j * rng.standard_normal(ctx.npoints)
+                lhs = laplacian_apply(DiscElement({m: GridFunction(v)}, ctx), ctx).sector(m).values
+                up, diag, down = stencil_coefficients(ctx, sector=m)
+                rhs = up * _shift(v, -1) + diag * v + down * _shift(v, 1)
+                assert np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(lhs))) < 1e-12
+
+
 def test_stencil_sweep_matches_the_dense_solve():
     rng = np.random.default_rng(31)
     for q in (0.05, 0.5, 0.995):
