@@ -560,8 +560,9 @@ def _real_matmul(table: np.ndarray, v: np.ndarray) -> np.ndarray:
     one real GEMM on v's (k, 2m) float view; table @ v itself would cast
     table to complex."""
     v = np.ascontiguousarray(v, dtype=complex)
-    out = table @ v.view(float).reshape(len(v), -1)
-    return out.view(complex).reshape(table.shape[:1] + v.shape[1:])
+    cols = v if v.ndim == 2 else v[:, None]
+    out = (table @ cols.view(float)).view(complex)
+    return out if v.ndim == 2 else out.ravel()
 
 
 def _forward(phi: np.ndarray, g: GridFunction, ctx: QContext) -> np.ndarray:

@@ -100,10 +100,10 @@ def casimir_apply(f: DiscElement, ctx: QContext | None = None) -> DiscElement:
     plus the K part, with the arithmetic of act("F", act("E", f)) plus the
     scaled K images.  On a sector m < 0, F reads E's image at row npoints,
     one past the grid, which act's shift zero-fills; with f zero past the
-    grid that image is alpha (1 - q^(2 npoints)) f(npoints - 1), alpha =
-    -q^(1/2)/(1-q^2), and it is added to the top row.  Every other row, and
-    the top row wherever f's top row is zero, is the same to the bit as
-    the composed route.
+    grid that image is E's shift cofactor at y = q^(2 npoints), alpha
+    (1 - q^(2 npoints)), times f(npoints - 1), and it is added to the top
+    row.  Every other row, and the top row wherever f's top row is zero,
+    is the same to the bit as the composed route.
     """
     ctx = ctx or f.ctx
     q = ctx.q
@@ -117,9 +117,9 @@ def casimir_apply(f: DiscElement, ctx: QContext | None = None) -> DiscElement:
         _, c0, c1, s = _ef_terms("F", m1, yg, q)
         fe = c0 * e + c1 * _shift(e, s)
         if m < 0 and v[-1] != 0:
-            # F's scalar cofactor c1 takes E's image at row npoints too
-            alpha = -(q**0.5) / (1.0 - ctx.q2)
-            fe[-1] += c1 * (alpha * (1.0 - ctx.q2 ** len(v)) * v[-1])
+            # F's scalar cofactor c1 takes E's image at row npoints too:
+            # E's shift cofactor at y = q^(2 npoints) times f(npoints - 1)
+            fe[-1] += c1 * (_ef_terms("E", m, ctx.q2 ** len(v), q)[2] * v[-1])
         kpart = 1.0 / q * (q ** (-2 * m) * v) + q * (q ** (2 * m) * v) + -(q + 1.0 / q) * v
         out[m] = GridFunction(fe + 1.0 / denom * kpart, g.finite_support)
     return DiscElement(out, ctx)

@@ -605,6 +605,26 @@ def test_phi_tables_take_real_rho_only(ctx):
     assert np.array_equal(phi_column(0.3 + 0j, 5, ctx), real[1])
 
 
+def _compensated_matvec(table, v):
+    """table @ v for a real table and a complex vector, summing each row's
+    double products pairwise with TwoSum and carrying the exact rounding
+    terms, so each sum is good to a rounding of itself plus eps^2 terms on
+    any platform."""
+    def rows(p):
+        err = np.zeros(len(p))
+        while p.shape[1] > 1:
+            if p.shape[1] % 2:
+                p = np.hstack([p, np.zeros((len(p), 1))])
+            a, b = p[:, ::2], p[:, 1::2]
+            s = a + b
+            bb = s - a
+            err += ((a - (s - bb)) + (b - bb)).sum(axis=1)
+            p = s
+        return p[:, 0] + err
+
+    return rows(table * v.real) + 1j * rows(table * v.imag)
+
+
 @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.995])
 def test_real_gemm_contractions_match_the_complex_matvec(q):
     # the transform contracts real node tables with complex operands as
@@ -632,20 +652,30 @@ def test_real_gemm_contractions_match_the_complex_matvec(q):
             coarse, out, _ = _inverse_on_nodes(
                 SpectralFunction(_nodes(count, ctx), fv, g), ctx, count, ctx.npoints
             )
+            # the inverse's references are compensated row sums: a double
+            # matvec's own rounding reaches 0.92e-15 scale (q = 0.9,
+            # row 1 of a 1024-node sum), where the GEMM errs by 0.19e-15
             weighted = fv * _density_on_nodes(q, count)
-            ref = (period / count) * (phi.astype(complex) @ weighted)
+            ref = (period / count) * _compensated_matvec(phi, weighted)
             scale = (period / count) * (np.abs(phi) @ np.abs(weighted))
             assert np.all(np.abs(out - ref) <= 1e-15 * scale)
-            # the coarse sum's reference is the same matvec in extended
-            # precision: in double its own rounding reaches 0.92e-15 scale
-            # (q = 0.9, row 1 of a 1024-node sum), where the GEMM errs by
-            # 0.19e-15
             half = count // 2
             phi = _phi_on_nodes(q, half, ctx.npoints)
             weighted = fv[::2] * _density_on_nodes(q, half)
-            ref = (period / half) * (phi.astype(np.clongdouble) @ weighted.astype(np.clongdouble))
+            ref = (period / half) * _compensated_matvec(phi, weighted)
             scale = (period / half) * (np.abs(phi) @ np.abs(weighted))
             assert np.all(np.abs(coarse - ref) <= 1e-15 * scale)
+
+
+def test_zero_source_transforms_to_zero_and_back():
+    # a source with no nonzero row contracts an empty slice of the table
+    ctx = QContext(0.5, grid_horizon=16)
+    F = transform_forward(GridFunction.zeros(ctx.npoints), ctx)
+    assert F.values.shape == (1024,)
+    assert not np.any(F.values)
+    g = transform_inverse(F, ctx)
+    assert g.values.shape == (ctx.npoints,)
+    assert not np.any(g.values)
 
 
 def test_inverse_ignores_the_forward_node_count():
