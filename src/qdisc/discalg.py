@@ -10,12 +10,13 @@ z* z = q^2 z z* + (1 - q^2) drives the normal-ordered product: powers of
 z and z* commute past grid functions via the argument shifts
 phi(y) -> phi(q^{-+2} y), and z*^k z^k / z^k z*^k contract to explicit
 polynomial grid functions, rows of one contraction table that also gives
-the legs of the Green kernels.
+the legs of the Green kernels.  Each sector pair adds its term into its
+product sector's row in place, by slices of the factors.
 
 A truncated weighted-shift matrix representation serves as an independent
 oracle for products, the involution, and the invariant integral; each
-sector of it is one diagonal of subdiagonal-weight products.  The pairing
-sums only the sector pairs that land in sector 0, the one integrated.
+sector of it is one strided diagonal of subdiagonal-weight products.  The
+pairing accumulates only the sector pairs that land in sector 0.
 """
 
 from __future__ import annotations
@@ -110,16 +111,21 @@ class DiscElement:
         return max((g.max_abs() for g in self.sectors.values()), default=0.0)
 
     def __add__(self, other: "DiscElement") -> "DiscElement":
-        out: dict[int, GridFunction] = {}
-        for m in set(self.sectors) | set(other.sectors):
-            a, b = self.sector(m), other.sector(m)
-            out[m] = GridFunction(
-                a.values + b.values, a.finite_support and b.finite_support
-            )
-        return DiscElement(out, self.ctx)
+        return self._merge(other, np.add)
 
     def __sub__(self, other: "DiscElement") -> "DiscElement":
-        return self + other.scaled(-1.0)
+        return self._merge(other, np.subtract)
+
+    def _merge(self, other: "DiscElement", op) -> "DiscElement":
+        """Sector-wise op(self, other); a missing sector counts as zero, unbuilt."""
+        out: dict[int, GridFunction] = {}
+        for m in set(self.sectors) | set(other.sectors):
+            a, b = self.sectors.get(m), other.sectors.get(m)
+            out[m] = a if b is None else GridFunction(
+                op(0.0 if a is None else a.values, b.values),
+                b.finite_support and (a is None or a.finite_support),
+            )
+        return DiscElement(out, self.ctx)
 
     def scaled(self, c: complex) -> "DiscElement":
         return DiscElement(
@@ -132,11 +138,13 @@ class DiscElement:
 
     def max_abs_diff(self, other: "DiscElement") -> float:
         """Largest |self - other| entry over all sectors; nan if any entry is nan."""
-        # np.max propagates nan, where a fold with max() would drop it
+        a, b = self.sectors, other.sectors
         devs = [
-            np.max(np.abs(self.sector(m).values - other.sector(m).values))
-            for m in set(self.sectors) | set(other.sectors)
+            np.max(np.abs(a[m].values - b[m].values)) if m in a and m in b
+            else np.max(np.abs((a[m] if m in a else b[m]).values))
+            for m in set(a) | set(b)
         ]
+        # np.max propagates nan, where a fold with max() would drop it
         return float(np.max(devs, initial=0.0))
 
     # --- constructors -------------------------------------------------
@@ -202,61 +210,54 @@ def _contraction_table(q2: float, depths: int, npoints: int) -> np.ndarray:
     return _frozen(P.astype(complex))
 
 
-def _mul_terms(
-    m1: int, psi: GridFunction, m2: int, phi: GridFunction, ctx: QContext
-) -> tuple[int, GridFunction]:
-    """Normal form of the product of two single-sector terms."""
-    npoints = ctx.npoints
-    # a factor of finite support confines the product's support
-    finite = psi.finite_support or phi.finite_support
+def _mul_into(row: np.ndarray | None, m1: int, psi: np.ndarray, m2: int, phi: np.ndarray,
+              finite: bool, ctx: QContext) -> np.ndarray:
+    """Add the normal form of z^m1-term psi times z^m2-term phi into row by slices
+    (row None: write it into a new zero row); finite: a factor has finite support."""
+    npoints, fresh = ctx.npoints, row is None
+    row = np.zeros(npoints, dtype=complex) if fresh else row
     if m1 >= 0 and m2 >= 0:
         # z^a psi(y) z^b phi(y) = z^(a+b) psi(q^(2b) y) phi(y)
-        g = _shift(psi.values, m2) * phi.values
-        return m1 + m2, GridFunction(g, finite)
-    if m1 < 0 and m2 < 0:
+        k = max(npoints - m2, 0)
+        out, x, y = row[:k], psi[m2:], phi[:k]
+    elif m1 < 0 and m2 < 0:
         # psi(y) z*^a phi(y) z*^b = psi(y) phi(q^(2a) y) z*^(a+b)
-        a = -m1
-        g = psi.values * _shift(phi.values, a)
-        return m1 + m2, GridFunction(g, finite)
-    if m1 >= 0 and m2 < 0:
-        # z^a chi(y) z*^b with chi = psi * phi: contract d = min(a, b)
-        # pairs, leaving the argument of chi shifted up and the
-        # contraction polynomial P_d.
-        a, b = m1, -m2
-        d = min(a, b)
-        chi = psi.values * phi.values
-        g = _shift(chi, -d) * _poch_down(d, ctx, npoints)
+        k = max(npoints + m1, 0)
+        out, x, y = row[:k], psi[:k], phi[-m1:]
+    elif m1 >= 0:
+        # z^a chi(y) z*^b with chi = psi * phi: contract d = min(a, b) pairs,
+        # leaving the argument of chi shifted up and the contraction polynomial P_d.
+        d = min(m1, -m2)
+        chi = psi * phi
         if finite and d > 0 and np.any(np.abs(chi[npoints - d:]) > 0):
-            raise CapacityError(
-                "product support would pass the grid horizon; raise grid_horizon"
-            )
-        return m1 + m2, GridFunction(g, finite)
-    # m1 < 0 <= m2: psi(y) z*^a z^b phi(y)
-    a, b = -m1, m2
-    d = min(a, b)
-    qup = _poch_up(d, ctx, npoints)
-    if b >= a:
-        g = _shift(psi.values * qup, b - a) * phi.values
+            raise CapacityError("product support would pass the grid horizon; raise grid_horizon")
+        k = max(npoints - d, 0)
+        out, x, y = row[npoints - k:], chi[:k], _poch_down(d, ctx, npoints)[npoints - k:]
     else:
-        g = psi.values * _shift(qup * phi.values, a - b)
-    return m1 + m2, GridFunction(g, finite)
+        # psi(y) z*^a z^b phi(y) = psi(y) Q_d(y) z^(b-a) phi(y), d = min(a, b)
+        s = m1 + m2
+        qup = _poch_up(min(-m1, m2), ctx, npoints)
+        k = max(npoints - abs(s), 0)
+        out = row[:k]
+        x, y = ((psi * qup)[s:], phi[:k]) if s >= 0 else (psi[:k], (qup * phi)[-s:])
+    np.multiply(x, y, out=out) if fresh else np.add(out, x * y, out=out)
+    return row
 
 
 def normal_mul(f: DiscElement, g: DiscElement, ctx: QContext | None = None) -> DiscElement:
-    """Product of two elements in normal form."""
+    """Product of two elements in normal form: each sector pair writes or adds its
+    term into its sector's one row, in place, in f's then g's sector order."""
     ctx = ctx or f.ctx
-    acc: dict[int, np.ndarray] = {}
+    rows: dict[int, np.ndarray] = {}
     fin: dict[int, bool] = {}
     for m1, psi in f.sectors.items():
         for m2, phi in g.sectors.items():
-            m, term = _mul_terms(m1, psi, m2, phi, ctx)
-            if m in acc:
-                acc[m] = acc[m] + term.values
-                fin[m] = fin[m] and term.finite_support
-            else:
-                acc[m] = term.values
-                fin[m] = term.finite_support
-    return DiscElement({m: GridFunction(v, fin[m]) for m, v in acc.items()}, ctx)
+            m = m1 + m2
+            # a factor of finite support confines the product's support
+            finite = psi.finite_support or phi.finite_support
+            rows[m] = _mul_into(rows.get(m), m1, psi.values, m2, phi.values, finite, ctx)
+            fin[m] = fin.get(m, True) and finite
+    return DiscElement({m: GridFunction(v, fin[m]) for m, v in rows.items()}, ctx)
 
 
 def star(f: DiscElement) -> DiscElement:
@@ -303,9 +304,14 @@ def inv_integral(f: DiscElement, ctx: QContext | None = None) -> complex:
 def integral_scale(f: DiscElement, ctx: QContext | None = None) -> float:
     """Absolute-mass scale of the invariant integral (for relative residuals)."""
     ctx = ctx or f.ctx
+    if not f.sectors:
+        return 0.0
+    mass = [np.abs(g.values) for g in f.sectors.values()]
+    # one weight row, on the union of the supports
+    w = _integral_weights(mass[0] if len(mass) == 1 else np.sum(mass, axis=0), ctx)
     s = 0.0
-    for g in f.sectors.values():
-        s += float(np.sum(np.abs(g.values) * _integral_weights(g.values, ctx)))
+    for a in mass:
+        s += float(np.sum(a * w))
     return (1.0 - ctx.q2) * s
 
 
@@ -319,13 +325,14 @@ def inner(f: DiscElement, g: DiscElement, ctx: QContext | None = None) -> comple
     ctx = ctx or f.ctx
     if not (f.finite or g.finite):
         raise DomainError("pairing requires a finite element")
-    pairs = (
-        _mul_terms(-m, psi.conj(), m, f.sectors[m], ctx)[1].values
-        for m, psi in g.sectors.items()
-        if m in f.sectors
-    )
-    radial = sum(pairs, np.zeros(ctx.npoints, dtype=complex))
-    return inv_integral(DiscElement({0: GridFunction(radial)}, ctx), ctx)
+    radial = None
+    for m, psi in g.sectors.items():
+        if (phi := f.sectors.get(m)) is not None:
+            finite = psi.finite_support or phi.finite_support
+            radial = _mul_into(radial, -m, np.conj(psi.values), m, phi.values, finite, ctx)
+    if radial is None:
+        return 0j
+    return (1.0 - ctx.q2) * complex(np.sum(radial * _integral_weights(radial, ctx)))
 
 
 # --- faithful weighted-shift representation ---------------------------
@@ -350,24 +357,29 @@ def rep_matrix(f: DiscElement, dim: int, ctx: QContext | None = None) -> RepMatr
     if dim < 1:
         raise DomainError("representation dimension must be positive")
     out = np.zeros((dim, dim), dtype=complex)
+    flat = out.reshape(-1)
     for m, g in f.sectors.items():
         a = abs(m)
         n = min(dim - a, len(g.values))
         if n > 0:
-            block = out[a : a + n, :n] if m > 0 else out[:n, a : a + n]
-            np.fill_diagonal(block, _shift_weights(ctx.q2, dim, a)[:n] * g.values[:n])
+            diag = flat[a * dim if m > 0 else a :: dim + 1]  # from (a, 0), or (0, a) if m < 0
+            diag[:n] = _shift_weights(ctx.q2, dim, a)[:n] * g.values[:n]
     return RepMatrix(dim, out)
+
+
+def _shift_weights(q2: float, dim: int, a: int) -> np.ndarray:
+    """w_k ... w_(k+a-1) for k < dim - a, w_k = sqrt(1 - q^(2(k+1))), multiplied in
+    that order; a read-only slice of the (q^2, a) cover of power-of-two length."""
+    return _shift_cover(q2, a, 1 << max(dim - a - 1, 0).bit_length())[: dim - a]
 
 
 # the oracle's own table, kept apart from the contraction polynomials it checks
 @functools.lru_cache(maxsize=1024)
-def _shift_weights(q2: float, dim: int, a: int) -> np.ndarray:
-    """w_k ... w_(k+a-1) for k < dim - a, w_k = sqrt(1 - q^(2(k+1))), multiplied
-    in that order; read-only."""
-    w = np.sqrt(1.0 - _ygrid(q2, dim)[1:])
-    out = np.ones(dim - a)
+def _shift_cover(q2: float, a: int, length: int) -> np.ndarray:
+    w = np.sqrt(1.0 - _ygrid(q2, length + a)[1:])
+    out = np.ones(length)
     for k in range(a):
-        out *= w[k : k + dim - a]
+        out *= w[k : k + length]
     return _frozen(out)
 
 

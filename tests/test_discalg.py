@@ -1,9 +1,12 @@
 """Disc algebra: normal form, products, involution, integral, representation."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdisc import discalg
 from qdisc import (
@@ -23,6 +26,7 @@ from qdisc import (
     star,
 )
 from qdisc.discalg import _poch_down, _poch_up, _shift_weights, integral_scale
+from qdisc.uqsl2 import stencil_coefficients
 from conftest import random_element
 
 
@@ -395,12 +399,63 @@ def test_max_abs_diff_keeps_nan():
 
 
 def test_cached_grid_tables_are_read_only():
-    # shared between callers, and keyed on q^2 rather than on the context
+    # shared between callers; the grid is keyed on q^2 rather than on the context
     ctx = QContext(0.5, grid_horizon=8)
     assert ctx.ygrid(12) is QContext(0.5, grid_horizon=40, series_tol=1e-12).ygrid(12)
-    for arr in (ctx.ygrid(), _poch_down(3, ctx, 9), _poch_up(3, ctx, 9), _shift_weights(ctx.q2, 9, 2)):
+    tables = (ctx.ygrid(), _poch_down(3, ctx, 9), _poch_up(3, ctx, 9), _shift_weights(ctx.q2, 9, 2))
+    for arr in tables + stencil_coefficients(ctx, 9, -2):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_shift_weights_are_read_only_slices_of_the_direct_products():
+    # entry k of the a-fold product is w_k ... w_(k+a-1) whatever dim is, so
+    # every dim's weights are one slice of a cover, grown in any order
+    for q in (0.05, 0.5, 0.995):
+        ctx = QContext(q)
+        w = [math.sqrt(1.0 - y) for y in ctx.ygrid(65)[1:].tolist()]
+        ref = {}
+        for a in range(64):
+            ref[a] = []
+            for k in range(64 - a):
+                p = 1.0
+                for j in range(a):
+                    p *= w[k + j]
+                ref[a].append(p)
+        for dims in (range(1, 65), range(64, 0, -1)):
+            discalg._shift_cover.cache_clear()
+            for dim in dims:
+                for a in range(dim):
+                    got = _shift_weights(ctx.q2, dim, a)
+                    assert not got.flags.writeable
+                    assert np.array_equal(got, ref[a][: dim - a])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    q=st.floats(0.05, 0.995),
+    horizon=st.integers(16, 128),
+    f_sectors=st.sets(st.integers(-3, 3), min_size=1, max_size=7),
+    g_sectors=st.sets(st.integers(-3, 3), min_size=1, max_size=7),
+    data=st.data(),
+)
+def test_products_star_and_pairing_match_the_representation(q, horizon, f_sectors, g_sectors, data):
+    # the registry's algebra_rep_products and algebra_rep_involution, with
+    # their tolerances and scales, over q, horizons, supports and sector sets
+    ctx = QContext(q, grid_horizon=horizon)
+    support = data.draw(st.integers(0, horizon // 4), label="support")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    f, g = (_random_sectors(ctx, rng, s, support) for s in (f_sectors, g_sectors))
+    dim = support + 20
+    interior = dim - 10
+    mf, mg = rep_matrix(f, dim, ctx).entries, rep_matrix(g, dim, ctx).entries
+    prod = rep_matrix(normal_mul(f, g), dim, ctx).entries
+    scale = max(1.0, float(np.max(np.abs(mf))) * float(np.max(np.abs(mg))))
+    assert np.max(np.abs((prod - mf @ mg)[:interior, :interior])) <= 1e-12 * scale
+    st_f = rep_matrix(star(f), dim, ctx).entries
+    scale = max(1.0, float(np.max(np.abs(mf))))
+    assert np.max(np.abs((st_f - mf.conj().T)[:interior, :interior])) <= 1e-12 * scale
+    assert inner(f, g) == inv_integral(normal_mul(star(g), f))
 
 
 def test_zero_sectors_are_dropped_by_value(ctx):

@@ -194,6 +194,23 @@ def test_stencil_boundary_row_closes(ctx):
         assert up[0] == 0.0
 
 
+def test_stacked_laplacian_equals_the_one_sector_passes():
+    # one pass over all sectors gives each sector's own stencil bit for bit
+    rng = np.random.default_rng(41)
+    for q in (0.05, 0.5, 0.995):
+        ctx = QContext(q, grid_horizon=40)
+        f = random_element(ctx, rng, sectors=3, support=30)
+        whole = laplacian_apply(f, ctx)
+        assert list(whole.sectors) == list(f.sectors)
+        for m, g in f.sectors.items():
+            alone = laplacian_apply(DiscElement({m: g}, ctx), ctx).sector(m).values
+            up, diag, down = stencil_coefficients(ctx, ctx.npoints, m)
+            v = g.values
+            direct = up * (np.r_[0, v[:-1]] - v) + down * (np.r_[v[1:], 0] - v)
+            assert np.array_equal(whole.sector(m).values, alone)
+            assert np.array_equal(alone, direct)
+
+
 def test_sector_stencil_matches_the_casimir_route():
     # 1-7 sectors, finite and not, against the generator route over q
     rng = np.random.default_rng(29)
