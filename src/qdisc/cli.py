@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields
 
 from . import green as G
 from . import spherical as S
@@ -56,6 +58,11 @@ class RunConfig:
     coef_terms: int = 30
 
     def validate(self) -> None:
+        hints = typing.get_type_hints(RunConfig)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _fits(value, hints[f.name]):
+                raise DomainError(f"config value {f.name}={value!r} is not of type {f.type}")
         if not (Q_MIN <= self.q <= Q_MAX):
             raise DomainError(f"q must lie in [{Q_MIN}, {Q_MAX}]")
         if self.series_tol <= 0:
@@ -64,9 +71,22 @@ class RunConfig:
             raise DomainError("format must be csv or json")
         if self.grid_horizon < 1:
             raise DomainError("grid_horizon must be positive")
+        if self.nmax < 0:
+            raise DomainError("nmax must be nonnegative")
 
     def context(self) -> QContext:
         return QContext(self.q, series_tol=self.series_tol, grid_horizon=self.grid_horizon)
+
+
+def _fits(value, hint) -> bool:
+    """Whether a config value has its field's type; a bool is no number."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, typing.get_args(hint)[0]) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,9 +126,14 @@ def _load_config(args) -> RunConfig:
             raise IOError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise DomainError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise DomainError("config must be a JSON object")
+        keys = {f.name for f in fields(cfg)}
         for key, val in doc.items():
-            if not hasattr(cfg, key):
+            if key not in keys:
                 raise DomainError(f"unknown config key {key!r}")
+            if key == "command" and val != cfg.command:
+                raise DomainError(f"config command {val!r} is not the subcommand {cfg.command!r}")
             setattr(cfg, key, val)
     if args.q is not None:
         cfg.q = args.q

@@ -26,6 +26,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _max(*values: float) -> float:
+    """Largest value, or nan if any is nan.  The builtin max keeps a nan
+    only in first place, so a nan folded in later would be dropped and a
+    residual or sup norm built on it could pass."""
+    return math.nan if any(map(math.isnan, values)) else float(max(values))
+
+
 # keyed on q^2 and the length, not the context, so contexts that differ only
 # in horizon or tolerance share one table
 @functools.lru_cache(maxsize=512)
@@ -42,7 +49,8 @@ class QContext:
            [0.05, 0.995].
         series_tol: absolute tail bound at which truncated series stop,
            including the kernel coefficient series, whose term count is
-           fixed a priori from that bound with no cap.
+           fixed a priori from that bound with no cap.  The radial Green
+           functions do not read it: their cut is relative, fixed by h.
         grid_horizon: largest grid index N_max; grid points are q^(2n),
            n = 0..N_max.
     """

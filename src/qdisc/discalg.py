@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .context import QContext, _frozen, _ygrid
+from .context import QContext, _frozen, _max, _ygrid
 from .errors import CapacityError, DomainError, RangeError
 
 
@@ -108,7 +108,7 @@ class DiscElement:
         return (min(keys), max(keys))
 
     def max_abs(self) -> float:
-        return max((g.max_abs() for g in self.sectors.values()), default=0.0)
+        return _max(0.0, *(g.max_abs() for g in self.sectors.values()))
 
     def __add__(self, other: "DiscElement") -> "DiscElement":
         return self._merge(other, np.add)

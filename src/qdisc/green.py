@@ -1,6 +1,6 @@
 """Green functions and kernels of the invariant Laplacian.
 
-Radial fundamental solutions g_1, g_2 as explicit coefficient series, an
+Radial fundamental solutions g_1, g_2 as tails of one Lambert series, an
 independent quadrature oracle for them through the spectral transform,
 the one-parameter kernel family on the double disc together with its
 parameter derivative, the assembled inverse kernels for the first and
@@ -52,7 +52,7 @@ import numpy as np
 
 from .context import QContext, _frozen
 from .discalg import DiscElement, GridFunction, _contraction_table, _integral_weights, _poch_up, _shift
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, RangeError
 from .qspecial import dilog
 from .spherical import transform_inverse
 from .uqsl2 import _ef_terms
@@ -76,56 +76,59 @@ def coef_order2(m: int, q: float) -> float:
     return q2 ** (m - 1) * (1.0 + q2**m) * (1.0 - q2) ** 2 / (1.0 - q2**m) ** 2
 
 
-def _green_sums(order: int, q: float, t: float, tol: float) -> tuple[float, float]:
-    """Sums s1 = sum_{m>=1} coef_order1(m) t^m and, for order 2,
-    s2 = sum_{m>=1} coef_order2(m) t^m (else 0.0).
-
-    Both coefficient families have consecutive ratios below q^2, so the
-    increment ratio is at most r = q^2 t < 1 and inc r / (1 - r) bounds
-    the tail; the sums stop once that bound is below tol.
-    """
-    s1 = 0.0
-    s2 = 0.0
-    power = 1.0
-    r = q * q * t
+def _green_sums(q: float, t: float, tol: float) -> tuple[float, float]:
+    """s1 = sum_{m>=1} coef_order1(m) t^m and s2 = sum_{m>=1} coef_order2(m) t^m,
+    stopped once inc r / (1 - r), r = q^2 t < 1, is below tol: both families
+    have consecutive ratios below q^2, so that bounds the tail."""
+    s1 = s2 = 0.0
+    power, r = 1.0, q * q * t
     for m in range(1, 10_000_001):
         power *= t
-        term = coef_order1(m, q) * power
-        s1 += term
-        inc = abs(term)
-        if order == 2:
-            term = coef_order2(m, q) * power
-            s2 += term
-            inc = max(inc, abs(term))
-        if inc * r / (1.0 - r) < tol:
+        term1, term2 = coef_order1(m, q) * power, coef_order2(m, q) * power
+        s1, s2 = s1 + term1, s2 + term2
+        if max(abs(term1), abs(term2)) * r / (1.0 - r) < tol:
             return s1, s2
     raise DomainError("green series did not converge")
 
 
 def g_radial(order: int, n: int, ctx: QContext) -> complex:
-    """Fundamental solution value at y = q^(2n).
-
-    order 1: g_1(y) = (1-q^2) sum_m coef_order1(m) y^m solves the radial
-    equation with the delta at the disc centre as the right-hand side;
-    order 2 adds the direct family and a log term, with
-    ln(y) = -n h evaluated exactly from the grid index.
-    """
-    if order not in (1, 2):
-        raise DomainError("order must be 1 or 2")
-    s1, s2 = _green_sums(order, ctx.q, ctx.q2**n, ctx.series_tol)
-    if order == 1:
-        return (1.0 - ctx.q2) * s1
-    # the log factor ln(y) = -n h cancels h against the series prefactor;
-    # s1 already carries the sign of the order-1 coefficients
-    return (1.0 - ctx.q2) * (s2 - (1.0 - ctx.q2) * n * s1)
+    """Fundamental solution value at y = q^(2n): row n of g_radial_grid."""
+    if n < 0:
+        raise RangeError(f"grid index {n} is negative")
+    return complex(g_radial_grid(order, ctx, n + 1).values[n])
 
 
 def g_radial_grid(order: int, ctx: QContext, npoints: int | None = None) -> GridFunction:
-    """Fundamental solution on grid rows 0..npoints-1."""
-    if npoints is None:
-        npoints = ctx.npoints
-    vals = np.array([g_radial(order, n, ctx) for n in range(npoints)])
-    return GridFunction(vals, finite_support=False)
+    """Fundamental solution on grid rows 0..npoints-1, as Lambert tails.
+
+    g_1 = (1-p) s1 and g_2 = (1-p) (s2 - (1-p) n s1) at t = p^n, p = q^2,
+    with s1, s2 the series of _green_sums (ln t / h = -n).  Put 1/(1-p^m) =
+    sum_k p^(mk) and (1+p^m)/(1-p^m)^2 = sum_k (2k+1) p^(mk) into the
+    coefficients and sum over m first; with u_j = p^j/(1-p^j), and the log
+    term giving the n U(n),
+
+        g_1(n) = -(1-p)^2/p U(n),                  U(n) = sum_{j>n} u_j,
+        g_2(n) = (1-p)^3/p (2 V(n) - (n+1) U(n)),  V(n) = sum_{j>n} j u_j,
+
+    that is g_2(n) = (1-p)^3/p sum_{j>n} (2j-n-1) u_j.  U and V are reverse
+    cumulative sums, smallest term first, with 1 - p^j = -expm1(j ln p), to
+    J = max(npoints, ctx.npoints) + ceil(41/h).  Row n omits K > 41/h terms,
+    at most p^K/(1-p^K) of its value times 1 or, for the weights n + 2i - 1
+    at j = n + i, 1 + 2K(1-p)/(1+p) <= 1 + Kh: below 42 e^-41/(1 - e^-41)
+    = 6.6e-17 < 2^-53 on every row (40/h gives 1.7e-16).  Grids no longer
+    than the context's share J: g_radial(n) is its grid's row n, bit for bit.
+    """
+    if order not in (1, 2):
+        raise DomainError("order must be 1 or 2")
+    npoints = max(ctx.npoints if npoints is None else npoints, 0)
+    p = ctx.q2
+    j = np.arange(1.0, max(npoints, ctx.npoints) + math.ceil(41.0 / ctx.h) + 1)
+    u = p**j / -np.expm1(j * math.log(p))
+    U, V = (np.cumsum(x[::-1])[::-1][:npoints] for x in (u, j * u))
+    if order == 1:
+        return GridFunction(-((1.0 - p) ** 2) / p * U, finite_support=False)
+    # j[n] = n + 1
+    return GridFunction((1.0 - p) ** 3 / p * (2.0 * V - j[:npoints] * U), finite_support=False)
 
 
 def gm_spectral(m: int, rho, ctx: QContext) -> complex | np.ndarray:
@@ -148,8 +151,7 @@ def gm_quadrature(m: int, n: int, ctx: QContext) -> complex:
     """Quadrature oracle for the m-th fundamental solution at y = q^(2n).
 
     Applies the inverse spherical transform to gm_spectral; independent
-    of the coefficient series of g_radial, it validates them numerically
-    (the second-order series in particular).
+    of g_radial_grid's tail sums, it validates them numerically.
     """
     if m < 1:
         raise DomainError("m must be a positive integer")
@@ -621,9 +623,7 @@ def classical_limit_report(t_list, q_list) -> list[LimitRow]:
             if t == 0.0:
                 rows.append(LimitRow(q, t, 0.0, 0.0, 0.0))
                 continue
-            # one order-2 pass gives the order-1 sum (also the log family)
-            # and the direct family
-            s1, direct = _green_sums(2, q, t, 1e-15)
+            s1, direct = _green_sums(q, t, 1e-15)
             s2 = direct + (1.0 - q * q) / (-2.0 * math.log(q)) * math.log(t) * s1
             target1 = math.log(1.0 - t)
             target2 = 2.0 * dilog(t) + math.log(t) * math.log(1.0 - t)

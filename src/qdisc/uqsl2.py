@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .context import QContext, _frozen
+from .context import QContext, _frozen, _max
 from .discalg import DiscElement, GridFunction, _shift
 from .errors import DomainError
 
@@ -199,12 +199,12 @@ def _sup_norm(f: DiscElement, margin: int) -> float:
     """Sup norm over grid rows, dropping the top `margin` rows of any
     non-finite sector (difference formulas read one row past the horizon
     there, so the last row is not meaningful for such functions)."""
-    worst = 0.0
+    sups = [0.0]
     for g in f.sectors.values():
         vals = g.values if g.finite_support or margin == 0 else g.values[:-margin]
         if len(vals):
-            worst = max(worst, float(np.max(np.abs(vals))))
-    return worst
+            sups.append(np.max(np.abs(vals)))
+    return _max(*sups)
 
 
 def invariance_residual(v: DiscElement, ctx: QContext | None = None) -> float:
@@ -218,5 +218,5 @@ def invariance_residual(v: DiscElement, ctx: QContext | None = None) -> float:
     ctx = ctx or v.ctx
     kdev = DiscElement({m: GridFunction((ctx.q ** (2 * m) - 1.0) * g.values, g.finite_support)
                         for m, g in v.sectors.items()}, ctx)
-    worst = max(_sup_norm(w, 1) for w in (act("E", v, ctx), act("F", v, ctx), kdev))
-    return worst / max(1.0, v.max_abs())
+    worst = _max(*(_sup_norm(w, 1) for w in (act("E", v, ctx), act("F", v, ctx), kdev)))
+    return worst / _max(1.0, v.max_abs())

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import green as G
 from . import spherical as S
-from .context import QContext
+from .context import QContext, _max
 from .discalg import (
     DiscElement,
     GridFunction,
@@ -143,14 +143,6 @@ def _random_elements(ctx: QContext, count: int, seed: int = 2024, sectors: int =
 
 def _rel(diff: float, scale: float) -> float:
     return diff / max(1.0, scale)
-
-
-def _max(*residuals: float) -> float:
-    """Largest residual, or nan if any is nan.  The builtin max keeps a nan
-    only in first place, so a nan term folded in later would be dropped and
-    its check could pass."""
-    vals = [float(r) for r in residuals]
-    return math.nan if any(map(math.isnan, vals)) else max(vals)
 
 
 # --- algebra ------------------------------------------------------------
@@ -653,7 +645,7 @@ def green_radial_order1(ctx: QContext, fx: Fixtures):
     nmax = GREEN_NMAX
     _, lap1, _, _ = fx.get(_green_radial)
     r1 = float(np.max(np.abs(lap1[: nmax + 1] - np.eye(1, nmax + 1)[0])))
-    return r1, 1e-10, f"the first fundamental series solves the radial equation, n <= {nmax}"
+    return r1, 1e-10, f"the first fundamental solution solves the radial equation, n <= {nmax}"
 
 
 def green_radial_order2(ctx: QContext, fx: Fixtures):
@@ -661,7 +653,7 @@ def green_radial_order2(ctx: QContext, fx: Fixtures):
     g1, _, lap2, lap22 = fx.get(_green_radial)
     r2 = float(np.max(np.abs(lap22[: nmax + 1] - np.eye(1, nmax + 1)[0])))
     r12 = float(np.max(np.abs(lap2[: nmax + 1] - g1[: nmax + 1])))
-    return _max(r2, r12), 1e-10, "the second fundamental series solves it twice"
+    return _max(r2, r12), 1e-10, "the second fundamental solution solves it twice"
 
 
 def green_series_vs_quadrature(ctx: QContext, fx: Fixtures):
@@ -670,7 +662,7 @@ def green_series_vs_quadrature(ctx: QContext, fx: Fixtures):
         gq = G.gm_quadrature_grid(m, ctx, 21)
         gs = G.g_radial_grid(m, ctx, 21)
         worst = _max(worst, float(np.max(np.abs(gq.values - gs.values))))
-    return worst, 1e-7, "coefficient series agree with the spectral quadrature oracle"
+    return worst, 1e-7, "the Lambert tail sums agree with the spectral quadrature oracle"
 
 
 def spectral_image_identity(ctx: QContext, fx: Fixtures):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qdisc
 from qdisc.cli import main
 
@@ -127,6 +129,35 @@ def test_usage_error_unknown_config_key(tmp_path, capsys):
     cfg.write_text(json.dumps({"trunc_terms": 200}))
     assert main(["verify", "--config", str(cfg)]) == 2
     assert "unknown config key 'trunc_terms'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # a config must not switch the subcommand
+        ({"command": "limit"}, "is not the subcommand 'verify'"),
+        # values of the wrong type, true included, never reach the run
+        ({"grid_horizon": "12"}, "grid_horizon='12' is not of type int"),
+        ({"grid_horizon": True}, "grid_horizon=True is not of type int"),
+        ({"series_tol": "x"}, "series_tol='x' is not of type float"),
+        # a string of checks is not split into characters
+        ({"checks": "algebra"}, "checks='algebra' is not of type list[str]"),
+        ([{"q": 0.5}], "config must be a JSON object"),
+        # methods of the configuration are not keys
+        ({"validate": 1}, "unknown config key 'validate'"),
+    ],
+)
+def test_usage_error_malformed_config(tmp_path, capsys, doc, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["verify", "--q", "0.5", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_usage_error_negative_nmax(capsys):
+    code, out = run_cli(["tabulate", "--q", "0.5", "--nmax", "-3"])
+    assert code == 2 and out == ""
+    assert "nmax must be nonnegative" in capsys.readouterr().err
 
 
 def test_tabulate_header_and_centre_value(tmp_path):

@@ -4,8 +4,11 @@ import itertools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdisc import (
     CapacityError,
@@ -13,6 +16,7 @@ from qdisc import (
     DomainError,
     GridFunction,
     QContext,
+    RangeError,
     act,
     apply_kernel,
     classical_limit_report,
@@ -90,6 +94,54 @@ def test_gm_quadrature_point(ctx):
     assert abs(gm_quadrature(1, 1, ctx) - g_radial(1, 1, ctx)) < 1e-7
     with pytest.raises(DomainError):
         gm_quadrature(0, 1, ctx)
+
+
+def _green_by_direct_sums(p: float, npoints: int):
+    """Rows 0..npoints-1 of g_1 and g_2 from 30-digit sums U(n) and V(n) of
+    u_j = p^j / (1 - p^j), with the double p taken exactly.  Terms past
+    j = npoints + 60/h are left out, below 1e-24 of every row."""
+    with mpmath.workdps(30):
+        p = mpmath.mpf(p)
+        cut = npoints + math.ceil(60 / -math.log(p))
+        U = V = mpmath.mpf(0)
+        g1, g2 = [], []
+        for j in range(cut, 0, -1):
+            u = p**j / (1 - p**j)
+            U += u
+            V += j * u
+            if j <= npoints:
+                # U and V now hold U(n) and V(n) for n = j - 1
+                g1.append(float(-((1 - p) ** 2) / p * U))
+                g2.append(float((1 - p) ** 3 / p * (2 * V - j * U)))
+    return {1: np.array(g1[::-1]), 2: np.array(g2[::-1])}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(0.05, 0.995), horizon=st.integers(0, 120))
+def test_green_grid_matches_direct_sums_and_rows(q, horizon):
+    ctx = QContext(q, grid_horizon=horizon)
+    ref = _green_by_direct_sums(ctx.q2, ctx.npoints)
+    for order in (1, 2):
+        grid = g_radial_grid(order, ctx)
+        assert grid.values.dtype == complex and not grid.finite_support
+        assert not np.any(grid.values.imag)
+        rows = np.abs(ref[order]) > 1e-290
+        err = np.abs(grid.values.real - ref[order])[rows] / np.abs(ref[order])[rows]
+        assert np.all(err <= 1e-14), (order, err.max())
+        for n in range(ctx.npoints):
+            assert g_radial(order, n, ctx) == grid.values[n]
+        with pytest.raises(RangeError):
+            g_radial(order, -1, ctx)
+
+
+def test_green_grid_edge_cases(ctx):
+    for npoints in (0, -3):
+        assert len(g_radial_grid(2, ctx, npoints).values) == 0
+    for order in (0, 3):
+        with pytest.raises(DomainError):
+            g_radial_grid(order, ctx)
+        with pytest.raises(DomainError):
+            g_radial(order, 0, ctx)
 
 
 def test_spectral_image_inverts_eigenvalue(ctx):

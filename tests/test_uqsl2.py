@@ -72,6 +72,18 @@ def test_centre_delta_not_invariant(ctx):
     assert invariance_residual(delta_fn(0, ctx), ctx) > 1e-2
 
 
+def test_sup_norms_keep_nan_in_any_sector_order():
+    ctx = QContext(0.5, grid_horizon=8)
+    ones = np.ones(ctx.npoints, dtype=complex)
+    bad = np.zeros(ctx.npoints, dtype=complex)
+    bad[2] = np.nan
+    for keys in ((0, 1), (1, 0)):
+        f = DiscElement({m: GridFunction(ones if m == 0 else bad) for m in keys}, ctx)
+        assert list(f.sectors) == list(keys)
+        assert np.isnan(f.max_abs())
+        assert np.isnan(invariance_residual(f, ctx))
+
+
 def test_defining_relations(ctx, rng):
     q = ctx.q
     for _ in range(5):
