@@ -73,6 +73,13 @@ class RunConfig:
             raise DomainError("grid_horizon must be positive")
         if self.nmax < 0:
             raise DomainError("nmax must be nonnegative")
+        if self.node_count < 1:
+            raise DomainError("node_count must be positive")
+        if self.coef_terms < 1:
+            raise DomainError("coef_terms must be positive")
+        for name in ("q_list", "t_list"):
+            if not getattr(self, name):
+                raise DomainError(f"{name} must be nonempty")
 
     def context(self) -> QContext:
         return QContext(self.q, series_tol=self.series_tol, grid_horizon=self.grid_horizon)
@@ -223,10 +230,11 @@ def cmd_tabulate(cfg: RunConfig) -> int:
     ]
     _emit_table(rows, ["n", "y", "g1", "g2"], cfg)
     if cfg.with_density:
-        rhos = S._nodes(cfg.node_count, ctx)
+        count = cfg.node_count
+        rhos = S._nodes(count, ctx)
         dens = [
             {"rho": float(r), "density": float(d)}
-            for r, d in zip(rhos, S._density_on_nodes(ctx.q, cfg.node_count))
+            for r, d in zip(rhos, S._density_table(ctx.q, count)[S._columns(count)])
         ]
         out2 = (cfg.out + ".density") if cfg.out else None
         sub = RunConfig(command="tabulate", q=cfg.q, out=out2, format=cfg.format)
@@ -239,7 +247,8 @@ def cmd_transform(cfg: RunConfig) -> int:
     el = _input_element(cfg, ctx)
     radial = el.sector(0)
     F = S.transform_forward(radial, ctx, cfg.node_count)
-    dens = S._density_on_nodes(ctx.q, cfg.node_count)
+    # the density table follows the node table's columns; F is ascending
+    dens = S._density_table(ctx.q, cfg.node_count)[S._columns(cfg.node_count)]
     rows = [
         {
             "rho": float(rho),
@@ -278,8 +287,6 @@ def cmd_greens(cfg: RunConfig) -> int:
 
 
 def cmd_limit(cfg: RunConfig) -> int:
-    if not cfg.q_list:
-        raise DomainError("limit sweep needs a nonempty q_list")
     rows = [asdict(r) for r in G.classical_limit_report(cfg.t_list, cfg.q_list)]
     _emit_table(rows, ["q", "t", "err_order1", "err_order2", "reflection_residual"], cfg)
     return EXIT_OK

@@ -28,10 +28,14 @@ point, and the transform contracts those tables with complex operands as
 real GEMMs on the operands' (k, 2) float views, so no table is ever cast
 to complex.  The node set of N nodes is every other node of the set of
 2N, and both phi and the density are evaluated node by node, so each is
-built once per (q, odd part of the count) as a cover that grows by only
-the nodes (and phi rows) it lacks; every node set is served a contiguous
-copy of the cover's slice, bit for bit what a direct build gives.  Covers
-and copies are read-only and kept in bounded caches.
+built once per (q, odd part of the count) as a cover whose columns run
+coarse to fine: the nodes of the odd part first, then the nodes each
+doubling adds.  The table on any count of that family is the cover's
+first columns (and, for phi, its first rows), served as a read-only view
+with one unit stride, bit for bit what a direct build on those nodes
+gives; a cover grows by appending the columns and rows it lacks.  The
+covers, at most 64 of them, are the only store of node tables, and
+transform_forward returns its values in ascending node order.
 """
 
 from __future__ import annotations
@@ -39,13 +43,14 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
 from .context import QContext, _frozen
-from .discalg import GridFunction, _integral_weights
+from .discalg import GridFunction, _row_weights
 from .errors import DomainError, PoleError, QuadratureError
 from .qspecial import _euler_product, qgamma, qpochhammer
 from .uqsl2 import stencil_coefficients
@@ -86,17 +91,17 @@ _PHI_CERT_TOL = 1e-13
 # is dropped; smaller requests are served as its slices.  The dict keeps
 # the covers in order of use and holds at most _COVER_LIMIT of them (a
 # spectral benchmark pass uses 48: 16 q, three kinds).
-_COVERS: dict = {}
+_COVERS: OrderedDict = OrderedDict()
 _COVER_LIMIT = 64
 
 
 def _keep(key: tuple, cover):
     """Store cover under key as the most recently used one, dropping the
     least recently used covers past _COVER_LIMIT."""
-    _COVERS.pop(key, None)
     _COVERS[key] = cover
+    _COVERS.move_to_end(key)
     while len(_COVERS) > _COVER_LIMIT:
-        del _COVERS[next(iter(_COVERS))]
+        _COVERS.popitem(last=False)
     return cover
 
 
@@ -479,80 +484,85 @@ def _nodes(count: int, ctx: QContext) -> np.ndarray:
 # Node tables nest.  The nodes of count N are every (M/N)-th node of count
 # M when M/N is a power of two (period j / N and period (2j) / (2N) round
 # alike), phi and the density are evaluated node by node, and phi's rows
-# 0..n-1 do not depend on the rows below them.  A table on N nodes and n
-# rows is thus every (M/N)-th column and the first n rows of the table on
-# M nodes, bit for bit, and phi and the density each keep one cover per
-# (q, odd part of the count), grown by evaluating only what it lacks.
+# 0..n-1 do not depend on the rows below them.  So phi and the density each
+# keep one cover per (q, odd part c of the count), its columns in
+# coarse-to-fine order: the c nodes of count c, then the c nodes that count
+# 2c adds, then the 2c nodes that count 4c adds, and so on.  The table on
+# c 2^k nodes and n rows is the cover's first c 2^k columns and first n
+# rows, bit for bit what a direct build on those nodes gives, and it is
+# served as a read-only view of the cover.  A cover grows by appending the
+# columns of the nodes it lacks and the rows it lacks.
 def _cover_key(kind: str, q: float, count: int) -> tuple:
     if count < 1:
         raise DomainError(f"node count {count} must be positive")
     return kind, q, count // (count & -count)
 
 
-def _phi_cover(q: float, count: int, npoints: int) -> np.ndarray:
-    """The row-major phi cover of (q, count's odd part), grown to at least
-    count nodes and npoints rows."""
+@functools.lru_cache(maxsize=64)
+def _columns(count: int) -> np.ndarray:
+    """The node table column of each of the count nodes, in ascending node
+    order; read-only, and the same for every q.  Node 2j of an even count
+    is node j of count/2, in its column; the odd nodes follow them."""
+    if count % 2:
+        cols = np.arange(count)
+    else:
+        cols = np.empty(count, dtype=np.intp)
+        cols[::2] = _columns(count // 2)
+        cols[1::2] = np.arange(count // 2, count)
+    return _frozen(cols)
+
+
+def _table_nodes(count: int, ctx: QContext) -> np.ndarray:
+    """The count nodes in the order of the node table's columns."""
+    nodes = np.empty(count)
+    nodes[_columns(count)] = _nodes(count, ctx)
+    return nodes
+
+
+# A phi cover's rows are padded by this many doubles past its width.  On
+# an unpadded cover of power-of-two width, the inverse's GEMM over a view
+# of part of every row read up to 1.2-1.4x its time on a contiguous copy
+# (65 rows, 2048 columns of 4096 or 8192, one BLAS thread, 2-core x86-64);
+# with the pad it reads within about 15 % of the copy.
+_ROW_PAD = 64
+
+
+def _phi_table(q: float, count: int, npoints: int) -> np.ndarray:
+    """Row-major phi table on count nodes and npoints rows: entry [n, p] is
+    phi at row n and the node of column p (see _columns).  A read-only
+    view of the cover, with one unit stride."""
     key = _cover_key("phi", q, count)
-    cover = _COVERS.get(key, np.empty((0, count)))
-    rows, size = max(npoints, len(cover)), max(count, cover.shape[1])
-    if (rows, size) != cover.shape:
+    cover = _COVERS.get(key)
+    if cover is None or npoints > len(cover) or count > cover.shape[1]:
         ctx = QContext(q)
-        step = size // cover.shape[1]
-        lam = lambda_rho(_nodes(size, ctx), ctx).real
-        grown = np.empty((rows, size))
-        # column j is (j // step, j % step) of this view, and the old
-        # cover's columns are those with j % step == 0
-        cols = grown.reshape(rows, -1, step)
-        cols[: len(cover), :, 0] = cover
-        if step > 1:
-            # the new columns' rows up to the old cover's last one, stepped
-            # in a contiguous array; the pass below steps every column on
-            fresh = np.empty((len(cover), size - size // step))
-            _recur(fresh, lam.reshape(-1, step)[:, 1:].ravel(), ctx)
-            cols[: len(cover), :, 1:] = fresh.reshape(len(cover), -1, step - 1)
-        _recur(grown, lam, ctx, len(cover))
-        cover = _frozen(grown)
-    return _keep(key, cover)
+        rows, size = (0, 0) if cover is None else cover.shape
+        grown_rows, grown_size = max(npoints, rows), max(count, size)
+        lam = lambda_rho(_table_nodes(grown_size, ctx), ctx).real
+        grown = np.empty((grown_rows, grown_size + _ROW_PAD))[:, :grown_size]
+        if cover is not None:
+            grown[:rows, :size] = cover
+            _recur(grown[:, :size], lam[:size], ctx, rows)
+        if grown_size > size:
+            _recur(grown[:, size:], lam[size:], ctx)
+        cover = _keep(key, _frozen(grown))
+    else:
+        _COVERS.move_to_end(key)
+    return cover[:npoints, :count]
 
 
-def _density_cover(q: float, count: int) -> np.ndarray:
-    """The density cover of (q, count's odd part), grown to at least count
-    nodes."""
+def _density_table(q: float, count: int) -> np.ndarray:
+    """The density on count nodes, in the columns' order of the phi table:
+    a read-only view of the cover."""
     key = _cover_key("density", q, count)
     cover = _COVERS.get(key)
-    if cover is None or len(cover) < count:
+    if cover is None or count > len(cover):
         ctx = QContext(q)
-        nodes = _nodes(count, ctx)
-        if cover is None:
-            grown = _density_vector(nodes, ctx)
-        else:
-            step = count // len(cover)
-            grown = np.empty((len(cover), step))
-            grown[:, 0] = cover
-            fresh = _density_vector(nodes.reshape(-1, step)[:, 1:].ravel(), ctx)
-            grown[:, 1:] = fresh.reshape(-1, step - 1)
-        cover = _frozen(grown.reshape(count))
-    return _keep(key, cover)
-
-
-# The tables handed out are contiguous copies of the covers' slices (or a
-# whole cover itself), so a transform contracts contiguous arrays and no
-# view keeps a superseded cover alive; the bounds keep every key of a pass
-# resident (a spectral benchmark pass uses about 145 phi and 45 density
-# keys).
-@functools.lru_cache(maxsize=256)
-def _phi_on_nodes(q: float, count: int, npoints: int) -> np.ndarray:
-    """Row-major phi table: entry [n, j] is phi at row n and node j."""
-    cover = _phi_cover(q, count, npoints)
-    table = cover[:npoints, :: cover.shape[1] // count]
-    return cover if table.shape == cover.shape else _frozen(table.copy())
-
-
-@functools.lru_cache(maxsize=64)
-def _density_on_nodes(q: float, count: int) -> np.ndarray:
-    cover = _density_cover(q, count)
-    table = cover[:: len(cover) // count]
-    return cover if table.shape == cover.shape else _frozen(table.copy())
+        old = np.empty(0) if cover is None else cover
+        fresh = _density_vector(_table_nodes(count, ctx)[len(old) :], ctx)
+        cover = _keep(key, _frozen(np.concatenate((old, fresh))))
+    else:
+        _COVERS.move_to_end(key)
+    return cover[:count]
 
 
 def _real_matmul(table: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -568,10 +578,13 @@ def _real_matmul(table: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _forward(phi: np.ndarray, g: GridFunction, ctx: QContext) -> np.ndarray:
     """(1-q^2) sum_m phi[m, :] g(q^(2m)) q^(-2m) over a row-major phi table,
     contracted over the basic slice of rows up to g's last nonzero one, so
-    the table is not copied, and weighted only on the nonzero rows."""
-    rows = int(np.flatnonzero(g.values).max(initial=-1)) + 1
-    v = g.values[:rows]
-    return (1.0 - ctx.q2) * _real_matmul(phi[:rows].T, v * _integral_weights(v, ctx))
+    the table is not copied, and weighted only on the nonzero rows (the
+    weights of _integral_weights, from one scan for the nonzero rows)."""
+    nz = np.flatnonzero(g.values)
+    rows = int(nz[-1]) + 1 if len(nz) else 0
+    weights = np.zeros(rows)
+    weights[nz] = _row_weights(nz, ctx)
+    return (1.0 - ctx.q2) * _real_matmul(phi[:rows].T, g.values[:rows] * weights)
 
 
 def transform_forward(
@@ -587,8 +600,8 @@ def transform_forward(
     """
     if not g.finite_support:
         raise DomainError("spherical transform requires finite support")
-    vals = _forward(_phi_on_nodes(ctx.q, node_count, len(g.values)), g, ctx)
-    return SpectralFunction(_nodes(node_count, ctx), vals, source=g)
+    vals = _forward(_phi_table(ctx.q, node_count, len(g.values)), g, ctx)
+    return SpectralFunction(_nodes(node_count, ctx), vals[_columns(node_count)], source=g)
 
 
 # settle tolerances of transform_inverse
@@ -618,20 +631,22 @@ def _inverse_on_nodes(
     floor of the count-node sums.
 
     F is either a SpectralFunction, re-evaluated exactly from its source
-    grid function on these nodes, or a callable called once on the node
-    array.  The count/2 nodes are the even ones of the count, so one real
-    GEMM of the phi table against two weight columns, the weights with the
-    odd nodes zeroed and all of them, gives both sums.
+    grid function on these nodes, or a callable called once on the array
+    of the count nodes in the node table's order.  The count/2 nodes are
+    the first half of the table's columns, so one real GEMM of the table
+    against two weight columns, the weights with the second half zeroed
+    and all of them, gives both sums.
     """
     if isinstance(F, SpectralFunction):
-        fv = _forward(_phi_on_nodes(ctx.q, count, len(F.source.values)), F.source, ctx)
+        table = _phi_table(ctx.q, count, max(npoints, len(F.source.values)))
+        fv = _forward(table, F.source, ctx)
     else:
-        fv = F(_nodes(count, ctx))
-    weighted = fv * _density_on_nodes(ctx.q, count)
+        table = _phi_table(ctx.q, count, npoints)
+        fv = F(_table_nodes(count, ctx))
     columns = np.zeros((count, 2), dtype=complex)
-    columns[::2, 0] = weighted[::2]
-    columns[:, 1] = weighted
-    sums = _real_matmul(_phi_on_nodes(ctx.q, count, npoints), columns)
+    weighted = np.multiply(fv, _density_table(ctx.q, count), out=columns[:, 1])
+    columns[: count // 2, 0] = weighted[: count // 2]
+    sums = _real_matmul(table[:npoints], columns)
     period = ctx.rho_period()
     coarse = (2.0 * period / count) * sums[:, 0]
     fine = (period / count) * sums[:, 1]

@@ -550,7 +550,7 @@ def plancherel_pairing(ctx: QContext, fx: Fixtures):
         lhs = inner(f, g)
         Ff = S.transform_forward(f.sector(0), ctx, count)
         Fg = S.transform_forward(g.sector(0), ctx, count)
-        dens = S._density_on_nodes(ctx.q, count)
+        dens = S._density_table(ctx.q, count)[S._columns(count)]
         rhs = ctx.rho_period() / count * np.sum(Ff.values * np.conj(Fg.values) * dens)
         worst = _max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     return worst, 1e-8, "the transform is unitary for the weighted pairing"

@@ -160,6 +160,50 @@ def test_usage_error_negative_nmax(capsys):
     assert "nmax must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("greens", {"coef_terms": 0}, "coef_terms must be positive"),
+        ("greens", {"coef_terms": -1}, "coef_terms must be positive"),
+        ("limit", {"t_list": []}, "t_list must be nonempty"),
+        ("limit", {"q_list": []}, "q_list must be nonempty"),
+        # the g table was written before the node count was read
+        ("tabulate", {"node_count": 0, "with_density": True}, "node_count must be positive"),
+    ],
+)
+def test_usage_error_empty_run_leaves_no_output(tmp_path, capsys, command, doc, message):
+    # a run that would write only headers, or a partial table, is a usage
+    # error caught before anything is written
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--q", "0.5", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_density_columns_are_in_ascending_node_order(tmp_path):
+    # the density column of tabulate and transform is the density on the
+    # ascending nodes, on counts whose odd part is not 1 too
+    from qdisc import QContext
+    from qdisc.spherical import _density_vector, _nodes
+
+    ctx = QContext(0.9)
+    for count in (12, 40):
+        ref = _density_vector(_nodes(count, ctx), ctx)
+        out = tmp_path / f"spec{count}.csv"
+        args = ["transform", "--q", "0.9", "--nodes", str(count), "--out", str(out)]
+        assert run_cli(args)[0] == 0
+        lines = out.read_text().strip().split("\n")[1:]
+        assert [float(line.split(",")[1]) for line in lines] == ref.tolist()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"node_count": count}))
+        table = tmp_path / f"t{count}.csv"
+        args = ["tabulate", "--q", "0.9", "--with-density", "--config", str(cfg)]
+        assert run_cli([*args, "--out", str(table)])[0] == 0
+        lines = Path(f"{table}.density").read_text().strip().split("\n")[1:]
+        assert [float(line.split(",")[1]) for line in lines] == ref.tolist()
+
+
 def test_tabulate_header_and_centre_value(tmp_path):
     out = tmp_path / "table.csv"
     code, _ = run_cli(["tabulate", "--q", "0.5", "--nmax", "8", "--out", str(out)])

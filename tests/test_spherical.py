@@ -36,16 +36,18 @@ from qdisc.discalg import DiscElement, _row_weights
 from qdisc.spherical import (
     _PHI_CERT_TOL,
     SpectralFunction,
-    _density_on_nodes,
+    _columns,
+    _density_table,
     _density_vector,
     _forward,
     _inverse_on_nodes,
     _nodes,
     _phi_ascending,
     _phi_digits,
-    _phi_on_nodes,
     _phi_series,
+    _phi_table,
     _start_nodes,
+    _table_nodes,
     phi_matrix,
 )
 from qdisc.uqsl2 import stencil_coefficients
@@ -509,54 +511,127 @@ def test_phi_matrix_shape_follows_nodes(ctx):
 
 def test_cached_quadrature_arrays_are_read_only(ctx):
     transform_inverse(transform_forward(delta_fn(1, ctx).sector(0), ctx, 64), ctx)
-    for arr in (_phi_on_nodes(ctx.q, 64, ctx.npoints), _density_on_nodes(ctx.q, 64)):
+    for arr in (_phi_table(ctx.q, 64, ctx.npoints), _density_table(ctx.q, 64)):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
 
-def _empty_node_caches():
-    S._COVERS.clear()
-    _phi_on_nodes.cache_clear()
-    _density_on_nodes.cache_clear()
+def _assert_view_of_cover(table, kind, q, count):
+    # a served table is a read-only view of its cover with one unit stride
+    odd = count // (count & -count)
+    assert np.shares_memory(table, S._COVERS[kind, q, odd])
+    assert not table.flags.writeable and table.strides[-1] == table.itemsize
+
+
+def test_node_columns_nest_coarse_to_fine():
+    # each node has its own column; the first count/2 columns hold the
+    # nodes of count/2, the even nodes of count, in their own order, and
+    # the odd nodes follow in ascending order; the table order of the
+    # nodes is a reordering of the ascending ones
+    ctx = QContext(0.5)
+    for odd in (1, 3, 5):
+        for count in (odd << k for k in range(6)):
+            cols, nodes = _columns(count), _table_nodes(count, ctx)
+            assert np.array_equal(np.sort(cols), np.arange(count))
+            assert np.array_equal(nodes[cols], _nodes(count, ctx))
+            if count % 2 == 0:
+                assert np.array_equal(cols[::2], _columns(count // 2))
+                assert np.array_equal(cols[1::2], np.arange(count // 2, count))
+                assert np.array_equal(nodes[: count // 2], _table_nodes(count // 2, ctx))
 
 
 def test_walking_the_node_counts_keeps_one_cover_per_key():
-    # each doubling grows the cover in place of the last one
-    _empty_node_caches()
+    # each doubling grows the cover in place of the last one, and every
+    # table served is a view of the cover that was current then
+    S._COVERS.clear()
     q, npoints = 0.5, 33
     for count in (16 << k for k in range(11)):
-        _phi_on_nodes(q, count, npoints)
-        _density_on_nodes(q, count)
+        _assert_view_of_cover(_phi_table(q, count, npoints), "phi", q, count)
+        _assert_view_of_cover(_density_table(q, count), "density", q, count)
     assert set(S._COVERS) == {("phi", q, 1), ("density", q, 1)}
     phi, dens = S._COVERS["phi", q, 1], S._COVERS["density", q, 1]
     assert phi.shape == (npoints, 16384) and dens.shape == (16384,)
     assert not phi.flags.writeable and not dens.flags.writeable
-    _empty_node_caches()
+    S._COVERS.clear()
 
 
 @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.995])
 def test_node_tables_equal_direct_builds_in_any_order(q):
     # every table is cut from one cover per (q, odd part of the count),
     # whatever order the requests grew it in; each must equal a direct
-    # build bit for bit, on a family that is not powers of two and on the
-    # start counts of transform_inverse, whose covers are left in place
+    # build on its nodes bit for bit, on a family that is not powers of
+    # two and on the start counts of transform_inverse, whose covers are
+    # left in place
     ctx = QContext(q)
     start = _start_nodes(ctx)
     for counts in ((250, 500, 1000), (start, 2 * start, 4 * start)):
         keys = [(count, horizon + 1) for count in counts for horizon in (32, 64)]
-        phi_ref = {(c, n): phi_matrix(_nodes(c, ctx), n, ctx).T for c, n in keys}
-        dens_ref = {c: _density_vector(_nodes(c, ctx), ctx) for c in counts}
-        # mixed: the first growth skips a count (and adds rows), so new
-        # nodes interleave three to one
+        phi_ref = {(c, n): phi_matrix(_table_nodes(c, ctx), n, ctx).T for c, n in keys}
+        dens_ref = {c: _density_vector(_table_nodes(c, ctx), ctx) for c in counts}
+        # mixed: the first growth skips a count (and adds rows), so it
+        # appends three new nodes to each old one
         mixed = [keys[i] for i in (0, 5, 2, 3, 1, 4)]
         for order in (keys, keys[::-1], mixed):
-            _empty_node_caches()
+            S._COVERS.clear()
             for count, npoints in order:
-                table, dens = _phi_on_nodes(q, count, npoints), _density_on_nodes(q, count)
+                table, dens = _phi_table(q, count, npoints), _density_table(q, count)
                 assert np.array_equal(table, phi_ref[count, npoints])
                 assert np.array_equal(dens, dens_ref[count])
-                for arr in (table, dens):
-                    assert arr.flags.c_contiguous and not arr.flags.writeable
+                _assert_view_of_cover(table, "phi", q, count)
+                _assert_view_of_cover(dens, "density", q, count)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    q=st.floats(0.05, 0.9),
+    horizon=st.integers(8, 128),
+    requests=st.lists(
+        st.tuples(st.sampled_from([1, 3, 5]), st.integers(0, 8)), min_size=3, max_size=6
+    ),
+    random_source=st.booleans(),
+    depth_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_node_tables_and_round_trips_from_emptied_covers(
+    q, horizon, requests, random_source, depth_frac, seed
+):
+    # counts of odd parts 1, 3 and 5, asked for in any order from emptied
+    # covers: each table served equals a direct build on its nodes bit for
+    # bit and is a view of its cover; the forward values come back in
+    # ascending node order, and the round trip meets transform_roundtrip's
+    # tolerance up to its resolvable depth
+    ctx = QContext(q, grid_horizon=horizon)
+    resolvable = int(math.log(1e-8 / (32 * np.finfo(float).eps)) / math.log(1.0 / q))
+    depth = min(int(depth_frac * (min(verify.TRANSFORM_NMAX, resolvable) + 1)), horizon)
+    if random_source:
+        rng = np.random.default_rng(seed)
+        v = np.zeros(ctx.npoints, dtype=complex)
+        v[: depth + 1] = rng.uniform(-1, 1, depth + 1) + 1j * rng.uniform(-1, 1, depth + 1)
+        source = GridFunction(v)
+    else:
+        source = GridFunction.delta(depth, ctx.npoints)
+    S._COVERS.clear()
+    for odd, shift in requests:
+        count = odd << shift
+        table, dens = _phi_table(q, count, ctx.npoints), _density_table(q, count)
+        assert np.array_equal(table, phi_matrix(_table_nodes(count, ctx), ctx.npoints, ctx).T)
+        assert np.array_equal(dens, _density_vector(_table_nodes(count, ctx), ctx))
+        _assert_view_of_cover(table, "phi", q, count)
+        _assert_view_of_cover(dens, "density", q, count)
+        F = transform_forward(source, ctx, count)
+        assert np.array_equal(F.nodes, _nodes(count, ctx))
+        rows = depth + 1
+        v = source.values[:rows] * _row_weights(np.arange(rows), ctx)
+        phi = phi_matrix(F.nodes, rows, ctx)
+        ref = (1.0 - ctx.q2) * (phi @ v)
+        assert np.all(np.abs(F.values - ref) <= 1e-14 * (1.0 - ctx.q2) * (np.abs(phi) @ np.abs(v)))
+    back = transform_inverse(F, ctx)
+    assert np.max(np.abs(back.values - source.values)) <= 1e-8
+    # the inverse's tables are prefixes of the odd-part-1 cover
+    cover = S._COVERS["phi", q, 1]
+    rows, width = cover.shape
+    assert np.array_equal(cover, phi_matrix(_table_nodes(width, ctx), rows, ctx).T)
+    S._COVERS.clear()
 
 
 def _complex_phi_recurrence(rhos, npoints, ctx):
@@ -580,11 +655,11 @@ def test_real_node_tables_match_the_complex_recurrence(q):
     # node's column (rows 0..n) they stay at rounding level
     ctx = QContext(q)
     for count in (16, 1024):
-        nodes = _nodes(count, ctx)
+        nodes = _table_nodes(count, ctx)
         for npoints in (1, 2, 33, 65):
-            table = _phi_on_nodes(q, count, npoints)
+            table = _phi_table(q, count, npoints)
             assert table.dtype == np.float64 and table.shape == (npoints, count)
-            assert table.flags.c_contiguous and not table.flags.writeable
+            _assert_view_of_cover(table, "phi", q, count)
             ref = _complex_phi_recurrence(nodes, npoints, ctx).T
             assert np.all(ref.imag == 0.0)
             scale = np.maximum.accumulate(np.abs(ref.real), axis=0)
@@ -643,7 +718,7 @@ def test_real_gemm_contractions_match_the_complex_matvec(q):
         nz = np.flatnonzero(g.values)
         start = _start_nodes(ctx, int(nz.max()))
         for count in (start, 2 * start, 4 * start):
-            phi = _phi_on_nodes(q, count, ctx.npoints)
+            phi = _phi_table(q, count, ctx.npoints)
             v = g.values[nz] * _row_weights(nz, ctx)
             fv = _forward(phi, g, ctx)
             ref = (1.0 - ctx.q2) * (phi[nz].T.astype(complex) @ v)
@@ -655,13 +730,13 @@ def test_real_gemm_contractions_match_the_complex_matvec(q):
             # the inverse's references are compensated row sums: a double
             # matvec's own rounding reaches 0.92e-15 scale (q = 0.9,
             # row 1 of a 1024-node sum), where the GEMM errs by 0.19e-15
-            weighted = fv * _density_on_nodes(q, count)
+            weighted = fv * _density_table(q, count)
             ref = (period / count) * _compensated_matvec(phi, weighted)
             scale = (period / count) * (np.abs(phi) @ np.abs(weighted))
             assert np.all(np.abs(out - ref) <= 1e-15 * scale)
             half = count // 2
-            phi = _phi_on_nodes(q, half, ctx.npoints)
-            weighted = fv[::2] * _density_on_nodes(q, half)
+            phi = _phi_table(q, half, ctx.npoints)
+            weighted = fv[:half] * _density_table(q, half)
             ref = (period / half) * _compensated_matvec(phi, weighted)
             scale = (period / half) * (np.abs(phi) @ np.abs(weighted))
             assert np.all(np.abs(coarse - ref) <= 1e-15 * scale)
