@@ -40,9 +40,8 @@ from .green import (
     classical_limit_report,
     coef_order1,
     coef_order2,
-    g_radial,
     g_radial_grid,
-    gm_quadrature,
+    gm_quadrature_grid,
     gm_spectral,
     green_solve,
     kernel_G,
@@ -50,11 +49,7 @@ from .green import (
     kernel_invariance_residual,
 )
 from .qspecial import (
-    JacksonResult,
-    basic_hypergeometric,
     dilog,
-    jackson_integral,
-    l_sum,
     qgamma,
     qpochhammer,
 )

@@ -1,11 +1,12 @@
 """Green functions and kernels of the invariant Laplacian.
 
-Radial fundamental solutions g_1, g_2 as tails of one Lambert series, an
-independent quadrature oracle for them through the spectral transform,
-the one-parameter kernel family on the double disc together with its
-parameter derivative, the assembled inverse kernels for the first and
-second power of the Laplacian, kernel application as an integral
-operator, Green solvers, and classical-limit comparison tables.
+Radial fundamental solutions g_1, g_2 as grid functions, each row a tail
+of one Lambert series, and an independent quadrature oracle for them on
+the same rows through the spectral transform; the one-parameter kernel
+family on the double disc together with its parameter derivative, the
+assembled inverse kernels for the first and second power of the
+Laplacian, kernel application as an integral operator, Green solvers,
+and classical-limit comparison tables.
 
 Kernel storage.  A kernel is a family of two-variable grid functions
 indexed by a sector pair (i, j): the (i, j) term represents
@@ -52,7 +53,7 @@ import numpy as np
 
 from .context import QContext, _frozen
 from .discalg import DiscElement, GridFunction, _contraction_table, _integral_weights, _poch_up, _shift
-from .errors import CapacityError, DomainError, RangeError
+from .errors import CapacityError, DomainError
 from .qspecial import dilog
 from .spherical import transform_inverse
 from .uqsl2 import _ef_terms
@@ -91,13 +92,6 @@ def _green_sums(q: float, t: float, tol: float) -> tuple[float, float]:
     raise DomainError("green series did not converge")
 
 
-def g_radial(order: int, n: int, ctx: QContext) -> complex:
-    """Fundamental solution value at y = q^(2n): row n of g_radial_grid."""
-    if n < 0:
-        raise RangeError(f"grid index {n} is negative")
-    return complex(g_radial_grid(order, ctx, n + 1).values[n])
-
-
 def g_radial_grid(order: int, ctx: QContext, npoints: int | None = None) -> GridFunction:
     """Fundamental solution on grid rows 0..npoints-1, as Lambert tails.
 
@@ -116,7 +110,7 @@ def g_radial_grid(order: int, ctx: QContext, npoints: int | None = None) -> Grid
     at most p^K/(1-p^K) of its value times 1 or, for the weights n + 2i - 1
     at j = n + i, 1 + 2K(1-p)/(1+p) <= 1 + Kh: below 42 e^-41/(1 - e^-41)
     = 6.6e-17 < 2^-53 on every row (40/h gives 1.7e-16).  Grids no longer
-    than the context's share J: g_radial(n) is its grid's row n, bit for bit.
+    than the context's share J, so their common rows agree bit for bit.
     """
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
@@ -147,19 +141,15 @@ def gm_spectral(m: int, rho, ctx: QContext) -> complex | np.ndarray:
     return complex(val) if val.ndim == 0 else val
 
 
-def gm_quadrature(m: int, n: int, ctx: QContext) -> complex:
-    """Quadrature oracle for the m-th fundamental solution at y = q^(2n).
+def gm_quadrature_grid(m: int, ctx: QContext, npoints: int | None = None) -> GridFunction:
+    """Quadrature oracle for the m-th fundamental solution on grid rows
+    0..npoints-1.
 
     Applies the inverse spherical transform to gm_spectral; independent
     of g_radial_grid's tail sums, it validates them numerically.
     """
     if m < 1:
         raise DomainError("m must be a positive integer")
-    grid = gm_quadrature_grid(m, ctx, n + 1)
-    return complex(grid.values[n])
-
-
-def gm_quadrature_grid(m: int, ctx: QContext, npoints: int | None = None) -> GridFunction:
     if npoints is None:
         npoints = ctx.npoints
     return transform_inverse(

@@ -369,9 +369,11 @@ def psi_rho(rho: complex, n: int, ctx: QContext) -> complex:
     Series coefficients (q^(1-2i rho); q^2)_k^2 /
     ((q^(2-4i rho); q^2)_k (q^2; q^2)_k) q^(2k) y^k; the prefactor is
     exp((1/2 - i rho) * 2n ln q).  Defined away from rho in (1/2i) N,
-    where a denominator factor vanishes (PoleError); a non-finite rho
-    raises DomainError.
+    where a denominator factor vanishes (PoleError); a non-finite rho or
+    a negative row n raises DomainError.
     """
+    if n < 0:
+        raise DomainError("grid index must be nonnegative")
     rho = complex(rho)
     if not cmath.isfinite(rho):
         raise DomainError(f"psi_rho rho {rho} is not finite")

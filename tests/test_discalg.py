@@ -27,7 +27,7 @@ from qdisc import (
 )
 from qdisc.discalg import _poch_down, _poch_up, _shift_weights, integral_scale
 from qdisc.uqsl2 import stencil_coefficients
-from conftest import random_element
+from conftest import random_element, random_sectors
 
 
 def test_delta_fn_basics(ctx):
@@ -299,18 +299,6 @@ def _dense_rep(f, dim, ctx):
     return out
 
 
-def _random_sectors(ctx, rng, sectors, support):
-    """Finite element on the given sectors, random values on rows 0..support."""
-    out = {}
-    for m in sectors:
-        v = np.zeros(ctx.npoints, dtype=complex)
-        v[: support + 1] = rng.standard_normal(support + 1) + 1j * rng.standard_normal(
-            support + 1
-        )
-        out[int(m)] = GridFunction(v)
-    return DiscElement(out, ctx)
-
-
 def test_rep_matrix_matches_dense_powers():
     # one sector at a time and all at once, with |m| >= dim and dim past the horizon
     rng = np.random.default_rng(31)
@@ -318,9 +306,9 @@ def test_rep_matrix_matches_dense_powers():
         ctx = QContext(q, grid_horizon=32)
         for dim in (1, 2, 12, 40):
             singles = [
-                _random_sectors(ctx, rng, [m], ctx.grid_horizon) for m in range(-7, 8)
+                random_sectors(ctx, rng, [m], ctx.grid_horizon) for m in range(-7, 8)
             ]
-            whole = _random_sectors(ctx, rng, range(-7, 8), ctx.grid_horizon)
+            whole = random_sectors(ctx, rng, range(-7, 8), ctx.grid_horizon)
             for f in singles + [whole]:
                 got = rep_matrix(f, dim, ctx).entries
                 ref = _dense_rep(f, dim, ctx)
@@ -346,7 +334,7 @@ def test_inner_is_bit_identical_to_the_integral_of_the_product():
             ctx = QContext(q, grid_horizon=horizon)
             for _ in range(8):
                 f, g = (
-                    _random_sectors(
+                    random_sectors(
                         ctx,
                         rng,
                         rng.choice(np.arange(-4, 5), rng.integers(1, 8), replace=False),
@@ -358,8 +346,8 @@ def test_inner_is_bit_identical_to_the_integral_of_the_product():
 
 
 def test_inner_of_disjoint_sectors_is_exactly_zero(ctx, rng):
-    f = _random_sectors(ctx, rng, [-2, 1, 3], 6)
-    g = _random_sectors(ctx, rng, [-1, 0, 2], 6)
+    f = random_sectors(ctx, rng, [-2, 1, 3], 6)
+    g = random_sectors(ctx, rng, [-1, 0, 2], 6)
     for value in (inner(f, g), inner(g, f)):
         assert value == 0j and isinstance(value, complex)
 
@@ -445,7 +433,7 @@ def test_products_star_and_pairing_match_the_representation(q, horizon, f_sector
     ctx = QContext(q, grid_horizon=horizon)
     support = data.draw(st.integers(0, horizon // 4), label="support")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    f, g = (_random_sectors(ctx, rng, s, support) for s in (f_sectors, g_sectors))
+    f, g = (random_sectors(ctx, rng, s, support) for s in (f_sectors, g_sectors))
     dim = support + 20
     interior = dim - 10
     mf, mg = rep_matrix(f, dim, ctx).entries, rep_matrix(g, dim, ctx).entries

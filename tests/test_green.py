@@ -15,8 +15,8 @@ from qdisc import (
     DiscElement,
     DomainError,
     GridFunction,
+    PoleError,
     QContext,
-    RangeError,
     act,
     apply_kernel,
     classical_limit_report,
@@ -24,9 +24,8 @@ from qdisc import (
     coef_order2,
     delta_fn,
     dilog,
-    g_radial,
     g_radial_grid,
-    gm_quadrature,
+    gm_quadrature_grid,
     gm_spectral,
     green_solve,
     kernel_G,
@@ -34,6 +33,7 @@ from qdisc import (
     kernel_invariance_residual,
     lambda_rho,
     laplacian_apply,
+    qpochhammer,
     radial_laplacian,
     rep_matrix,
 )
@@ -45,11 +45,9 @@ from qdisc.green import (
     _materialize,
     _tail_table,
     _term_count,
-    gm_quadrature_grid,
 )
-from qdisc.qspecial import l_sum
 from qdisc.uqsl2 import _stencil_solve, stencil_coefficients
-from conftest import random_element
+from conftest import random_element, random_sectors
 
 
 def test_radial_solution_order1(ctx_wide):
@@ -80,7 +78,7 @@ def test_centre_value_series(ctx):
     for m in range(1, 400):
         total += (1.0 / q2 - 1.0) / (q2**-m - 1.0)
     expected = -(1 - q2) * total
-    assert abs(g_radial(1, 0, ctx) - expected) < 1e-12
+    assert abs(g_radial_grid(1, ctx).values[0] - expected) < 1e-12
 
 
 def test_quadrature_oracle_matches_series(ctx):
@@ -91,9 +89,11 @@ def test_quadrature_oracle_matches_series(ctx):
 
 
 def test_gm_quadrature_point(ctx):
-    assert abs(gm_quadrature(1, 1, ctx) - g_radial(1, 1, ctx)) < 1e-7
-    with pytest.raises(DomainError):
-        gm_quadrature(0, 1, ctx)
+    assert abs(gm_quadrature_grid(1, ctx, 2).values[1] - g_radial_grid(1, ctx, 2).values[1]) < 1e-7
+    # m = 0 would be a delta and m = -1 a Laplacian image, not an oracle
+    for m in (0, -1):
+        with pytest.raises(DomainError):
+            gm_quadrature_grid(m, ctx)
 
 
 def _green_by_direct_sums(p: float, npoints: int):
@@ -128,10 +128,6 @@ def test_green_grid_matches_direct_sums_and_rows(q, horizon):
         rows = np.abs(ref[order]) > 1e-290
         err = np.abs(grid.values.real - ref[order])[rows] / np.abs(ref[order])[rows]
         assert np.all(err <= 1e-14), (order, err.max())
-        for n in range(ctx.npoints):
-            assert g_radial(order, n, ctx) == grid.values[n]
-        with pytest.raises(RangeError):
-            g_radial(order, -1, ctx)
 
 
 def test_green_grid_edge_cases(ctx):
@@ -140,8 +136,6 @@ def test_green_grid_edge_cases(ctx):
     for order in (0, 3):
         with pytest.raises(DomainError):
             g_radial_grid(order, ctx)
-        with pytest.raises(DomainError):
-            g_radial(order, 0, ctx)
 
 
 def test_spectral_image_inverts_eigenvalue(ctx):
@@ -532,6 +526,34 @@ def test_apply_kernel_matches_the_dense_route():
                 assert np.all(np.abs(got - ref) <= 1e-14 * mag), (q, m)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    alpha=st.complex_numbers(min_magnitude=0.1, max_magnitude=10),
+    beta=st.complex_numbers(min_magnitude=0.1, max_magnitude=10),
+)
+def test_apply_kernel_is_linear(data, alpha, beta):
+    # K(alpha f + beta g) against alpha K f + beta K g, entrywise relative to
+    # |alpha| |K f| + |beta| |K g|, on the exact kernels G(-l) over the
+    # supported range of q and on the assembled kernels at three q
+    if data.draw(st.booleans(), label="assembled"):
+        ctx = QContext(data.draw(st.sampled_from((0.05, 0.5, 0.9)), label="q"), grid_horizon=16)
+        K = kernel_assembled(data.draw(st.sampled_from((1, 2)), label="order"), ctx, sector_max=3)
+    else:
+        ctx = QContext(data.draw(st.floats(0.05, 0.995), label="q"), grid_horizon=11)
+        K = kernel_G(-data.draw(st.integers(1, 3), label="l"), "plain", ctx, sector_max=3)
+    sectors = st.sets(st.integers(-K.sector_max, K.sector_max), min_size=1, max_size=7)
+    support = data.draw(st.integers(0, 5), label="support")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    f, g = (random_sectors(ctx, rng, data.draw(sectors, label="sectors"), support) for _ in range(2))
+    Kf, Kg = apply_kernel(K, f, ctx), apply_kernel(K, g, ctx)
+    both = apply_kernel(K, f.scaled(alpha) + g.scaled(beta), ctx)
+    for m in set(f.sectors) | set(g.sectors):
+        kf, kg = Kf.sector(m).values, Kg.sector(m).values
+        gap = np.abs(both.sector(m).values - (alpha * kf + beta * kg))
+        assert np.all(gap <= 1e-13 * (abs(alpha) * np.abs(kf) + abs(beta) * np.abs(kg))), m
+
+
 def test_midpoint_majorant_equals_the_materialized_one():
     # the majorant read at the balanced split of each antidiagonal is the
     # maximum of the materialized tail table, bit for bit
@@ -613,6 +635,40 @@ def test_kernel_act_k_scales_each_sector_pair(ctx):
     for (i, j), psi in K.terms.items():
         assert np.allclose(KK.terms[(i, j)], ctx.q ** (2 * (i + j)) * psi, rtol=1e-14, atol=0)
         assert np.allclose(back.terms[(i, j)], psi, rtol=1e-12, atol=0)
+
+
+def l_sum(xi: complex, k: int | float, q: float, series_tol: float = 1e-14) -> complex:
+    """Logarithmic-derivative sum sum_{j<k} q^(2j) / (1 - q^(2j) xi).
+
+    k may be a nonnegative integer or math.inf; the infinite sum stops on
+    a geometric tail bound.  A vanishing denominator raises PoleError.
+    """
+    q2 = q * q
+    total = 0.0 + 0.0j
+    w = 1.0 + 0.0j  # q^(2j)
+    infinite = k == math.inf
+    for j in range(100_000 if infinite else int(k)):
+        den = 1.0 - w * xi
+        if abs(den) < 1e-13 * (1.0 + abs(w * xi)):
+            raise PoleError(f"l_sum denominator vanishes at j={j}")
+        total += w / den
+        w *= q2
+        if infinite and abs(w) / (1.0 - q2) < series_tol:
+            break
+    return total
+
+
+def test_product_log_derivative():
+    # finite difference of (tau; q^2)_inf against -(tau; q^2)_inf L_inf(tau)
+    q = 0.5
+    q2 = q * q
+    for tau in (0.3, 0.55, -0.4):
+        eps = 1e-6
+        fp = qpochhammer(tau + eps, q2, math.inf)
+        fm = qpochhammer(tau - eps, q2, math.inf)
+        fd = (fp - fm) / (2 * eps)
+        exact = -qpochhammer(tau, q2, math.inf) * l_sum(tau, math.inf, q)
+        assert abs(fd - exact) / abs(exact) < 1e-6
 
 
 def _kernel_G_by_depth(l, mode, ctx, shape, sector_max):

@@ -11,10 +11,7 @@ from qdisc import (
     DomainError,
     PoleError,
     QContext,
-    basic_hypergeometric,
     dilog,
-    jackson_integral,
-    l_sum,
     qgamma,
     qpochhammer,
 )
@@ -22,13 +19,6 @@ from qdisc.qspecial import _euler_product
 from qdisc.verify import run_registry
 
 Q = 0.5
-
-
-def brute_pochhammer(a, q, n):
-    out = 1.0 + 0.0j
-    for k in range(n):
-        out *= 1.0 - a * q**k
-    return out
 
 
 def test_pochhammer_empty_product():
@@ -123,132 +113,6 @@ def test_qgamma_diverges_toward_zero_argument():
     big = abs(qgamma(2e-4j, Q * Q))
     bigger = abs(qgamma(1e-4j, Q * Q))
     assert bigger > big > 1e2
-
-
-def test_hypergeometric_at_zero():
-    assert basic_hypergeometric([0.3, 0.4], [0.9], Q, 0.0) == 1.0
-
-
-def test_hypergeometric_terminating_value_is_one():
-    # upper parameter 1 kills every term past the zeroth
-    val = basic_hypergeometric(
-        [1.0, Q ** (1 + 2j), Q ** (1 - 2j)], [Q**2, 0.0], Q**2, Q**2
-    )
-    assert val == 1.0
-
-
-def test_hypergeometric_matches_term_accumulation():
-    # independent re-summation oracle with explicit Pochhammer products
-    upper = [0.3 + 0.1j, -0.2]
-    lower = [0.7]
-    q, z = 0.4, 0.35 + 0.2j
-    total = 0.0 + 0.0j
-    for n in range(200):
-        num = brute_pochhammer(upper[0], q, n) * brute_pochhammer(upper[1], q, n)
-        den = brute_pochhammer(lower[0], q, n) * brute_pochhammer(q, q, n)
-        total += num / den * z**n
-    assert abs(basic_hypergeometric(upper, lower, q, z) - total) < 1e-14
-
-
-def test_hypergeometric_balancing_factor():
-    # 1Phi1 carries ((-1)^n q^(n(n-1)/2)) per term
-    upper, lower = [0.25], [0.6]
-    q, z = 0.45, 0.8
-    total = 0.0 + 0.0j
-    for n in range(300):
-        num = brute_pochhammer(upper[0], q, n)
-        den = brute_pochhammer(lower[0], q, n) * brute_pochhammer(q, q, n)
-        total += num / den * ((-1) ** n * q ** (n * (n - 1) / 2)) * z**n
-    assert abs(basic_hypergeometric(upper, lower, q, z) - total) < 1e-13
-
-
-def test_hypergeometric_converges_near_unit_argument():
-    # the tail certificate bounds every later term ratio, so |z| near 1 settles
-    upper, lower, q = [0.2, 0.3], [0.5], 0.5
-    for z in (0.9, 0.95):
-        ref = complex(mpmath.qhyper(upper, lower, q, z))
-        assert abs(basic_hypergeometric(upper, lower, q, z) - ref) < 1e-13 * abs(ref)
-
-
-def test_hypergeometric_lower_pole():
-    with pytest.raises(PoleError):
-        basic_hypergeometric([0.3], [Q**-2], Q**2, 0.5)
-
-
-def test_hypergeometric_rejects_non_finite_input():
-    # every stopping test is false on NaN, so only an up-front check ends it at once
-    with pytest.raises(DomainError, match="z nan is not finite"):
-        basic_hypergeometric([0.5], [0.3], 0.5, math.nan)
-    with pytest.raises(DomainError, match="upper parameter inf"):
-        basic_hypergeometric([math.inf], [0.3], 0.5, 0.2)
-
-
-def test_hypergeometric_overflowing_terms_raise_domain_error():
-    # 1 + s - r < 0: the terms grow like q^(-n^2/2) and overflow near term 50
-    with pytest.raises(DomainError, match="basic hypergeometric series 3phi1 diverges"):
-        basic_hypergeometric([0.3, 0.4, 0.5], [0.6], 0.5, 0.1)
-    # a zero argument ends the same series at its first term
-    assert basic_hypergeometric([0.3, 0.4, 0.5], [0.6], 0.5, 0.0) == 1.0
-
-
-def test_jackson_constant(ctx):
-    res = jackson_integral(np.ones(ctx.npoints), ctx, finite_support=False)
-    assert abs(res.value - 1.0) <= res.tail_estimate + 1e-14
-    assert res.truncated
-
-
-def test_jackson_indicator(ctx):
-    v = np.zeros(ctx.npoints)
-    v[1] = 1.0
-    res = jackson_integral(v, ctx)
-    assert abs(res.value - (1 - ctx.q2) * ctx.q2) < 1e-16
-    assert res.tail_estimate == 0.0 and not res.truncated
-
-
-def test_jackson_linear_weight(ctx):
-    # f(y) = y: geometric series gives 1/(1+q^2)
-    res = jackson_integral(ctx.ygrid(), ctx, finite_support=False)
-    assert abs(res.value - 1.0 / (1.0 + ctx.q2)) < 1e-14
-
-
-def test_jackson_linearity_and_positivity(ctx, rng):
-    a = rng.standard_normal(ctx.npoints)
-    b = rng.standard_normal(ctx.npoints)
-    lhs = jackson_integral(2.0 * a + 3.0 * b, ctx).value
-    rhs = 2.0 * jackson_integral(a, ctx).value + 3.0 * jackson_integral(b, ctx).value
-    assert abs(lhs - rhs) < 1e-12
-    assert jackson_integral(np.abs(a), ctx).value.real > 0
-
-
-def test_l_sum_base_cases():
-    assert l_sum(0.7, 0, Q) == 0.0
-    assert abs(l_sum(0.7, 1, Q) - 1.0 / 0.3) < 1e-15
-
-
-def test_l_sum_telescoping():
-    # L_inf(q^(2k+2)) - q^2 L_inf(q^(2k+4)) = 1/(1 - q^(2k+2))
-    for k in range(5):
-        lhs = l_sum(Q ** (2 * k + 2), math.inf, Q) - Q**2 * l_sum(
-            Q ** (2 * k + 4), math.inf, Q
-        )
-        assert abs(lhs - 1.0 / (1.0 - Q ** (2 * k + 2))) < 1e-13
-
-
-def test_l_sum_pole():
-    with pytest.raises(PoleError):
-        l_sum(1.0, 2, Q)
-
-
-def test_product_log_derivative():
-    # finite difference of (tau; q^2)_inf against -(tau; q^2)_inf L_inf(tau)
-    q2 = Q * Q
-    for tau in (0.3, 0.55, -0.4):
-        eps = 1e-6
-        fp = qpochhammer(tau + eps, q2, math.inf)
-        fm = qpochhammer(tau - eps, q2, math.inf)
-        fd = (fp - fm) / (2 * eps)
-        exact = -qpochhammer(tau, q2, math.inf) * l_sum(tau, math.inf, Q)
-        assert abs(fd - exact) / abs(exact) < 1e-6
 
 
 def test_qgamma_functional_equation_grid():

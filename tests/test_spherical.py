@@ -343,6 +343,14 @@ def test_psi_rejects_non_finite_rho(ctx):
         psi_rho(math.nan, 3, ctx)
 
 
+def test_psi_rejects_negative_rows(ctx):
+    # at n = -1 the series divides by zero, and for n <= -2 its ratio
+    # q^2 y exceeds 1, so its stopping test ends it after one term
+    for n in (-1, -2, -5):
+        with pytest.raises(DomainError, match="grid index must be nonnegative"):
+            psi_rho(0.7, n, ctx)
+
+
 def test_psi_pole_detection(ctx):
     with pytest.raises(PoleError):
         psi_rho(-0.5j, 2, ctx)  # rho in the excluded half-integer imaginary set
