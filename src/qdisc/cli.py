@@ -142,8 +142,11 @@ def _load_config(args) -> RunConfig:
             if key == "command" and val != cfg.command:
                 raise DomainError(f"config command {val!r} is not the subcommand {cfg.command!r}")
             setattr(cfg, key, val)
+        # a malformed config is an error even where a flag replaces the value
+        cfg.validate()
     if args.q is not None:
         cfg.q = args.q
+        cfg.q_list = [args.q]
     if args.out is not None:
         cfg.out = args.out
     if args.format is not None:
@@ -230,12 +233,9 @@ def cmd_tabulate(cfg: RunConfig) -> int:
     ]
     _emit_table(rows, ["n", "y", "g1", "g2"], cfg)
     if cfg.with_density:
-        count = cfg.node_count
-        rhos = S._nodes(count, ctx)
-        dens = [
-            {"rho": float(r), "density": float(d)}
-            for r, d in zip(rhos, S._density_table(ctx.q, count)[S._columns(count)])
-        ]
+        rhos = S._nodes(cfg.node_count, ctx)
+        pairs = zip(rhos, S.sigma_density(rhos, ctx))
+        dens = [{"rho": float(r), "density": float(d)} for r, d in pairs]
         out2 = (cfg.out + ".density") if cfg.out else None
         sub = RunConfig(command="tabulate", q=cfg.q, out=out2, format=cfg.format)
         _emit_table(dens, ["rho", "density"], sub)
@@ -247,8 +247,6 @@ def cmd_transform(cfg: RunConfig) -> int:
     el = _input_element(cfg, ctx)
     radial = el.sector(0)
     F = S.transform_forward(radial, ctx, cfg.node_count)
-    # the density table follows the node table's columns; F is ascending
-    dens = S._density_table(ctx.q, cfg.node_count)[S._columns(cfg.node_count)]
     rows = [
         {
             "rho": float(rho),
@@ -256,7 +254,7 @@ def cmd_transform(cfg: RunConfig) -> int:
             "fhat_re": float(val.real),
             "fhat_im": float(val.imag),
         }
-        for rho, d, val in zip(F.nodes, dens, F.values)
+        for rho, d, val in zip(F.nodes, S.sigma_density(F.nodes, ctx), F.values)
     ]
     _emit_table(rows, ["rho", "density", "fhat_re", "fhat_im"], cfg)
     return EXIT_OK

@@ -51,8 +51,8 @@ def qpochhammer(a: complex, q: float, n: int | float) -> complex:
 
 @functools.lru_cache(maxsize=64)
 def _euler_product(q: float) -> complex:
-    """(q; q)_inf, cached per base: qgamma's numerator and the constant
-    of the spectral density depend on the base alone."""
+    """(q; q)_inf, cached per base: qgamma's numerator, and cubed in the
+    dual nome e^(-4 pi^2/h) the constant of spherical.sigma_density."""
     return qpochhammer(q, q, math.inf)
 
 

@@ -185,11 +185,11 @@ def test_density_columns_are_in_ascending_node_order(tmp_path):
     # the density column of tabulate and transform is the density on the
     # ascending nodes, on counts whose odd part is not 1 too
     from qdisc import QContext
-    from qdisc.spherical import _density_vector, _nodes
+    from qdisc.spherical import _nodes, sigma_density
 
     ctx = QContext(0.9)
     for count in (12, 40):
-        ref = _density_vector(_nodes(count, ctx), ctx)
+        ref = sigma_density(_nodes(count, ctx), ctx)
         out = tmp_path / f"spec{count}.csv"
         args = ["transform", "--q", "0.9", "--nodes", str(count), "--out", str(out)]
         assert run_cli(args)[0] == 0
@@ -271,9 +271,7 @@ def test_limit_rows(tmp_path):
     out = tmp_path / "limit.csv"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"t_list": [0.0, 0.5], "q_list": [0.9, 0.99]}))
-    code, _ = run_cli(
-        ["limit", "--q", "0.5", "--config", str(cfg), "--out", str(out)]
-    )
+    code, _ = run_cli(["limit", "--config", str(cfg), "--out", str(out)])
     assert code == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "q,t,err_order1,err_order2,reflection_residual"
@@ -287,6 +285,18 @@ def test_limit_rows(tmp_path):
     assert at_half[0.99] < at_half[0.9]
     for r in rows:
         assert float(r[4]) < 1e-12
+
+
+def test_limit_q_flag_sets_the_q_list(tmp_path):
+    # an explicit --q replaces the q list, the default's and a config's
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q_list": [0.9, 0.99]}))
+    for config in ([], ["--config", str(cfg)]):
+        out = tmp_path / "limit.csv"
+        assert run_cli(["limit", "--q", "0.3", *config, "--out", str(out)])[0] == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert [float(r[0]) for r in rows] == [0.3] * 3
+        assert [float(r[1]) for r in rows] == [0.25, 0.5, 0.75]
 
 
 def test_config_flag_precedence(tmp_path):

@@ -38,7 +38,6 @@ from qdisc.spherical import (
     SpectralFunction,
     _columns,
     _density_table,
-    _density_vector,
     _forward,
     _inverse_on_nodes,
     _nodes,
@@ -392,11 +391,61 @@ def test_density_matches_gamma_quotient(ctx):
 
 
 def test_density_vector_matches_scalar(ctx):
+    # a scalar call is the entry of an array call, bit for bit, whatever
+    # the array's other entries, shape or order are; off (0, P) it is zero
     period = ctx.rho_period()
-    rhos = np.linspace(0.05, 0.95, 9) * period
-    vec = _density_vector(rhos, ctx)
+    rhos = np.linspace(-0.5, 1.5, 41) * period
+    vec = sigma_density(rhos, ctx)
+    assert vec.dtype == np.float64 and vec.shape == rhos.shape
     for r, v in zip(rhos, vec):
-        assert abs(v - sigma_density(float(r), ctx)) < 1e-14
+        scalar = sigma_density(float(r), ctx)
+        assert type(scalar) is float and scalar == v
+    assert np.array_equal(sigma_density(rhos[::-1], ctx), vec[::-1])
+    assert np.array_equal(sigma_density(rhos.reshape(1, 41), ctx), vec.reshape(1, 41))
+    off = (rhos <= 0.0) | (rhos >= period)
+    assert np.all(vec[off] == 0.0) and np.all(vec[~off] >= 0.0)
+
+
+def _sigma_reference(rho, q):
+    """sigma(rho) from its defining products, (h/(4 pi (1-p))) prod_k
+    (1 - p^(k+1))^2 |1 - e^(2ih rho) p^k|^2 / |1 - q e^(ih rho) p^k|^4: h
+    and the cosines from mpmath at 40 digits, the product in 200-bit
+    integer floating point (mpmath's qp does not converge at q = 0.995),
+    the factors taken while p^k > 2^-150."""
+    bits = 200
+    one = 1 << bits
+    with mpmath.workdps(40):
+        qm = mpmath.mpf(q)
+        p, h = qm * qm, -2 * mpmath.log(qm)
+        pf, c2, c1 = (
+            mpmath.libmp.to_fixed(v._mpf_, bits)
+            for v in (p, 2 * mpmath.cos(2 * h * rho), 2 * qm * mpmath.cos(h * rho))
+        )
+        # the product is value * 2^(scale - bits), value kept at bits + 1 bits
+        value, scale, pk = one, 0, one
+        while pk > 1 << 50:
+            sq = pk * pk >> bits
+            euler = one - (pf * pk >> bits)
+            den = one - (c1 * pk >> bits) + (pf * sq >> bits)
+            value = (value * euler * euler >> bits) * (one - (c2 * pk >> bits) + sq) // (den * den)
+            shift = value.bit_length() - bits - 1
+            value = value >> shift if shift >= 0 else value << -shift
+            scale += shift
+            pk = pk * pf >> bits
+        return float(h / (4 * mpmath.pi * (1 - p)) * mpmath.ldexp(value, scale - bits))
+
+
+def test_density_matches_the_product_reference_over_the_range():
+    # the closed form against the defining products across the supported
+    # range, at points on both sides of P/2, near both ends and near the
+    # zero at P/2; the error is scaled by max sigma, read off 4096 nodes
+    fracs = np.array([0.003, 0.06, 0.29, 0.47, 0.53, 0.94, 0.997])
+    for q in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.98, 0.995):
+        ctx = QContext(q)
+        rhos = fracs * ctx.rho_period()
+        ref = np.array([_sigma_reference(mpmath.mpf(r), q) for r in rhos])
+        err = np.abs(sigma_density(rhos, ctx) - ref)
+        assert np.max(err) <= 2e-14 * np.max(sigma_density(_nodes(4096, ctx), ctx)), q
 
 
 def test_total_mass(ctx):
@@ -404,7 +453,7 @@ def test_total_mass(ctx):
     # forces total measure 1/(1-q^2)
     period = ctx.rho_period()
     rhos = period * np.arange(4096) / 4096
-    mass = period / 4096 * np.sum(_density_vector(rhos, ctx))
+    mass = period / 4096 * np.sum(sigma_density(rhos, ctx))
     assert abs(mass - 1.0 / (1 - ctx.q2)) < 1e-12
 
 
@@ -473,7 +522,7 @@ def test_plancherel_pairing(ctx, rng):
     count = 512
     Ff = transform_forward(f.sector(0), ctx, count)
     Fg = transform_forward(g.sector(0), ctx, count)
-    dens = _density_vector(Ff.nodes, ctx)
+    dens = sigma_density(Ff.nodes, ctx)
     rhs = ctx.rho_period() / count * np.sum(Ff.values * np.conj(Fg.values) * dens)
     assert abs(lhs - rhs) / abs(lhs) < 1e-10
 
@@ -575,7 +624,7 @@ def test_node_tables_equal_direct_builds_in_any_order(q):
     for counts in ((250, 500, 1000), (start, 2 * start, 4 * start)):
         keys = [(count, horizon + 1) for count in counts for horizon in (32, 64)]
         phi_ref = {(c, n): phi_matrix(_table_nodes(c, ctx), n, ctx).T for c, n in keys}
-        dens_ref = {c: _density_vector(_table_nodes(c, ctx), ctx) for c in counts}
+        dens_ref = {c: sigma_density(_table_nodes(c, ctx), ctx) for c in counts}
         # mixed: the first growth skips a count (and adds rows), so it
         # appends three new nodes to each old one
         mixed = [keys[i] for i in (0, 5, 2, 3, 1, 4)]
@@ -623,7 +672,7 @@ def test_node_tables_and_round_trips_from_emptied_covers(
         count = odd << shift
         table, dens = _phi_table(q, count, ctx.npoints), _density_table(q, count)
         assert np.array_equal(table, phi_matrix(_table_nodes(count, ctx), ctx.npoints, ctx).T)
-        assert np.array_equal(dens, _density_vector(_table_nodes(count, ctx), ctx))
+        assert np.array_equal(dens, sigma_density(_table_nodes(count, ctx), ctx))
         _assert_view_of_cover(table, "phi", q, count)
         _assert_view_of_cover(dens, "density", q, count)
         F = transform_forward(source, ctx, count)
@@ -801,7 +850,7 @@ def test_callable_aliased_at_the_start_count_settles_by_four_start_counts(ctx):
     out = transform_inverse(mode, ctx).values
     assert counts == [2 * start, 4 * start]
     nodes = _nodes(4 * start, ctx)
-    weights = np.cos((start + 1) * ctx.h * nodes) * _density_vector(nodes, ctx)
+    weights = np.cos((start + 1) * ctx.h * nodes) * sigma_density(nodes, ctx)
     terms = phi_matrix(nodes, ctx.npoints, ctx) * weights[:, None]
     ref = ctx.rho_period() / (4 * start) * terms.sum(axis=0)
     scale = ctx.rho_period() / (4 * start) * np.abs(terms).sum(axis=0)
