@@ -63,7 +63,8 @@ class RunConfig:
             value = getattr(self, f.name)
             if not _fits(value, hints[f.name]):
                 raise DomainError(f"config value {f.name}={value!r} is not of type {f.type}")
-        if not (Q_MIN <= self.q <= Q_MAX):
+        # limit builds no context from q: its --q only sets q_list
+        if self.command != "limit" and not (Q_MIN <= self.q <= Q_MAX):
             raise DomainError(f"q must lie in [{Q_MIN}, {Q_MAX}]")
         if self.series_tol <= 0:
             raise DomainError("series_tol must be positive")

@@ -149,19 +149,35 @@ def stencil_coefficients(ctx: QContext, npoints: int | None = None, sector: int 
     return tuple(_frozen(c) for c in (up / denom, -(up + down) / denom, down / denom))
 
 
+def _pivots(up: list, diag: list, down: list, shift: float = 0.0) -> list:
+    """Pivots of the forward elimination of the truncated stencil less
+    shift times the identity, in O(dim) (Golub-Van Loan 4.3).
+
+    On sector 0 the stencil symmetrizes to a tridiagonal T with
+    off(n-1)^2 = up(n) down(n-1), so these are also the LDL^T pivots of
+    T - shift, and by Sylvester's law of inertia their negative count is
+    the number of eigenvalues of T below shift (Golub-Van Loan 8.4).  An
+    exact zero pivot raises ZeroDivisionError."""
+    d = diag[0] - shift
+    out = [d]
+    for u, a, w in zip(up[1:], diag[1:], down):
+        d = (a - shift) - u / d * w
+        out.append(d)
+    return out
+
+
 def _stencil_solve(up, diag, down, rhs) -> np.ndarray:
     """Solve the truncated stencil system (row n: up, diag, down at columns
-    n-1, n, n+1) by one elimination and one back substitution, in O(dim)
-    (Golub-Van Loan 4.3).  |diag| = up + down, so no pivoting is needed."""
-    up, diag, down = up.tolist(), diag.tolist(), down.tolist()
+    n-1, n, n+1) by one elimination and one back substitution, in O(dim).
+    |diag| = up + down, so no pivoting is needed."""
+    up, down = up.tolist(), down.tolist()
+    piv = _pivots(up, diag.tolist(), down)
     x = [complex(r) for r in rhs]
     for n in range(1, len(x)):
-        w = up[n] / diag[n - 1]
-        diag[n] -= w * down[n - 1]
-        x[n] -= w * x[n - 1]
-    x[-1] /= diag[-1]
+        x[n] -= up[n] / piv[n - 1] * x[n - 1]
+    x[-1] /= piv[-1]
     for n in range(len(x) - 2, -1, -1):
-        x[n] = (x[n] - down[n] * x[n + 1]) / diag[n]
+        x[n] = (x[n] - down[n] * x[n + 1]) / piv[n]
     return np.array(x)
 
 

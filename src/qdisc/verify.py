@@ -20,6 +20,7 @@ standard measure of cancellation quality in floating point.
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass
 
@@ -60,7 +61,8 @@ EIGEN_NMAX = 30
 TRANSFORM_NMAX = 20
 TRANSFORM_NODES = 1024
 GREEN_NMAX = 40
-SPECTRUM_DIM = 200
+SPECTRUM_DIM = 200  # the probe's least dim; near q = 1 it grows as SPECTRUM_DEPTH / h
+SPECTRUM_DEPTH = 64
 CONNECTION_ROWS = (0, 2, 5, 9, 14, 20)
 # one phi_rho call per rho gives the rows of the eigen-equation and of the
 # connection formula
@@ -125,9 +127,19 @@ def _spanning_set(ctx: QContext, sectors: int = 3, support: int = 10):
     return out
 
 
+class _Normals(random.Random):
+    """A seeded stdlib stream with numpy's `standard_normal(n)` shape, drawn
+    with `gauss`, so a run never loads numpy.random."""
+
+    def standard_normal(self, n: int) -> np.ndarray:
+        return np.array([self.gauss(0.0, 1.0) for _ in range(n)])
+
+
 def _random_elements(ctx: QContext, count: int, seed: int = 2024, sectors: int = 3, support: int = 10):
+    """`count` elements on sectors -sectors..sectors, each row 0..support a
+    complex normal from seed's stream, real parts drawn before imaginary."""
     _fit_support(ctx, support)
-    rng = np.random.default_rng(seed)
+    rng = _Normals(seed)
     out = []
     for _ in range(count):
         secs = {}
@@ -163,7 +175,7 @@ def algebra_qr_identity(ctx: QContext, fx: Fixtures):
 def algebra_commutation_shifts(ctx: QContext, fx: Fixtures):
     z = DiscElement.generator_z(ctx)
     zs = DiscElement.generator_zstar(ctx)
-    rng = np.random.default_rng(11)
+    rng = _Normals(11)
     worst = 0.0
     for _ in range(8):
         v = np.zeros(ctx.npoints, dtype=complex)
@@ -377,7 +389,7 @@ def casimir_centrality(ctx: QContext, fx: Fixtures):
 
 def radial_part_identity(ctx: QContext, fx: Fixtures):
     worst = 0.0
-    rng = np.random.default_rng(17)
+    rng = _Normals(17)
     _fit_support(ctx, 11)
     for _ in range(6):
         v = np.zeros(ctx.npoints, dtype=complex)
@@ -527,7 +539,7 @@ def transform_centre_delta(ctx: QContext, fx: Fixtures):
 def _seed31_draws(ctx: QContext):
     """Seed 31's stream in the order plancherel_pairing then
     multiplication_law take it: 12 complex vectors, then 4 real ones."""
-    rng = np.random.default_rng(31)
+    rng = _Normals(31)
     n = TRANSFORM_NMAX + 1
     paired = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(12)]
     return paired, [rng.standard_normal(n) for _ in range(4)]
@@ -609,16 +621,22 @@ def quadrature_self_consistency(ctx: QContext, fx: Fixtures):
     return doubling, 1e-10, f"doubling the start count {start} leaves the inverse transform unchanged"
 
 
+def _spectrum_dim(ctx: QContext) -> int:
+    """The truncation reaches depth SPECTRUM_DEPTH in ln(1/y): the extreme
+    eigenvalues then sit about 3e-3 from the band edges at every q."""
+    return max(SPECTRUM_DIM, math.ceil(SPECTRUM_DEPTH / ctx.h))
+
+
 def _spectrum_offsets(ctx: QContext):
     """The probe's extreme eigenvalues less the band edges -1/(1 -+ q)^2."""
-    lo, hi = S.spectrum_probe(SPECTRUM_DIM, ctx)
+    lo, hi = S.spectrum_probe(_spectrum_dim(ctx), ctx)
     return lo + 1.0 / (1.0 - ctx.q) ** 2, hi + 1.0 / (1.0 + ctx.q) ** 2
 
 
 def spectrum_inside_segment(ctx: QContext, fx: Fixtures):
     lo, hi = fx.get(_spectrum_offsets)
     inside = _max(0.0, -lo, hi)
-    return inside, 1e-8, f"dim-{SPECTRUM_DIM} truncation eigenvalues stay inside the band"
+    return inside, 1e-8, f"dim-{_spectrum_dim(ctx)} truncation eigenvalues stay inside the band"
 
 
 def spectrum_endpoint_approach(ctx: QContext, fx: Fixtures):
@@ -793,8 +811,9 @@ def kernel_invariance_truncated(ctx: QContext, fx: Fixtures):
 
 def _seed41_draws(ctx: QContext):
     """Seed 41's stream in the order matrix_solve_oracle then
-    inverse_route_consistency take it."""
-    rng = np.random.default_rng(41)
+    inverse_route_consistency take it: four real 6-vectors, then one
+    real 5-vector."""
+    rng = _Normals(41)
     return [rng.standard_normal(6) for _ in range(4)], rng.standard_normal(5)
 
 

@@ -321,19 +321,50 @@ def test_module_invocation():
     assert proc.stdout.startswith("n,y,g1,g2")
 
 
-def test_import_never_loads_scipy():
-    # the package needs only numpy, mpmath and the stdlib
+def _run_fresh(code):
+    """Run `code` in a fresh interpreter that imports qdisc from this tree."""
     src = str(Path(qdisc.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    code = (
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+
+
+def test_import_never_loads_scipy():
+    # the package needs only numpy, mpmath and the stdlib
+    proc = _run_fresh(
         "import qdisc, sys; qdisc.QContext(0.5); "
         "sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_never_loads_numpy_random(tmp_path):
+    # the registry's seeded draws come from the stdlib's random module; the
+    # whole registry runs, so every seeded stream is drawn
+    out = tmp_path / "report.json"
+    proc = _run_fresh(
+        "import sys, qdisc\n"
+        "assert 'numpy.random' not in sys.modules, 'import'\n"
+        "from qdisc.cli import main\n"
+        f"code = main(['verify', '--q', '0.5', '--out', {str(out)!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy.random' not in sys.modules, 'verify'\n"
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_limit_takes_q_outside_the_context_range(tmp_path):
+    # limit builds no QContext, so --q may name any q in (0, 1), as its
+    # default q list does; the commands that build one keep its range
+    out = tmp_path / "limit.csv"
+    assert run_cli(["limit", "--q", "0.999", "--out", str(out)])[0] == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert [float(r[0]) for r in rows] == [0.999] * 3
+    for q in ("1.0", "0.0", "nan"):
+        assert run_cli(["limit", "--q", q])[0] == 2
+    assert run_cli(["verify", "--q", "0.999"])[0] == 2
 
 
 def test_verify_full_suite_passes(tmp_path):

@@ -553,6 +553,54 @@ def test_spectrum_probe_inside_segment(ctx):
     assert abs(hi2 - (tr / 2 + disc)) < 1e-12
 
 
+@pytest.mark.parametrize("q", [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.95, 0.98, 0.995])
+def test_spectrum_probe_matches_the_dense_eigensolver(q):
+    # the dense symmetric solve is the oracle of the bisection; both err by
+    # about eps times the spectral radius |lo|, which near q = 1 is 1e-12
+    # of the upper extreme itself, so the agreement is measured against |lo|
+    ctx = QContext(q)
+    for dim in (2, 60, 200, 1000):
+        _, diag, down = stencil_coefficients(ctx, dim)
+        off = q * down[: dim - 1]
+        vals = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        lo, hi = spectrum_probe(dim, ctx)
+        assert abs(lo - vals[0]) <= 1e-12 * abs(vals[0])
+        assert abs(hi - vals[-1]) <= 1e-12 * abs(vals[0])
+
+
+def test_spectrum_probe_steps_off_a_zero_pivot(ctx, monkeypatch):
+    # a shift where a pivot is exactly zero is counted one ulp above
+    real = S._pivots
+    shifts = []
+
+    def zero_once(up, diag, down, shift):
+        shifts.append(shift)
+        if len(shifts) == 1:
+            raise ZeroDivisionError
+        return real(up, diag, down, shift)
+
+    monkeypatch.setattr(S, "_pivots", zero_once)
+    nudged = spectrum_probe(60, ctx)
+    monkeypatch.undo()
+    assert shifts[1] == math.nextafter(shifts[0], math.inf)
+    assert nudged == spectrum_probe(60, ctx)
+
+
+def test_spectrum_probe_builds_no_square_array():
+    import tracemalloc
+
+    ctx = QContext(0.98)
+    spectrum_probe(10, ctx)
+    tracemalloc.start()
+    try:
+        spectrum_probe(2000, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense 2000 x 2000 float64 matrix alone is 32 MB
+    assert peak < 2_000_000
+
+
 def test_spectrum_probe_convergence(ctx):
     q = ctx.q
     lo, hi = spectrum_probe(200, ctx)
