@@ -17,9 +17,15 @@ table per q, and its three Cauchy products are np.convolve calls.  A row
 whose bound exceeds 1e-13 (about half of rows 0..31 at q = 0.7, all but
 the first one or two from q = 0.9 on) falls back to the 3phi2 series
 summed in Python-integer fixed point, with the working precision growing
-with n and mpmath used only for the one scalar 2q cos(2 rho ln q); the
-rows of one call share those tables, built once at the precision of the
-largest row, and each row is summed at its own.  Transform machinery
+with n; the rows of one call share those tables, built once at the
+precision of the largest row, and each row is summed at its own.  The one
+rounded input of that sum, the scalar s = 2q cos(2 rho ln q), comes from
+a stdlib-integer routine at a precision w set by a bound, not at the
+sum's own: a row is a degree-n polynomial in x = cos theta, so by Markov's
+inequality an error dx in x moves it by at most n^2 M_n |dx|, M_n its
+largest modulus on [-1, 1], and w is the least that keeps this below
+2^-127 (see _phi_series).  No module of the package imports mpmath; the
+test suite keeps it as the oracle.  Transform machinery
 instead evaluates phi columns through the eigen-recurrence seeded at the
 disc centre, which is numerically stable on the continuous spectrum; the
 routes are cross-checked in the test suite and by the verify registry.
@@ -49,11 +55,11 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .context import QContext, _frozen
@@ -238,6 +244,153 @@ def _fixed_to_float(x: int, bits: int) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _fixed_ln(a: int, b: int, w: int) -> int:
+    """ln(a/b) for integers a, b > 0 in fixed point: an integer within 2
+    of 2^w ln(a/b).
+
+    k square roots (math.isqrt) take x = a/b to y = x^(2^-k), with
+    |ln y| < 2^-r, and ln x = 2^(k+1) atanh t, t = (y - 1)/(y + 1), whose
+    odd series is summed until its terms vanish; r = 4 + sqrt(w)/2, here and
+    in the other fixed-point routines, balances the k steps against the
+    terms.  The run is at W = w + g bits:
+    each root and each term drops less than a unit, a root halves the
+    relative error it is handed, and the reading of x errs by 2^-W/x
+    relative, so the 2^k of the last step and the 1/x take k + e bits of
+    g (x >= 2^-e), and 16 bits more cover the count of roundings.
+    """
+    lnx = abs(math.log(a) - math.log(b))
+    r = 4 + math.isqrt(w) // 2
+    k = r + int(lnx).bit_length()
+    g = k + (b // a).bit_length() + 16
+    W = w + g
+    one = 1 << W
+    y = (a << W) // b
+    for _ in range(k):
+        y = math.isqrt(y << W)
+    t = (abs(y - one) << W) // (y + one)
+    t2 = t * t >> W
+    total = power = t
+    for j in itertools.count(3, 2):
+        power = power * t2 >> W
+        if not power:
+            break
+        total += power // j
+    total = (total << (k + 1)) + (1 << (g - 1)) >> g
+    return total if y >= one else -total
+
+
+def _fixed_cos_sin(t: int, w: int) -> tuple[int, int]:
+    """cos and sin of the fixed-point number t / 2^w, each within 1 of
+    2^w times the true value.
+
+    Halved k times, to |u| < 2^-r, the angle takes the Taylor series of
+    both, summed until their terms vanish, and k squarings of c + i s
+    double it back.  A squaring at most doubles the modulus of the error
+    it is handed (|c + i s| is 1 to within the error) and adds a unit or
+    two, so at w + k + 12 bits all of it stays below 2^-(w+8); the halving
+    is exact, a shift of t.
+    """
+    r = 4 + math.isqrt(w) // 2
+    k = r + (abs(t) >> w).bit_length()
+    W = w + k + 12
+    one = 1 << W
+    u = abs(t) << (W - w - k)
+    u2 = u * u >> W
+    c = term = one
+    s = power = u
+    for i in itertools.count(2, 2):
+        term = (term * u2 >> W) // ((i - 1) * i)
+        if not term:
+            break
+        power = (power * u2 >> W) // (i * (i + 1))
+        if i % 4 == 2:
+            c, s = c - term, s - power
+        else:
+            c, s = c + term, s + power
+    if t < 0:
+        s = -s
+    for _ in range(k):
+        c, s = (c * c - s * s) >> W, (c * s) >> (W - 1)
+    half = 1 << (W - w - 1)
+    return (c + half) >> (W - w), (s + half) >> (W - w)
+
+
+def _fixed_exp(t: int, w: int) -> int:
+    """e^x for x = t / 2^w >= 0, in fixed point: an integer within
+    2 e^x of 2^w e^x.
+
+    Halved k times, to u = x 2^-k < 2^-r, the Taylor series of e^u is
+    summed until its terms vanish and squared k times; a squaring doubles
+    the relative error it is handed and adds a unit, so w + k + 12 bits
+    keep it below 2^-(w+8) relative.
+    """
+    r = 4 + math.isqrt(w) // 2
+    k = r + (t >> w).bit_length()
+    W = w + k + 12
+    u = t << (W - w - k)
+    total = term = 1 << W
+    for i in itertools.count(1):
+        term = (term * u >> W) // i
+        if not term:
+            break
+        total += term
+    for _ in range(k):
+        total = total * total >> W
+    return (total + (1 << (W - w - 1))) >> (W - w)
+
+
+def _two_q_cos(rho: complex, q: float, w: int) -> tuple[int, int]:
+    """s = 2q cos(2 rho ln q) in fixed point at w bits, as the pair of
+    integers nearest 2^w Re s and 2^w Im s, each to within 2 units of
+    max(1, 2q cosh(2 Im rho ln q)) (for real rho, to within 2 units).
+
+    q and rho are read exactly (float.as_integer_ratio).  The angle
+    theta = 2 rho ln q takes ln q at the bits that cover the factor
+    2|rho|, so each part of theta errs by at most 3 units of 2^-(w+8);
+    cos and sin of Re theta (_fixed_cos_sin) and e^(+-Im theta)
+    (_fixed_exp) are taken at w + 8 bits, and the products rounded to w.
+    """
+    rho = complex(rho)
+    a, b = q.as_integer_ratio()
+    W = w + 8
+    reach = (int(2.0 * (abs(rho.real) + abs(rho.imag))) + 1).bit_length()
+    lnq = _fixed_ln(a, b, W + reach)
+    re_num, re_den = rho.real.as_integer_ratio()
+    cos, sin = _fixed_cos_sin((2 * re_num * lnq) // re_den >> reach, W)
+    if rho.imag == 0.0:
+        cosh, sinh = 1 << W, 0
+    else:
+        im_num, im_den = rho.imag.as_integer_ratio()
+        im_theta = (2 * im_num * lnq) // im_den >> reach
+        grow = _fixed_exp(abs(im_theta), W)  # e^|Im theta|
+        shrink = (1 << 2 * W) // grow
+        cosh, sinh = (grow + shrink) >> 1, (grow - shrink) >> 1
+        if im_theta < 0:
+            sinh = -sinh
+    half = 1 << (W + 7)
+    return (2 * a * cos * cosh // b + half) >> (W + 8), (half - 2 * a * sin * sinh // b) >> (W + 8)
+
+
+def _cosine_bits(rho: complex, rows, q: float) -> int:
+    """The precision w at which _phi_series takes s = 2q cos(2 rho ln q):
+    for real rho, the largest over the rows n of min(B_n, 128 +
+    ceil(log2 max(1, n^2 M_n / (2q)))), with M_n the bound on |phi_n| over
+    cos theta in [-1, 1] that the ascending form's absolute tables give at
+    theta = 0; for nonreal rho, B of the largest row.  See _phi_series."""
+    top = int(max(rows, default=0))
+    if complex(rho).imag != 0.0:
+        return _series_bits(top, q)
+    _, poch, _, c_abs, qn = _ascending_tables(q, top)
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = qn * np.convolve(c_abs, np.convolve(1.0 / poch, 1.0 / poch))[: top + 2]
+    w = 128
+    for m in rows:
+        slope = float(m * m * peak[m]) / (2.0 * q)
+        need = 128 + math.ceil(math.log2(max(slope, 1.0))) if slope < math.inf else math.inf
+        w = max(w, min(_series_bits(m, q), need))
+    return w
+
+
 def _phi_series(rho: complex, n, ctx: QContext) -> complex | np.ndarray:
     """phi_rho's terminating series summed in integer fixed point: the
     reference of the ascending form, and phi_rho's route for rows it
@@ -260,7 +413,21 @@ def _phi_series(rho: complex, n, ctx: QContext) -> complex | np.ndarray:
     bits plus 32 guard bits: the tables are built at the largest row's B,
     and each row is summed at its own, with the tables cut down to it.  q
     is read exactly (float.as_integer_ratio), so the one rounded input is
-    the scalar s = 2q cos(2 rho ln q), taken from mpmath at the tables' B.
+    the scalar s = 2q cos(2 rho ln q), taken from _two_q_cos at w <= B
+    bits (_cosine_bits) and carried to B with zero low bits.  The bound
+    that sets w: row n is q^n Q_n(x) / (p; p)_n, a polynomial of degree n
+    in x = cos theta = s / (2q), and for real rho x lies in [-1, 1].  By
+    Markov's inequality |phi_n'(x)| <= n^2 M_n there, with M_n = max |phi_n|
+    over [-1, 1], and M_n <= q^n sum_j |c_j| h0_(n-j), the ascending form's
+    absolute tables at theta = 0 (h0 = 1/(p; p) convolved with itself;
+    |e^(i m theta)| = 1).  An s within 2 units of 2^-w thus moves row n by
+    at most n^2 M_n 2^(1-w) / (2q) (a step past +-1 by 2^-w changes that
+    bound by a factor 1 + O(n^2 2^-w)), and w = min(B, 128 + ceil(log2
+    max(1, n^2 M_n / (2q)))), taken over the rows asked for, keeps it below
+    2^-127; M_n reads 2^-129 at q = 0.05, 2^-23 at 0.5, 2^27 at 0.9 and
+    2^155 at 0.995, where w is B.  For nonreal rho x leaves [-1, 1], and s
+    is taken at B.  In every case the rounded s moves a row far below the
+    one rounding to double.
     Each table entry and each product drops less than one unit of 2^-B,
     and q^(-2j) is stepped from 1/q^2 so that it keeps its relative
     precision.  A term past 2^64 keeps B + 64 significant bits, like a
@@ -278,10 +445,8 @@ def _phi_series(rho: complex, n, ctx: QContext) -> complex | np.ndarray:
     one = 1 << bits
     a, b = q.as_integer_ratio()
     q2 = (a * a << bits) // (b * b)
-    with mpmath.workprec(bits):
-        qm = mpmath.mpf(q)
-        s = mpmath.mpc(2 * qm * mpmath.cos(2 * mpmath.mpmathify(rho) * mpmath.log(qm)))
-        s_re, s_im = (mpmath.libmp.to_fixed(part._mpf_, bits) for part in (s.real, s.imag))
+    w = _cosine_bits(rho, rows, q)
+    s_re, s_im = (part << (bits - w) for part in _two_q_cos(rho, q, w))
     q2j = [one]
     inv = [one]
     inv_q2 = (b * b << bits) // (a * a)

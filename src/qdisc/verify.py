@@ -127,12 +127,28 @@ def _spanning_set(ctx: QContext, sectors: int = 3, support: int = 10):
     return out
 
 
+_TWO_PI = 2.0 * math.pi
+
+
 class _Normals(random.Random):
-    """A seeded stdlib stream with numpy's `standard_normal(n)` shape, drawn
-    with `gauss`, so a run never loads numpy.random."""
+    """A seeded stdlib stream with numpy's `standard_normal(n)` shape, so a
+    run never loads numpy.random."""
 
     def standard_normal(self, n: int) -> np.ndarray:
-        return np.array([self.gauss(0.0, 1.0) for _ in range(n)])
+        """n draws, bit for bit what n calls of gauss(0.0, 1.0) return, in
+        one loop: Box-Muller pairs on two random() each, the cosine half
+        first, and the sine half of an odd count kept in gauss_next for the
+        next draw; `0.0 + z` is gauss's `mu + z * sigma`."""
+        uniform, cos, sin, sqrt, log = self.random, math.cos, math.sin, math.sqrt, math.log
+        draws = [] if self.gauss_next is None else [self.gauss_next]
+        for _ in range((n - len(draws) + 1) // 2):
+            angle = uniform() * _TWO_PI
+            radius = sqrt(-2.0 * log(1.0 - uniform()))
+            draws += (cos(angle) * radius, sin(angle) * radius)
+        self.gauss_next = draws.pop() if len(draws) > n else None
+        out = np.array(draws)
+        out += 0.0
+        return out
 
 
 def _random_elements(ctx: QContext, count: int, seed: int = 2024, sectors: int = 3, support: int = 10):

@@ -332,7 +332,7 @@ def _run_fresh(code):
 
 
 def test_import_never_loads_scipy():
-    # the package needs only numpy, mpmath and the stdlib
+    # the package needs only numpy and the stdlib
     proc = _run_fresh(
         "import qdisc, sys; qdisc.QContext(0.5); "
         "sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
@@ -351,6 +351,32 @@ def test_verify_never_loads_numpy_random(tmp_path):
         f"code = main(['verify', '--q', '0.5', '--out', {str(out)!r}])\n"
         "assert code == 0, code\n"
         "assert 'numpy.random' not in sys.modules, 'verify'\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_no_code_path_needs_mpmath(tmp_path):
+    # mpmath is a test-only oracle: with its import blocked, the package
+    # imports, the whole registry passes at q = 0.5, and the phi and psi
+    # checks exit as they do with it, at q = 0.05 (where the phi series
+    # runs at its highest precision) and at q = 0.995 (1: the psi checks
+    # fail there)
+    out = tmp_path / "report.json"
+    proc = _run_fresh(
+        "import sys\n"
+        "class NoMpmath:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'mpmath':\n"
+        "            raise ImportError('mpmath is blocked')\n"
+        "sys.meta_path.insert(0, NoMpmath())\n"
+        "import qdisc\n"
+        "from qdisc.cli import main\n"
+        f"out = {str(out)!r}\n"
+        "assert main(['verify', '--q', '0.5', '--out', out]) == 0\n"
+        "for q, code in (('0.05', 0), ('0.995', 1)):\n"
+        "    args = ['verify', '--q', q, '--checks', 'eigen,connection,phi_', '--out', out]\n"
+        "    assert main(args) == code, q\n"
+        "assert 'mpmath' not in sys.modules\n"
     )
     assert proc.returncode == 0, proc.stderr
 

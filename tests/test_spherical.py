@@ -1,6 +1,7 @@
 """Spectral theory: eigenfunctions, density, transform pair, spectrum."""
 
 import functools
+import itertools
 import math
 
 import mpmath
@@ -37,7 +38,11 @@ from qdisc.spherical import (
     _PHI_CERT_TOL,
     SpectralFunction,
     _columns,
+    _cosine_bits,
     _density_table,
+    _fixed_cos_sin,
+    _fixed_exp,
+    _fixed_ln,
     _forward,
     _inverse_on_nodes,
     _nodes,
@@ -45,8 +50,10 @@ from qdisc.spherical import (
     _phi_digits,
     _phi_series,
     _phi_table,
+    _series_bits,
     _start_nodes,
     _table_nodes,
+    _two_q_cos,
     phi_matrix,
 )
 from qdisc.uqsl2 import stencil_coefficients
@@ -216,7 +223,24 @@ def _ulps_apart(a, b):
     return max(gaps)
 
 
-@pytest.mark.parametrize("q", _CLOSED_FORM_QS)
+def _mp_two_q_cos(rho, q, bits):
+    """s = 2q cos(2 rho ln q) from mpmath at `bits`, as fixed-point integers
+    at `bits`: the cosine _phi_series took before its integer routine."""
+    with mpmath.workprec(bits):
+        qm = mpmath.mpf(q)
+        s = mpmath.mpc(2 * qm * mpmath.cos(2 * mpmath.mpmathify(rho) * mpmath.log(qm)))
+        return tuple(mpmath.libmp.to_fixed(part._mpf_, bits) for part in (s.real, s.imag))
+
+
+def _series_on_mpmath_cosine(rho, rows, ctx):
+    """_phi_series with s taken from mpmath at the largest row's B."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(S, "_two_q_cos", _mp_two_q_cos)
+        patch.setattr(S, "_cosine_bits", lambda rho, rows, q: _series_bits(max(rows), q))
+        return _phi_series(rho, rows, ctx)
+
+
+@pytest.mark.parametrize("q", sorted((*_CLOSED_FORM_QS, 0.98)))
 def test_integer_series_matches_the_mpmath_reference(q):
     # the fixed-point sum rounds once to double, and so does mpmath's; at
     # Im rho = 40 the rows leave the double range from row 4 at q = 0.05,
@@ -231,6 +255,54 @@ def test_integer_series_matches_the_mpmath_reference(q):
     assert np.array_equal(np.isinf(far.real), np.isinf(ref.real))
     assert np.array_equal(np.isinf(far.imag), np.isinf(ref.imag))
     assert np.isinf(far[-1]) == (q <= 0.7)
+    # s from the integer routine at the bound's w bits gives every row bit
+    # for bit what s from mpmath at the tables' B bits gives: rho at and
+    # near 0, about P/2 (cos theta = -1) and past the period P, from q = 0.5
+    # on a row past 31, and at q <= 0.1 rows below 1e-30
+    period = ctx.rho_period()
+    rows = [*range(32), 60] if q >= 0.5 else range(32)
+    smallest = math.inf
+    for rho in (*rhos, 0.0, 1e-9, 0.5 * period, 0.5 * period - 1e-7, 1.37 * period, 12.3 * period):
+        vals = _phi_series(rho, rows, ctx)
+        assert np.array_equal(vals, _series_on_mpmath_cosine(rho, rows, ctx))
+        smallest = min(smallest, float(np.min(np.abs(vals))))
+    assert (smallest < 1e-30) == (q <= 0.1)
+
+
+@pytest.mark.parametrize("w", [53, 128, 192, 700, 4500])
+def test_fixed_point_elementary_functions_match_mpmath(w):
+    # each within a few units of 2^-w of a value mpmath takes 64 bits
+    # further, exp relative to e^x; so is s = 2q cos(2 rho ln q) for real rho
+    scale = mpmath.mpf(2) ** w
+    with mpmath.workprec(w + 64):
+        for q in (0.05, 0.3, 0.5, 0.9, 0.995, 1.7, 1e-5):
+            a, b = q.as_integer_ratio()
+            assert abs(_fixed_ln(a, b, w) - mpmath.log(mpmath.mpf(a) / b) * scale) <= 2
+        for x in (0.0, 2e-9, -0.37, 1.0, -3.14159, 20.5, -613.0, 4096.25):
+            t = int(mpmath.floor(mpmath.mpf(x) * scale))
+            c, s = _fixed_cos_sin(t, w)
+            assert abs(c - mpmath.cos(t / scale) * scale) <= 1
+            assert abs(s - mpmath.sin(t / scale) * scale) <= 1
+        for x in (0.0, 3e-7, 0.5, 1.0, 7.25, 40.0, 300.0):
+            t = int(mpmath.floor(mpmath.mpf(x) * scale))
+            e = mpmath.exp(t / scale)
+            assert abs(_fixed_exp(t, w) - e * scale) <= 2 * e
+        for q, rho in itertools.product((0.05, 0.5, 0.995), (0.0, 0.7, 123.4)):
+            s_re, s_im = _two_q_cos(rho, q, w)
+            qm = mpmath.mpf(q)
+            assert abs(s_re - 2 * qm * mpmath.cos(2 * rho * mpmath.log(qm)) * scale) <= 2
+            assert s_im == 0
+
+
+def test_cosine_bits_follow_the_markov_bound():
+    # w = min(B, 128 + ceil(log2 max(1, n^2 M_n / 2q))): near 128 bits
+    # where M_31 is small, B itself at q = 0.995 (log2 M_31 = 155), and B
+    # for nonreal rho
+    for q in (0.05, 0.3, 0.5):
+        assert 128 <= _cosine_bits(0.3, range(32), q) <= 140 < _series_bits(31, q)
+    assert _cosine_bits(0.3, range(32), 0.995) == _series_bits(31, 0.995)
+    assert _cosine_bits(0.3 + 0.2j, range(32), 0.5) == _series_bits(31, 0.5)
+    assert _cosine_bits(0.3, [0], 0.5) == 128
 
 
 @pytest.mark.parametrize("q", _CLOSED_FORM_QS)
