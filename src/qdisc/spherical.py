@@ -49,6 +49,21 @@ with one unit stride, bit for bit what a direct build on those nodes
 gives; a cover grows by appending the columns and rows it lacks.  The
 covers, at most 64 of them, are the only store of node tables, and
 transform_forward returns its values in ascending node order.
+
+Inverse.  transform_inverse sums the inversion integral by the periodic
+trapezoid rule in one pass, on a count certified by a bound rather than
+settled by comparing counts.  The integrand phi_n F sigma is a
+trigonometric polynomial times the density, whose continuation has simple
+poles at Im rho = +-(2j+1)/2; the residue theorem on the trapezoid rule's
+kernel (Trefethen-Weideman 2014) splits the error into those poles' terms,
+exact, and integrals over lines between them, bounded from the ascending
+form's absolute tables and the density's theta form (_delta_bounds).
+phi is 1 at the first poles, so the leading term is the same on every row
+and is the measured error to rounding.  The certified count is the least
+power of two whose bound meets the settle tolerance; a callable spectral
+image, which has no bound, keeps the rule that compares N0 with 2 N0
+nodes.  The contraction over nodes runs in blocks of 4096 nodes, where a
+single GEMM slows down.
 """
 
 from __future__ import annotations
@@ -739,13 +754,25 @@ def _density_table(q: float, count: int) -> np.ndarray:
     return cover[:count]
 
 
+# The inverse's GEMM contracts a phi table over its nodes.  Past 4096
+# nodes one GEMM ran far below OpenBLAS's speed: 65 rows against one
+# complex column took 0.56 ms on 8192 nodes and 0.85 ms on 16384, and the
+# sum of GEMMs over blocks of 4096 nodes 0.21 and 0.41 ms (one BLAS
+# thread, 2-core x86-64); blocks of 1024 or 2048 were no faster.
+_GEMM_BLOCK = 4096
+
+
 def _real_matmul(table: np.ndarray, v: np.ndarray) -> np.ndarray:
     """table @ v for a real table and a complex vector or (k, m) matrix, as
-    one real GEMM on v's (k, 2m) float view; table @ v itself would cast
-    table to complex."""
+    real GEMMs on v's (k, 2m) float view, one per block of _GEMM_BLOCK of
+    the k columns, summed in order; table @ v itself would cast table to
+    complex."""
     v = np.ascontiguousarray(v, dtype=complex)
-    cols = v if v.ndim == 2 else v[:, None]
-    out = (table @ cols.view(float)).view(complex)
+    cols = (v if v.ndim == 2 else v[:, None]).view(float)
+    out = table[:, :_GEMM_BLOCK] @ cols[:_GEMM_BLOCK]
+    for start in range(_GEMM_BLOCK, len(cols), _GEMM_BLOCK):
+        out += table[:, start : start + _GEMM_BLOCK] @ cols[start : start + _GEMM_BLOCK]
+    out = out.view(complex)
     return out if v.ndim == 2 else out.ravel()
 
 
@@ -784,32 +811,178 @@ _QUAD_REL_TOL = 1e-12
 
 
 def _start_nodes(ctx: QContext, depth: int = 0) -> int:
-    """Start count N0 of transform_inverse for a source reaching row depth:
-    the power of two past ln(1/eps)/ln(1/q) + 2 depth.  The trapezoid error
-    falls like q^N in the strip |Im h rho| < ln(1/q) of analyticity
-    (Trefethen-Weideman 2014, Thm 3.2), eps = 1e-14 is three decades under
-    the absolute settle tolerance and 2 depth covers the forward weights'
-    range q^(-2 depth).  The inverse evaluates on 2 N0 and then 4 N0 nodes,
-    reading the N0- and 2 N0-node sums off those passes; a power of two
-    has odd part 1, so those counts, and the forward's power-of-two counts,
-    are slices of one node-table cover per q at any depth."""
+    """The strip rule's count for a trapezoid sum whose integrand reaches
+    row depth: the power of two past ln(1/eps)/ln(1/q) + 2 depth.  The
+    trapezoid error falls like q^N in the strip |Im h rho| < ln(1/q) of
+    analyticity (Trefethen-Weideman 2014, Thm 3.2), eps = 1e-14 is three
+    decades under the absolute settle tolerance and 2 depth covers the
+    forward weights' range q^(-2 depth).  It is a heuristic: transform_inverse
+    starts a callable, which has no bound, at N0 = _start_nodes(ctx) and
+    settles it on 2 N0 and 4 N0 nodes, and plancherel_pairing sizes its
+    own sum with it.  A SpectralFunction takes _certified_nodes instead."""
     need = math.log(1e3 / _QUAD_ABS_TOL) / math.log(1.0 / ctx.q) + 2 * depth
     return 1 << math.ceil(math.log2(need))
 
 
-def _inverse_on_nodes(
-    F, ctx: QContext, count: int, npoints: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Periodic-trapezoid inverse transform on count/2 and on count
-    equispaced nodes from one pass over the count nodes, and the rounding
-    floor of the count-node sums.
+# The aliasing bound of _delta_bounds reads the density's analytic
+# continuation on lines Im rho = y: one below its first poles, which sit
+# at Im rho = +-1/2, and the integers 1.._ALIAS_LINES, where the poles
+# +-(2j+1)/2 below the line are taken out exactly.  The bound is taken at
+# every power of two up to _MAX_NODES, where the search for a certified
+# count stops.
+_ALIAS_SUB = (0.4375,)
+_ALIAS_LINES = 6
+_MAX_NODES = 1 << 16
+_ALIAS_COUNTS = _frozen(1 << np.arange(_MAX_NODES.bit_length()))
+# the q-only tables are built on at least this many rows, so the default
+# horizon and every smaller one share one table per q
+_ALIAS_ROWS = 128
+
+
+@functools.lru_cache(maxsize=64)
+def _alias_tables(q: float, size: int) -> tuple[np.ndarray, ...]:
+    """The q-only tables of _delta_bounds on rows 0..size-1, read-only,
+    for size a power of two.
+
+    X[l, n] bounds |phi_n| on the lines Im rho = +-y_l, and Y[n, j] is
+    phi_n at rho = (2j+1) i/2; pole[j] is 4 pi |Res sigma| at that pole
+    and rate[j] = (2j+1) h/2; line[l] is 2 P times the bound on |sigma| on
+    the lines, and grow[l] = h y_l.  See _delta_bounds for why each one
+    bounds what it does.
+    """
+    ctx = QContext(q)
+    h, period = ctx.h, ctx.rho_period()
+    ys = np.concatenate((_ALIAS_SUB, np.arange(1.0, _ALIAS_LINES + 1)))
+    k, poch, _, c_abs, qn = _ascending_tables(q, size - 1)
+    lnq = math.log(q)
+    X = np.empty((len(ys), size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, b in zip(X, h * ys):
+            # |h_m| on the line, with |e^(i l theta)| <= 2 cosh(b l)
+            H = 2.0 * np.convolve(np.exp(b * k) / poch, np.exp(-b * k) / poch)[:size]
+            row[:] = qn[:size] * np.convolve(c_abs[:size], H)[:size]
+        # phi's terminating series at rho = (2j+1) i/2: term i + 1 over term
+        # i is >= 0, and its factor 1 - q^(2i-2j) ends the sum after term j
+        i, n, j = np.ogrid[: _ALIAS_LINES - 1, :size, :_ALIAS_LINES]
+        ratio = (
+            np.expm1(2 * (i - n) * lnq) * np.expm1(2 * (i - j) * lnq)
+            * -np.expm1(2 * (j + i + 1) * lnq) * q * q / np.expm1(2 * (i + 1) * lnq) ** 2
+        )
+        Y = 1.0 + np.cumprod(ratio, axis=0).sum(axis=0)
+        j = j.ravel()
+        # the density's constant as sigma_density takes it, the residue
+        # sum A of its theta terms, and the weight eps of the terms |n| >= 2
+        dual = _euler_product(math.exp(-2.0 * math.pi * period)).real
+        const = dual**3 * math.exp(h / 4.0) / (1.0 - ctx.q2)
+        A = abs(float(np.sum(_THETA_SIGNS[:8] * _THETA_N * np.exp(period * _THETA_OFFSETS[:8]))))
+        eps = 2.0 * math.exp(-2.0 * math.pi * period) / -math.expm1(-4.0 * math.pi * period)
+        odd = 2 * j + 1
+        pole = 4.0 * const * np.sinh(odd * h / 2.0) * np.exp(h * odd**2 / 4.0) / A
+        dip = np.sin(2.0 * math.pi * np.array(_ALIAS_SUB)) - math.exp(-math.pi * period) - eps
+        theta = np.concatenate(((3.0 + eps) / dip**2, np.full(_ALIAS_LINES, 2.0 + eps)))
+        line = 2.0 * period * const * np.cosh(h * ys) * np.exp(h * ys**2) * theta
+    X, Y = (np.where(np.isnan(t), np.inf, t) for t in (X, Y))
+    return tuple(_frozen(t) for t in (X, Y, pole, odd * h / 2.0, line, h * ys))
+
+
+@functools.lru_cache(maxsize=128)
+def _delta_bounds(q: float, npoints: int, rows: int) -> np.ndarray:
+    """Entry [m, k]: a bound on the trapezoid error, on every row
+    0..npoints-1, of the inverse transform of the unit delta at row m < rows
+    on _ALIAS_COUNTS[k] nodes; read-only, inf where no line bounds it.
+
+    Row n integrates T sigma with T = phi_n F, F = (1-q^2) q^(-2m) phi_m
+    the delta's spectral image; both are trigonometric polynomials in
+    u = h rho, so T is entire and P-periodic.  sigma continues to the theta
+    form of sigma_density, sigma = C sin(h rho) e^(-h rho^2) N(rho)/D(rho)^2,
+    meromorphic, P-periodic, even and real on the real axis.  N and D are
+    i-periodic, and D's zeros sit at rho = i(k + 1/2) + mP: sigma's poles
+    are simple, at +-(2j+1) i/2 (mod P), where N has simple zeros and D
+    double ones, with Res sigma = C sin(h rho_j) e^(-h rho_j^2) N'/D'^2 and
+    N'/D'^2 = -1/(pi A) at every pole, A = sum_n (-1)^n n e^(-pi P n(n-1)).
+
+    Error.  Shift the trapezoid rule's contour (Trefethen-Weideman 2014,
+    Thm 3.2, whose proof runs the residue theorem on cot(N u/2)) to the
+    lines Im rho = +-y.  On N nodes the error is the two line integrals,
+    each at most P sup|T sigma| / (e^(h y N) - 1), plus, from each pole
+    pair +-rho_j between them, 4 pi |T(rho_j) Res sigma| / (e^((2j+1) h N/2)
+    - 1).  phi_rho at rho = i/2 is 1 on every row (lambda = 0 there, and
+    the recurrence keeps a constant), so the first pole pair gives
+    4 |Res sigma| (1-q^2) q^(-2m) / (e^(h N/2) - 1) on every row: the whole
+    error to rounding wherever it is measurable.  At the other poles phi's
+    terminating series has nonnegative terms only, so those values carry
+    no cancellation and grow with n.
+
+    Bounds on the lines, over rho = a + iy with a in [0, P/2]
+    (sigma(P - rho) = sigma(rho) and reflection give the rest):
+    - |phi_n| <= q^n sum_j |c_j| H_(n-j), the ascending form of
+      _phi_ascending with |e^(i l theta)| <= 2 cosh(h y l), for both of T's
+      factors;
+    - on the integer lines, |sin| <= cosh(h y), |e^(-h rho^2)| <= e^(h y^2)
+      and |N/D^2| is its value on the real axis, where D >= 1 + e^(-2 pi a)
+      and |N| <= 1 - e^(-4 pi a) + e^(4 pi a - 2 pi P) + eps, so
+      |N/D^2| <= 2 + eps, with eps = 2 e^(-2 pi P)/(1 - e^(-4 pi P)) the
+      terms |n| >= 2 of either sum;
+    - below the first poles (y < 1/2), |N| <= 3 + eps and |D| >=
+      |1 + e^(-2 pi (a + iy))| - e^(-pi P) - eps >= sin(2 pi y) - e^(-pi P)
+      - eps.
+    A line's bound sums its terms, each with its largest row factor over
+    rows 0..npoints-1, and each count takes the least line.  Every table
+    is a sum or product of nonnegative doubles, so its rounding is
+    relative and of order n eps; a line whose tables leave the double
+    range reads inf, and so does a row whose weight q^(-2m) does.
+    """
+    X, Y, pole, rate, line, grow = _alias_tables(q, max(_ALIAS_ROWS, 1 << (rows - 1).bit_length()))
+    X, Y = X[:, :rows], Y[:rows]
+    counts = _ALIAS_COUNTS[:, None]
+    top = npoints - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = (1.0 - q * q) * np.power(1.0 / (q * q), np.arange(float(rows)))[:, None, None]
+        at_poles = pole * Y[top] / np.expm1(rate * counts)
+        on_lines = line * X[:, : top + 1].max(axis=1) / np.expm1(grow * counts)
+        total = scale * (X.T[:, None, :] * on_lines)
+        total[:, :, len(_ALIAS_SUB) :] += np.cumsum(scale * Y[:, None, :] * at_poles, axis=2)
+    return _frozen(np.where(np.isnan(total), np.inf, total).min(axis=2))
+
+
+def _alias_bound(g: GridFunction, ctx: QContext, npoints: int) -> np.ndarray:
+    """A bound on the trapezoid error of the inverse transform of g's
+    spectral image on every row 0..npoints-1, one per node count in
+    _ALIAS_COUNTS: the error is linear in g, so it is at most sum_m |g_m|
+    times the unit delta's bound at row m (_delta_bounds)."""
+    size = np.abs(g.values)
+    nz = size.nonzero()[0]
+    rows = max(npoints, int(nz[-1]) + 1) if len(nz) else npoints
+    return size[nz] @ _delta_bounds(ctx.q, npoints, rows)[nz]
+
+
+def _certified_nodes(g: GridFunction, ctx: QContext, npoints: int) -> int:
+    """The least power of two N whose aliasing bound (_alias_bound) on rows
+    0..npoints-1 is at most max(_QUAD_ABS_TOL, _QUAD_REL_TOL * max |g|) on
+    those rows: the settle rule's tolerance, whose scale is the largest
+    value the inverse returns, without its rounding floor.  A zero source
+    takes one node; a source no count up to _MAX_NODES certifies, a NaN
+    value's included, raises QuadratureError.  A power of two has odd
+    part 1, so every count is a prefix of one node-table cover per q."""
+    bound = _alias_bound(g, ctx, npoints)
+    tol = max(_QUAD_ABS_TOL, _QUAD_REL_TOL * float(np.abs(g.values[:npoints]).max(initial=0.0)))
+    # the bound falls as the count grows; a NaN bound (a non-finite source)
+    # certifies no count
+    k = len(bound) - int(np.count_nonzero(bound <= tol))
+    if k == len(_ALIAS_COUNTS):
+        # a weight past the double range raises CapacityError
+        _row_weights(np.flatnonzero(g.values), ctx)
+        raise QuadratureError(f"no node count up to {_MAX_NODES} certifies the inverse transform")
+    return int(_ALIAS_COUNTS[k])
+
+
+def _quadrature_terms(F, ctx: QContext, count: int, npoints: int) -> tuple[np.ndarray, np.ndarray]:
+    """The phi table on count nodes and rows 0..npoints-1, and F on those
+    nodes, in the table's column order.
 
     F is either a SpectralFunction, re-evaluated exactly from its source
     grid function on these nodes, or a callable called once on the array
-    of the count nodes in the node table's order.  The count/2 nodes are
-    the first half of the table's columns, so one real GEMM of the table
-    against two weight columns, the weights with the second half zeroed
-    and all of them, gives both sums.
+    of the count nodes in the node table's order.
     """
     if isinstance(F, SpectralFunction):
         table = _phi_table(ctx.q, count, max(npoints, len(F.source.values)))
@@ -817,10 +990,26 @@ def _inverse_on_nodes(
     else:
         table = _phi_table(ctx.q, count, npoints)
         fv = F(_table_nodes(count, ctx))
+    return table[:npoints], fv
+
+
+def _inverse_on_nodes(
+    F, ctx: QContext, count: int, npoints: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Periodic-trapezoid inverse transform on count/2 and on count
+    equispaced nodes from one pass over the count nodes, and the rounding
+    floor of the count-node sums: the settle rule of a callable, and the
+    oracle of quadrature_self_consistency.
+
+    The count/2 nodes are the first half of the table's columns, so one
+    real GEMM of the table against two weight columns, the weights with
+    the second half zeroed and all of them, gives both sums.
+    """
+    table, fv = _quadrature_terms(F, ctx, count, npoints)
     columns = np.zeros((count, 2), dtype=complex)
     weighted = np.multiply(fv, _density_table(ctx.q, count), out=columns[:, 1])
     columns[: count // 2, 0] = weighted[: count // 2]
-    sums = _real_matmul(table[:npoints], columns)
+    sums = _real_matmul(table, columns)
     period = ctx.rho_period()
     coarse = (2.0 * period / count) * sums[:, 0]
     fine = (period / count) * sums[:, 1]
@@ -839,20 +1028,24 @@ def transform_inverse(F, ctx: QContext, npoints: int | None = None) -> GridFunct
 
     f(q^(2n)) = integral_0^{2 pi/h} phi_rho(q^(2n)) F(rho) dsigma(rho).
 
-    F is either a SpectralFunction, re-evaluated exactly from its source
-    at each node set (its node count plays no part), or a callable on an
-    array of rho.  With N0 the _start_nodes count for the last nonzero row
-    of F's source (0 for a callable), one pass on 2 N0 nodes gives the N0-
-    and 2 N0-node sums; when they differ by more than max(1e-11, 1e-12 *
-    scale, rounding floor), one pass on 4 N0 nodes compares 2 N0 with 4 N0
-    by the same rule, and not settling there raises QuadratureError.
+    F is either a SpectralFunction, re-evaluated exactly from its source on
+    the nodes (its node count plays no part), or a callable on an array of
+    rho.  A SpectralFunction takes one pass on _certified_nodes' count,
+    whose aliasing bound on every row is within the settle tolerance.  A
+    callable has no bound: with N0 = _start_nodes(ctx), one pass on 2 N0
+    nodes gives the N0- and 2 N0-node sums; when they differ by more than
+    max(1e-11, 1e-12 * scale, rounding floor), one pass on 4 N0 nodes
+    compares 2 N0 with 4 N0 by the same rule, and not settling there raises
+    QuadratureError.
     """
     if npoints is None:
         npoints = ctx.npoints
-    depth = 0
     if isinstance(F, SpectralFunction):
-        depth = int(np.flatnonzero(F.source.values).max(initial=0))
-    start = _start_nodes(ctx, depth)
+        count = _certified_nodes(F.source, ctx, npoints)
+        table, fv = _quadrature_terms(F, ctx, count, npoints)
+        out = (ctx.rho_period() / count) * _real_matmul(table, fv * _density_table(ctx.q, count))
+        return GridFunction(out, finite_support=False)
+    start = _start_nodes(ctx)
     for count in (2 * start, 4 * start):
         coarse, out, floor = _inverse_on_nodes(F, ctx, count, npoints)
         diff = float(np.max(np.abs(out - coarse)))

@@ -153,17 +153,18 @@ class _Normals(random.Random):
 
 def _random_elements(ctx: QContext, count: int, seed: int = 2024, sectors: int = 3, support: int = 10):
     """`count` elements on sectors -sectors..sectors, each row 0..support a
-    complex normal from seed's stream, real parts drawn before imaginary."""
+    complex normal from seed's stream, real parts drawn before imaginary:
+    one draw of the whole stream, read in that order, is bit for bit the
+    per-sector draws."""
     _fit_support(ctx, support)
-    rng = _Normals(seed)
+    rows = support + 1
+    draws = _Normals(seed).standard_normal(count * (2 * sectors + 1) * 2 * rows)
     out = []
-    for _ in range(count):
+    for blocks in draws.reshape(count, 2 * sectors + 1, 2, rows):
         secs = {}
-        for m in range(-sectors, sectors + 1):
+        for m, (re, im) in zip(range(-sectors, sectors + 1), blocks):
             v = np.zeros(ctx.npoints, dtype=complex)
-            v[: support + 1] = rng.standard_normal(support + 1) + 1j * rng.standard_normal(
-                support + 1
-            )
+            v[:rows] = re + 1j * im
             secs[m] = GridFunction(v)
         out.append(DiscElement(secs, ctx))
     return out
@@ -627,14 +628,14 @@ def density_symmetry_and_quotient(ctx: QContext, fx: Fixtures):
 
 
 def quadrature_self_consistency(ctx: QContext, fx: Fixtures):
-    # the inverse's own start count N0 against 2 N0, both sums read off its
-    # first pass on 2 N0 nodes, so the start rule is checked
+    # the inverse's certified count N against 2 N, both sums read off one
+    # pass on 2 N nodes, so the certificate is checked by doubling
     d = GridFunction.delta(1, ctx.npoints)
     Fd = S.transform_forward(d, ctx, 512)
-    start = S._start_nodes(ctx, 1)
-    out_a, out_b, _ = S._inverse_on_nodes(Fd, ctx, 2 * start, ctx.npoints)
+    count = S._certified_nodes(d, ctx, ctx.npoints)
+    out_a, out_b, _ = S._inverse_on_nodes(Fd, ctx, 2 * count, ctx.npoints)
     doubling = float(np.max(np.abs(out_a - out_b)))
-    return doubling, 1e-10, f"doubling the start count {start} leaves the inverse transform unchanged"
+    return doubling, 1e-10, f"doubling the certified count {count} leaves the inverse transform unchanged"
 
 
 def _spectrum_dim(ctx: QContext) -> int:

@@ -37,6 +37,8 @@ from qdisc.discalg import DiscElement, _row_weights
 from qdisc.spherical import (
     _PHI_CERT_TOL,
     SpectralFunction,
+    _alias_bound,
+    _certified_nodes,
     _columns,
     _cosine_bits,
     _density_table,
@@ -881,8 +883,9 @@ def _compensated_matvec(table, v):
 def test_real_gemm_contractions_match_the_complex_matvec(q):
     # the transform contracts real node tables with complex operands as
     # real GEMMs; a complex matvec over the same table is the reference,
-    # on the node counts transform_inverse takes for each source, and the
-    # inverse's coarse sum against a matvec over the half-count table
+    # on the certified count transform_inverse takes for each source and
+    # on its doublings, and the two-column pass's coarse sum against a
+    # matvec over the half-count table
     ctx = QContext(q, grid_horizon=32)
     rng = np.random.default_rng(7)
     period = ctx.rho_period()
@@ -893,7 +896,13 @@ def test_real_gemm_contractions_match_the_complex_matvec(q):
         sources.append(GridFunction(v))
     for g in sources:
         nz = np.flatnonzero(g.values)
-        start = _start_nodes(ctx, int(nz.max()))
+        start = _certified_nodes(g, ctx, ctx.npoints)
+        # the inverse's one pass: a GEMM against one weight column
+        back = transform_inverse(SpectralFunction(_nodes(start, ctx), None, g), ctx).values
+        phi = _phi_table(q, start, ctx.npoints)
+        weighted = _forward(phi, g, ctx) * _density_table(q, start)
+        ref = (period / start) * _compensated_matvec(phi, weighted)
+        assert np.all(np.abs(back - ref) <= 1e-15 * (period / start) * (np.abs(phi) @ np.abs(weighted)))
         for count in (start, 2 * start, 4 * start):
             phi = _phi_table(q, count, ctx.npoints)
             v = g.values[nz] * _row_weights(nz, ctx)
@@ -940,6 +949,16 @@ def test_inverse_ignores_the_forward_node_count():
     assert np.array_equal(coarse.values, fine.values)
 
 
+def test_inverse_of_a_nan_source_raises():
+    # a NaN value makes the aliasing bound NaN, and no count certifies it
+    ctx = QContext(0.5, grid_horizon=16)
+    values = np.zeros(17)
+    values[[0, 3]] = (math.nan, 1.0)
+    F = transform_forward(GridFunction(values), ctx, 64)
+    with pytest.raises(QuadratureError, match="certifies"):
+        transform_inverse(F, ctx)
+
+
 def test_unsettled_callable_raises_by_four_start_counts(ctx):
     # seeded random values never settle; one pass on 2 N0 nodes compares
     # N0 with 2 N0, one on 4 N0 compares 2 N0 with 4 N0, and the sums stop
@@ -978,6 +997,9 @@ def test_callable_aliased_at_the_start_count_settles_by_four_start_counts(ctx):
 
 
 def test_start_count_is_a_power_of_two_from_the_strip():
+    # the strip rule's count, which callables start from, and the certified
+    # count of a delta source: the least power of two whose aliasing bound
+    # meets the settle tolerance, never past twice the strip rule's count
     for q in (0.05, 0.5, 0.9, 0.995):
         ctx = QContext(q)
         for depth in (0, 1, 20):
@@ -985,6 +1007,11 @@ def test_start_count_is_a_power_of_two_from_the_strip():
             need = math.log(1e14) / math.log(1.0 / q) + 2 * depth
             assert start & (start - 1) == 0
             assert need <= start < 2 * need
+            d = GridFunction.delta(depth, ctx.npoints)
+            count = _certified_nodes(d, ctx, ctx.npoints)
+            bound = dict(zip(S._ALIAS_COUNTS.tolist(), _alias_bound(d, ctx, ctx.npoints)))
+            assert count & (count - 1) == 0 and count <= 2 * start
+            assert bound[count] <= S._QUAD_ABS_TOL < bound[count // 2]
 
 
 def test_forward_of_centre_delta_past_the_weight_range():
@@ -1004,3 +1031,42 @@ def test_round_trips_at_the_top_of_the_range():
         d = GridFunction.delta(n, ctx.npoints)
         back = transform_inverse(transform_forward(d, ctx, 64), ctx)
         assert np.max(np.abs(back.values - d.values)) < 1e-8
+
+
+SWEEP_Q = (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.95, 0.98, 0.995)
+
+
+@pytest.mark.parametrize("q", SWEEP_Q)
+def test_alias_bound_holds_over_the_sweep(q):
+    # for delta sources at depths 0..20 the bound at the certified count
+    # meets the settle tolerance, and at half and a quarter of that count,
+    # wherever the measured error against the exact delta stands above the
+    # rounding floor, the bound covers it: the measured max-row error is
+    # the aliasing plus rounding of at most the floor
+    ctx = QContext(q)
+    counts = S._ALIAS_COUNTS.tolist()
+    compared = 0
+    for depth in range(21):
+        d = GridFunction.delta(depth, ctx.npoints)
+        bound = dict(zip(counts, _alias_bound(d, ctx, ctx.npoints)))
+        count = _certified_nodes(d, ctx, ctx.npoints)
+        assert bound[count] <= S._QUAD_ABS_TOL
+        F = SpectralFunction(None, None, d)
+        for fewer in (count // 2, count // 4):
+            _, out, floor = _inverse_on_nodes(F, ctx, fewer, ctx.npoints)
+            err = float(np.max(np.abs(out - d.values)))
+            if err > floor:
+                assert err - floor <= bound[fewer], (depth, fewer, err, bound[fewer])
+                compared += 1
+    assert compared >= 10
+
+
+def test_halved_certified_count_fails_a_check(monkeypatch):
+    # at q = 0.5 a depth-20 source errs by about 4e-7 on half its certified
+    # count, so the round trip or the doubling oracle must catch the halving
+    ctx = QContext(0.5)
+    certified = S._certified_nodes
+    assert all(r.passed for r in verify.run_registry(ctx, ["transform_roundtrip", "quadrature_self_consistency"]))
+    monkeypatch.setattr(S, "_certified_nodes", lambda g, c, n: certified(g, c, n) // 2)
+    results = verify.run_registry(ctx, ["transform_roundtrip", "quadrature_self_consistency"])
+    assert not all(r.passed for r in results)

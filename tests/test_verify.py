@@ -171,3 +171,25 @@ def test_normals_draw_what_gauss_draws():
             assert draws.dtype == expected.dtype and draws.shape == (n,)
             assert draws.tobytes() == expected.tobytes()
         assert normals.random() == ref.random()
+
+
+def test_random_elements_take_one_draw_per_fixture():
+    # the registry's random fixtures read one draw of seed's stream, bit for
+    # bit the per-sector draws of gauss, real parts before imaginary, and
+    # no two sectors share memory
+    ctx = QContext(0.5)
+    for seed, count in ((2024, 100), (5, 6), (23, 1)):
+        elements = verify._random_elements(ctx, count, seed=seed)
+        ref = random.Random(seed)
+        rows = []
+        for element in elements:
+            assert sorted(element.sectors) == list(range(-3, 4))
+            for m in range(-3, 4):
+                re = [ref.gauss(0.0, 1.0) for _ in range(11)]
+                im = [ref.gauss(0.0, 1.0) for _ in range(11)]
+                expected = np.zeros(ctx.npoints, dtype=complex)
+                expected[:11] = np.array(re) + 1j * np.array(im)
+                values = element.sectors[m].values
+                assert values.tobytes() == expected.tobytes()
+                rows.append(values)
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(rows[:14], 2))
