@@ -39,16 +39,20 @@ Node tables.  The transform's nodes are real, so phi_matrix steps the
 recurrence in real arithmetic, one contiguous row of float64 per grid
 point, and the transform contracts those tables with complex operands as
 real GEMMs on the operands' (k, 2) float views, so no table is ever cast
-to complex.  The node set of N nodes is every other node of the set of
-2N, and both phi and the density are evaluated node by node, so each is
-built once per (q, odd part of the count) as a cover whose columns run
-coarse to fine: the nodes of the odd part first, then the nodes each
-doubling adds.  The table on any count of that family is the cover's
-first columns (and, for phi, its first rows), served as a read-only view
-with one unit stride, bit for bit what a direct build on those nodes
-gives; a cover grows by appending the columns and rows it lacks.  The
-covers, at most 64 of them, are the only store of node tables, and
-transform_forward returns its values in ascending node order.
+to complex.  phi and the density depend on rho only through cos(h rho),
+so of the N equispaced nodes j P/N, node N - j carries the same values as
+node j: a table holds the N//2 + 1 distinct nodes j = 0..N//2 alone.  The
+node set of N nodes is every other node of the set of 2N, and both phi
+and the density are evaluated node by node, so each is built once per
+(q, odd part of the count) as a cover whose columns run coarse to fine:
+the distinct nodes of the odd part first, then the odd nodes j <= N that
+each doubling to 2N adds.  The table on any count of that family is the
+cover's first columns (and, for phi, its first rows), served as a
+read-only view with one unit stride, bit for bit what a direct build on
+those nodes gives; a cover grows by appending the columns and rows it
+lacks.  The covers, at most 64 of them, are the only store of node
+tables, and transform_forward returns its values on all N nodes in
+ascending order, a mirrored pair's two values equal.
 
 Inverse.  transform_inverse sums the inversion integral by the periodic
 trapezoid rule in one pass, on a count certified by a bound rather than
@@ -62,8 +66,12 @@ phi is 1 at the first poles, so the leading term is the same on every row
 and is the measured error to rounding.  The certified count is the least
 power of two whose bound meets the settle tolerance; a callable spectral
 image, which has no bound, keeps the rule that compares N0 with 2 N0
-nodes.  The contraction over nodes runs in blocks of 4096 nodes, where a
-single GEMM slows down.
+nodes.  The N-node sum is folded onto the table's distinct nodes: the
+column of node j takes weight 2 for 0 < j < N/2 and 1 for j = 0 and
+j = N/2, and a callable's values on the two nodes of a mirrored pair are
+added, so the sum is the N-node one term for term, and the bound on it
+holds as it stands.  The contraction over nodes runs in blocks of 4096
+nodes, where a single GEMM slows down.
 """
 
 from __future__ import annotations
@@ -670,88 +678,107 @@ def _nodes(count: int, ctx: QContext) -> np.ndarray:
     return period * np.arange(count) / count
 
 
-# Node tables nest.  The nodes of count N are every (M/N)-th node of count
-# M when M/N is a power of two (period j / N and period (2j) / (2N) round
-# alike), phi and the density are evaluated node by node, and phi's rows
-# 0..n-1 do not depend on the rows below them.  So phi and the density each
-# keep one cover per (q, odd part c of the count), its columns in
-# coarse-to-fine order: the c nodes of count c, then the c nodes that count
-# 2c adds, then the 2c nodes that count 4c adds, and so on.  The table on
-# c 2^k nodes and n rows is the cover's first c 2^k columns and first n
-# rows, bit for bit what a direct build on those nodes gives, and it is
-# served as a read-only view of the cover.  A cover grows by appending the
-# columns of the nodes it lacks and the rows it lacks.
+# Node tables fold and nest.  Node count - j of count nodes is the mirror
+# P - rho of node j, and phi and the density depend on rho only through
+# cos(h rho), so a table keeps the count//2 + 1 distinct nodes
+# j = 0..count//2 and node count - j reads the column of node j.  The nodes
+# of count N are every (M/N)-th node of count M when M/N is a power of two
+# (period j / N and period (2j) / (2N) round alike), phi and the density
+# are evaluated node by node, and phi's rows 0..n-1 do not depend on the
+# rows below them.  So phi and the density each keep one cover per (q, odd
+# part c of the count), its columns in coarse-to-fine order: the (c + 1)/2
+# distinct nodes of count c, then the odd nodes j <= c that count 2c adds,
+# then the odd nodes j <= 2c that count 4c adds, and so on.  The table on
+# c 2^k nodes and n rows is the cover's first _width(c 2^k) columns and
+# first n rows, bit for bit what a direct build on those nodes gives, and
+# it is served as a read-only view of the cover.  A cover grows by
+# appending the columns of the nodes it lacks and the rows it lacks.
 def _cover_key(kind: str, q: float, count: int) -> tuple:
     if count < 1:
         raise DomainError(f"node count {count} must be positive")
     return kind, q, count // (count & -count)
 
 
+def _width(count: int) -> int:
+    """The columns of a node table on count nodes: its distinct nodes
+    j = 0..count//2."""
+    return count // 2 + 1
+
+
 @functools.lru_cache(maxsize=64)
 def _columns(count: int) -> np.ndarray:
     """The node table column of each of the count nodes, in ascending node
-    order; read-only, and the same for every q.  Node 2j of an even count
-    is node j of count/2, in its column; the odd nodes follow them."""
+    order; read-only, and the same for every q.  Nodes j and count - j
+    share the column of node min(j, count - j).  Node 2j of an even count
+    is node j of count/2, in its column; the odd nodes j <= count/2 follow
+    them in ascending order."""
+    j = np.arange(count)
+    mirror = np.minimum(j, count - j)
     if count % 2:
-        cols = np.arange(count)
-    else:
-        cols = np.empty(count, dtype=np.intp)
-        cols[::2] = _columns(count // 2)
-        cols[1::2] = np.arange(count // 2, count)
+        return _frozen(mirror)
+    cols = np.empty(count, dtype=np.intp)
+    cols[::2] = _columns(count // 2)
+    cols[1::2] = _width(count // 2) + mirror[1::2] // 2
     return _frozen(cols)
 
 
+@functools.lru_cache(maxsize=64)
+def _multiplicity(count: int) -> np.ndarray:
+    """The number of the count nodes that read each node table column: 1
+    for node 0 and, for an even count, node count/2; 2 for every other
+    column.  Read-only."""
+    return _frozen(np.bincount(_columns(count)).astype(float))
+
+
 def _table_nodes(count: int, ctx: QContext) -> np.ndarray:
-    """The count nodes in the order of the node table's columns."""
-    nodes = np.empty(count)
-    nodes[_columns(count)] = _nodes(count, ctx)
+    """The distinct nodes of count nodes in the order of the node table's
+    columns."""
+    width = _width(count)
+    nodes = np.empty(width)
+    nodes[_columns(count)[:width]] = _nodes(count, ctx)[:width]
     return nodes
 
 
-# A phi cover's rows are padded by this many doubles past its width.  On
-# an unpadded cover of power-of-two width, the inverse's GEMM over a view
-# of part of every row read up to 1.2-1.4x its time on a contiguous copy
-# (65 rows, 2048 columns of 4096 or 8192, one BLAS thread, 2-core x86-64);
-# with the pad it reads within about 15 % of the copy.
-_ROW_PAD = 64
-
-
 def _phi_table(q: float, count: int, npoints: int) -> np.ndarray:
-    """Row-major phi table on count nodes and npoints rows: entry [n, p] is
-    phi at row n and the node of column p (see _columns).  A read-only
-    view of the cover, with one unit stride."""
+    """Row-major phi table on the distinct nodes of count nodes and on
+    npoints rows: entry [n, p] is phi at row n and the node of column p
+    (see _columns), npoints x _width(count).  A read-only view of the
+    cover, with one unit stride."""
     key = _cover_key("phi", q, count)
     cover = _COVERS.get(key)
-    if cover is None or npoints > len(cover) or count > cover.shape[1]:
+    if cover is None or npoints > len(cover) or _width(count) > cover.shape[1]:
         ctx = QContext(q)
         rows, size = (0, 0) if cover is None else cover.shape
-        grown_rows, grown_size = max(npoints, rows), max(count, size)
-        lam = lambda_rho(_table_nodes(grown_size, ctx), ctx).real
-        grown = np.empty((grown_rows, grown_size + _ROW_PAD))[:, :grown_size]
+        top = count
+        while _width(top) < size:  # the cover's own count, when it is larger
+            top *= 2
+        lam = lambda_rho(_table_nodes(top, ctx), ctx).real
+        grown = np.empty((max(npoints, rows), len(lam)))
         if cover is not None:
             grown[:rows, :size] = cover
             _recur(grown[:, :size], lam[:size], ctx, rows)
-        if grown_size > size:
+        if len(lam) > size:
             _recur(grown[:, size:], lam[size:], ctx)
         cover = _keep(key, _frozen(grown))
     else:
         _COVERS.move_to_end(key)
-    return cover[:npoints, :count]
+    return cover[:npoints, : _width(count)]
 
 
 def _density_table(q: float, count: int) -> np.ndarray:
-    """The density on count nodes, in the columns' order of the phi table:
-    a read-only view of the cover."""
+    """The density on the distinct nodes of count nodes, in the columns'
+    order of the phi table: a read-only view of the cover."""
     key = _cover_key("density", q, count)
+    width = _width(count)
     cover = _COVERS.get(key)
-    if cover is None or count > len(cover):
+    if cover is None or width > len(cover):
         ctx = QContext(q)
         old = np.empty(0) if cover is None else cover
         fresh = sigma_density(_table_nodes(count, ctx)[len(old) :], ctx)
         cover = _keep(key, _frozen(np.concatenate((old, fresh))))
     else:
         _COVERS.move_to_end(key)
-    return cover[:count]
+    return cover[:width]
 
 
 # The inverse's GEMM contracts a phi table over its nodes.  Past 4096
@@ -977,19 +1004,23 @@ def _certified_nodes(g: GridFunction, ctx: QContext, npoints: int) -> int:
 
 
 def _quadrature_terms(F, ctx: QContext, count: int, npoints: int) -> tuple[np.ndarray, np.ndarray]:
-    """The phi table on count nodes and rows 0..npoints-1, and F on those
-    nodes, in the table's column order.
+    """The phi table on the distinct nodes of count nodes and rows
+    0..npoints-1, and F folded onto its columns: the sum of F over the
+    nodes that read each column, so the count-node sum of phi F sigma is
+    the table contracted against it times the density.
 
     F is either a SpectralFunction, re-evaluated exactly from its source
-    grid function on these nodes, or a callable called once on the array
-    of the count nodes in the node table's order.
+    grid function on the distinct nodes and taken times the columns'
+    multiplicity, or a callable called once on the array of the count
+    nodes in ascending order, the values of a mirrored pair added.
     """
     if isinstance(F, SpectralFunction):
         table = _phi_table(ctx.q, count, max(npoints, len(F.source.values)))
-        fv = _forward(table, F.source, ctx)
+        fv = _forward(table, F.source, ctx) * _multiplicity(count)
     else:
         table = _phi_table(ctx.q, count, npoints)
-        fv = F(_table_nodes(count, ctx))
+        fv = np.zeros(_width(count), dtype=complex)
+        np.add.at(fv, _columns(count), F(_nodes(count, ctx)))
     return table[:npoints], fv
 
 
@@ -1001,14 +1032,19 @@ def _inverse_on_nodes(
     floor of the count-node sums: the settle rule of a callable, and the
     oracle of quadrature_self_consistency.
 
-    The count/2 nodes are the first half of the table's columns, so one
-    real GEMM of the table against two weight columns, the weights with
-    the second half zeroed and all of them, gives both sums.
+    For an even count the distinct nodes of count/2 are the table's first
+    count//4 + 1 columns, and each has the same multiplicity there as in
+    count (node i of count/2 is node 2i of count, and the pair i,
+    count/2 - i is the pair 2i, count - 2i), so one real GEMM of the table
+    against two weight columns, the folded weights with all but those
+    columns zeroed and all of them, gives both sums.  For an odd count the
+    count/2-node sum reads zero.
     """
     table, fv = _quadrature_terms(F, ctx, count, npoints)
-    columns = np.zeros((count, 2), dtype=complex)
+    columns = np.zeros((_width(count), 2), dtype=complex)
     weighted = np.multiply(fv, _density_table(ctx.q, count), out=columns[:, 1])
-    columns[: count // 2, 0] = weighted[: count // 2]
+    head = 0 if count % 2 else _width(count // 2)
+    columns[:head, 0] = weighted[:head]
     sums = _real_matmul(table, columns)
     period = ctx.rho_period()
     coarse = (2.0 * period / count) * sums[:, 0]
@@ -1017,8 +1053,9 @@ def _inverse_on_nodes(
     # deltas reach q^(-2n) sizes and the summation noise accumulates
     # like sqrt(count); differences below this are indistinguishable
     # from rounding (the integrands here are entire and periodic, so
-    # the discretization error collapses far faster than this floor)
-    mean = float(np.mean(np.abs(weighted)))
+    # the discretization error collapses far faster than this floor).
+    # The mean is over the count nodes, whose terms the folded ones sum
+    mean = float(np.sum(np.abs(weighted))) / count
     floor = 32.0 * np.finfo(float).eps * period * math.sqrt(count) * mean
     return coarse, fine, floor
 
@@ -1036,10 +1073,13 @@ def transform_inverse(F, ctx: QContext, npoints: int | None = None) -> GridFunct
     nodes gives the N0- and 2 N0-node sums; when they differ by more than
     max(1e-11, 1e-12 * scale, rounding floor), one pass on 4 N0 nodes
     compares 2 N0 with 4 N0 by the same rule, and not settling there raises
-    QuadratureError.
+    QuadratureError.  Each pass contracts the folded sum over the count's
+    distinct nodes (_quadrature_terms).  npoints < 1 raises DomainError.
     """
     if npoints is None:
         npoints = ctx.npoints
+    if npoints < 1:
+        raise DomainError(f"the inverse transform needs npoints >= 1, not {npoints}")
     if isinstance(F, SpectralFunction):
         count = _certified_nodes(F.source, ctx, npoints)
         table, fv = _quadrature_terms(F, ctx, count, npoints)

@@ -47,6 +47,7 @@ from qdisc.spherical import (
     _fixed_ln,
     _forward,
     _inverse_on_nodes,
+    _multiplicity,
     _nodes,
     _phi_ascending,
     _phi_digits,
@@ -702,34 +703,52 @@ def _assert_view_of_cover(table, kind, q, count):
     assert not table.flags.writeable and table.strides[-1] == table.itemsize
 
 
+def _mirrors(count):
+    # the node of each of the count ascending nodes whose column it reads
+    j = np.arange(count)
+    return np.minimum(j, count - j)
+
+
 def test_node_columns_nest_coarse_to_fine():
-    # each node has its own column; the first count/2 columns hold the
-    # nodes of count/2, the even nodes of count, in their own order, and
-    # the odd nodes follow in ascending order; the table order of the
-    # nodes is a reordering of the ascending ones
+    # nodes j and count - j share a column, and each distinct node
+    # j = 0..count//2 has its own, count//2 + 1 in all, read by one or two
+    # nodes; the first count//4 + 1 columns hold the distinct nodes of
+    # count/2, the even nodes of count, in their own order, and the odd
+    # nodes j <= count/2 follow in ascending order; the table order of the
+    # distinct nodes is a reordering of the ascending ones
     ctx = QContext(0.5)
     for odd in (1, 3, 5):
         for count in (odd << k for k in range(6)):
             cols, nodes = _columns(count), _table_nodes(count, ctx)
-            assert np.array_equal(np.sort(cols), np.arange(count))
-            assert np.array_equal(nodes[cols], _nodes(count, ctx))
+            width = count // 2 + 1
+            assert np.array_equal(cols, cols[_mirrors(count)])
+            assert np.array_equal(np.sort(cols[:width]), np.arange(width))
+            assert np.array_equal(nodes[cols[:width]], _nodes(count, ctx)[:width])
+            ones = [0] if count % 2 else [0, cols[count // 2]]
+            expected = np.full(width, 2.0)
+            expected[ones] = 1.0
+            assert np.array_equal(_multiplicity(count), expected)
             if count % 2 == 0:
-                assert np.array_equal(cols[::2], _columns(count // 2))
-                assert np.array_equal(cols[1::2], np.arange(count // 2, count))
-                assert np.array_equal(nodes[: count // 2], _table_nodes(count // 2, ctx))
+                half = count // 2
+                assert np.array_equal(cols[::2], _columns(half))
+                assert np.array_equal(cols[1 : half + 1 : 2], np.arange(half // 2 + 1, width))
+                assert np.array_equal(nodes[: half // 2 + 1], _table_nodes(half, ctx))
 
 
 def test_walking_the_node_counts_keeps_one_cover_per_key():
     # each doubling grows the cover in place of the last one, and every
-    # table served is a view of the cover that was current then
+    # table served is a view of the cover that was current then, on the
+    # count//2 + 1 distinct nodes
     S._COVERS.clear()
     q, npoints = 0.5, 33
     for count in (16 << k for k in range(11)):
-        _assert_view_of_cover(_phi_table(q, count, npoints), "phi", q, count)
-        _assert_view_of_cover(_density_table(q, count), "density", q, count)
+        table, dens = _phi_table(q, count, npoints), _density_table(q, count)
+        assert table.shape == (npoints, count // 2 + 1) and dens.shape == (count // 2 + 1,)
+        _assert_view_of_cover(table, "phi", q, count)
+        _assert_view_of_cover(dens, "density", q, count)
     assert set(S._COVERS) == {("phi", q, 1), ("density", q, 1)}
     phi, dens = S._COVERS["phi", q, 1], S._COVERS["density", q, 1]
-    assert phi.shape == (npoints, 16384) and dens.shape == (16384,)
+    assert phi.shape == (npoints, 8193) and dens.shape == (8193,)
     assert not phi.flags.writeable and not dens.flags.writeable
     S._COVERS.clear()
 
@@ -738,15 +757,18 @@ def test_walking_the_node_counts_keeps_one_cover_per_key():
 def test_node_tables_equal_direct_builds_in_any_order(q):
     # every table is cut from one cover per (q, odd part of the count),
     # whatever order the requests grew it in; each must equal a direct
-    # build on its nodes bit for bit, on a family that is not powers of
-    # two and on the start counts of transform_inverse, whose covers are
-    # left in place
+    # build on its distinct nodes bit for bit, on a family that is not
+    # powers of two and on the start counts of transform_inverse, whose
+    # covers are left in place; the forward transform gives a mirrored
+    # pair of nodes equal values
     ctx = QContext(q)
     start = _start_nodes(ctx)
     for counts in ((250, 500, 1000), (start, 2 * start, 4 * start)):
         keys = [(count, horizon + 1) for count in counts for horizon in (32, 64)]
         phi_ref = {(c, n): phi_matrix(_table_nodes(c, ctx), n, ctx).T for c, n in keys}
         dens_ref = {c: sigma_density(_table_nodes(c, ctx), ctx) for c in counts}
+        for c in counts:
+            assert np.array_equal(_table_nodes(c, ctx), _nodes(c, ctx)[: c // 2 + 1][_order(c)])
         # mixed: the first growth skips a count (and adds rows), so it
         # appends three new nodes to each old one
         mixed = [keys[i] for i in (0, 5, 2, 3, 1, 4)]
@@ -758,6 +780,13 @@ def test_node_tables_equal_direct_builds_in_any_order(q):
                 assert np.array_equal(dens, dens_ref[count])
                 _assert_view_of_cover(table, "phi", q, count)
                 _assert_view_of_cover(dens, "density", q, count)
+                values = transform_forward(GridFunction.delta(7, npoints), ctx, count).values
+                assert np.array_equal(values, values[_mirrors(count)])
+
+
+def _order(count):
+    # the ascending distinct node of each node table column
+    return np.argsort(_columns(count)[: count // 2 + 1])
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -775,10 +804,11 @@ def test_node_tables_and_round_trips_from_emptied_covers(
     q, horizon, requests, random_source, depth_frac, seed
 ):
     # counts of odd parts 1, 3 and 5, asked for in any order from emptied
-    # covers: each table served equals a direct build on its nodes bit for
-    # bit and is a view of its cover; the forward values come back in
-    # ascending node order, and the round trip meets transform_roundtrip's
-    # tolerance up to its resolvable depth
+    # covers: each table served equals a direct build on its distinct nodes
+    # bit for bit and is a view of its cover; the forward values come back
+    # in ascending node order, node count - j with the value of node j, and
+    # the round trip meets transform_roundtrip's tolerance up to its
+    # resolvable depth
     ctx = QContext(q, grid_horizon=horizon)
     resolvable = int(math.log(1e-8 / (32 * np.finfo(float).eps)) / math.log(1.0 / q))
     depth = min(int(depth_frac * (min(verify.TRANSFORM_NMAX, resolvable) + 1)), horizon)
@@ -799,17 +829,20 @@ def test_node_tables_and_round_trips_from_emptied_covers(
         _assert_view_of_cover(dens, "density", q, count)
         F = transform_forward(source, ctx, count)
         assert np.array_equal(F.nodes, _nodes(count, ctx))
+        assert np.array_equal(F.values, F.values[_mirrors(count)])
         rows = depth + 1
         v = source.values[:rows] * _row_weights(np.arange(rows), ctx)
-        phi = phi_matrix(F.nodes, rows, ctx)
+        phi = phi_matrix(F.nodes[_mirrors(count)], rows, ctx)
         ref = (1.0 - ctx.q2) * (phi @ v)
         assert np.all(np.abs(F.values - ref) <= 1e-14 * (1.0 - ctx.q2) * (np.abs(phi) @ np.abs(v)))
     back = transform_inverse(F, ctx)
     assert np.max(np.abs(back.values - source.values)) <= 1e-8
-    # the inverse's tables are prefixes of the odd-part-1 cover
+    # the inverse's tables are prefixes of the odd-part-1 cover, whose
+    # width w holds the distinct nodes of count 2 (w - 1), or of count 1
     cover = S._COVERS["phi", q, 1]
     rows, width = cover.shape
-    assert np.array_equal(cover, phi_matrix(_table_nodes(width, ctx), rows, ctx).T)
+    top = max(1, 2 * (width - 1))
+    assert np.array_equal(cover, phi_matrix(_table_nodes(top, ctx), rows, ctx).T)
     S._COVERS.clear()
 
 
@@ -837,7 +870,7 @@ def test_real_node_tables_match_the_complex_recurrence(q):
         nodes = _table_nodes(count, ctx)
         for npoints in (1, 2, 33, 65):
             table = _phi_table(q, count, npoints)
-            assert table.dtype == np.float64 and table.shape == (npoints, count)
+            assert table.dtype == np.float64 and table.shape == (npoints, count // 2 + 1)
             _assert_view_of_cover(table, "phi", q, count)
             ref = _complex_phi_recurrence(nodes, npoints, ctx).T
             assert np.all(ref.imag == 0.0)
@@ -885,7 +918,8 @@ def test_real_gemm_contractions_match_the_complex_matvec(q):
     # real GEMMs; a complex matvec over the same table is the reference,
     # on the certified count transform_inverse takes for each source and
     # on its doublings, and the two-column pass's coarse sum against a
-    # matvec over the half-count table
+    # matvec over the half-count table with the half count's own
+    # multiplicities
     ctx = QContext(q, grid_horizon=32)
     rng = np.random.default_rng(7)
     period = ctx.rho_period()
@@ -900,7 +934,7 @@ def test_real_gemm_contractions_match_the_complex_matvec(q):
         # the inverse's one pass: a GEMM against one weight column
         back = transform_inverse(SpectralFunction(_nodes(start, ctx), None, g), ctx).values
         phi = _phi_table(q, start, ctx.npoints)
-        weighted = _forward(phi, g, ctx) * _density_table(q, start)
+        weighted = _forward(phi, g, ctx) * _multiplicity(start) * _density_table(q, start)
         ref = (period / start) * _compensated_matvec(phi, weighted)
         assert np.all(np.abs(back - ref) <= 1e-15 * (period / start) * (np.abs(phi) @ np.abs(weighted)))
         for count in (start, 2 * start, 4 * start):
@@ -910,19 +944,18 @@ def test_real_gemm_contractions_match_the_complex_matvec(q):
             ref = (1.0 - ctx.q2) * (phi[nz].T.astype(complex) @ v)
             scale = (1.0 - ctx.q2) * (np.abs(phi[nz].T) @ np.abs(v))
             assert np.all(np.abs(fv - ref) <= 1e-15 * scale)
-            coarse, out, _ = _inverse_on_nodes(
-                SpectralFunction(_nodes(count, ctx), fv, g), ctx, count, ctx.npoints
-            )
+            F = SpectralFunction(_nodes(count, ctx), fv[_columns(count)], g)
+            coarse, out, _ = _inverse_on_nodes(F, ctx, count, ctx.npoints)
             # the inverse's references are compensated row sums: a double
             # matvec's own rounding reaches 0.92e-15 scale (q = 0.9,
             # row 1 of a 1024-node sum), where the GEMM errs by 0.19e-15
-            weighted = fv * _density_table(q, count)
+            weighted = fv * _multiplicity(count) * _density_table(q, count)
             ref = (period / count) * _compensated_matvec(phi, weighted)
             scale = (period / count) * (np.abs(phi) @ np.abs(weighted))
             assert np.all(np.abs(out - ref) <= 1e-15 * scale)
             half = count // 2
             phi = _phi_table(q, half, ctx.npoints)
-            weighted = fv[:half] * _density_table(q, half)
+            weighted = fv[: half // 2 + 1] * _multiplicity(half) * _density_table(q, half)
             ref = (period / half) * _compensated_matvec(phi, weighted)
             scale = (period / half) * (np.abs(phi) @ np.abs(weighted))
             assert np.all(np.abs(coarse - ref) <= 1e-15 * scale)
@@ -957,6 +990,65 @@ def test_inverse_of_a_nan_source_raises():
     F = transform_forward(GridFunction(values), ctx, 64)
     with pytest.raises(QuadratureError, match="certifies"):
         transform_inverse(F, ctx)
+
+
+@pytest.mark.parametrize("route", ["spectral_function", "callable"])
+def test_inverse_on_no_rows_raises_domain_error(route):
+    ctx = QContext(0.5, grid_horizon=16)
+    if route == "spectral_function":
+        F = transform_forward(GridFunction.delta(1, ctx.npoints), ctx, 64)
+    else:
+        def F(rhos):
+            return np.ones(len(rhos))
+    for npoints in (0, -1):
+        with pytest.raises(DomainError, match="npoints"):
+            transform_inverse(F, ctx, npoints=npoints)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.995])
+def test_folded_inverse_matches_the_full_period_sum(q):
+    # the oracle of the fold: the trapezoid sum over all N ascending nodes,
+    # phi and the density evaluated at each of them and F called there, on
+    # the delta's certified count, even, and one more, odd, and for the
+    # N/2-node sum of the even count.  F is a delta's spectral image and
+    # e^(i h rho), which is not even under rho -> P - rho, so the fold must
+    # add the two nodes of a pair rather than double one of them.  The two
+    # sums differ only by rounding: node N - j rounds to a rho other than
+    # P - rho_j, and the recurrence holds phi to eps times the running
+    # maximum of |phi| down a node's column (see the complex-recurrence
+    # test), so each term is scaled by that maximum in both of its phi
+    # factors; on that scale the sums differ by at most 19 ulp (q = 0.995),
+    # 3.1 at q = 0.9 and under 1 at q <= 0.5.  For the delta, whose image is
+    # even, the rounding floor is the full-period one
+    ctx = QContext(q)
+    eps = np.finfo(float).eps
+    depth = 3
+    d = GridFunction.delta(depth, ctx.npoints)
+    weight = (1.0 - ctx.q2) * _row_weights(np.array([depth]), ctx)[0]
+    certified = _certified_nodes(d, ctx, ctx.npoints)
+    for count in (certified, certified + 1):
+        for fewer in (count, count // 2) if count % 2 == 0 else (count,):
+            nodes = _nodes(fewer, ctx)
+            phi = phi_matrix(nodes, ctx.npoints, ctx)
+            peak = np.maximum.accumulate(np.abs(phi), axis=1)
+            dens = sigma_density(nodes, ctx)
+            # each image: F, its values on the nodes, and their rounding scale
+            images = (
+                (transform_forward(d, ctx, 64), weight * phi[:, depth], weight * peak[:, depth]),
+                (lambda rhos: np.exp(1j * ctx.h * rhos), np.exp(1j * ctx.h * nodes), 1.0),
+            )
+            for k, (F, values, size) in enumerate(images):
+                ref = ctx.rho_period() / fewer * (phi * (values * dens)[:, None]).sum(axis=0)
+                scale = ctx.rho_period() / fewer * (peak * (size * dens)[:, None]).sum(axis=0)
+                coarse, out, floor = _inverse_on_nodes(F, ctx, count, ctx.npoints)
+                got = out if fewer == count else coarse
+                assert np.all(np.abs(got - ref) <= 64 * eps * scale), (count, fewer)
+                if k == 0 and fewer == count:
+                    mean = float(np.mean(np.abs(values * dens)))
+                    full = 32.0 * eps * ctx.rho_period() * math.sqrt(count) * mean
+                    assert floor == pytest.approx(full, rel=1e-12, abs=0.0)
+        if count % 2:
+            assert not np.any(coarse)
 
 
 def test_unsettled_callable_raises_by_four_start_counts(ctx):
