@@ -128,13 +128,7 @@ class DiscElement:
         return DiscElement(out, self.ctx)
 
     def scaled(self, c: complex) -> "DiscElement":
-        return DiscElement(
-            {
-                m: GridFunction(c * g.values, g.finite_support)
-                for m, g in self.sectors.items()
-            },
-            self.ctx,
-        )
+        return _scale_sectors(self, lambda m: c, self.ctx)
 
     def max_abs_diff(self, other: "DiscElement") -> float:
         """Largest |self - other| entry over all sectors; nan if any entry is nan."""
@@ -168,6 +162,15 @@ class DiscElement:
     @classmethod
     def radial_y(cls, ctx: QContext) -> "DiscElement":
         return cls({0: GridFunction(ctx.ygrid().astype(complex), False)}, ctx)
+
+
+def _scale_sectors(f: DiscElement, factor, ctx: QContext) -> DiscElement:
+    """f with each sector m scaled by factor(m): a sector-diagonal map
+    such as a scalar multiple, K, K^-1 or the circle action."""
+    return DiscElement(
+        {m: GridFunction(factor(m) * g.values, g.finite_support) for m, g in f.sectors.items()},
+        ctx,
+    )
 
 
 def delta_fn(n: int, ctx: QContext) -> DiscElement:

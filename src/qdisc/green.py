@@ -131,13 +131,14 @@ def gm_spectral(m: int, rho, ctx: QContext) -> complex | np.ndarray:
 
     Satisfies lambda(rho)^m * gm_spectral = 1 - q^2 identically.  Takes a
     scalar rho (returns a complex) or an array of rho (returns a complex
-    array), so the inverse transform evaluates it once per node set.
+    array), so the inverse transform evaluates it once per node set.  The
+    denominator's product is taken as (1-q)^2 + 4q sin^2(rho ln q), which
+    holds for complex rho too, is real for real rho, and does not cancel
+    near rho = 0 as q -> 1.
     """
-    lnq = math.log(ctx.q)
     rho = np.asarray(rho)
-    a = np.exp((1 + 2j * rho) * lnq)
-    b = np.exp((1 - 2j * rho) * lnq)
-    val = (-1.0) ** m * (1.0 - ctx.q2) ** (2 * m + 1) / ((1.0 - a) ** m * (1.0 - b) ** m)
+    d = (1.0 - ctx.q) ** 2 + 4.0 * ctx.q * np.sin(rho * math.log(ctx.q)) ** 2
+    val = ((-1.0) ** m * (1.0 - ctx.q2) ** (2 * m + 1) / d**m).astype(complex)
     return complex(val) if val.ndim == 0 else val
 
 
@@ -165,9 +166,8 @@ class Kernel:
     """Two-leg kernel: its depth table per sector pair plus truncation data.
 
     table[i] = H[i, s, d] for the pair (i, -i) (see the module docstring).
-    A kernel from kernel_act has no table and is given by its dense terms
-    (Kernel.from_terms).  A table must be finite wherever the grid block
-    reads it, d + 2 s <= A + B - 2, or CapacityError is raised.
+    A table must be finite wherever the grid block reads it,
+    d + 2 s <= A + B - 2, or CapacityError is raised.
     """
 
     table: dict[int, np.ndarray]
@@ -184,16 +184,6 @@ class Kernel:
             read = np.arange(D) + 2 * np.arange(S)[:, None] <= A + B - 2
             if not np.isfinite(H[read]).all():
                 raise CapacityError(f"kernel term {(i, -i)} is not finite in double precision")
-
-    @classmethod
-    def from_terms(
-        cls, terms: dict, ctx: QContext, shape, sector_max: int, tail_bound: float = 0.0,
-        exact: bool = False,
-    ) -> Kernel:
-        """Kernel given by dense sector-pair terms alone, with no table."""
-        K = cls({}, ctx, shape, sector_max, tail_bound, exact)
-        K.terms = terms
-        return K
 
     @functools.cached_property
     def terms(self) -> dict[tuple[int, int], np.ndarray]:
@@ -500,17 +490,17 @@ def green_solve(f: DiscElement, order: int, ctx: QContext | None = None) -> Disc
 # --- kernel invariance ---------------------------------------------------
 
 
-def _coproduct_legs(label: str, K: Kernel, ctx: QContext):
-    """E or F acting on K through the coproduct, E as E (x) 1 + K (x) E and
-    F as F (x) K^-1 + 1 (x) F.
+def _coproduct_legs(label: str, terms: dict, ctx: QContext):
+    """E or F acting on a kernel's dense sector-pair terms through the
+    coproduct, E as E (x) 1 + K (x) E and F as F (x) K^-1 + 1 (x) F.
 
-    Yields (target pair, psi, axis, c0, c1, s) for each stored term and
-    leg: the leg image is c0 psi + c1 shift(psi, s) along the axis, with
-    c0, c1 from the element formulas of _ef_terms on that leg's grid and
-    the K or K^-1 factor of the other leg folded in.
+    Yields (target pair, psi, axis, c0, c1, s) for each term and leg: the
+    leg image is c0 psi + c1 shift(psi, s) along the axis, with c0, c1
+    from the element formulas of _ef_terms on that leg's grid and the K or
+    K^-1 factor of the other leg folded in.
     """
     q = ctx.q
-    for (i, j), psi in K.terms.items():
+    for (i, j), psi in terms.items():
         A, B = psi.shape
         i2, a0, a1, sa = _ef_terms(label, i, ctx.ygrid(A)[:, None], q)
         j2, b0, b1, sb = _ef_terms(label, j, ctx.ygrid(B)[None, :], q)
@@ -528,19 +518,19 @@ def _leg_image(psi: np.ndarray, axis: int, c0, c1, s: int) -> np.ndarray:
     return c0 * psi + c1 * shifted
 
 
-def kernel_act(label: str, K: Kernel, ctx: QContext | None = None) -> Kernel:
-    """Coproduct action on a kernel: E acts as E (x) 1 + K (x) E,
-    F as F (x) K^-1 + 1 (x) F, K legwise."""
-    ctx = ctx or K.ctx
+def kernel_act(label: str, terms: dict, ctx: QContext) -> dict:
+    """Coproduct action on a kernel given by its dense sector-pair terms
+    (Kernel.terms), as the dict of the image's terms: E acts as
+    E (x) 1 + K (x) E, F as F (x) K^-1 + 1 (x) F, K legwise."""
     out: dict[tuple[int, int], np.ndarray] = {}
     if label in ("K", "Kinv"):
         s = 1 if label == "K" else -1
-        for (i, j), psi in K.terms.items():
+        for (i, j), psi in terms.items():
             out[(i, j)] = ctx.q ** (2 * s * (i + j)) * psi
     else:
-        for key, *leg in _coproduct_legs(label, K, ctx):
+        for key, *leg in _coproduct_legs(label, terms, ctx):
             _accumulate(out, key, _leg_image(*leg))
-    return Kernel.from_terms(out, ctx, K.shape, K.sector_max + 1, K.tail_bound)
+    return out
 
 
 def kernel_invariance_residual(K: Kernel, ctx: QContext | None = None) -> float:
@@ -562,9 +552,9 @@ def kernel_invariance_residual(K: Kernel, ctx: QContext | None = None) -> float:
     ctx = ctx or K.ctx
     worst = 0.0
     for lab in ("E", "F"):
-        acted = kernel_act(lab, K, ctx).terms
+        acted = kernel_act(lab, K.terms, ctx)
         mags: dict[tuple[int, int], np.ndarray] = {}
-        for key, psi, axis, c0, c1, s in _coproduct_legs(lab, K, ctx):
+        for key, psi, axis, c0, c1, s in _coproduct_legs(lab, K.terms, ctx):
             _accumulate(mags, key, _leg_image(np.abs(psi), axis, abs(c0), abs(c1), s))
         for key, arr in acted.items():
             if not K.exact and max(abs(key[0]), abs(key[1])) > K.sector_max:
@@ -596,13 +586,11 @@ class LimitRow:
 def classical_limit_report(t_list, q_list) -> list[LimitRow]:
     """Errors of the coefficient-series limits against the classical targets.
 
-    For each q and argument t (scalar or list) the first series is
+    For each q in q_list and argument t in t_list the first series is
     compared with ln(1-t) and the second with 2 Li2(t) + ln(t) ln(1-t);
     the dilogarithm reflection identity residual is reported alongside.
     Errors decrease as q -> 1.
     """
-    if isinstance(t_list, (int, float)):
-        t_list = [float(t_list)]
     rows = []
     for q in q_list:
         if not 0.0 < q < 1.0:

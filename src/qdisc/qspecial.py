@@ -5,7 +5,8 @@ classical comparison target.
 
 Everything here is a pure function of its arguments in double-precision
 complex arithmetic.  The infinite q-Pochhammer product stops at its first
-factor within 1e-17 of one; the dilogarithm series stops at its first term
+factor within 1e-17 of one, and raises CapacityError if 100000 factors do
+not reach it; the dilogarithm series stops at its first term
 below series_tol.  The one product that depends on the base alone,
 (q; q)_inf, is cached per base.
 """
@@ -16,15 +17,17 @@ import cmath
 import functools
 import math
 
-from .errors import DomainError, PoleError
+from .errors import CapacityError, DomainError, PoleError
 
 
 def qpochhammer(a: complex, q: float, n: int | float) -> complex:
     """q-shifted factorial (a; q)_n = prod_{k<n} (1 - a q^k).
 
     n may be a nonnegative integer or math.inf.  The infinite product
-    requires |q| < 1.  It stops at the first k with |a q^k| <= 1e-17 (or
-    after 100000 factors) and applies no tail correction.
+    requires |q| < 1.  It stops at the first k with |a q^k| <= 1e-17 and
+    applies no tail correction; if 100000 factors do not reach that k (q
+    near 1: q = 0.99999 with a = 1e-6 needs about 2.5 million), it raises
+    CapacityError rather than return the truncated product.
     """
     if n is math.inf or n == math.inf:
         if abs(q) >= 1:
@@ -34,7 +37,9 @@ def qpochhammer(a: complex, q: float, n: int | float) -> complex:
         # geometric factor decay: after K steps |a q^K| < tol and the
         # remaining product differs from 1 by less than tol / (1 - q).
         k = 0
-        while abs(term) > 1e-17 and k < 100_000:
+        while abs(term) > 1e-17:
+            if k == 100_000:
+                raise CapacityError(f"(a;q)_inf needs more than 100000 factors at q={q}")
             prod *= 1.0 - term
             term *= q
             k += 1

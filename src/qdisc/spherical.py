@@ -13,7 +13,11 @@ like q^n).  phi_rho is also an Al-Salam-Chihara polynomial in base q^2,
 and its ascending form from the generating function has no such terms, so
 phi_rho sums that form in double and bounds each row's rounding error a
 priori; everything in that sum that depends on q alone is cut from one
-table per q, and its three Cauchy products are np.convolve calls.  A row
+table per q, and its Cauchy products are np.convolve calls.  The form's
+absolute sum (_phi_majorant) bounds |phi_n| on a strip |Im theta| <= b,
+and it is the one quantity behind three certificates: the rounding bound
+of a row, the precision of the series' cosine below, and the aliasing
+bound of the inverse transform.  A row
 whose bound exceeds 1e-13 (about half of rows 0..31 at q = 0.7, all but
 the first one or two from q = 0.9 on) falls back to the 3phi2 series
 summed in Python-integer fixed point, with the working precision growing
@@ -22,10 +26,10 @@ precision of the largest row, and each row is summed at its own.  The one
 rounded input of that sum, the scalar s = 2q cos(2 rho ln q), comes from
 a stdlib-integer routine at a precision w set by a bound, not at the
 sum's own: a row is a degree-n polynomial in x = cos theta, so by Markov's
-inequality an error dx in x moves it by at most n^2 M_n |dx|, M_n its
-largest modulus on [-1, 1], and w is the least that keeps this below
-2^-127 (see _phi_series).  No module of the package imports mpmath; the
-test suite keeps it as the oracle.  Transform machinery
+inequality an error dx in x moves it by at most n^2 M_n |dx|, M_n the
+majorant's bound on its modulus on [-1, 1], and w is the least that keeps
+this below 2^-127 (see _phi_series).  No module of the package imports
+mpmath; the test suite keeps it as the oracle.  Transform machinery
 instead evaluates phi columns through the eigen-recurrence seeded at the
 disc centre, which is numerically stable on the continuous spectrum; the
 routes are cross-checked in the test suite and by the verify registry.
@@ -60,8 +64,8 @@ settled by comparing counts.  The integrand phi_n F sigma is a
 trigonometric polynomial times the density, whose continuation has simple
 poles at Im rho = +-(2j+1)/2; the residue theorem on the trapezoid rule's
 kernel (Trefethen-Weideman 2014) splits the error into those poles' terms,
-exact, and integrals over lines between them, bounded from the ascending
-form's absolute tables and the density's theta form (_delta_bounds).
+exact, and integrals over lines between them, bounded by the majorant
+and the density's theta form (_delta_bounds).
 phi is 1 at the first poles, so the leading term is the same on every row
 and is the measured error to rounding.  The certified count is the least
 power of two whose bound meets the settle tolerance; a callable spectral
@@ -142,8 +146,9 @@ def _keep(key: tuple, cover):
 
 
 def _ascending_tables(q: float, top: int) -> tuple[np.ndarray, ...]:
-    """The q-only tables of _phi_ascending, read-only: the index k,
-    (p; p)_k, Euler's self-convolution c and its absolute twin, and q^k.
+    """The q-only tables of _phi_ascending and _phi_majorant, read-only:
+    the index k, (p; p)_k, Euler's self-convolution c and its absolute
+    twin, and q^k.
 
     They run to row top + 1, one past the last row kept, cut from one
     cover per q whose length is the smallest power of two >= top + 2, so
@@ -167,6 +172,28 @@ def _ascending_tables(q: float, top: int) -> tuple[np.ndarray, ...]:
     return tuple(t[: top + 2] for t in _keep(key, cover))
 
 
+def _phi_majorant(q: float, top: int, b: float) -> np.ndarray:
+    """q^n sum_j |c_j| H_(n-j) on rows 0..top, with H the convolution of
+    e^(b k) / (p; p)_k and e^(-b k) / (p; p)_k; NaN (an overflow) reads inf.
+
+    It is the absolute sum of the terms of phi_n's ascending form
+    (_phi_ascending) at |Im theta| = b, theta = 2 rho ln q: term k of h_m
+    has modulus e^((m - 2k) Im theta) / ((p; p)_k (p; p)_(m-k)), and with
+    term m - k it sums to 2 cosh((m - 2k) b) over that denominator, which
+    grows with b.  So it bounds |phi_n| wherever |Im theta| <= b.
+    _phi_ascending's rounding bound is gamma_K times it at b = |Im theta|,
+    _cosine_bits reads it at b = 0 as the largest modulus on [-1, 1], and
+    the aliasing bound's X rows are twice it at b = h y on the lines
+    Im rho = +-y.  Every term is a nonnegative double, so its rounding is
+    relative and of order n u.
+    """
+    k, poch, _, c_abs, qn = _ascending_tables(q, top)
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = np.convolve(np.exp(b * k) / poch, np.exp(-b * k) / poch)[: top + 2]
+        bound = qn[: top + 1] * np.convolve(c_abs, H)[: top + 1]
+    return np.where(np.isnan(bound), np.inf, bound)
+
+
 def _phi_ascending(rho: complex, top: int, ctx: QContext) -> tuple[np.ndarray, np.ndarray]:
     """phi_rho on rows 0..top in double, and an a-priori bound on the
     rounding error of each row.
@@ -182,14 +209,13 @@ def _phi_ascending(rho: complex, top: int, ctx: QContext) -> tuple[np.ndarray, n
     (-1)^j q^(j^2) / (p; p)_j, and h_m = sum_k e^(i(m-2k) theta) / ((p; p)_k
     (p; p)_(m-k)).  Every sum is finite, so nothing is truncated.  The
     q-only tables (c among them) are cut from one table per q; a call builds
-    the vectors e^(+-i m theta) / (p; p)_m and takes h, the row sums and
-    their absolute twins as np.convolve products cut at row top.  Entry j
-    of a convolution is a sum over entries 0..j alone, so a row comes out
-    the same whatever top is.
+    the vectors e^(+-i m theta) / (p; p)_m and takes h and the row sums as
+    np.convolve products cut at row top.  Entry j of a convolution is a sum
+    over entries 0..j alone, so a row comes out the same whatever top is.
 
     The bound is gamma_K q^n sum |terms| (Higham, Accuracy and Stability
-    of Numerical Algorithms, ch. 3), the sum taken over the same tables in
-    absolute value, with gamma_K = Ku/(1 - 2Ku) so that it also covers the
+    of Numerical Algorithms, ch. 3), the absolute sum being _phi_majorant at
+    b = |Im theta|, with gamma_K = Ku/(1 - 2Ku) so that it also covers the
     rounding of that sum.  K = (12 + 6 |theta|) n + 30 bounds the roundings
     that reach one term of row n: 10 for each factor 1 - p^i of a (p; p)_k,
     taken as -expm1(2 i ln q) so it does not cancel as q -> 1 (log and
@@ -203,7 +229,7 @@ def _phi_ascending(rho: complex, top: int, ctx: QContext) -> tuple[np.ndarray, n
     and are not counted.  If e^(+-i m theta) / (p; p)_m leaves the double
     range on any row (rho far off the real axis), no row is certified.
     """
-    k, poch, c, c_abs, qn = _ascending_tables(ctx.q, top)
+    k, poch, c, _, qn = _ascending_tables(ctx.q, top)
     theta = 2.0 * complex(rho) * math.log(ctx.q)
     rows = slice(top + 1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -211,13 +237,12 @@ def _phi_ascending(rho: complex, top: int, ctx: QContext) -> tuple[np.ndarray, n
         down = np.exp(-1j * theta * k) / poch
         if not (np.isfinite(up).all() and np.isfinite(down).all()):
             return np.full(top + 1, np.nan, dtype=complex), np.full(top + 1, np.inf)
-        # h and its twin keep the extra row too, for the second convolution
+        # h keeps the extra row too, for the second convolution
         h = np.convolve(up, down)[: top + 2]
-        h_abs = np.convolve(abs(up), abs(down))[: top + 2]
         vals = qn[rows] * np.convolve(c, h)[rows]
         Ku = ((12.0 + 6.0 * abs(theta)) * k[rows] + 30.0) * 2.0**-53
         gamma = np.where(Ku < 0.5, Ku / (1.0 - 2.0 * Ku), np.inf)
-        bound = gamma * qn[rows] * np.convolve(c_abs, h_abs)[rows]
+        bound = gamma * _phi_majorant(ctx.q, top, abs(theta.imag))
     if complex(rho).imag == 0.0:
         vals = vals.real.astype(complex)
     return vals, bound
@@ -397,15 +422,13 @@ def _two_q_cos(rho: complex, q: float, w: int) -> tuple[int, int]:
 def _cosine_bits(rho: complex, rows, q: float) -> int:
     """The precision w at which _phi_series takes s = 2q cos(2 rho ln q):
     for real rho, the largest over the rows n of min(B_n, 128 +
-    ceil(log2 max(1, n^2 M_n / (2q)))), with M_n the bound on |phi_n| over
-    cos theta in [-1, 1] that the ascending form's absolute tables give at
-    theta = 0; for nonreal rho, B of the largest row.  See _phi_series."""
+    ceil(log2 max(1, n^2 M_n / (2q)))), with M_n = _phi_majorant at b = 0,
+    the bound on |phi_n| over cos theta in [-1, 1]; for nonreal rho, B of
+    the largest row.  See _phi_series."""
     top = int(max(rows, default=0))
     if complex(rho).imag != 0.0:
         return _series_bits(top, q)
-    _, poch, _, c_abs, qn = _ascending_tables(q, top)
-    with np.errstate(over="ignore", invalid="ignore"):
-        peak = qn * np.convolve(c_abs, np.convolve(1.0 / poch, 1.0 / poch))[: top + 2]
+    peak = _phi_majorant(q, top, 0.0)
     w = 128
     for m in rows:
         slope = float(m * m * peak[m]) / (2.0 * q)
@@ -414,7 +437,7 @@ def _cosine_bits(rho: complex, rows, q: float) -> int:
     return w
 
 
-def _phi_series(rho: complex, n, ctx: QContext) -> complex | np.ndarray:
+def _phi_series(rho: complex, rows, ctx: QContext) -> np.ndarray:
     """phi_rho's terminating series summed in integer fixed point: the
     reference of the ascending form, and phi_rho's route for rows it
     cannot certify.
@@ -424,12 +447,13 @@ def _phi_series(rho: complex, n, ctx: QContext) -> complex | np.ndarray:
         sum_k (q^(-2n); q^2)_k (q^(1+2i rho); q^2)_k (q^(1-2i rho); q^2)_k
               / ((q^2; q^2)_k)^2 * q^(2k),
 
-    normalized by phi_rho(1) = 1.  Takes an int n (returns a complex) or a
-    sequence of row indices (returns a complex array, in the given order).
-    Across rows the terms differ only in the factor (q^(-2n); q^2)_k, so
-    all rows share one table of q^(2j), of 1 - q^(-2j) and of the n-free
-    term ratio, built at the precision of the largest row (see module
-    docstring); row n then takes n multiplications.
+    normalized by phi_rho(1) = 1.  Takes a sequence of nonnegative row
+    indices (phi_rho checks them) and returns a complex array, in the given
+    order.  Across rows the terms differ only in the factor
+    (q^(-2n); q^2)_k, so all rows share one table of q^(2j), of
+    1 - q^(-2j) and of the n-free term ratio, built at the precision of the
+    largest row (see module docstring); row n then takes n
+    multiplications.
 
     The sums run in Python-integer fixed point: an integer X stands for
     X / 2^B, and a complex number is a pair of them.  B is _phi_digits in
@@ -441,14 +465,13 @@ def _phi_series(rho: complex, n, ctx: QContext) -> complex | np.ndarray:
     that sets w: row n is q^n Q_n(x) / (p; p)_n, a polynomial of degree n
     in x = cos theta = s / (2q), and for real rho x lies in [-1, 1].  By
     Markov's inequality |phi_n'(x)| <= n^2 M_n there, with M_n = max |phi_n|
-    over [-1, 1], and M_n <= q^n sum_j |c_j| h0_(n-j), the ascending form's
-    absolute tables at theta = 0 (h0 = 1/(p; p) convolved with itself;
-    |e^(i m theta)| = 1).  An s within 2 units of 2^-w thus moves row n by
-    at most n^2 M_n 2^(1-w) / (2q) (a step past +-1 by 2^-w changes that
-    bound by a factor 1 + O(n^2 2^-w)), and w = min(B, 128 + ceil(log2
-    max(1, n^2 M_n / (2q)))), taken over the rows asked for, keeps it below
-    2^-127; M_n reads 2^-129 at q = 0.05, 2^-23 at 0.5, 2^27 at 0.9 and
-    2^155 at 0.995, where w is B.  For nonreal rho x leaves [-1, 1], and s
+    over [-1, 1], and M_n <= _phi_majorant at b = 0, since theta is real
+    there.  An s within 2 units of 2^-w thus moves row n by at most n^2 M_n
+    2^(1-w) / (2q) (a step past +-1 by 2^-w changes that bound by a factor
+    1 + O(n^2 2^-w)), and w = min(B, 128 + ceil(log2 max(1, n^2 M_n /
+    (2q)))), taken over the rows asked for, keeps it below 2^-127; M_n
+    reads 2^-129 at q = 0.05, 2^-23 at 0.5, 2^27 at 0.9 and 2^155 at
+    0.995, where w is B.  For nonreal rho x leaves [-1, 1], and s
     is taken at B.  In every case the rounded s moves a row far below the
     one rounding to double.
     Each table entry and each product drops less than one unit of 2^-B,
@@ -459,9 +482,6 @@ def _phi_series(rho: complex, n, ctx: QContext) -> complex | np.ndarray:
     a value past the double range becomes +-inf.  For real rho every
     imaginary part is exactly zero and its products cost next to nothing.
     """
-    rows = np.atleast_1d(n)
-    if min(rows, default=0) < 0:
-        raise DomainError("grid index must be nonnegative")
     top = int(max(rows, default=0))
     q = ctx.q
     bits = _series_bits(top, q)
@@ -512,7 +532,7 @@ def _phi_series(rho: complex, n, ctx: QContext) -> complex | np.ndarray:
             total_re += term_re << scale
             total_im += term_im << scale
         vals.append(complex(_fixed_to_float(total_re, prec), _fixed_to_float(total_im, prec)))
-    return vals[0] if np.ndim(n) == 0 else np.array(vals, dtype=complex)
+    return np.array(vals, dtype=complex)
 
 
 def phi_column(rho: float, npoints: int, ctx: QContext) -> np.ndarray:
@@ -615,6 +635,15 @@ _THETA_SIGNS = _frozen(np.concatenate((np.where(_THETA_N % 2, -1.0, 1.0), np.one
 _THETA_OFFSETS = _frozen(np.tile(-math.pi * _THETA_N * (_THETA_N - 1.0), 2))
 
 
+def _sigma_constants(q: float) -> tuple[float, float, float]:
+    """h = -ln fl(q^2), the period P = 2 pi/h and the constant
+    (p'; p')_inf^3 e^(h/4) / (1 - q^2) of sigma_density's theta form."""
+    h = -math.log(q * q)
+    period = 2.0 * math.pi / h
+    dual = _euler_product(math.exp(-2.0 * math.pi * period)).real
+    return h, period, dual**3 * math.exp(h / 4.0) / (1.0 - q * q)
+
+
 def sigma_density(rho, ctx: QContext) -> float | np.ndarray:
     """Density of the spectral (Plancherel) measure on [0, P], P = 2 pi/h,
 
@@ -647,13 +676,10 @@ def sigma_density(rho, ctx: QContext) -> float | np.ndarray:
     # p is q^2 as the stencil rounds it and the phase keeps ln q, so x is
     # rho scaled by ctx.h / h, 1 - 5e-15 at q = 0.995; with ctx.h in place
     # of h there, the transform's round trip lost about 1e-14 per row
-    h = -math.log(ctx.q2)
-    period = 2.0 * math.pi / h
+    h, period, const = _sigma_constants(ctx.q)
     x = np.maximum(np.minimum(rho, ctx.rho_period() - rho), 0.0) * (ctx.h / h)
     terms = np.exp(x[..., None] * _THETA_SLOPES + period * _THETA_OFFSETS) * _THETA_SIGNS
     sums = terms.reshape(x.shape + (2, 8)).sum(axis=-1)
-    dual = _euler_product(math.exp(-2.0 * math.pi * period)).real
-    const = dual**3 * math.exp(h / 4.0) / (1.0 - ctx.q2)
     val = np.abs(const * np.sin(x * h) * np.exp(-x * x * h) * sums[..., 0] / np.square(sums[..., 1]))
     return float(val) if val.ndim == 0 else val
 
@@ -759,10 +785,8 @@ def _phi_table(q: float, count: int, npoints: int) -> np.ndarray:
             _recur(grown[:, :size], lam[:size], ctx, rows)
         if len(lam) > size:
             _recur(grown[:, size:], lam[size:], ctx)
-        cover = _keep(key, _frozen(grown))
-    else:
-        _COVERS.move_to_end(key)
-    return cover[:npoints, : _width(count)]
+        cover = _frozen(grown)
+    return _keep(key, cover)[:npoints, : _width(count)]
 
 
 def _density_table(q: float, count: int) -> np.ndarray:
@@ -775,10 +799,8 @@ def _density_table(q: float, count: int) -> np.ndarray:
         ctx = QContext(q)
         old = np.empty(0) if cover is None else cover
         fresh = sigma_density(_table_nodes(count, ctx)[len(old) :], ctx)
-        cover = _keep(key, _frozen(np.concatenate((old, fresh))))
-    else:
-        _COVERS.move_to_end(key)
-    return cover[:width]
+        cover = _frozen(np.concatenate((old, fresh)))
+    return _keep(key, cover)[:width]
 
 
 # The inverse's GEMM contracts a phi table over its nodes.  Past 4096
@@ -871,23 +893,20 @@ def _alias_tables(q: float, size: int) -> tuple[np.ndarray, ...]:
     """The q-only tables of _delta_bounds on rows 0..size-1, read-only,
     for size a power of two.
 
-    X[l, n] bounds |phi_n| on the lines Im rho = +-y_l, and Y[n, j] is
-    phi_n at rho = (2j+1) i/2; pole[j] is 4 pi |Res sigma| at that pole
-    and rate[j] = (2j+1) h/2; line[l] is 2 P times the bound on |sigma| on
-    the lines, and grow[l] = h y_l.  See _delta_bounds for why each one
-    bounds what it does.
+    X[l, n] is twice _phi_majorant at b = h y_l, a bound on |phi_n| on the
+    lines Im rho = +-y_l, and Y[n, j] is phi_n at rho = (2j+1) i/2;
+    pole[j] is 4 pi |Res sigma| at that pole, with sigma's constant from
+    _sigma_constants as sigma_density takes it, and rate[j] = (2j+1) h/2;
+    line[l] is 2 P times the bound on |sigma| on the lines, and
+    grow[l] = h y_l.  See _delta_bounds for why each one bounds what it
+    does.
     """
     ctx = QContext(q)
     h, period = ctx.h, ctx.rho_period()
     ys = np.concatenate((_ALIAS_SUB, np.arange(1.0, _ALIAS_LINES + 1)))
-    k, poch, _, c_abs, qn = _ascending_tables(q, size - 1)
+    X = np.array([2.0 * _phi_majorant(q, size - 1, b) for b in h * ys])
     lnq = math.log(q)
-    X = np.empty((len(ys), size))
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, b in zip(X, h * ys):
-            # |h_m| on the line, with |e^(i l theta)| <= 2 cosh(b l)
-            H = 2.0 * np.convolve(np.exp(b * k) / poch, np.exp(-b * k) / poch)[:size]
-            row[:] = qn[:size] * np.convolve(c_abs[:size], H)[:size]
         # phi's terminating series at rho = (2j+1) i/2: term i + 1 over term
         # i is >= 0, and its factor 1 - q^(2i-2j) ends the sum after term j
         i, n, j = np.ogrid[: _ALIAS_LINES - 1, :size, :_ALIAS_LINES]
@@ -899,8 +918,7 @@ def _alias_tables(q: float, size: int) -> tuple[np.ndarray, ...]:
         j = j.ravel()
         # the density's constant as sigma_density takes it, the residue
         # sum A of its theta terms, and the weight eps of the terms |n| >= 2
-        dual = _euler_product(math.exp(-2.0 * math.pi * period)).real
-        const = dual**3 * math.exp(h / 4.0) / (1.0 - ctx.q2)
+        const = _sigma_constants(q)[2]
         A = abs(float(np.sum(_THETA_SIGNS[:8] * _THETA_N * np.exp(period * _THETA_OFFSETS[:8]))))
         eps = 2.0 * math.exp(-2.0 * math.pi * period) / -math.expm1(-4.0 * math.pi * period)
         odd = 2 * j + 1
@@ -908,7 +926,7 @@ def _alias_tables(q: float, size: int) -> tuple[np.ndarray, ...]:
         dip = np.sin(2.0 * math.pi * np.array(_ALIAS_SUB)) - math.exp(-math.pi * period) - eps
         theta = np.concatenate(((3.0 + eps) / dip**2, np.full(_ALIAS_LINES, 2.0 + eps)))
         line = 2.0 * period * const * np.cosh(h * ys) * np.exp(h * ys**2) * theta
-    X, Y = (np.where(np.isnan(t), np.inf, t) for t in (X, Y))
+    Y = np.where(np.isnan(Y), np.inf, Y)
     return tuple(_frozen(t) for t in (X, Y, pole, odd * h / 2.0, line, h * ys))
 
 
@@ -942,9 +960,9 @@ def _delta_bounds(q: float, npoints: int, rows: int) -> np.ndarray:
 
     Bounds on the lines, over rho = a + iy with a in [0, P/2]
     (sigma(P - rho) = sigma(rho) and reflection give the rest):
-    - |phi_n| <= q^n sum_j |c_j| H_(n-j), the ascending form of
-      _phi_ascending with |e^(i l theta)| <= 2 cosh(h y l), for both of T's
-      factors;
+    - |phi_n| <= _phi_majorant at b = h y, for both of T's factors, taken
+      twice over as the bound 2 cosh(h y l) on |e^(i l theta)| first gave
+      it;
     - on the integer lines, |sin| <= cosh(h y), |e^(-h rho^2)| <= e^(h y^2)
       and |N/D^2| is its value on the real axis, where D >= 1 + e^(-2 pi a)
       and |N| <= 1 - e^(-4 pi a) + e^(4 pi a - 2 pi P) + eps, so

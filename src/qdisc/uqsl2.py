@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .context import QContext, _frozen, _max
-from .discalg import DiscElement, GridFunction, _shift
+from .discalg import DiscElement, GridFunction, _scale_sectors, _shift
 from .errors import DomainError
 
 
@@ -43,17 +43,9 @@ def act(label: str, f: DiscElement, ctx: QContext | None = None) -> DiscElement:
     ctx = ctx or f.ctx
     q = ctx.q
     if label == "K":
-        return DiscElement(
-            {m: GridFunction(q ** (2 * m) * g.values, g.finite_support)
-             for m, g in f.sectors.items()},
-            ctx,
-        )
+        return _scale_sectors(f, lambda m: q ** (2 * m), ctx)
     if label == "Kinv":
-        return DiscElement(
-            {m: GridFunction(q ** (-2 * m) * g.values, g.finite_support)
-             for m, g in f.sectors.items()},
-            ctx,
-        )
+        return _scale_sectors(f, lambda m: q ** (-2 * m), ctx)
     if label not in ("E", "F"):
         raise DomainError(f"unknown generator {label!r}")
     yg = ctx.ygrid()
@@ -202,13 +194,7 @@ def sector_rotate(f: DiscElement, angle: float) -> DiscElement:
     Test helper exposing the circle action whose eigenspaces are the
     sectors; commutes with the Laplacian.
     """
-    return DiscElement(
-        {
-            m: GridFunction(np.exp(1j * m * angle) * g.values, g.finite_support)
-            for m, g in f.sectors.items()
-        },
-        f.ctx,
-    )
+    return _scale_sectors(f, lambda m: np.exp(1j * m * angle), f.ctx)
 
 
 def _sup_norm(f: DiscElement, margin: int) -> float:
@@ -232,7 +218,6 @@ def invariance_residual(v: DiscElement, ctx: QContext | None = None) -> float:
     residual, green.kernel_invariance_residual.
     """
     ctx = ctx or v.ctx
-    kdev = DiscElement({m: GridFunction((ctx.q ** (2 * m) - 1.0) * g.values, g.finite_support)
-                        for m, g in v.sectors.items()}, ctx)
+    kdev = _scale_sectors(v, lambda m: ctx.q ** (2 * m) - 1.0, ctx)
     worst = _max(*(_sup_norm(w, 1) for w in (act("E", v, ctx), act("F", v, ctx), kdev)))
     return worst / _max(1.0, v.max_abs())

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qdisc import (
+    CapacityError,
     DomainError,
     PoleError,
     QContext,
@@ -56,6 +57,18 @@ def test_pochhammer_recurrence():
 def test_pochhammer_infinite_requires_contraction():
     with pytest.raises(DomainError):
         qpochhammer(0.5, 1.1, math.inf)
+
+
+def test_pochhammer_infinite_raises_past_its_factor_budget():
+    # |a q^k| reaches 1e-17 only after about 2.5 million factors; the
+    # 100000-factor partial product reads 0.9387 against the full 0.9048
+    with pytest.raises(CapacityError):
+        qpochhammer(1e-6, 0.99999, math.inf)
+    # qgamma's largest base, q^2 at q = 0.995, stays well inside the budget
+    q2 = 0.995**2
+    with mpmath.workdps(30):
+        ref = complex(mpmath.qp(q2, q2))
+    assert abs(qpochhammer(q2, q2, math.inf) - ref) < 1e-12 * abs(ref)
 
 
 def test_qgamma_at_one():

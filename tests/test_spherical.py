@@ -1153,6 +1153,30 @@ def test_alias_bound_holds_over_the_sweep(q):
     assert compared >= 10
 
 
+@pytest.mark.parametrize("q", (0.05, 0.5, 0.9, 0.995))
+def test_alias_tables_against_phi_at_the_poles_and_on_the_lines(q):
+    # Y[n, j] is phi_n at the pole rho = (2j+1) i/2, and X[l, n] / 2 bounds
+    # |phi_n| on the lines Im rho = +-y_l: both against phi_rho itself.  At
+    # q = 0.05 the pole j = 4 overflows from row 30 on, in both.  At
+    # Re rho = P/2 every term of the ascending form has one sign, so there
+    # the bound is attained and holds to the rounding of either side
+    ctx = QContext(q)
+    X, Y = S._alias_tables(q, S._ALIAS_ROWS)[:2]
+    for j in range(5):
+        phi = phi_rho((2 * j + 1) * 0.5j, range(33), ctx)
+        pole = Y[:33, j]
+        assert np.array_equal(np.isinf(pole), np.isinf(phi)), j
+        ok = np.isfinite(phi)
+        assert np.all(np.abs(pole[ok] - phi[ok]) <= 1e-13 * np.maximum(1.0, np.abs(phi[ok]))), j
+    lines = [*S._ALIAS_SUB, *range(1, S._ALIAS_LINES + 1)]
+    half = ctx.rho_period() / 2
+    for y in (7 / 16, 1, 3):
+        bound = X[lines.index(y), :21] / 2
+        for a in (0.0, 0.37 * half, half):
+            for rho in (complex(a, y), complex(a, -y)):
+                assert np.all(np.abs(phi_rho(rho, range(21), ctx)) <= bound * (1.0 + 1e-13)), (y, rho)
+
+
 def test_halved_certified_count_fails_a_check(monkeypatch):
     # at q = 0.5 a depth-20 source errs by about 4e-7 on half its certified
     # count, so the round trip or the doubling oracle must catch the halving
