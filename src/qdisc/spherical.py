@@ -12,17 +12,22 @@ n is moderate (its terms reach size ~ q^(-n(n-1)) while the value decays
 like q^n).  phi_rho is also an Al-Salam-Chihara polynomial in base q^2,
 and its ascending form from the generating function has no such terms, so
 phi_rho sums that form in double and bounds each row's rounding error a
-priori; everything in that sum that depends on q alone is cut from one
-table per q, and its Cauchy products are np.convolve calls.  The form's
-absolute sum (_phi_majorant) bounds |phi_n| on a strip |Im theta| <= b,
-and it is the one quantity behind three certificates: the rounding bound
-of a row, the precision of the series' cosine below, and the aliasing
-bound of the inverse transform.  A row
-whose bound exceeds 1e-13 (about half of rows 0..31 at q = 0.7, all but
-the first one or two from q = 0.9 on) falls back to the 3phi2 series
-summed in Python-integer fixed point, with the working precision growing
-with n; the rows of one call share those tables, built once at the
-precision of the largest row, and each row is summed at its own.  The one
+priori.  The form's terms regroup into a cosine polynomial, phi_n =
+sum_l a_(n,l) w_l with w_0 = 1 and w_l = 2 cos(l theta), whose
+coefficients depend on q alone: one cover per q holds them, their
+absolute twin and that twin's row sums, so the rows of one rho are one
+elementwise product of the table with the weights, and the rounding
+bound of a real rho reads a cached row.  The form's absolute sum
+(_phi_majorant), the absolute table against the weights 2 cosh(l b),
+bounds |phi_n| on a strip |Im theta| <= b, and it is the one quantity
+behind three certificates: the rounding bound of a row, the precision of
+the series' cosine below, and the aliasing bound of the inverse
+transform.  A row whose bound exceeds 1e-13 (about half of rows 0..31 at
+q = 0.7, all but the first one or two from q = 0.9 on) falls back to the
+3phi2 series summed in Python-integer fixed point, with the working
+precision growing with n; the rows of one call share those tables, built
+once at the precision of the largest row, and each row is summed at its
+own.  The one
 rounded input of that sum, the scalar s = 2q cos(2 rho ln q), comes from
 a stdlib-integer routine at a precision w set by a bound, not at the
 sum's own: a row is a degree-n polynomial in x = cos theta, so by Markov's
@@ -145,36 +150,89 @@ def _keep(key: tuple, cover):
     return cover
 
 
-def _ascending_tables(q: float, top: int) -> tuple[np.ndarray, ...]:
-    """The q-only tables of _phi_ascending and _phi_majorant, read-only:
-    the index k, (p; p)_k, Euler's self-convolution c and its absolute
-    twin, and q^k.
+def _finite(rho, name: str) -> complex:
+    """rho as a complex; a non-finite rho raises DomainError."""
+    rho = complex(rho)
+    if not cmath.isfinite(rho):
+        raise DomainError(f"{name} rho {rho} is not finite")
+    return rho
 
-    They run to row top + 1, one past the last row kept, cut from one
-    cover per q whose length is the smallest power of two >= top + 2, so
-    it is rebuilt only when top passes it.  np.convolve sums entry j of a
-    full convolution of two length-N vectors as one dot product over their
-    entries 0..j when j < N - 1, but entry N - 1 by a short-kernel loop of
-    its own when N is small; with N >= top + 2 every row kept takes the
-    dot product, so the rows kept are the same whatever the cover's length.
+
+def _cosine_coefficients(q: float, size: int, signed: bool = True) -> np.ndarray:
+    """The cosine tables of phi's ascending form on rows and columns
+    0..size-1, size a power of two >= 32: entry [n, l] of the first is
+    a_(n,l), and of the last its absolute twin, the same sum over |c_j|
+    (the only table when signed is false).
+
+    h_m (see _phi_ascending) is symmetric under k <-> m - k, so its terms k
+    and m - k pair into h_m = sum_l w_l(theta) / ((p; p)_((m-l)/2)
+    (p; p)_((m+l)/2)) over l = m, m - 2, ... >= 0, with w_0 = 1 and
+    w_l = 2 cos(l theta), and phi_n = sum_(l<=n) a_(n,l) w_l(theta) with
+
+        a_(n,l) = q^n sum_j c_j / ((p; p)_((n-j-l)/2) (p; p)_((n-j+l)/2))
+
+    over j <= n - l with n - j - l even: the terms of the ascending form
+    regrouped, and the same for complex theta.  The sum over j runs as one
+    GEMM per parity of l, over mu with n - j = 2 mu + (l mod 2), in row
+    blocks [0, 32), [32, 64), [64, 128), ...: block [lo, hi) takes rows
+    lo..hi-1 of the Toeplitz matrix of c against the leading hi/2 rows and
+    columns of the parity's coefficients of h, so its shapes and inputs do
+    not depend on size.  c comes from np.convolve on size + 1 entries,
+    whose entry j < size is one dot product over entries 0..j.  So the
+    rows of a table are bitwise the same at every size.  Zero terms are
+    exact zeros, and a_(n,l) = 0 for l > n.
     """
-    key = ("ascending", q)
+    lnq = math.log(q)
+    k = np.arange(float(size + 1))
+    poch = np.cumprod(np.concatenate(([1.0], -np.expm1(2 * k[1:] * lnq))))
+    euler = np.where(k % 2, -1.0, 1.0) * np.power(q, k * k) / poch
+    factors = (euler, abs(euler)) if signed else (abs(euler),)
+    coefs = [np.convolve(e, e)[:size] for e in factors]
+    inv = 1.0 / poch
+    half = size // 2
+    strided = np.lib.stride_tricks.as_strided
+    # c_(n - 2 mu - parity) at [t, parity, n, mu] and 1/(p; p)_(mu - lam)
+    # at [mu, lam], zero where the index is negative: strided views that
+    # step back from c_0 (from 1/(p; p)_0) into the zeros before it, at most
+    # size (half) entries
+    padded = np.concatenate((np.zeros((len(coefs), size)), coefs), axis=1)[:, size:]
+    step = padded.itemsize
+    c = strided(padded, (len(coefs), 2, size, half), (padded.strides[0], -step, step, -2 * step))
+    below = np.concatenate((np.zeros(half), inv[:half]))[half:]
+    lower = strided(below, (half, half), (step, -step))
+    # h[parity, mu, lam] = 1/((p; p)_(mu-lam) (p; p)_(mu+lam+parity)), the
+    # coefficient of w_(2 lam + parity) in h_(2 mu + parity)
+    h = lower * strided(inv, (2, half, half), (step, step, step))
+    table = np.zeros((len(coefs), size, size))
+    lo, hi = 0, 32
+    while lo < size:
+        block = c[:, :, lo:hi, : hi // 2] @ h[:, : hi // 2, : hi // 2]
+        table[:, lo:hi, 0:hi:2] = block[:, 0]
+        table[:, lo:hi, 1:hi:2] = block[:, 1]
+        lo, hi = hi, 2 * hi
+    table *= np.power(q, k[:size])[:, None]
+    return table
+
+
+def _cosine_cover(q: float, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cosine tables of _cosine_coefficients at q and the majorant at
+    b = 0 on their rows, read-only, from one cover per q whose size is the
+    least power of two >= max(32, top + 1); it is rebuilt only when top
+    passes it, and its rows do not depend on its size."""
+    key = ("cosine", q)
     cover = _COVERS.get(key)
-    if cover is None or len(cover[0]) < top + 2:
-        size = 1 << (top + 1).bit_length()
-        lnq = math.log(q)
-        k = np.arange(float(size))
-        poch = np.cumprod(np.concatenate(([1.0], -np.expm1(2 * k[1:] * lnq))))
-        euler = np.where(k % 2, -1.0, 1.0) * np.power(q, k * k) / poch
-        c = np.convolve(euler, euler)[:size]
-        c_abs = np.convolve(abs(euler), abs(euler))[:size]
-        cover = tuple(_frozen(t) for t in (k, poch, c, c_abs, np.power(q, k)))
-    return tuple(t[: top + 2] for t in _keep(key, cover))
+    if cover is None or len(cover[0]) <= top:
+        signed, absolute = _cosine_coefficients(q, max(32, 1 << top.bit_length()))
+        cover = tuple(_frozen(t) for t in (signed, absolute, _phi_majorant(absolute, 0.0)))
+    return _keep(key, cover)
 
 
-def _phi_majorant(q: float, top: int, b: float) -> np.ndarray:
-    """q^n sum_j |c_j| H_(n-j) on rows 0..top, with H the convolution of
-    e^(b k) / (p; p)_k and e^(-b k) / (p; p)_k; NaN (an overflow) reads inf.
+def _phi_majorant(absolute: np.ndarray, b) -> np.ndarray:
+    """sum_l |a|_(n,l) w_l(i b) on the rows of absolute, a block of the
+    absolute cosine table (_cosine_coefficients) with all its columns:
+    w_0 = 1 and w_l(i b) = 2 cosh(l b).  A scalar b gives a vector, an array
+    of b one column per b.  A row that meets a weight past the double range
+    reads inf.
 
     It is the absolute sum of the terms of phi_n's ascending form
     (_phi_ascending) at |Im theta| = b, theta = 2 rho ln q: term k of h_m
@@ -187,11 +245,15 @@ def _phi_majorant(q: float, top: int, b: float) -> np.ndarray:
     Im rho = +-y.  Every term is a nonnegative double, so its rounding is
     relative and of order n u.
     """
-    k, poch, _, c_abs, qn = _ascending_tables(q, top)
-    with np.errstate(over="ignore", invalid="ignore"):
-        H = np.convolve(np.exp(b * k) / poch, np.exp(-b * k) / poch)[: top + 2]
-        bound = qn[: top + 1] * np.convolve(c_abs, H)[: top + 1]
-    return np.where(np.isnan(bound), np.inf, bound)
+    with np.errstate(over="ignore"):
+        w = 2.0 * np.cosh(np.multiply.outer(np.arange(float(absolute.shape[1])), b))
+    w[0] = 1.0
+    # |a|_(n,l) is zero for l > n, so a weight that overflows at l reaches
+    # the rows n >= l alone
+    over = np.isinf(w)
+    rows = absolute @ np.where(over, 0.0, w)
+    rows[np.logical_or.accumulate(over)[: len(rows)]] = np.inf
+    return rows
 
 
 def _phi_ascending(rho: complex, top: int, ctx: QContext) -> tuple[np.ndarray, np.ndarray]:
@@ -207,45 +269,61 @@ def _phi_ascending(rho: complex, top: int, ctx: QContext) -> tuple[np.ndarray, n
     gives the ascending form phi_rho(n) = q^n sum_{j<=n} c_j h_(n-j), with
     c_j = [t^j] (qt; p)_inf^2, the self-convolution of Euler's coefficients
     (-1)^j q^(j^2) / (p; p)_j, and h_m = sum_k e^(i(m-2k) theta) / ((p; p)_k
-    (p; p)_(m-k)).  Every sum is finite, so nothing is truncated.  The
-    q-only tables (c among them) are cut from one table per q; a call builds
-    the vectors e^(+-i m theta) / (p; p)_m and takes h and the row sums as
-    np.convolve products cut at row top.  Entry j of a convolution is a sum
-    over entries 0..j alone, so a row comes out the same whatever top is.
+    (p; p)_(m-k)).  Every sum is finite, so nothing is truncated.  Its
+    terms regroup into the cosine polynomial phi_n = sum_(l<=n) a_(n,l)
+    w_l(theta), w_0 = 1 and w_l = 2 cos(l theta), whose coefficients depend
+    on q alone (_cosine_coefficients); a call takes the weights w_l for
+    l <= top, zero past it, and each row as the elementwise product of its
+    table row with them, summed over the cover's power-of-two width.  Table
+    rows do not depend on the cover's size and the products past row n or
+    past top are exact zeros, so a row comes out the same whatever top is.
 
     The bound is gamma_K q^n sum |terms| (Higham, Accuracy and Stability
     of Numerical Algorithms, ch. 3), the absolute sum being _phi_majorant at
-    b = |Im theta|, with gamma_K = Ku/(1 - 2Ku) so that it also covers the
-    rounding of that sum.  K = (12 + 6 |theta|) n + 30 bounds the roundings
-    that reach one term of row n: 10 for each factor 1 - p^i of a (p; p)_k,
-    taken as -expm1(2 i ln q) so it does not cancel as q -> 1 (log and
-    expm1 within 4 ulp each); 4 for each pow; 6 |m theta| ulp of phase
-    error in e^(i m theta); and n for the three nested sums.  np.convolve
-    adds each entry's terms in an order of its own (BLAS dot kernels
-    split them over several accumulators), but any order of summing n
-    terms errs by at most gamma_(n-1) times their absolute sum (Higham
-    Lemma 3.1 and Section 4.2), which those n roundings of K already
-    count.  Terms that underflow are below 1e-300 times the table sizes
-    and are not counted.  If e^(+-i m theta) / (p; p)_m leaves the double
-    range on any row (rho far off the real axis), no row is certified.
+    b = |Im theta| (cached with the cover at b = 0), with gamma_K =
+    Ku/(1 - 2Ku) so that it also covers the rounding of that sum.
+    K = (12 + 6 |theta|) n + 30 bounds the roundings that reach one term of
+    row n, taking math.log within 1 ulp and numpy's expm1, pow and cos
+    within 4 ulp each: 7 for each of the term's n factors 1 - p^i, taken as
+    -expm1(2 i ln q) so it does not cancel as q -> 1 (2 in the argument,
+    which expm1 does not amplify for an argument < 0, 4 in expm1 and 1 in
+    the running product); 4 for each of its three pows; 9 for the four
+    divisions and five products that form Euler's coefficients, c_j, h's
+    coefficient and a_(n,l) and take it times w_l; 5n/2 for the three
+    nested sums, over c_j's terms (j), over a_(n,l)'s ((n - l)/2) and over
+    l (n); and 6 |theta| n + 8 for w_l, whose argument l theta carries
+    three roundings, in units of 2 cosh(l Im theta), the weight of
+    _phi_majorant.  The sum is (9.5 + 6 |theta|) n + 29.  The GEMM and the
+    row sum add each entry's terms in orders of their own (BLAS kernels
+    split them over several accumulators and may fuse a product with its
+    sum), but any order of summing n terms errs by at most gamma_(n-1)
+    times their absolute sum (Higham Lemma 3.1 and Section 4.2), which the
+    count of the sums takes.  Terms that underflow are below 1e-300 times
+    the table sizes and are not counted.  If a weight w_l, l <= top, leaves
+    the double range (rho far off the real axis), no row is certified.
     """
-    k, poch, c, _, qn = _ascending_tables(ctx.q, top)
+    signed, absolute, majorant = _cosine_cover(ctx.q, top)
     theta = 2.0 * complex(rho) * math.log(ctx.q)
-    rows = slice(top + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        up = np.exp(1j * theta * k) / poch
-        down = np.exp(-1j * theta * k) / poch
-        if not (np.isfinite(up).all() and np.isfinite(down).all()):
+    index = np.arange(float(len(signed)))
+    if theta.imag == 0.0:
+        # every weight is finite, and the products past row n are zeros
+        w = 2.0 * np.cos(theta.real * index)
+    else:
+        # weights past top are zeros, so one that would overflow there
+        # plays no part
+        w = np.zeros(len(index), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w[: top + 1] = 2.0 * np.cos(theta * index[: top + 1])
+        if not np.isfinite(w).all():
             return np.full(top + 1, np.nan, dtype=complex), np.full(top + 1, np.inf)
-        # h keeps the extra row too, for the second convolution
-        h = np.convolve(up, down)[: top + 2]
-        vals = qn[rows] * np.convolve(c, h)[rows]
-        Ku = ((12.0 + 6.0 * abs(theta)) * k[rows] + 30.0) * 2.0**-53
-        gamma = np.where(Ku < 0.5, Ku / (1.0 - 2.0 * Ku), np.inf)
-        bound = gamma * _phi_majorant(ctx.q, top, abs(theta.imag))
-    if complex(rho).imag == 0.0:
-        vals = vals.real.astype(complex)
-    return vals, bound
+        majorant = _phi_majorant(absolute, abs(theta.imag))
+    w[0] = 1.0
+    vals = (signed[: top + 1] * w).sum(axis=1)
+    Ku = ((12.0 + 6.0 * abs(theta)) * index[: top + 1] + 30.0) * 2.0**-53
+    bound = Ku / (1.0 - 2.0 * Ku) * majorant[: top + 1]
+    if Ku[-1] >= 0.5:  # gamma_K holds for Ku < 1/2 alone
+        bound[Ku >= 0.5] = np.inf
+    return vals.astype(complex), bound
 
 
 def phi_rho(rho: complex, n, ctx: QContext) -> complex | np.ndarray:
@@ -263,8 +341,10 @@ def phi_rho(rho: complex, n, ctx: QContext) -> complex | np.ndarray:
     whose a-priori rounding bound exceeds 1e-13 is summed instead from the
     series above in integer fixed point (_phi_series).  The choice is made
     row by row and each row's sum depends on that row alone, so a row
-    comes out bitwise the same in any call.
+    comes out bitwise the same in any call.  A non-finite rho or a negative
+    row raises DomainError.
     """
+    rho = _finite(rho, "phi_rho")
     rows = np.atleast_1d(n)
     if min(rows, default=0) < 0:
         raise DomainError("grid index must be nonnegative")
@@ -422,13 +502,14 @@ def _two_q_cos(rho: complex, q: float, w: int) -> tuple[int, int]:
 def _cosine_bits(rho: complex, rows, q: float) -> int:
     """The precision w at which _phi_series takes s = 2q cos(2 rho ln q):
     for real rho, the largest over the rows n of min(B_n, 128 +
-    ceil(log2 max(1, n^2 M_n / (2q)))), with M_n = _phi_majorant at b = 0,
-    the bound on |phi_n| over cos theta in [-1, 1]; for nonreal rho, B of
+    ceil(log2 max(1, n^2 M_n / (2q)))), with M_n = _phi_majorant at b = 0
+    (the rows the cosine cover keeps), the bound on |phi_n| over cos theta
+    in [-1, 1]; for nonreal rho, B of
     the largest row.  See _phi_series."""
     top = int(max(rows, default=0))
     if complex(rho).imag != 0.0:
         return _series_bits(top, q)
-    peak = _phi_majorant(q, top, 0.0)
+    peak = _cosine_cover(q, top)[2]
     w = 128
     for m in rows:
         slope = float(m * m * peak[m]) / (2.0 * q)
@@ -537,8 +618,8 @@ def _phi_series(rho: complex, rows, ctx: QContext) -> np.ndarray:
 
 def phi_column(rho: float, npoints: int, ctx: QContext) -> np.ndarray:
     """phi_rho on grid rows 0..npoints-1 via the eigen-recurrence, as a
-    float64 array.  rho must be real (a complex rho with a nonzero
-    imaginary part raises DomainError); phi_rho covers complex rho."""
+    float64 array.  rho must be real and finite (a nonzero imaginary part,
+    a NaN or an infinity raises DomainError); phi_rho covers complex rho."""
     return phi_matrix(np.array([rho]), npoints, ctx)[0]
 
 
@@ -550,15 +631,17 @@ def phi_matrix(rhos: np.ndarray, npoints: int, ctx: QContext) -> np.ndarray:
     continuous spectrum both solutions share the q^n envelope, so forward
     stepping does not amplify.  Cross-checked against phi_rho in tests.
 
-    Every rho must be real (a nonzero imaginary part raises DomainError),
-    so lambda(rho) and every entry are real: the recurrence runs in
-    float64 and writes one contiguous row per grid point.  The result has
-    shape (len(rhos), npoints) and is the transpose of that row-major
-    (npoints, len(rhos)) array.
+    Every rho must be real and finite (a nonzero imaginary part or a
+    non-finite rho raises DomainError), so lambda(rho) and every entry are
+    real: the recurrence runs in float64 and writes one contiguous row per
+    grid point.  The result has shape (len(rhos), npoints) and is the
+    transpose of that row-major (npoints, len(rhos)) array.
     """
     rhos = np.asarray(rhos)
     if np.iscomplexobj(rhos) and np.any(rhos.imag != 0.0):
         raise DomainError("phi tables take real rho only; phi_rho takes complex rho")
+    if not np.isfinite(rhos).all():
+        raise DomainError("phi tables take finite rho only")
     rows = np.empty((npoints, len(rhos)))
     _recur(rows, lambda_rho(rhos.real, ctx).real, ctx)
     return rows.T
@@ -589,9 +672,7 @@ def psi_rho(rho: complex, n: int, ctx: QContext) -> complex:
     """
     if n < 0:
         raise DomainError("grid index must be nonnegative")
-    rho = complex(rho)
-    if not cmath.isfinite(rho):
-        raise DomainError(f"psi_rho rho {rho} is not finite")
+    rho = _finite(rho, "psi_rho")
     q = ctx.q
     q2 = ctx.q2
     lnq = math.log(q)
@@ -621,8 +702,10 @@ def c_coefficient(rho: complex, ctx: QContext) -> complex:
     """Harmonic-analysis c-coefficient Gamma_{q^2}(2 i rho) / Gamma_{q^2}(1/2 + i rho)^2.
 
     Connects phi_rho to the pair psi_{+rho}, psi_{-rho}:
-    phi = c(rho) psi_rho + c(-rho) psi_{-rho}.
+    phi = c(rho) psi_rho + c(-rho) psi_{-rho}.  A non-finite rho raises
+    DomainError.
     """
+    rho = _finite(rho, "c_coefficient")
     q2 = ctx.q2
     return qgamma(2j * rho, q2) / qgamma(0.5 + 1j * rho, q2) ** 2
 
@@ -894,7 +977,10 @@ def _alias_tables(q: float, size: int) -> tuple[np.ndarray, ...]:
     for size a power of two.
 
     X[l, n] is twice _phi_majorant at b = h y_l, a bound on |phi_n| on the
-    lines Im rho = +-y_l, and Y[n, j] is phi_n at rho = (2j+1) i/2;
+    lines Im rho = +-y_l, taken for every line in one product from an
+    absolute cosine table on size rows that is dropped after (the phi
+    cover keeps only the rows phi_rho asks for); Y[n, j] is phi_n at
+    rho = (2j+1) i/2;
     pole[j] is 4 pi |Res sigma| at that pole, with sigma's constant from
     _sigma_constants as sigma_density takes it, and rate[j] = (2j+1) h/2;
     line[l] is 2 P times the bound on |sigma| on the lines, and
@@ -904,7 +990,7 @@ def _alias_tables(q: float, size: int) -> tuple[np.ndarray, ...]:
     ctx = QContext(q)
     h, period = ctx.h, ctx.rho_period()
     ys = np.concatenate((_ALIAS_SUB, np.arange(1.0, _ALIAS_LINES + 1)))
-    X = np.array([2.0 * _phi_majorant(q, size - 1, b) for b in h * ys])
+    X = 2.0 * _phi_majorant(_cosine_coefficients(q, size, signed=False)[0], h * ys).T
     lnq = math.log(q)
     with np.errstate(over="ignore", invalid="ignore"):
         # phi's terminating series at rho = (2j+1) i/2: term i + 1 over term

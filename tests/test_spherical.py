@@ -201,6 +201,8 @@ def _mp_phi_series(rho, rows, ctx):
 # q over the supported range, for real rho across the half period and one
 # complex rho; the mpmath series is the reference
 _CLOSED_FORM_QS = (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.995)
+# the q of verify's sweep over the supported range
+SWEEP_Q = (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.95, 0.98, 0.995)
 
 
 def _closed_form_cases(q):
@@ -317,14 +319,53 @@ def test_phi_rho_matches_the_series(q):
         assert np.all(np.abs(vals - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
-@pytest.mark.parametrize("q", _CLOSED_FORM_QS)
+@pytest.mark.parametrize("q", SWEEP_Q)
 def test_ascending_sum_within_its_certificate(q):
+    # and off the real axis at a rho that scales with the period
     ctx, rhos = _closed_form_cases(q)
-    for rho in rhos:
+    for rho in (*rhos, complex(0.37 * ctx.rho_period() / 2, 0.25)):
         vals, bound = _phi_ascending(rho, 31, ctx)
         ok = bound <= _PHI_CERT_TOL
         assert ok[0]
         assert np.all(np.abs(vals - _series_rows(q, rho))[ok] <= bound[ok])
+
+
+def _mp_majorant(q, b, rows):
+    """Reference of the majorant: the absolute sum q^n sum_j sum_i
+    |e_i e_(j-i)| sum_k e^((m - 2k) b) / ((p; p)_k (p; p)_(m-k)), m = n - j,
+    of the ascending form's terms at |Im theta| = b, Euler's coefficients
+    e_i = (-1)^i q^(i^2) / (p; p)_i, in mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        qm, bm = mpmath.mpf(q), mpmath.mpf(b)
+        poch = [mpmath.mpf(1)]
+        for k in range(1, rows):
+            poch.append(poch[-1] * (1 - qm ** (2 * k)))
+        euler = [qm ** (i * i) / poch[i] for i in range(rows)]
+        c = [mpmath.fsum(euler[i] * euler[j - i] for i in range(j + 1)) for j in range(rows)]
+        h = [
+            mpmath.fsum(mpmath.exp((m - 2 * k) * bm) / (poch[k] * poch[m - k]) for k in range(m + 1))
+            for m in range(rows)
+        ]
+        return np.array([float(qm**n * mpmath.fsum(c[j] * h[n - j] for j in range(n + 1))) for n in range(rows)])
+
+
+@pytest.mark.parametrize("q", SWEEP_Q)
+def test_majorant_matches_the_mpmath_absolute_sum(q):
+    # the |a| rows of the cosine cover, weighted at b = 0 (the cached rows
+    # behind the rounding bound and _cosine_bits) and at b = h/2, against
+    # the absolute sum of the ascending terms.  Every term is nonnegative,
+    # so row n errs by at most (10 + b) n + 30 ulp relative: the count of
+    # _phi_ascending's K with the weights' b n in place of its phase terms
+    # (measured: at most 2 (n + 1) ulp, at q = 0.05 and b = h/2)
+    ctx = QContext(q)
+    absolute, peak = S._cosine_cover(q, 31)[1:]
+    n = np.arange(32)
+    for b in (0.0, ctx.h / 2):
+        got = S._phi_majorant(absolute, b)[:32]
+        if b == 0.0:
+            assert np.array_equal(got, peak[:32])
+        ref = _mp_majorant(q, b, 32)
+        assert np.all(np.abs(got - ref) <= ((10 + b) * n + 30) * 2.0**-53 * ref), b
 
 
 def test_phi_far_off_the_real_axis_takes_the_series():
@@ -415,6 +456,29 @@ def test_psi_rejects_non_finite_rho(ctx):
     # every stopping test is false on NaN, so only an up-front check ends it at once
     with pytest.raises(DomainError, match="rho \\(nan\\+0j\\) is not finite"):
         psi_rho(math.nan, 3, ctx)
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf, complex(0.3, math.nan)])
+def test_non_finite_rho_raises_before_any_table(rho, monkeypatch):
+    # refused before the cosine tables, the series, the recurrence or
+    # qgamma are reached: past them a NaN or inf escapes as ValueError or
+    # OverflowError from the integer routines, or comes back as NaN rows
+    ctx = QContext(0.5)
+
+    def unreachable(*args):
+        raise AssertionError("reached table or series work")
+
+    for name in ("_cosine_cover", "_phi_series", "_recur", "qgamma"):
+        monkeypatch.setattr(S, name, unreachable)
+    for call in (
+        lambda: phi_rho(rho, 3, ctx),
+        lambda: phi_rho(rho, [0, 5], ctx),
+        lambda: c_coefficient(rho, ctx),
+        lambda: phi_column(rho, 5, ctx),
+        lambda: psi_rho(rho, 3, ctx),
+    ):
+        with pytest.raises(DomainError, match="rho"):
+            call()
 
 
 def test_psi_rejects_negative_rows(ctx):
@@ -1125,9 +1189,6 @@ def test_round_trips_at_the_top_of_the_range():
         assert np.max(np.abs(back.values - d.values)) < 1e-8
 
 
-SWEEP_Q = (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.95, 0.98, 0.995)
-
-
 @pytest.mark.parametrize("q", SWEEP_Q)
 def test_alias_bound_holds_over_the_sweep(q):
     # for delta sources at depths 0..20 the bound at the certified count
@@ -1151,6 +1212,34 @@ def test_alias_bound_holds_over_the_sweep(q):
                 assert err - floor <= bound[fewer], (depth, fewer, err, bound[fewer])
                 compared += 1
     assert compared >= 10
+
+
+# _certified_nodes of the unit delta at depths 0..20, horizon 64: runs of
+# equal counts as (first depth, count)
+_CERTIFIED_COUNTS = {
+    0.05: ((0, 16), (2, 32), (9, 64)),
+    0.1: ((0, 32), (8, 64)),
+    0.2: ((0, 32), (4, 64), (19, 128)),
+    0.3: ((0, 32), (1, 64), (15, 128)),
+    0.5: ((0, 64), (6, 128)),
+    0.7: ((0, 128),),
+    0.9: ((0, 256), (12, 512)),
+    0.95: ((0, 512),),
+    0.98: ((0, 2048),),
+    0.995: ((0, 8192),),
+}
+
+
+@pytest.mark.parametrize("q", SWEEP_Q)
+def test_certified_node_counts_are_pinned(q):
+    # a change to the majorant or to the aliasing bound that moves a count
+    # fails here, whether or not a check notices it
+    ctx = QContext(q)
+    runs = _CERTIFIED_COUNTS[q]
+    ends = [start for start, _ in runs[1:]] + [21]
+    expected = [count for (start, count), end in zip(runs, ends) for _ in range(start, end)]
+    got = [_certified_nodes(GridFunction.delta(d, ctx.npoints), ctx, ctx.npoints) for d in range(21)]
+    assert got == expected
 
 
 @pytest.mark.parametrize("q", (0.05, 0.5, 0.9, 0.995))
