@@ -33,6 +33,13 @@ def _max(*values: float) -> float:
     return math.nan if any(map(math.isnan, values)) else float(max(values))
 
 
+def _fold_max(values, start=0.0):
+    """Member-wise largest of start and values, each a float or an array of
+    one value per member of a batch; nan wherever any of them is nan
+    (np.maximum, never fmax, so no member's nan is dropped)."""
+    return functools.reduce(np.maximum, values, start)
+
+
 # keyed on q^2 and the length, not the context, so contexts that differ only
 # in horizon or tolerance share one table
 @functools.lru_cache(maxsize=512)

@@ -17,6 +17,20 @@ A truncated weighted-shift matrix representation serves as an independent
 oracle for products, the involution, and the invariant integral; each
 sector of it is one strided diagonal of subdiagonal-weight products.  The
 pairing accumulates only the sector pairs that land in sector 0.
+
+Batches.  A sector's grid values may carry leading batch axes, shape
+(..., npoints): one stacked family of elements, its members.  Every
+operation here takes them through its one code path, which slices the last
+axis alone, so an unbatched element is the case with no batch axis; the
+sectors of one element share one batch shape, and two operands' shapes
+broadcast.  normal_mul, star and the arithmetic return batched elements,
+rep_matrix one matrix per member, shape (..., dim, dim); max_abs,
+max_abs_diff, inner, inv_integral and integral_scale return one value per
+member, and a float or complex for an unbatched element.  An element with
+no sectors has no batch axis, so its reductions return one scalar, which
+broadcasts over any batch.  A nan in any member propagates to that
+member's value (np.maximum, never fmax).  JSON serialization takes
+unbatched elements.
 """
 
 from __future__ import annotations
@@ -27,12 +41,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .context import QContext, _frozen, _max, _ygrid
+from .context import QContext, _fold_max, _frozen, _ygrid
 from .errors import CapacityError, DomainError, RangeError
 
 
 def _shift(values: np.ndarray, s: int) -> np.ndarray:
-    """Grid function of the scaled argument: result[n] = values[n + s].
+    """Grid function of the scaled argument along the last axis:
+    result[..., n] = values[..., n + s].
 
     Out-of-range reads are zero-filled.  Every place this is used with a
     negative s, the zero-filled rows carry exactly vanishing cofactors.
@@ -41,15 +56,27 @@ def _shift(values: np.ndarray, s: int) -> np.ndarray:
         return values.copy()
     out = np.zeros(values.shape, values.dtype)
     if s > 0:
-        if s < len(values):
-            out[:-s] = values[s:]
+        if s < values.shape[-1]:
+            out[..., :-s] = values[..., s:]
     else:
-        out[-s:] = values[:s]
+        out[..., -s:] = values[..., :s]
     return out
 
 
+def _value(x):
+    """A reduction's result: a Python float or complex without a batch
+    axis, else the array of one value per member."""
+    return np.asarray(x).item() if np.ndim(x) == 0 else x
+
+
+def _abs_max(values: np.ndarray):
+    """Largest |value| along the grid axis, one per member; 0 on an empty grid."""
+    return np.abs(values).max(axis=-1, initial=0.0)
+
+
 class GridFunction:
-    """Function on the grid q^(2Z+), stored densely up to the horizon."""
+    """Function on the grid q^(2Z+), stored densely up to the horizon; the
+    values may carry leading batch axes, shape (..., npoints)."""
 
     __slots__ = ("values", "finite_support")
 
@@ -72,8 +99,9 @@ class GridFunction:
     def conj(self) -> "GridFunction":
         return GridFunction(np.conj(self.values), self.finite_support)
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values))) if len(self.values) else 0.0
+    def max_abs(self):
+        """Largest |value| of each member (a float when unbatched); nan if any is nan."""
+        return _value(_abs_max(self.values))
 
 
 @dataclass
@@ -107,8 +135,10 @@ class DiscElement:
         keys = self.sectors.keys()
         return (min(keys), max(keys))
 
-    def max_abs(self) -> float:
-        return _max(0.0, *(g.max_abs() for g in self.sectors.values()))
+    def max_abs(self):
+        """Largest |entry| of each member over all sectors (a float when
+        unbatched); nan if any of its entries is nan."""
+        return _value(_fold_max(_abs_max(g.values) for g in self.sectors.values()))
 
     def __add__(self, other: "DiscElement") -> "DiscElement":
         return self._merge(other, np.add)
@@ -130,16 +160,15 @@ class DiscElement:
     def scaled(self, c: complex) -> "DiscElement":
         return _scale_sectors(self, lambda m: c, self.ctx)
 
-    def max_abs_diff(self, other: "DiscElement") -> float:
-        """Largest |self - other| entry over all sectors; nan if any entry is nan."""
+    def max_abs_diff(self, other: "DiscElement"):
+        """Largest |self - other| entry over all sectors, one per member (a
+        float when unbatched); nan if any of its entries is nan."""
         a, b = self.sectors, other.sectors
-        devs = [
-            np.max(np.abs(a[m].values - b[m].values)) if m in a and m in b
-            else np.max(np.abs((a[m] if m in a else b[m]).values))
+        return _value(_fold_max(
+            _abs_max(a[m].values - b[m].values) if m in a and m in b
+            else _abs_max((a[m] if m in a else b[m]).values)
             for m in set(a) | set(b)
-        ]
-        # np.max propagates nan, where a fold with max() would drop it
-        return float(np.max(devs, initial=0.0))
+        ))
 
     # --- constructors -------------------------------------------------
 
@@ -215,41 +244,49 @@ def _contraction_table(q2: float, depths: int, npoints: int) -> np.ndarray:
 
 def _mul_into(row: np.ndarray | None, m1: int, psi: np.ndarray, m2: int, phi: np.ndarray,
               finite: bool, ctx: QContext) -> np.ndarray:
-    """Add the normal form of z^m1-term psi times z^m2-term phi into row by slices
-    (row None: write it into a new zero row); finite: a factor has finite support."""
-    npoints, fresh = ctx.npoints, row is None
-    row = np.zeros(npoints, dtype=complex) if fresh else row
+    """Add the normal form of z^m1-term psi times z^m2-term phi into row by
+    slices of the last axis (row None: write it into a new zero row of the
+    term's batch shape, that of the factors broadcast); finite: a factor has
+    finite support, and a member whose product passes the horizon raises
+    for the batch."""
+    npoints = ctx.npoints
     if m1 >= 0 and m2 >= 0:
         # z^a psi(y) z^b phi(y) = z^(a+b) psi(q^(2b) y) phi(y)
         k = max(npoints - m2, 0)
-        out, x, y = row[:k], psi[m2:], phi[:k]
+        cols, x, y = slice(k), psi[..., m2:], phi[..., :k]
     elif m1 < 0 and m2 < 0:
         # psi(y) z*^a phi(y) z*^b = psi(y) phi(q^(2a) y) z*^(a+b)
         k = max(npoints + m1, 0)
-        out, x, y = row[:k], psi[:k], phi[-m1:]
+        cols, x, y = slice(k), psi[..., :k], phi[..., -m1:]
     elif m1 >= 0:
         # z^a chi(y) z*^b with chi = psi * phi: contract d = min(a, b) pairs,
         # leaving the argument of chi shifted up and the contraction polynomial P_d.
         d = min(m1, -m2)
         chi = psi * phi
-        if finite and d > 0 and np.any(np.abs(chi[npoints - d:]) > 0):
+        if finite and d > 0 and np.any(np.abs(chi[..., npoints - d:]) > 0):
             raise CapacityError("product support would pass the grid horizon; raise grid_horizon")
         k = max(npoints - d, 0)
-        out, x, y = row[npoints - k:], chi[:k], _poch_down(d, ctx, npoints)[npoints - k:]
+        cols, x, y = slice(npoints - k, None), chi[..., :k], _poch_down(d, ctx, npoints)[npoints - k:]
     else:
         # psi(y) z*^a z^b phi(y) = psi(y) Q_d(y) z^(b-a) phi(y), d = min(a, b)
         s = m1 + m2
         qup = _poch_up(min(-m1, m2), ctx, npoints)
         k = max(npoints - abs(s), 0)
-        out = row[:k]
-        x, y = ((psi * qup)[s:], phi[:k]) if s >= 0 else (psi[:k], (qup * phi)[-s:])
-    np.multiply(x, y, out=out) if fresh else np.add(out, x * y, out=out)
+        cols = slice(k)
+        x, y = ((psi * qup)[..., s:], phi[..., :k]) if s >= 0 else (psi[..., :k], (qup * phi)[..., -s:])
+    term = x * y
+    if row is None:
+        row = np.zeros(term.shape[:-1] + (npoints,), dtype=complex)
+        row[..., cols] = term
+    else:
+        row[..., cols] += term
     return row
 
 
 def normal_mul(f: DiscElement, g: DiscElement, ctx: QContext | None = None) -> DiscElement:
-    """Product of two elements in normal form: each sector pair writes or adds its
-    term into its sector's one row, in place, in f's then g's sector order."""
+    """Product of two elements in normal form, member by member for batches:
+    each sector pair writes or adds its term into its sector's one row, in
+    place, in f's then g's sector order."""
     ctx = ctx or f.ctx
     rows: dict[int, np.ndarray] = {}
     fin: dict[int, bool] = {}
@@ -268,29 +305,48 @@ def star(f: DiscElement) -> DiscElement:
     return DiscElement({-m: g.conj() for m, g in f.sectors.items()}, f.ctx)
 
 
-def _row_weights(rows: np.ndarray, ctx: QContext) -> np.ndarray:
-    """Integral weights q^(-2n) on the given rows n alone; a weight past the
-    double range raises CapacityError."""
+# one cover per (q^2, length), as the grid has; entry n is the pow the
+# weights were always taken by, so the doubles are the same bit for bit
+@functools.lru_cache(maxsize=512)
+def _weight_cover(q2: float, length: int) -> np.ndarray:
     with np.errstate(over="ignore"):
-        w = np.power(1.0 / ctx.q2, np.asarray(rows, dtype=float))
+        return _frozen(np.power(1.0 / q2, np.arange(length, dtype=float)))
+
+
+def _weights(q2: float, npoints: int) -> np.ndarray:
+    """q^(-2n) for n < npoints, inf past the double range: a read-only slice
+    of the cover of power-of-two length."""
+    return _weight_cover(q2, 1 << max(npoints - 1, 0).bit_length())[:npoints]
+
+
+def _finite_weights(w: np.ndarray) -> np.ndarray:
     if not np.isfinite(w).all():
         raise CapacityError("integral weight q^(-2n) overflows on the element's support")
     return w
 
 
+def _row_weights(rows: np.ndarray, ctx: QContext) -> np.ndarray:
+    """Integral weights q^(-2n) on the given rows n alone, read from the
+    cover; a weight past the double range raises CapacityError."""
+    rows = np.asarray(rows, dtype=np.intp)
+    return _finite_weights(_weights(ctx.q2, int(rows.max(initial=0)) + 1)[rows])
+
+
 def _integral_weights(values: np.ndarray, ctx: QContext) -> np.ndarray:
-    """Weights q^(-2n) on the nonzero rows of values and 0 on the rest, so a
-    weight past the double range cannot turn the sum into inf * 0 = nan; one
-    that is needed raises CapacityError.  Only the nonzero rows' powers are
-    taken."""
-    nz = np.flatnonzero(values)
-    w = np.zeros(len(values))
-    w[nz] = _row_weights(nz, ctx)
-    return w
+    """Weights q^(-2n) on the nonzero entries of values (..., npoints) and 0
+    on the rest, so a weight past the double range cannot turn the sum into
+    inf * 0 = nan; one that is needed raises CapacityError."""
+    return _finite_weights(np.where(values != 0, _weights(ctx.q2, values.shape[-1]), 0.0))
+
+
+def _integrate(values: np.ndarray, ctx: QContext):
+    """(1-q^2) sum_n values[..., n] q^(-2n), one sum per member."""
+    return _value((1.0 - ctx.q2) * np.sum(values * _integral_weights(values, ctx), axis=-1))
 
 
 def inv_integral(f: DiscElement, ctx: QContext | None = None) -> complex:
-    """Invariant integral (1-q^2) sum_m psi_0(q^(2m)) q^(-2m).
+    """Invariant integral (1-q^2) sum_m psi_0(q^(2m)) q^(-2m), one per
+    member (a complex when unbatched).
 
     Only the radial sector contributes; integrals of nonzero-sector terms
     vanish identically.  Requires a finite element.
@@ -299,27 +355,27 @@ def inv_integral(f: DiscElement, ctx: QContext | None = None) -> complex:
     if not f.finite:
         raise DomainError("invariant integral requires a finite element")
     g = f.sectors.get(0)
-    if g is None:
-        return 0j
-    return (1.0 - ctx.q2) * complex(np.sum(g.values * _integral_weights(g.values, ctx)))
+    return 0j if g is None else _integrate(g.values, ctx)
 
 
 def integral_scale(f: DiscElement, ctx: QContext | None = None) -> float:
-    """Absolute-mass scale of the invariant integral (for relative residuals)."""
+    """Absolute-mass scale of the invariant integral (for relative
+    residuals), one per member (a float when unbatched)."""
     ctx = ctx or f.ctx
     if not f.sectors:
         return 0.0
     mass = [np.abs(g.values) for g in f.sectors.values()]
-    # one weight row, on the union of the supports
-    w = _integral_weights(mass[0] if len(mass) == 1 else np.sum(mass, axis=0), ctx)
+    # one weight row per member, on the union of its supports
+    w = _integral_weights(sum(mass), ctx)
     s = 0.0
     for a in mass:
-        s += float(np.sum(a * w))
-    return (1.0 - ctx.q2) * s
+        s = s + np.sum(a * w, axis=-1)
+    return _value((1.0 - ctx.q2) * s)
 
 
 def inner(f: DiscElement, g: DiscElement, ctx: QContext | None = None) -> complex:
-    """Sesquilinear pairing integral(g* f); positive definite on finite elements.
+    """Sesquilinear pairing integral(g* f), one per member (a complex when
+    unbatched); positive definite on finite elements.
 
     Only sector 0 of g* f is integrated: the pairs g_m* f_m, summed in g's
     sector order, so bit-identical to inv_integral(normal_mul(star(g), f));
@@ -333,9 +389,7 @@ def inner(f: DiscElement, g: DiscElement, ctx: QContext | None = None) -> comple
         if (phi := f.sectors.get(m)) is not None:
             finite = psi.finite_support or phi.finite_support
             radial = _mul_into(radial, -m, np.conj(psi.values), m, phi.values, finite, ctx)
-    if radial is None:
-        return 0j
-    return (1.0 - ctx.q2) * complex(np.sum(radial * _integral_weights(radial, ctx)))
+    return 0j if radial is None else _integrate(radial, ctx)
 
 
 # --- faithful weighted-shift representation ---------------------------
@@ -343,14 +397,16 @@ def inner(f: DiscElement, g: DiscElement, ctx: QContext | None = None) -> comple
 
 @dataclass
 class RepMatrix:
-    """Truncated matrix of an element in the weighted-shift representation."""
+    """Truncated matrix of an element in the weighted-shift representation;
+    entries has shape (..., dim, dim), one matrix per member."""
 
     dim: int
     entries: np.ndarray
 
 
 def rep_matrix(f: DiscElement, dim: int, ctx: QContext | None = None) -> RepMatrix:
-    """Matrix of f on the first dim basis vectors of the representation.
+    """Matrix of f on the first dim basis vectors of the representation, one
+    per member: entries of shape (..., dim, dim).
 
     z e_k = w_k e_(k+1) with w_k = sqrt(1 - q^(2(k+1))) and y e_k = q^(2k) e_k,
     so (z^m psi)[k+m, k] = w_k ... w_(k+m-1) psi(q^(2k)); psi z*^|m| is its
@@ -359,14 +415,15 @@ def rep_matrix(f: DiscElement, dim: int, ctx: QContext | None = None) -> RepMatr
     ctx = ctx or f.ctx
     if dim < 1:
         raise DomainError("representation dimension must be positive")
-    out = np.zeros((dim, dim), dtype=complex)
-    flat = out.reshape(-1)
+    batch = next((g.values.shape[:-1] for g in f.sectors.values()), ())
+    out = np.zeros(batch + (dim, dim), dtype=complex)
+    flat = out.reshape(batch + (dim * dim,))
     for m, g in f.sectors.items():
         a = abs(m)
-        n = min(dim - a, len(g.values))
+        n = min(dim - a, g.values.shape[-1])
         if n > 0:
-            diag = flat[a * dim if m > 0 else a :: dim + 1]  # from (a, 0), or (0, a) if m < 0
-            diag[:n] = _shift_weights(ctx.q2, dim, a)[:n] * g.values[:n]
+            diag = flat[..., a * dim if m > 0 else a :: dim + 1]  # from (a, 0), or (0, a) if m < 0
+            diag[..., :n] = _shift_weights(ctx.q2, dim, a)[:n] * g.values[..., :n]
     return RepMatrix(dim, out)
 
 
@@ -390,7 +447,7 @@ def _shift_cover(q2: float, a: int, length: int) -> np.ndarray:
 
 
 def element_to_json_dict(f: DiscElement) -> dict:
-    """Schema: {q, sectors: [{m, values: [[n, re, im], ...]}, ...]}."""
+    """Schema: {q, sectors: [{m, values: [[n, re, im], ...]}, ...]}; f unbatched."""
     sectors = []
     for m in sorted(f.sectors):
         vals = f.sectors[m].values

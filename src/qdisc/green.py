@@ -514,7 +514,7 @@ def _coproduct_legs(label: str, terms: dict, ctx: QContext):
 
 def _leg_image(psi: np.ndarray, axis: int, c0, c1, s: int) -> np.ndarray:
     """c0 psi + c1 shift(psi, s), shifted along the axis."""
-    shifted = _shift(psi, s) if axis == 0 else _shift(psi.T, s).T
+    shifted = _shift(psi.T, s).T if axis == 0 else _shift(psi, s)
     return c0 * psi + c1 * shifted
 
 

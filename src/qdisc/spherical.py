@@ -345,16 +345,19 @@ def phi_rho(rho: complex, n, ctx: QContext) -> complex | np.ndarray:
     row raises DomainError.
     """
     rho = _finite(rho, "phi_rho")
-    rows = np.atleast_1d(n)
-    if min(rows, default=0) < 0:
+    rows = np.asarray(n)
+    scalar = rows.ndim == 0
+    rows = rows.reshape(-1)
+    if rows.min(initial=0) < 0:
         raise DomainError("grid index must be nonnegative")
-    rows = rows.astype(int)
-    vals, bound = _phi_ascending(rho, int(max(rows, default=0)), ctx)
+    rows = rows.astype(int, copy=False)
+    vals, bound = _phi_ascending(rho, int(rows.max(initial=0)), ctx)
     out = vals[rows]
-    rough = ~(bound[rows] <= _PHI_CERT_TOL)  # a nan bound is rough too
-    if rough.any():
+    certified = bound[rows] <= _PHI_CERT_TOL  # a nan bound is not
+    if not certified.all():
+        rough = ~certified
         out[rough] = _phi_series(rho, rows[rough], ctx)
-    return complex(out[0]) if np.ndim(n) == 0 else out
+    return complex(out[0]) if scalar else out
 
 
 def _series_bits(n: int, q: float) -> int:

@@ -10,6 +10,13 @@ sector index by one, F lowers it.  The difference formulas reference
 the neighbour grid point with cofactors that vanish exactly where the
 reference would leave the grid, so all actions stay well defined on
 stored arrays.
+
+Batches, as in discalg: act, act_word, casimir_apply, laplacian_apply,
+radial_laplacian and sector_rotate take elements whose grid values carry
+leading batch axes, shape (..., npoints), through their one code path
+along the last axis, and return batched elements; invariance_residual
+returns one value per member (a float when unbatched), a nan in a member
+kept in that member's value.
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .context import QContext, _frozen, _max
-from .discalg import DiscElement, GridFunction, _scale_sectors, _shift
+from .context import QContext, _fold_max, _frozen
+from .discalg import DiscElement, GridFunction, _abs_max, _scale_sectors, _shift, _value
 from .errors import DomainError
 
 
@@ -103,16 +110,19 @@ def laplacian_apply(f: DiscElement, ctx: QContext | None = None) -> DiscElement:
     of stencil_coefficients(ctx, sector=m) in difference form,
     up(n) (f(n-1) - f(n)) + down(n) (f(n+1) - f(n)), the same operator
     since diag = -(up + down); constants go to exact zeros.  Row n reads
-    f(n + 1), zero past the grid.  All sectors go in one stacked pass over
-    one zero-padded copy.
+    f(n + 1), zero past the grid.  All sectors, with all members of a
+    batch, go in one stacked pass over one zero-padded copy.
     """
     ctx = ctx or f.ctx
     v = np.array([g.values for g in f.sectors.values()], ndmin=2)
-    up = stencil_coefficients(ctx, v.shape[1])[0]
-    down = np.array([stencil_coefficients(ctx, v.shape[1], abs(m))[2] for m in f.sectors], ndmin=2)
-    pad = np.zeros((len(v), v.shape[1] + 2), dtype=complex)
-    pad[:, 1:-1] = v
-    out = up * (pad[:, :-2] - v) + down * (pad[:, 2:] - v)
+    n = v.shape[-1]
+    up = stencil_coefficients(ctx, n)[0]
+    # one row of down coefficients per sector, broadcast over its members
+    down = np.array([stencil_coefficients(ctx, n, abs(m))[2] for m in f.sectors], ndmin=2)
+    down = down.reshape(len(v), *(1,) * (v.ndim - 2), n)
+    pad = np.zeros(v.shape[:-1] + (n + 2,), dtype=complex)
+    pad[..., 1:-1] = v
+    out = up * (pad[..., :-2] - v) + down * (pad[..., 2:] - v)
     fin = [g.finite_support for g in f.sectors.values()]
     return DiscElement({m: GridFunction(row, b) for m, row, b in zip(f.sectors, out, fin)}, ctx)
 
@@ -197,20 +207,20 @@ def sector_rotate(f: DiscElement, angle: float) -> DiscElement:
     return _scale_sectors(f, lambda m: np.exp(1j * m * angle), f.ctx)
 
 
-def _sup_norm(f: DiscElement, margin: int) -> float:
-    """Sup norm over grid rows, dropping the top `margin` rows of any
-    non-finite sector (difference formulas read one row past the horizon
-    there, so the last row is not meaningful for such functions)."""
-    sups = [0.0]
-    for g in f.sectors.values():
-        vals = g.values if g.finite_support or margin == 0 else g.values[:-margin]
-        if len(vals):
-            sups.append(np.max(np.abs(vals)))
-    return _max(*sups)
+def _sup_norm(f: DiscElement, margin: int):
+    """Sup norm over grid rows, one per member, dropping the top `margin`
+    rows of any non-finite sector (difference formulas read one row past
+    the horizon there, so the last row is not meaningful for such
+    functions)."""
+    return _fold_max(
+        _abs_max(g.values if g.finite_support or margin == 0 else g.values[..., :-margin])
+        for g in f.sectors.values()
+    )
 
 
 def invariance_residual(v: DiscElement, ctx: QContext | None = None) -> float:
-    """Deviation of the element v from invariance under the symmetry.
+    """Deviation of the element v from invariance under the symmetry, one
+    per member (a float when unbatched).
 
     Max over xi in {E, F, K-1} of the sup norm of xi(v) - eps(xi) v,
     normalized by the element's magnitude.  Rows past the horizon reach of
@@ -219,5 +229,5 @@ def invariance_residual(v: DiscElement, ctx: QContext | None = None) -> float:
     """
     ctx = ctx or v.ctx
     kdev = _scale_sectors(v, lambda m: ctx.q ** (2 * m) - 1.0, ctx)
-    worst = _max(*(_sup_norm(w, 1) for w in (act("E", v, ctx), act("F", v, ctx), kdev)))
-    return worst / _max(1.0, v.max_abs())
+    worst = _fold_max(_sup_norm(w, 1) for w in (act("E", v, ctx), act("F", v, ctx), kdev))
+    return _value(worst / np.maximum(1.0, v.max_abs()))

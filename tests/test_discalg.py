@@ -25,8 +25,15 @@ from qdisc import (
     rep_matrix,
     star,
 )
-from qdisc.discalg import _poch_down, _poch_up, _shift_weights, integral_scale
-from qdisc.uqsl2 import stencil_coefficients
+from qdisc.discalg import (
+    _integral_weights,
+    _poch_down,
+    _poch_up,
+    _row_weights,
+    _shift_weights,
+    integral_scale,
+)
+from qdisc.uqsl2 import act, laplacian_apply, stencil_coefficients
 from conftest import random_element, random_sectors
 
 
@@ -371,6 +378,35 @@ def test_integral_weights_only_on_nonzero_rows():
     for integral in (inv_integral, integral_scale, lambda f: inner(f, f)):
         with pytest.raises(CapacityError, match="integral weight"):
             integral(far)
+    # the weights read one cover per q^2, bit for bit the pow they were
+    # taken by on each call's own rows, in any row order, one row at a time
+    # and for any batch, and the first weight past the double range raises
+    # on the same row
+    def pow_on(rows, ctx):
+        with np.errstate(over="ignore"):
+            return np.power(1.0 / ctx.q2, np.asarray(rows, dtype=float))
+
+    rng = np.random.default_rng(3)
+    for q in (0.05, 0.1, 0.3, 0.5, 0.9, 0.995):
+        ctx = QContext(q, grid_horizon=160)
+        finite = int(np.count_nonzero(np.isfinite(pow_on(range(ctx.npoints), ctx))))
+        rows = rng.permutation(finite)
+        assert _row_weights(rows, ctx).tobytes() == pow_on(rows, ctx).tobytes()
+        for n in rows[:16]:
+            assert _row_weights([n], ctx).tobytes() == pow_on([n], ctx).tobytes()
+        values = np.zeros((4, ctx.npoints), dtype=complex)
+        expected = np.zeros((4, ctx.npoints))
+        for member, weights in zip(values, expected):
+            nz = np.sort(rng.choice(finite, 9, replace=False))
+            member[nz] = 1.0
+            weights[nz] = pow_on(nz, ctx)
+        assert _integral_weights(values, ctx).tobytes() == expected.tobytes()
+        if finite < ctx.npoints:
+            assert (q, finite) in ((0.05, 119), (0.1, 155))
+            with pytest.raises(CapacityError, match="integral weight"):
+                _row_weights([finite], ctx)
+            with pytest.raises(CapacityError, match="integral weight"):
+                inv_integral(delta_fn(finite, ctx))
 
 
 def test_max_abs_diff_keeps_nan():
@@ -384,6 +420,11 @@ def test_max_abs_diff_keeps_nan():
     assert np.isnan(g.max_abs_diff(f))
     assert DiscElement({0: GridFunction(ones)}, ctx).max_abs_diff(g) == 1.0
     assert DiscElement.zero(ctx).max_abs_diff(DiscElement.zero(ctx)) == 0.0
+    # in a batch the nan stays in its own member
+    fb = DiscElement({0: GridFunction(np.stack([ones, ones])), 2: GridFunction(np.stack([ones, bad]))}, ctx)
+    gb = DiscElement({0: GridFunction(np.stack([2 * ones, 2 * ones]))}, ctx)
+    for got in (fb.max_abs_diff(gb), gb.max_abs_diff(fb), fb.max_abs()):
+        assert got[0] == 1.0 and np.isnan(got[1])
 
 
 def test_cached_grid_tables_are_read_only():
@@ -444,6 +485,79 @@ def test_products_star_and_pairing_match_the_representation(q, horizon, f_sector
     scale = max(1.0, float(np.max(np.abs(mf))))
     assert np.max(np.abs((st_f - mf.conj().T)[:interior, :interior])) <= 1e-12 * scale
     assert inner(f, g) == inv_integral(normal_mul(star(g), f))
+
+
+def _batch_sectors(ctx, rng, sectors, support, members):
+    """A batch of `members` finite elements on the given sectors, random
+    values on rows 0..support."""
+    out = {}
+    for m in sectors:
+        v = np.zeros((members, ctx.npoints), dtype=complex)
+        v[:, : support + 1] = rng.standard_normal((members, support + 1)) + 1j * rng.standard_normal(
+            (members, support + 1)
+        )
+        out[int(m)] = GridFunction(v)
+    return DiscElement(out, ctx)
+
+
+def _member(f, k):
+    return DiscElement({m: GridFunction(g.values[k], g.finite_support) for m, g in f.sectors.items()}, f.ctx)
+
+
+def _assert_member_is_alone(batched, alone, k, members):
+    """Member k of a batched result is bit for bit the result on member k
+    alone; a sector the batch has and the member alone lacks is zero."""
+    if isinstance(alone, DiscElement):
+        for m, g in alone.sectors.items():
+            assert batched.sectors[m].values[k].tobytes() == g.values.tobytes()
+            assert batched.sectors[m].finite_support == g.finite_support
+        for m in set(batched.sectors) - set(alone.sectors):
+            assert not np.any(batched.sectors[m].values[k])
+    elif isinstance(alone, discalg.RepMatrix):
+        assert batched.entries[k].tobytes() == alone.entries.tobytes()
+    else:
+        # an unbatched reduction is a Python scalar, a batched one an array
+        assert type(alone) in (float, complex)
+        got = np.broadcast_to(batched, (members,))[k]
+        assert np.asarray(got, type(alone)).tobytes() == np.asarray(alone).tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    q=st.floats(0.05, 0.995),
+    horizon=st.integers(16, 128),
+    members=st.integers(1, 5),
+    f_sectors=st.sets(st.integers(-3, 3), min_size=1, max_size=7),
+    g_sectors=st.sets(st.integers(-3, 3), min_size=1, max_size=7),
+    data=st.data(),
+)
+def test_each_member_of_a_batch_is_the_element_alone(q, horizon, members, f_sectors, g_sectors, data):
+    # one leading batch axis through every operation: each member's result
+    # is bit for bit the operation on that member alone
+    ctx = QContext(q, grid_horizon=horizon)
+    support = data.draw(st.integers(0, horizon // 4), label="support")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    f, g = (_batch_sectors(ctx, rng, s, support, members) for s in (f_sectors, g_sectors))
+    dim = support + 20
+    ops = {
+        "normal_mul": lambda f, g: normal_mul(f, g),
+        "star": lambda f, g: star(f),
+        **{label: lambda f, g, label=label: act(label, f) for label in ("E", "F", "K", "Kinv")},
+        "inner": inner,
+        "inv_integral": lambda f, g: inv_integral(f),
+        "inv_integral of a product": lambda f, g: inv_integral(normal_mul(star(g), f)),
+        "integral_scale": lambda f, g: integral_scale(f),
+        "rep_matrix": lambda f, g: rep_matrix(f, dim),
+        "laplacian_apply": lambda f, g: laplacian_apply(f),
+        "max_abs": lambda f, g: f.max_abs(),
+        "max_abs_diff": lambda f, g: f.max_abs_diff(g),
+    }
+    for name, op in ops.items():
+        batched = op(f, g)
+        for k in range(members):
+            _assert_member_is_alone(batched, op(_member(f, k), _member(g, k)), k, members)
+    paired = np.broadcast_to(inner(f, g), (members,))
+    assert paired.tobytes() == np.broadcast_to(inv_integral(normal_mul(star(g), f)), (members,)).tobytes()
 
 
 def test_zero_sectors_are_dropped_by_value(ctx):

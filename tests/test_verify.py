@@ -89,7 +89,7 @@ def _nan_like(x):
 _NAN_TERMS = [
     (verify, "_shift", 2, "algebra_commutation_shifts"),
     (verify, "act_word", 5, "hopf_defining_relations"),
-    (verify, "laplacian_apply", 2, "casimir_equals_laplacian"),
+    (verify, "laplacian_apply", 1, "casimir_equals_laplacian"),
     (verify, "invariance_residual", 1, "unit_invariance"),
     (spherical, "phi_column", 2, "phi_recurrence_agreement"),
     (spherical, "transform_inverse", 2, "transform_roundtrip"),
@@ -112,6 +112,53 @@ def test_a_nan_term_fails_its_check(monkeypatch, module, name, at, check):
 
     monkeypatch.setattr(module, name, poisoned)
     [result] = [r for r in run_registry(QContext(0.5), [check]) if r.name == check]
+    assert math.isnan(result.residual)
+    assert not result.passed
+
+
+def _nan_member(x, member):
+    """x with member `member` of its first family nan in one sector: the
+    first batch of a list or tuple of them, a batched element, or a batch
+    of grid values."""
+    if isinstance(x, (list, tuple)):
+        return type(x)([_nan_member(x[0], member), *x[1:]])
+    if isinstance(x, DiscElement):
+        m, g = next(iter(x.sectors.items()))
+        values = g.values.copy()
+        values[member] = math.nan
+        return DiscElement({**x.sectors, m: GridFunction(values, g.finite_support)}, x.ctx)
+    out = x.copy()
+    out[member] = math.nan
+    return out
+
+
+# one member of one stacked family turns nan: the builder of the family, the
+# member (one the check reads) and the check that must then fail
+_NAN_MEMBERS = [
+    ("_seed11_draws", 3, "algebra_commutation_shifts"),
+    ("_algebra_elements", 5, "algebra_rep_products"),
+    ("_algebra_elements", 4, "algebra_rep_involution"),
+    ("_algebra_elements", 7, "algebra_associativity"),
+    ("_delta_batches", 1, "hopf_defining_relations"),
+    ("_delta_batches", 1, "module_algebra_law"),
+    ("_delta_batches", 2, "involution_covariance"),
+    ("_delta_batches", 1, "integral_invariance"),
+    ("_delta_batches", 1, "adjoint_law"),
+    ("_casimir_elements", 4, "casimir_equals_laplacian"),
+    ("_casimir_elements", 2, "casimir_centrality"),
+    ("_seed17_draws", 5, "radial_part_identity"),
+    ("_random_elements", 0, "sector_preservation"),
+]
+
+
+@pytest.mark.parametrize("name, member, check", _NAN_MEMBERS, ids=[entry[2] for entry in _NAN_MEMBERS])
+def test_a_nan_member_fails_its_check(monkeypatch, name, member, check):
+    # a batched check folds one residual per member with a nan-keeping max,
+    # so a nan in any one member of its family fails it
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args, **kwargs: _nan_member(real(*args, **kwargs), member))
+    [result] = run_registry(QContext(0.5), [check])
+    assert result.name == check
     assert math.isnan(result.residual)
     assert not result.passed
 
@@ -174,22 +221,66 @@ def test_normals_draw_what_gauss_draws():
 
 
 def test_random_elements_take_one_draw_per_fixture():
-    # the registry's random fixtures read one draw of seed's stream, bit for
-    # bit the per-sector draws of gauss, real parts before imaginary, and
-    # no two sectors share memory
+    # the registry's random fixtures are one batch each, read from one draw
+    # of seed's stream: member by member, bit for bit the per-sector draws
+    # of gauss, real parts before imaginary; no two sectors share memory
     ctx = QContext(0.5)
     for seed, count in ((2024, 100), (5, 6), (23, 1)):
-        elements = verify._random_elements(ctx, count, seed=seed)
+        batch = verify._random_elements(ctx, count, seed=seed)
+        assert sorted(batch.sectors) == list(range(-3, 4))
         ref = random.Random(seed)
-        rows = []
-        for element in elements:
-            assert sorted(element.sectors) == list(range(-3, 4))
+        for k in range(count):
             for m in range(-3, 4):
                 re = [ref.gauss(0.0, 1.0) for _ in range(11)]
                 im = [ref.gauss(0.0, 1.0) for _ in range(11)]
                 expected = np.zeros(ctx.npoints, dtype=complex)
                 expected[:11] = np.array(re) + 1j * np.array(im)
-                values = element.sectors[m].values
-                assert values.tobytes() == expected.tobytes()
-                rows.append(values)
-        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(rows[:14], 2))
+                assert batch.sectors[m].values[k].tobytes() == expected.tobytes()
+        rows = [g.values for g in batch.sectors.values()]
+        assert all(v.shape == (count, ctx.npoints) for v in rows)
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(rows, 2))
+
+
+def test_stacked_draws_are_the_draws_one_at_a_time():
+    # seed 11's and seed 17's batches are the rows the checks once drew one
+    # element at a time from the same stream
+    for horizon in (12, 64):
+        ctx = QContext(0.5, grid_horizon=horizon)
+        ref = random.Random(11)
+        for row in verify._seed11_draws(ctx):
+            expected = np.zeros(ctx.npoints, dtype=complex)
+            expected[: ctx.npoints - 2] = [ref.gauss(0.0, 1.0) for _ in range(ctx.npoints - 2)]
+            assert row.tobytes() == expected.tobytes()
+        ref = random.Random(17)
+        for row in verify._seed17_draws(ctx):
+            re = [ref.gauss(0.0, 1.0) for _ in range(12)]
+            im = [ref.gauss(0.0, 1.0) for _ in range(12)]
+            expected = np.zeros(ctx.npoints, dtype=complex)
+            expected[:12] = np.array(re) + 1j * np.array(im)
+            assert row.tobytes() == expected.tobytes()
+
+
+def _deltas(batch):
+    """The (sector, row) of each member of a batch of single deltas."""
+    [(m, g)] = batch.sectors.items()
+    assert np.count_nonzero(g.values) == len(g.values) and np.all(g.values[g.values != 0] == 1.0)
+    return [(m, int(n)) for n in np.flatnonzero(g.values) % g.values.shape[-1]]
+
+
+def test_delta_batches_stack_the_spanning_deltas():
+    # the covariance suite's families are the deltas it took one at a time:
+    # sectors -3..3 by rows 0..10 in that order, the pairs (5k, 5k + 1), every
+    # fourth delta, and every third delta of rows 0..8 for the kernels
+    ctx = QContext(0.5)
+    basis = [(m, n) for m in range(-3, 4) for n in range(11)]
+    spanning = verify._spanning_set(ctx)
+    assert [len(f.sectors[m].values) for f, m in zip(spanning, range(-3, 4))] == [11] * 7
+    assert [d for f in spanning for d in _deltas(f)] == basis
+    pairs = [p for f, g in verify._basis_pairs(ctx) for p in zip(_deltas(f), _deltas(g))]
+    assert sorted(pairs) == sorted(zip(basis[::5], basis[1::5]))
+    fourth = [d for (f,) in verify._delta_batches(ctx, ((k,) for k in range(0, 77, 4))) for d in _deltas(f)]
+    assert fourth == basis[::4]
+    kernels = [(m, n) for m in range(-3, 4) for n in range(9)][::3]
+    for element, (m, n) in zip(verify._inversion_basis(ctx), kernels, strict=True):
+        assert list(element.sectors) == [m]
+        assert element.sectors[m].values.tobytes() == GridFunction.delta(n, ctx.npoints).values.tobytes()
