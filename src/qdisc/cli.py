@@ -166,15 +166,15 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _emit_table(rows: list[dict], header: list[str], cfg: RunConfig) -> None:
-    if cfg.format == "json":
+def _emit_table(rows: list[dict], header: list[str], fmt: str, out: str | None) -> None:
+    if fmt == "json":
         text = json.dumps(rows, indent=1)
     else:
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(_fmt(row[h]) for h in header))
         text = "\n".join(lines) + "\n"
-    _write(text, cfg.out)
+    _write(text, out)
 
 
 def _fmt(v) -> str:
@@ -232,14 +232,12 @@ def cmd_tabulate(cfg: RunConfig) -> int:
         }
         for n in range(npts)
     ]
-    _emit_table(rows, ["n", "y", "g1", "g2"], cfg)
+    _emit_table(rows, ["n", "y", "g1", "g2"], cfg.format, cfg.out)
     if cfg.with_density:
         rhos = S._nodes(cfg.node_count, ctx)
         pairs = zip(rhos, S.sigma_density(rhos, ctx))
         dens = [{"rho": float(r), "density": float(d)} for r, d in pairs]
-        out2 = (cfg.out + ".density") if cfg.out else None
-        sub = RunConfig(command="tabulate", q=cfg.q, out=out2, format=cfg.format)
-        _emit_table(dens, ["rho", "density"], sub)
+        _emit_table(dens, ["rho", "density"], cfg.format, (cfg.out + ".density") if cfg.out else None)
     return EXIT_OK
 
 
@@ -257,7 +255,7 @@ def cmd_transform(cfg: RunConfig) -> int:
         }
         for rho, d, val in zip(F.nodes, S.sigma_density(F.nodes, ctx), F.values)
     ]
-    _emit_table(rows, ["rho", "density", "fhat_re", "fhat_im"], cfg)
+    _emit_table(rows, ["rho", "density", "fhat_re", "fhat_im"], cfg.format, cfg.out)
     return EXIT_OK
 
 
@@ -274,9 +272,7 @@ def cmd_greens(cfg: RunConfig) -> int:
                 "coef_order2_log": (1.0 - ctx.q2) / ctx.h * G.coef_order1(m, ctx.q),
             }
         )
-    _emit_table(
-        rows, ["m", "coef_order1", "coef_order2_direct", "coef_order2_log"], cfg
-    )
+    _emit_table(rows, ["m", "coef_order1", "coef_order2_direct", "coef_order2_log"], cfg.format, cfg.out)
     sol1 = G.green_solve(el, 1, ctx)
     sol2 = G.green_solve(el, 2, ctx)
     if cfg.out:
@@ -287,7 +283,7 @@ def cmd_greens(cfg: RunConfig) -> int:
 
 def cmd_limit(cfg: RunConfig) -> int:
     rows = [asdict(r) for r in G.classical_limit_report(cfg.t_list, cfg.q_list)]
-    _emit_table(rows, ["q", "t", "err_order1", "err_order2", "reflection_residual"], cfg)
+    _emit_table(rows, ["q", "t", "err_order1", "err_order2", "reflection_residual"], cfg.format, cfg.out)
     return EXIT_OK
 
 

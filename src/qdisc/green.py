@@ -77,26 +77,25 @@ def coef_order2(m: int, q: float) -> float:
     return q2 ** (m - 1) * (1.0 + q2**m) * (1.0 - q2) ** 2 / (1.0 - q2**m) ** 2
 
 
-def _green_sums(q: float, t: float, tol: float) -> tuple[float, float]:
-    """s1 = sum_{m>=1} coef_order1(m) t^m and s2 = sum_{m>=1} coef_order2(m) t^m,
-    stopped once inc r / (1 - r), r = q^2 t < 1, is below tol: both families
-    have consecutive ratios below q^2, so that bounds the tail."""
-    s1 = s2 = 0.0
-    power, r = 1.0, q * q * t
-    for m in range(1, 10_000_001):
-        power *= t
-        term1, term2 = coef_order1(m, q) * power, coef_order2(m, q) * power
-        s1, s2 = s1 + term1, s2 + term2
-        if max(abs(term1), abs(term2)) * r / (1.0 - r) < tol:
-            return s1, s2
-    raise DomainError("green series did not converge")
+def _lambert_tails(p: float, x0: float, rows: int, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """g_1 and g_2 at the real depths x0 + n, n < rows, as g_radial_grid
+    writes them: Lambert tails over j = x0 + 1 .. x0 + terms, each summed
+    smallest term first.  More than 2^20 terms raise CapacityError."""
+    if terms > 2**20:
+        raise CapacityError(f"the Green series' Lambert cut takes {terms} terms, more than 2^20")
+    j = x0 + np.arange(1.0, terms + 1)
+    u = p**j / -np.expm1(j * math.log(p))
+    U, V = (np.cumsum(x[::-1])[::-1][:rows] for x in (u, j * u))
+    # j[n] = x0 + n + 1
+    return -((1.0 - p) ** 2) / p * U, (1.0 - p) ** 3 / p * (2.0 * V - j[:rows] * U)
 
 
 def g_radial_grid(order: int, ctx: QContext, npoints: int | None = None) -> GridFunction:
     """Fundamental solution on grid rows 0..npoints-1, as Lambert tails.
 
     g_1 = (1-p) s1 and g_2 = (1-p) (s2 - (1-p) n s1) at t = p^n, p = q^2,
-    with s1, s2 the series of _green_sums (ln t / h = -n).  Put 1/(1-p^m) =
+    with s1 = sum_{m>=1} coef_order1(m) t^m and s2 that of coef_order2 plus
+    the log term (1-p)/h ln t s1 (ln t / h = -n).  Put 1/(1-p^m) =
     sum_k p^(mk) and (1+p^m)/(1-p^m)^2 = sum_k (2k+1) p^(mk) into the
     coefficients and sum over m first; with u_j = p^j/(1-p^j), and the log
     term giving the n U(n),
@@ -104,8 +103,10 @@ def g_radial_grid(order: int, ctx: QContext, npoints: int | None = None) -> Grid
         g_1(n) = -(1-p)^2/p U(n),                  U(n) = sum_{j>n} u_j,
         g_2(n) = (1-p)^3/p (2 V(n) - (n+1) U(n)),  V(n) = sum_{j>n} j u_j,
 
-    that is g_2(n) = (1-p)^3/p sum_{j>n} (2j-n-1) u_j.  U and V are reverse
-    cumulative sums, smallest term first, with 1 - p^j = -expm1(j ln p), to
+    that is g_2(n) = (1-p)^3/p sum_{j>n} (2j-n-1) u_j, where j runs over
+    n + 1, n + 2, ...; the same sums hold at a real depth n, which is how
+    classical_limit_report reads them.  U and V are reverse cumulative
+    sums, smallest term first, with 1 - p^j = -expm1(j ln p), to
     J = max(npoints, ctx.npoints) + ceil(41/h).  Row n omits K > 41/h terms,
     at most p^K/(1-p^K) of its value times 1 or, for the weights n + 2i - 1
     at j = n + i, 1 + 2K(1-p)/(1+p) <= 1 + Kh: below 42 e^-41/(1 - e^-41)
@@ -115,14 +116,8 @@ def g_radial_grid(order: int, ctx: QContext, npoints: int | None = None) -> Grid
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
     npoints = max(ctx.npoints if npoints is None else npoints, 0)
-    p = ctx.q2
-    j = np.arange(1.0, max(npoints, ctx.npoints) + math.ceil(41.0 / ctx.h) + 1)
-    u = p**j / -np.expm1(j * math.log(p))
-    U, V = (np.cumsum(x[::-1])[::-1][:npoints] for x in (u, j * u))
-    if order == 1:
-        return GridFunction(-((1.0 - p) ** 2) / p * U, finite_support=False)
-    # j[n] = n + 1
-    return GridFunction((1.0 - p) ** 3 / p * (2.0 * V - j[:npoints] * U), finite_support=False)
+    terms = max(npoints, ctx.npoints) + math.ceil(41.0 / ctx.h)
+    return GridFunction(_lambert_tails(ctx.q2, 0.0, npoints, terms)[order - 1], finite_support=False)
 
 
 def gm_spectral(m: int, rho, ctx: QContext) -> complex | np.ndarray:
@@ -590,6 +585,14 @@ def classical_limit_report(t_list, q_list) -> list[LimitRow]:
     compared with ln(1-t) and the second with 2 Li2(t) + ln(t) ln(1-t);
     the dilogarithm reflection identity residual is reported alongside.
     Errors decrease as q -> 1.
+
+    The series s1 and s2 of g_radial_grid at t = p^x, p = q^2, are its
+    g_1 and g_2 over (1-p) at the real depth x = ln(1/t)/h, h = ln(1/p),
+    so they are read from the same Lambert tails, ceil(41/h) terms each
+    (about 20500 at q = 0.999).  The h of that depth is the double p's
+    own, so p^x is t to rounding.  Against 30-digit sums at q = 0.9 to
+    0.999, s1 errs below 4e-16; s2 errs more near q = 1, where its log
+    term cancels.
     """
     rows = []
     for q in q_list:
@@ -601,8 +604,10 @@ def classical_limit_report(t_list, q_list) -> list[LimitRow]:
             if t == 0.0:
                 rows.append(LimitRow(q, t, 0.0, 0.0, 0.0))
                 continue
-            s1, direct = _green_sums(q, t, 1e-15)
-            s2 = direct + (1.0 - q * q) / (-2.0 * math.log(q)) * math.log(t) * s1
+            p = q * q
+            h = -math.log(p)
+            g1, g2 = _lambert_tails(p, math.log(t) / -h, 1, math.ceil(41.0 / h))
+            s1, s2 = float(g1[0]) / (1.0 - p), float(g2[0]) / (1.0 - p)
             target1 = math.log(1.0 - t)
             target2 = 2.0 * dilog(t) + math.log(t) * math.log(1.0 - t)
             refl = abs(

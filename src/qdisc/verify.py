@@ -10,6 +10,15 @@ detail)` named after the check, listed once in `REGISTRY`.  `fx` memoizes
 the set-up that several checks share for one run.  Each check fits its own
 rows to the grid, and a qdisc error it raises fails that check only.
 
+Families on the batch axis.  A check's elements, functions or rho samples
+are one stacked batch, passed through each library call that takes one
+(every discalg and uqsl2 operation, radial_laplacian, phi_matrix,
+sigma_density), and the per-member residuals fold with a nan-keeping max.
+Seeded draws come from one reader, `_normals(seed, *shapes)`: consecutive
+blocks of the seed's gauss stream, bit for bit, which `_on_grid` puts on
+the first rows of a zero grid batch.  lambda_rho stays one scalar call per
+rho, and transform_forward one call per member, as it takes one function.
+
 Residual conventions.  Identities between O(1) quantities use absolute
 residuals.  Identities whose terms the integral weights or generator
 coefficients amplify (anything involving q^(-2n) masses or high-sector
@@ -153,43 +162,41 @@ def _members(f: DiscElement, index) -> DiscElement:
 _TWO_PI = 2.0 * math.pi
 
 
-class _Normals(random.Random):
-    """A seeded stdlib stream with numpy's `standard_normal(n)` shape, so a
-    run never loads numpy.random."""
+def _normals(seed: int, *shapes) -> list[np.ndarray]:
+    """Consecutive C-order blocks of seed's standard-normal stream, one per
+    shape, from a stdlib stream, so a run never loads numpy.random.  The
+    values are bit for bit the successive random.Random(seed).gauss(0.0,
+    1.0) values: Box-Muller pairs on two random() each, the cosine half
+    first, and `0.0 + z` as gauss's `mu + z * sigma`."""
+    uniform, cos, sin, sqrt, log = random.Random(seed).random, math.cos, math.sin, math.sqrt, math.log
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    draws = []
+    for _ in range((sum(sizes) + 1) // 2):
+        angle = uniform() * _TWO_PI
+        radius = sqrt(-2.0 * log(1.0 - uniform()))
+        draws += (cos(angle) * radius, sin(angle) * radius)
+    flat = np.array(draws[: sum(sizes)]) + 0.0
+    return [block.reshape(shape) for block, shape in zip(np.split(flat, np.cumsum(sizes[:-1])), shapes)]
 
-    def standard_normal(self, n: int) -> np.ndarray:
-        """n draws, bit for bit what n calls of gauss(0.0, 1.0) return, in
-        one loop: Box-Muller pairs on two random() each, the cosine half
-        first, and the sine half of an odd count kept in gauss_next for the
-        next draw; `0.0 + z` is gauss's `mu + z * sigma`."""
-        uniform, cos, sin, sqrt, log = self.random, math.cos, math.sin, math.sqrt, math.log
-        draws = [] if self.gauss_next is None else [self.gauss_next]
-        for _ in range((n - len(draws) + 1) // 2):
-            angle = uniform() * _TWO_PI
-            radius = sqrt(-2.0 * log(1.0 - uniform()))
-            draws += (cos(angle) * radius, sin(angle) * radius)
-        self.gauss_next = draws.pop() if len(draws) > n else None
-        out = np.array(draws)
-        out += 0.0
-        return out
+
+def _on_grid(values, npoints: int) -> np.ndarray:
+    """values of shape (..., k) on rows 0..k-1 of a zero complex grid batch
+    of shape (..., npoints)."""
+    values = np.asarray(values)
+    v = np.zeros((*values.shape[:-1], npoints), dtype=complex)
+    v[..., : values.shape[-1]] = values
+    return v
 
 
 def _random_elements(ctx: QContext, count: int, seed: int = 2024, sectors: int = 3, support: int = 10):
     """`count` elements on sectors -sectors..sectors, stacked as one batch,
     each row 0..support a complex normal from seed's stream: element by
-    element, sector by sector, real parts drawn before imaginary.  One draw
-    of the whole stream, read in that order, is bit for bit the per-sector
-    draws."""
+    element, sector by sector, real parts drawn before imaginary."""
     _fit_support(ctx, support)
-    rows = support + 1
-    draws = _Normals(seed).standard_normal(count * (2 * sectors + 1) * 2 * rows)
-    blocks = draws.reshape(count, 2 * sectors + 1, 2, rows)
-    secs = {}
-    for j, m in enumerate(range(-sectors, sectors + 1)):
-        v = np.zeros((count, ctx.npoints), dtype=complex)
-        v[:, :rows] = blocks[:, j, 0] + 1j * blocks[:, j, 1]
-        secs[m] = GridFunction(v)
-    return DiscElement(secs, ctx)
+    [draws] = _normals(seed, (count, 2 * sectors + 1, 2, support + 1))
+    # sector-major, so each sector's batch is one contiguous block
+    v = _on_grid(np.moveaxis(draws[:, :, 0] + 1j * draws[:, :, 1], 1, 0), ctx.npoints)
+    return DiscElement({m: GridFunction(v[j]) for j, m in enumerate(range(-sectors, sectors + 1))}, ctx)
 
 
 def _rel(diff, scale):
@@ -223,18 +230,11 @@ def algebra_qr_identity(ctx: QContext, fx: Fixtures):
     return qr.max_abs(), 1e-14, "generator relation in normal form, exact to rounding"
 
 
-def _seed11_draws(ctx: QContext) -> np.ndarray:
-    """Seed 11's eight real draws on rows 0..npoints - 3, one after the
-    other, as one batch of grid values."""
-    v = np.zeros((8, ctx.npoints), dtype=complex)
-    v[:, : ctx.npoints - 2] = _Normals(11).standard_normal(8 * (ctx.npoints - 2)).reshape(8, -1)
-    return v
-
-
 def algebra_commutation_shifts(ctx: QContext, fx: Fixtures):
     z = DiscElement.generator_z(ctx)
     zs = DiscElement.generator_zstar(ctx)
-    v = _seed11_draws(ctx)
+    # seed 11's eight real draws on rows 0..npoints - 3
+    v = _on_grid(*_normals(11, (8, ctx.npoints - 2)), ctx.npoints)
     psi = DiscElement({0: GridFunction(v)}, ctx)
     # z* psi(y) = psi(q^2 y) z*  and  z psi(y) = psi(q^-2 y) z
     lhs = normal_mul(zs, psi)
@@ -448,21 +448,10 @@ def casimir_centrality(ctx: QContext, fx: Fixtures):
     return worst, 1e-12, "the Casimir action commutes with every generator action"
 
 
-def _seed17_draws(ctx: QContext) -> np.ndarray:
-    """Seed 17's six complex draws on rows 0..11, each its 12 real parts
-    before its 12 imaginary ones, as one batch of grid values."""
-    draws = _Normals(17).standard_normal(6 * 2 * 12).reshape(6, 2, 12)
-    v = np.zeros((6, ctx.npoints), dtype=complex)
-    v[:, :12] = draws[:, 0] + 1j * draws[:, 1]
-    return v
-
-
 def radial_part_identity(ctx: QContext, fx: Fixtures):
-    _fit_support(ctx, 11)
-    v = _seed17_draws(ctx)
-    f = DiscElement({0: GridFunction(v)}, ctx)
+    f = _random_elements(ctx, 6, seed=17, sectors=0, support=11)
     lhs = _generator_casimir(f, ctx).scaled(1.0 / ctx.q).sector(0).values
-    rhs = radial_laplacian(GridFunction(v), ctx).values
+    rhs = radial_laplacian(f.sector(0), ctx).values
     return (
         _worst(_rel(_abs_max(lhs - rhs), _abs_max(rhs))),
         1e-12,
@@ -507,36 +496,42 @@ def _phi_rows(ctx: QContext):
 # eigenfunction residuals are taken relative to the eigenfunction scale
 
 
+def _eigen_residual(rhos, vals: np.ndarray, first: int, ctx: QContext) -> float:
+    """The worst over rho of |L v - lambda(rho) v| on rows first..EIGEN_NMAX
+    over max(1, |v|), for the stacked rows v of each rho.  lambda is one
+    scalar call per rho: an array call rounds some last bits differently."""
+    lam = np.array([[S.lambda_rho(rho, ctx)] for rho in rhos])
+    res = radial_laplacian(GridFunction(vals, False), ctx).values - lam * vals
+    return _worst(_rel(_abs_max(res[:, first : EIGEN_NMAX + 1]), _abs_max(vals)))
+
+
 def eigen_equation_phi(ctx: QContext, fx: Fixtures):
-    worst = 0.0
-    for rho, phi in zip(_rho_samples(ctx), fx.get(_phi_rows)):
-        vals = phi[: EIGEN_NMAX + 2]
-        lam = S.lambda_rho(rho, ctx)
-        res = radial_laplacian(GridFunction(vals, False), ctx).values - lam * vals
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        worst = _max(worst, float(np.max(np.abs(res[: EIGEN_NMAX + 1]))) / scale)
-    return worst, 1e-9, f"spherical eigenfunction solves the radial equation, n <= {EIGEN_NMAX}"
+    vals = np.array(fx.get(_phi_rows))[:, : EIGEN_NMAX + 2]
+    return (
+        _eigen_residual(_rho_samples(ctx), vals, 0, ctx),
+        1e-9,
+        f"spherical eigenfunction solves the radial equation, n <= {EIGEN_NMAX}",
+    )
 
 
 def phi_recurrence_agreement(ctx: QContext, fx: Fixtures):
-    worst = 0.0
-    for rho, phi in zip(_rho_samples(ctx), fx.get(_phi_rows)):
-        vals = phi[: EIGEN_NMAX + 2]
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        col = S.phi_column(rho, EIGEN_NMAX + 2, ctx)
-        worst = _max(worst, float(np.max(np.abs(col - vals))) / scale)
-    return worst, 1e-9, "stable recurrence evaluation matches the terminating series"
+    vals = np.array(fx.get(_phi_rows))[:, : EIGEN_NMAX + 2]
+    cols = S.phi_matrix(np.array(_rho_samples(ctx)), EIGEN_NMAX + 2, ctx)
+    return (
+        _worst(_rel(_abs_max(cols - vals), _abs_max(vals))),
+        1e-9,
+        "stable recurrence evaluation matches the terminating series",
+    )
 
 
 def eigen_equation_psi(ctx: QContext, fx: Fixtures):
-    worst = 0.0
-    for rho in _rho_samples(ctx)[::3]:
-        vals = np.array([S.psi_rho(rho, n, ctx) for n in range(EIGEN_NMAX + 2)])
-        lam = S.lambda_rho(rho, ctx)
-        res = radial_laplacian(GridFunction(vals, False), ctx).values - lam * vals
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        worst = _max(worst, float(np.max(np.abs(res[1 : EIGEN_NMAX + 1]))) / scale)
-    return worst, 1e-9, "second-kind solution solves the radial equation at interior rows"
+    rhos = _rho_samples(ctx)[::3]
+    vals = np.array([[S.psi_rho(rho, n, ctx) for n in range(EIGEN_NMAX + 2)] for rho in rhos])
+    return (
+        _eigen_residual(rhos, vals, 1, ctx),
+        1e-9,
+        "second-kind solution solves the radial equation at interior rows",
+    )
 
 
 def connection_formula(ctx: QContext, fx: Fixtures):
@@ -607,66 +602,50 @@ def transform_centre_delta(ctx: QContext, fx: Fixtures):
 
 def _seed31_draws(ctx: QContext):
     """Seed 31's stream in the order plancherel_pairing then
-    multiplication_law take it: 12 complex vectors, then 4 real ones."""
-    rng = _Normals(31)
-    n = TRANSFORM_NMAX + 1
-    paired = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(12)]
-    return paired, [rng.standard_normal(n) for _ in range(4)]
+    multiplication_law take it: six pairs of complex vectors, each its real
+    parts before its imaginary ones, then four real vectors."""
+    return _normals(31, (6, 2, 2, TRANSFORM_NMAX + 1), (4, TRANSFORM_NMAX + 1))
+
+
+def _transforms(g: GridFunction, ctx: QContext, count: int):
+    """The nodes and the stacked values of each member's forward transform;
+    transform_forward takes one function."""
+    Fs = [S.transform_forward(GridFunction(v, g.finite_support), ctx, count) for v in g.values]
+    return Fs[0].nodes, np.array([F.values for F in Fs])
 
 
 def plancherel_pairing(ctx: QContext, fx: Fixtures):
     nmax = TRANSFORM_NMAX
     _fit_support(ctx, nmax)
-    worst = 0.0
     # the pairing is a trapezoid sum too: at least the inverse's start count
     count = max(TRANSFORM_NODES, S._start_nodes(ctx, nmax))
-    draws = fx.get(_seed31_draws)[0]
     dens = S.sigma_density(S._nodes(count, ctx), ctx)
-    for fr, gr in zip(draws[::2], draws[1::2]):
-        fv = np.zeros(ctx.npoints, dtype=complex)
-        gv = np.zeros(ctx.npoints, dtype=complex)
-        fv[: nmax + 1] = fr
-        gv[: nmax + 1] = gr
-        f = DiscElement({0: GridFunction(fv)}, ctx)
-        g = DiscElement({0: GridFunction(gv)}, ctx)
-        lhs = inner(f, g)
-        Ff = S.transform_forward(f.sector(0), ctx, count)
-        Fg = S.transform_forward(g.sector(0), ctx, count)
-        rhs = ctx.rho_period() / count * np.sum(Ff.values * np.conj(Fg.values) * dens)
-        worst = _max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    return worst, 1e-8, "the transform is unitary for the weighted pairing"
+    draws = fx.get(_seed31_draws)[0]
+    f, g = map(GridFunction, _on_grid(np.moveaxis(draws[:, :, 0] + 1j * draws[:, :, 1], 1, 0), ctx.npoints))
+    lhs = inner(DiscElement({0: f}, ctx), DiscElement({0: g}, ctx))
+    (_, Ff), (_, Fg) = (_transforms(h, ctx, count) for h in (f, g))
+    rhs = ctx.rho_period() / count * np.sum(Ff * np.conj(Fg) * dens, axis=-1)
+    dev = _rel(_modulus(lhs - rhs), _modulus(lhs))
+    return _worst(dev), 1e-8, "the transform is unitary for the weighted pairing"
 
 
 def multiplication_law(ctx: QContext, fx: Fixtures):
     # the radial Laplacian reads one row past the random functions
     _fit_support(ctx, TRANSFORM_NMAX + 1)
-    worst = 0.0
-    for draw in fx.get(_seed31_draws)[1]:
-        gv = np.zeros(ctx.npoints, dtype=complex)
-        gv[: TRANSFORM_NMAX + 1] = draw
-        g = GridFunction(gv)
-        lap = radial_laplacian(g, ctx)
-        Fg = S.transform_forward(g, ctx, 128)
-        Fl = S.transform_forward(lap, ctx, 128)
-        lams = S.lambda_rho(Fg.nodes, ctx)
-        worst = _max(
-            worst,
-            float(np.max(np.abs(Fl.values - lams * Fg.values)))
-            / max(1.0, float(np.max(np.abs(Fl.values)))),
-        )
-    return worst, 1e-9, "the transform diagonalizes the radial Laplacian"
+    g = GridFunction(_on_grid(fx.get(_seed31_draws)[1], ctx.npoints))
+    nodes, Fg = _transforms(g, ctx, 128)
+    _, Fl = _transforms(radial_laplacian(g, ctx), ctx, 128)
+    lams = S.lambda_rho(nodes, ctx)
+    dev = _rel(_abs_max(Fl - lams * Fg), _abs_max(Fl))
+    return _worst(dev), 1e-9, "the transform diagonalizes the radial Laplacian"
 
 
 def density_symmetry_and_quotient(ctx: QContext, fx: Fixtures):
-    dens_devs = [
-        S.sigma_density(0.0, ctx),
-        S.sigma_density(ctx.rho_period(), ctx),
-    ]
     period = ctx.rho_period()
-    for frac in (0.13, 0.31, 0.47):
-        dens_devs.append(
-            abs(S.sigma_density(frac * period, ctx) - S.sigma_density((1 - frac) * period, ctx))
-        )
+    # the ends 0 and P, then three pairs rho and P - rho
+    fracs = np.array([0.0, 0.13, 0.31, 0.47])
+    left, right = (S.sigma_density(x * period, ctx) for x in (fracs, 1.0 - fracs))
+    dens_devs = [left[0], right[0], *np.abs(left[1:] - right[1:])]
     # the closed form against the Gamma route away from poles
     for rho in (0.11 * period, 0.29 * period):
         quotient = qgamma(0.5 - 1j * rho, ctx.q2) ** 2 / qgamma(-2j * rho, ctx.q2)
@@ -889,8 +868,7 @@ def _seed41_draws(ctx: QContext):
     """Seed 41's stream in the order matrix_solve_oracle then
     inverse_route_consistency take it: four real 6-vectors, then one
     real 5-vector."""
-    rng = _Normals(41)
-    return [rng.standard_normal(6) for _ in range(4)], rng.standard_normal(5)
+    return _normals(41, (4, 6), (5,))
 
 
 def matrix_solve_oracle(ctx: QContext, fx: Fixtures):
@@ -898,9 +876,7 @@ def matrix_solve_oracle(ctx: QContext, fx: Fixtures):
     worst = 0.0
     # the truncation reaches past the grid until q^(2k) drops below 2^-53
     dim = ctx.npoints + math.ceil(53 * math.log(2) / ctx.h)
-    for sector, draw in zip((-2, 0, 1, 3), fx.get(_seed41_draws)[0]):
-        rhs = np.zeros(dim, dtype=complex)
-        rhs[:6] = draw
+    for sector, rhs in zip((-2, 0, 1, 3), _on_grid(fx.get(_seed41_draws)[0], dim)):
         f = DiscElement({sector: GridFunction(rhs[: ctx.npoints])}, ctx)
         sol = G.green_solve(f, 1, ctx)
         if set(sol.sectors) - {sector}:
@@ -914,9 +890,7 @@ def matrix_solve_oracle(ctx: QContext, fx: Fixtures):
 
 def inverse_route_consistency(ctx: QContext, fx: Fixtures):
     _fit_support(ctx, 4)
-    v = np.zeros(ctx.npoints, dtype=complex)
-    v[:5] = fx.get(_seed41_draws)[1]
-    f = DiscElement({1: GridFunction(v)}, ctx)
+    f = DiscElement({1: GridFunction(_on_grid(fx.get(_seed41_draws)[1], ctx.npoints))}, ctx)
     once = G.green_solve(f, 1, ctx)
     once_f = DiscElement(
         {m: GridFunction(g.values.copy(), True) for m, g in once.sectors.items()}, ctx

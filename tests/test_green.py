@@ -426,6 +426,39 @@ def test_classical_limit_report():
         assert by_qt[(0.999, t)].reflection_residual < 1e-12
 
 
+def _limit_sums_by_mpmath(q: float, t: float):
+    """The two series of classical_limit_report, s1 = sum coef_order1(m) t^m
+    and s2 = sum coef_order2(m) t^m + (1-q^2)/h ln t s1, from 30-digit
+    sums with the doubles q and t taken exactly; the terms left out are
+    below 1e-39 in all."""
+    with mpmath.workdps(30):
+        q, t = mpmath.mpf(q), mpmath.mpf(t)
+        p = q * q
+        s1 = direct = mpmath.mpf(0)
+        for m in itertools.count(1):
+            c1 = -(1 / p - 1) / (p**-m - 1)
+            c2 = p ** (m - 1) * (1 + p**m) * (1 - p) ** 2 / (1 - p**m) ** 2
+            s1 += c1 * t**m
+            direct += c2 * t**m
+            if max(-c1, c2) * t**m < 1e-40:
+                return s1, direct + (1 - p) / (-2 * mpmath.log(q)) * mpmath.log(t) * s1
+
+
+def test_limit_errors_match_the_mpmath_sums():
+    # each row's errors are the 30-digit sums' errors against the targets:
+    # within 2e-15 for the first series and 3e-12 for the second, whose log
+    # term cancels about 1/h^2 of its size near q = 1
+    for q in (0.9, 0.99, 0.999):
+        for t in (0.25, 0.5, 0.75):
+            s1, s2 = _limit_sums_by_mpmath(q, t)
+            with mpmath.workdps(30):
+                lt, l1t = mpmath.log(t), mpmath.log(1 - t)
+                e1, e2 = abs(s1 - l1t), abs(s2 - (2 * mpmath.polylog(2, t) + lt * l1t))
+            [row] = classical_limit_report([t], [q])
+            assert abs(row.err_order1 - e1) <= 2e-15, (q, t)
+            assert abs(row.err_order2 - e2) <= 3e-12, (q, t)
+
+
 def test_limit_targets_against_dilog_reflection():
     # the second-order target rewrites to the reflected classical form
     for t in (0.25, 0.5, 0.75):
@@ -441,6 +474,9 @@ def test_limit_rejects_bad_arguments():
         classical_limit_report([0.5], [1.5])
     with pytest.raises(DomainError):
         classical_limit_report([1.0], [0.9])
+    # near q = 1 the Lambert cut ceil(41/h) passes its 2^20-term budget
+    with pytest.raises(CapacityError):
+        classical_limit_report([0.5], [0.99999])
 
 
 def test_assembled_kernel_terms_are_read_only(ctx):

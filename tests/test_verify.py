@@ -91,7 +91,7 @@ _NAN_TERMS = [
     (verify, "act_word", 5, "hopf_defining_relations"),
     (verify, "laplacian_apply", 1, "casimir_equals_laplacian"),
     (verify, "invariance_residual", 1, "unit_invariance"),
-    (spherical, "phi_column", 2, "phi_recurrence_agreement"),
+    (spherical, "phi_matrix", 1, "phi_recurrence_agreement"),
     (spherical, "transform_inverse", 2, "transform_roundtrip"),
     (spherical, "spectrum_probe", 1, "spectrum_inside_segment"),
     (green, "gm_quadrature_grid", 2, "green_series_vs_quadrature"),
@@ -135,7 +135,7 @@ def _nan_member(x, member):
 # one member of one stacked family turns nan: the builder of the family, the
 # member (one the check reads) and the check that must then fail
 _NAN_MEMBERS = [
-    ("_seed11_draws", 3, "algebra_commutation_shifts"),
+    ("_normals", 3, "algebra_commutation_shifts"),
     ("_algebra_elements", 5, "algebra_rep_products"),
     ("_algebra_elements", 4, "algebra_rep_involution"),
     ("_algebra_elements", 7, "algebra_associativity"),
@@ -146,7 +146,7 @@ _NAN_MEMBERS = [
     ("_delta_batches", 1, "adjoint_law"),
     ("_casimir_elements", 4, "casimir_equals_laplacian"),
     ("_casimir_elements", 2, "casimir_centrality"),
-    ("_seed17_draws", 5, "radial_part_identity"),
+    ("_random_elements", 5, "radial_part_identity"),
     ("_random_elements", 0, "sector_preservation"),
 ]
 
@@ -206,18 +206,30 @@ def test_checks_that_would_read_past_the_grid_fail_on_a_typed_error(horizon):
             assert res.detail.startswith("CapacityError"), res
 
 
+def _gauss(ref: random.Random, n: int) -> np.ndarray:
+    """The next n values of ref's gauss(0.0, 1.0), one call each."""
+    return np.array([ref.gauss(0.0, 1.0) for _ in range(n)])
+
+
 def test_normals_draw_what_gauss_draws():
-    # one standard_normal(n) call is bit for bit n calls of gauss(0.0, 1.0),
-    # the spare sine half of an odd count carried into the next call, over
-    # the registry's seeds and odd and even counts in sequence
-    for seed in (2024, 5, 31, 41, 11):
-        normals, ref = verify._Normals(seed), random.Random(seed)
-        for n in (11, 11, 5, 0, 1, 1, 2, 7, 8, 3, 64, 0):
-            draws = normals.standard_normal(n)
-            expected = np.array([ref.gauss(0.0, 1.0) for _ in range(n)])
-            assert draws.dtype == expected.dtype and draws.shape == (n,)
-            assert draws.tobytes() == expected.tobytes()
-        assert normals.random() == ref.random()
+    # the blocks of one _normals call are bit for bit successive calls of
+    # gauss(0.0, 1.0), in C order: over the registry's seeds, single blocks
+    # of odd and even sizes, and several shapes in one call, whose blocks
+    # start on the sine half of a pair where an odd block ends
+    shapes = [(11,), (5,), (0,), (1,), 2, (7,), (8,), (3, 5), (2, 3, 7), (4, 1, 2), (64,)]
+    for seed in (2024, 5, 11, 17, 23, 31, 41):
+        for n in (0, 1, 2, 7, 8, 11, 64):
+            [block] = verify._normals(seed, n)
+            expected = _gauss(random.Random(seed), n)
+            assert block.dtype == expected.dtype and block.shape == (n,)
+            assert block.tobytes() == expected.tobytes()
+        ref = random.Random(seed)
+        blocks = verify._normals(seed, *shapes)
+        assert len(blocks) == len(shapes)
+        for block, shape in zip(blocks, shapes):
+            expected = _gauss(ref, math.prod(np.atleast_1d(shape))).reshape(shape)
+            assert block.dtype == expected.dtype and block.shape == expected.shape
+            assert block.tobytes() == expected.tobytes()
 
 
 def test_random_elements_take_one_draw_per_fixture():
@@ -242,22 +254,38 @@ def test_random_elements_take_one_draw_per_fixture():
 
 
 def test_stacked_draws_are_the_draws_one_at_a_time():
-    # seed 11's and seed 17's batches are the rows the checks once drew one
-    # element at a time from the same stream
-    for horizon in (12, 64):
+    # the seeded families are the vectors the checks once drew one at a time
+    # from the same stream, padded with zeros onto the grid: seed 11's real
+    # rows, seed 17's complex rows (real parts first), seed 31's six complex
+    # pairs then four real vectors, and seed 41's four 6-vectors then a 5-vector
+    def grid(values, npoints):
+        v = np.zeros(npoints, dtype=complex)
+        v[: len(values)] = values
+        return v
+
+    for horizon in (11, 12, 64, 128):
         ctx = QContext(0.5, grid_horizon=horizon)
+        n = ctx.npoints
         ref = random.Random(11)
-        for row in verify._seed11_draws(ctx):
-            expected = np.zeros(ctx.npoints, dtype=complex)
-            expected[: ctx.npoints - 2] = [ref.gauss(0.0, 1.0) for _ in range(ctx.npoints - 2)]
-            assert row.tobytes() == expected.tobytes()
+        for row in verify._on_grid(*verify._normals(11, (8, n - 2)), n):
+            assert row.tobytes() == grid(_gauss(ref, n - 2), n).tobytes()
         ref = random.Random(17)
-        for row in verify._seed17_draws(ctx):
-            re = [ref.gauss(0.0, 1.0) for _ in range(12)]
-            im = [ref.gauss(0.0, 1.0) for _ in range(12)]
-            expected = np.zeros(ctx.npoints, dtype=complex)
-            expected[:12] = np.array(re) + 1j * np.array(im)
-            assert row.tobytes() == expected.tobytes()
+        radial = verify._random_elements(ctx, 6, seed=17, sectors=0, support=11)
+        assert list(radial.sectors) == [0]
+        for row in radial.sectors[0].values:
+            re, im = _gauss(ref, 12), _gauss(ref, 12)
+            assert row.tobytes() == grid(re + 1j * im, n).tobytes()
+    ref = random.Random(31)
+    paired, real = verify._seed31_draws(QContext(0.5))
+    for pair in paired:
+        for draw in pair:
+            re, im = _gauss(ref, 21), _gauss(ref, 21)
+            assert (draw[0] + 1j * draw[1]).tobytes() == (re + 1j * im).tobytes()
+    assert all(draw.tobytes() == _gauss(ref, 21).tobytes() for draw in real)
+    ref = random.Random(41)
+    sixes, five = verify._seed41_draws(QContext(0.5))
+    assert all(draw.tobytes() == _gauss(ref, 6).tobytes() for draw in sixes)
+    assert five.tobytes() == _gauss(ref, 5).tobytes()
 
 
 def _deltas(batch):
