@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,23 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     """Mark a cached array read-only, since every caller shares it."""
     arr.flags.writeable = False
     return arr
+
+
+class _Covers(OrderedDict):
+    """Read-only covers by key in order of use, at most `limit` of them."""
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+
+    def keep(self, key, cover):
+        """Store cover under key as the most recently used one, dropping the
+        least recently used covers past the limit."""
+        self[key] = cover
+        self.move_to_end(key)
+        while len(self) > self.limit:
+            self.popitem(last=False)
+        return cover
 
 
 def _max(*values: float) -> float:

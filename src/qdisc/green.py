@@ -37,7 +37,11 @@ H[i, s, d], one row per sector pair (i, -i).  apply_kernel contracts the
 table with f directly; the dense matrices
 psi_i[a, b] = sum_s P_s(a) P_s(b) H[i, s, a+b-2s] are materialized only
 on request (Kernel.terms), for the coproduct action and the invariance
-residual.
+residual, depth by depth from one strided window view of the stacked rows
+(hankel[i, s, a, b] = H[i, s, a + b]).  The assembled kernels' rows are
+built in one pass per request, sharing every table their pairs have in
+common, and kept in one bounded cover per (order, context, shape) that
+serves every sector range and green_solve (kernel_assembled).
 
 The coproduct action on a kernel acts on each leg with the element
 formulas of uqsl2._ef_terms, applied along that leg's grid axis.
@@ -50,8 +54,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .context import QContext, _frozen
+from .context import QContext, _Covers, _frozen, _max
 from .discalg import DiscElement, GridFunction, _contraction_table, _integral_weights, _poch_up, _shift
 from .errors import CapacityError, DomainError
 from .qspecial import dilog
@@ -198,24 +203,41 @@ def _accumulate(acc: dict, key, arr: np.ndarray) -> None:
     acc[key] = acc[key] + arr if key in acc else arr
 
 
-def _depth_coefficients(l: np.ndarray, q: float, s_cap: int, sectors):
-    """c[p, r, s] = c_{i,s}(l_p) and (L_k + L_n)(l_p) for i = sectors[r] and
-    depths s < s_cap, with L_k(l) = sum_{j<k} q^(2j) / (1 - q^(2l+2j)).
-    A vanishing 1 - q^(2l+2j) only occurs where c = 0, so its L term is
-    masked rather than divided.  At l = inf, c is its bound cbar.
+def _running_products(l: np.ndarray, q: float, width: int):
+    """R[p, k] = (q^(2l_p); q^2)_k / (q^2; q^2)_k and L[p, k] = L_k(l_p) for
+    k < width, with L_k(l) = sum_{j<k} q^(2j) / (1 - q^(2l+2j)): a running
+    product and a running sum along each row, written into arrays of l's
+    dtype, so a row's first columns do not depend on the width.  A
+    vanishing 1 - q^(2l+2j) only occurs where every later R is 0, so its L
+    term is masked rather than divided.
     """
     q2 = q * q
+    j = np.arange(max(width - 1, 0), dtype=float)
+    # 1 - q^(2l+2j), in place
+    fac = 2.0 * l[:, None] + 2.0 * j
+    fac *= math.log(q)
+    np.exp(fac, out=fac)
+    np.subtract(1.0, fac, out=fac)
+    R = np.empty((len(l), width), dtype=fac.dtype)
+    R[:, :1] = 1.0
+    np.divide(fac, 1.0 - q2 ** (j + 1.0), out=R[:, 1:])
+    np.cumprod(R, axis=1, out=R)
+    L = np.zeros_like(R)
+    np.divide(q2**j, fac, out=L[:, 1:], where=fac != 0)
+    np.cumsum(L[:, 1:], axis=1, out=L[:, 1:])
+    return R, L
+
+
+def _depth_coefficients(l: np.ndarray, q: float, s_cap: int, sectors):
+    """c[p, r, s] = c_{i,s}(l_p) and (L_k + L_n)(l_p) for i = sectors[r] and
+    depths s < s_cap, gathered from _running_products' columns k and n.  At
+    l = inf, c is its bound cbar.
+    """
     i = np.asarray(sectors)[:, None]
-    j = np.arange(s_cap + np.abs(i).max(), dtype=float)
-    # 1 - q^(2l+2j), and R_k = (q^(2l); q^2)_k / (q^2; q^2)_k as running products
-    fac = 1.0 - np.exp((2.0 * l[:, None] + 2.0 * j) * math.log(q))
-    ratios = fac[:, :-1] / (1.0 - q2 ** (j[:-1] + 1.0))
-    R = np.cumprod(np.pad(ratios, ((0, 0), (1, 0)), constant_values=1.0), axis=1)
-    lterms = np.divide(q2**j, fac, out=np.zeros_like(fac), where=fac != 0)
-    L = np.pad(np.cumsum(lterms, axis=1), ((0, 0), (1, 0)))
+    R, L = _running_products(l, q, s_cap + np.abs(i).max())
     k = np.arange(s_cap) + np.maximum(-i, 0)
     n = np.arange(s_cap) + np.maximum(i, 0)
-    return q2**k * R[:, k] * R[:, n], L[:, k] + L[:, n]
+    return (q * q) ** k * R[:, k] * R[:, n], L[:, k] + L[:, n]
 
 
 def _materialize(table: dict, q2: float, shape: tuple[int, int]) -> dict:
@@ -223,36 +245,40 @@ def _materialize(table: dict, q2: float, shape: tuple[int, int]) -> dict:
     (i, -i).
 
     Depth s fills the block a, b >= s, where P_s is nonzero, with a Hankel
-    matrix in the offsets d = 0..A+B-2 of H.
+    matrix in the offsets d = 0..A+B-2 of H: the leading block of one
+    strided window view, hankel[i, s, a, b] = H[i, s, a + b], never copied.
     """
     if not table:
         return {}
     A, B = shape
     H = np.stack(list(table.values()))
     P = _contraction_table(q2, H.shape[1], max(A, B)).real
-    offsets = np.add.outer(np.arange(A), np.arange(B))
+    hankel = sliding_window_view(H, B, axis=-1)
     psi = np.zeros((H.shape[0], A, B), dtype=H.dtype)
     for s in range(H.shape[1]):
-        psi[:, s:, s:] += np.outer(P[s, s:A], P[s, s:B]) * H[:, s, offsets[: A - s, : B - s]]
+        psi[:, s:, s:] += np.outer(P[s, s:A], P[s, s:B]) * hankel[:, s, : A - s, : B - s]
     return {(i, -i): acc for i, acc in zip(table, psi) if np.any(acc)}
 
 
-def _majorant(H: np.ndarray, q2: float, shape: tuple[int, int]) -> float:
-    """max_{a, b} sum_s P_s(a) P_s(b) H[s, a+b-2s] for a nonnegative row H.
+def _majorants(tables, q2: float, shape: tuple[int, int]) -> list[float]:
+    """max_{a, b} sum_s P_s(a) P_s(b) H[s, a+b-2s] for each nonnegative row H
+    of tables, an iterable of (min(shape), A+B-1) tables.
 
     On each antidiagonal a + b = t every summand is largest at the most
     balanced split inside the block, as ln P_s is concave along the grid;
     so one sum per t, at (floor(t/2), ceil(t/2)) clipped to the shape, and
     summed over s in the materializer's order, gives its maximum exactly.
+    The splits, their leg products P_s(a) P_s(b) and the reads are shared.
     """
     A, B = shape
     t = np.arange(A + B - 1)
     a = np.clip(t // 2, t - (B - 1), A - 1)
     b = t - a
-    P = _contraction_table(q2, H.shape[0], max(A, B)).real
-    s = np.arange(H.shape[0])[:, None]
-    summands = np.where(t >= 2 * s, P[:, a] * P[:, b] * H[s, np.maximum(t - 2 * s, 0)], 0.0)
-    return float(np.add.accumulate(summands, axis=0)[-1].max())
+    P = _contraction_table(q2, min(A, B), max(A, B)).real
+    s = np.arange(min(A, B))[:, None]
+    # reads H[s, max(t - 2s, 0)] as flat indices; the sum over s runs row by row
+    reach, at, legs = t >= 2 * s, s * len(t) + np.maximum(t - 2 * s, 0), P[:, a] * P[:, b]
+    return [float(np.add.reduce(np.where(reach, legs * H.take(at), 0.0), axis=0).max()) for H in tables]
 
 
 def kernel_G(
@@ -301,6 +327,16 @@ def kernel_G(
     return Kernel(table, ctx, (A, B), i_cap, 0.0, exact=neg_int and mode == "plain")
 
 
+# kernel_assembled's covers by (order, ctx, shape): rows {i: (H, M, bound)}
+# and kernels {sector_max: Kernel}, both replaced, never changed, on growth.
+# A verify run reads 2 (orders 1 and 2 at its q).  A pass of green_solve of
+# both orders over 40 q in [0.95, 0.995] reads each of its 80 at its own q
+# only, so it builds 80 at any limit from 2 up; the limit sets what the pass
+# keeps.  Its peak RSS was 51 MB at 2, 58 MB at 16 (eight q of both orders)
+# and 82 MB with all 80 kept.
+_KERNELS = _Covers(16)
+
+
 def kernel_assembled(
     order: int,
     ctx: QContext,
@@ -324,70 +360,93 @@ def kernel_assembled(
     the smallest count whose bound is below ctx.series_tol; there is no cap
     on M.  The kernel's tail_bound is the largest bound of its pairs.
 
-    Rows are cached per (order, ctx, shape, sector pair) and shared by every
-    sector_max, so green_solve reuses them; kernels are cached per (order,
-    ctx, shape, sector_max) with shape filled in.  Cached tables and the
-    dense terms built from them are read-only.
+    The rows are built in one pass per request (_assembled_rows) and kept in
+    one cover per (order, ctx, shape), shape filled in: every pair's row
+    built so far, with its count and bound, and the kernels served from
+    them, one per sector_max.  A smaller sector_max, or green_solve, reads
+    the cover's rows and builds none; a larger one builds only its new
+    pairs.  At most 16 covers are kept, the least recently used dropped
+    first.  Cached tables and the dense terms built from them are read-only.
     """
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
-    if shape is None:
-        shape = (ctx.npoints, ctx.npoints)
-    return _assembled(order, ctx, tuple(shape), sector_max)
+    shape = (ctx.npoints, ctx.npoints) if shape is None else tuple(shape)
+    key = (order, ctx, shape)
+    rows, kernels = _KERNELS.get(key, ({}, {}))
+    if sector_max not in kernels:
+        sectors = range(-sector_max, sector_max + 1)
+        new = [i for i in sectors if i not in rows]
+        if new:
+            rows = {**rows, **_assembled_rows(order, ctx, shape, new)}
+        tail = max(rows[i][2] for i in sectors)
+        K = Kernel({i: rows[i][0] for i in sectors}, ctx, shape, sector_max, tail, False)
+        kernels = {**kernels, sector_max: K}
+    return _KERNELS.keep(key, (rows, kernels))[1][sector_max]
 
 
-@functools.cache
-def _assembled(order: int, ctx: QContext, shape: tuple[int, int], sector_max: int) -> Kernel:
-    rows = {i: _assembled_row(order, ctx, shape, i) for i in range(-sector_max, sector_max + 1)}
-    tail = max(t for _, t in rows.values())
-    return Kernel({i: H for i, (H, _) in rows.items()}, ctx, shape, sector_max, tail, False)
+def _assembled_rows(order: int, ctx: QContext, shape: tuple[int, int], sectors) -> dict:
+    """{i: (H, M, bound)} for the pairs (i, -i), i in sectors: the read-only
+    table row H[i, s, d] of the order-th inverse kernel (kernel_assembled),
+    its term count M and its tail bound, in one pass.
 
-
-def _tail_table(order: int, ctx: QContext, shape: tuple[int, int], i: int):
-    """M0 - 1 and the nonnegative table cbar lin q^(2 M0 d) / (1 - q^(2+2d))
-    of the pair (i, -i), whose materialized maximum is its majorant."""
+    The pairs share M0, their cbar and L(M0) from one _depth_coefficients
+    call, X = q^(2md) up to their largest count and the running products of
+    _running_products up to their widest sector; each pair gathers its own
+    prefix and columns.  Its tail table, whose materialized maximum is its
+    majorant, is cbar lin q^(2 M0 d) / (1 - q^(2+2d)).
+    """
     q, q2, tol = ctx.q, ctx.q2, ctx.series_tol
+    depths = min(shape)
     d = np.arange(sum(shape) - 1)
-    count = 0
-    while abs(coef_order1(count + 1, q)) / (1.0 - q2) >= tol:
-        count += 1
-    m0 = count + 1
-    (_, cbar), (lsum, _) = _depth_coefficients(np.array([m0, np.inf]), q, min(shape), [i])
-    lin = 1.0
-    if order == 2:
-        lin = coef_order2(m0, q) / abs(coef_order1(m0, q))
-        lin = lin + (1.0 - q2) * (q2**m0 * lsum[0, :, None] + d)
-    return count, cbar[0, :, None] * lin * q2 ** (m0 * d) / (1.0 - q2 ** (1.0 + d))
+    m0 = 1
+    while abs(coef_order1(m0, q)) / (1.0 - q2) >= tol:
+        m0 += 1
+    (_, cbar), (lsum, _) = _depth_coefficients(np.array([m0, np.inf]), q, depths, sectors)
+    decay, gap = q2 ** (m0 * d), 1.0 - q2 ** (1.0 + d)
 
+    def tail_tables():
+        for r in range(len(sectors)):
+            lin = 1.0
+            if order == 2:
+                lin = coef_order2(m0, q) / abs(coef_order1(m0, q)) + (1.0 - q2) * (q2**m0 * lsum[r, :, None] + d)
+            yield cbar[r, :, None] * lin * decay / gap
 
-def _term_count(order: int, ctx: QContext, shape: tuple[int, int], i: int) -> tuple[int, float]:
-    """The certified term count M of the pair (i, -i) and its majorant."""
-    count, H = _tail_table(order, ctx, shape, i)
-    majorant = _majorant(H, ctx.q2, shape)
-    while abs(coef_order1(count + 1, ctx.q)) * majorant >= ctx.series_tol:
-        count += 1
-    return count, majorant
-
-
-@functools.cache
-def _assembled_row(order: int, ctx: QContext, shape: tuple[int, int], i: int):
-    """Table row H[i, s, d] of the order-th inverse kernel and its tail bound."""
-    q, q2 = ctx.q, ctx.q2
-    count, majorant = _term_count(order, ctx, shape, i)
-    d = np.arange(sum(shape) - 1)
-    m = np.arange(1.0, count + 1)
-    c, lsum = (x[:, 0] for x in _depth_coefficients(m, q, min(shape), [i]))
-    X = np.exp(2.0 * np.outer(m, d) * math.log(q))
-    W = coef_order1(m, q)[:, None] * c
-    if order == 1:
-        H = W.T @ X
-    else:
-        # the direct family plus (1-q^2)/h coef_order1 times the derivative tables
-        Wd = (1.0 - q2) * W
-        direct = coef_order2(m, q)[:, None] * c + Wd * (q2**m)[:, None] * lsum
-        H = direct.T @ X - d * (Wd.T @ X)
-    # cached and shared between kernels, so read-only
-    return _frozen(H), float(abs(coef_order1(count + 1, q)) * majorant)
+    counts, bounds = [], []
+    for majorant in _majorants(tail_tables(), q2, shape):
+        count = m0 - 1
+        while abs(coef_order1(count + 1, q)) * majorant >= tol:
+            count += 1
+        counts.append(count)
+        bounds.append(float(abs(coef_order1(count + 1, q)) * majorant))
+    m = np.arange(1.0, max(counts) + 1)
+    # X = q^(2md), in place
+    X = np.outer(m, d)
+    X *= 2.0
+    X *= math.log(q)
+    np.exp(X, out=X)
+    R, L = _running_products(m, q, depths + max(map(abs, sectors)))
+    w1, w2, powers = coef_order1(m, q)[:, None], coef_order2(m, q)[:, None], (q2**m)[:, None]
+    rows = {}
+    for i, count, bound in zip(sectors, counts, bounds):
+        k = np.arange(depths) + max(-i, 0)
+        n = np.arange(depths) + max(i, 0)
+        c = R[:count, k]
+        c *= q2**k
+        c *= R[:count, n]
+        W = w1[:count] * c
+        if order == 1:
+            H = W.T @ X[:count]
+        else:
+            # the direct family plus (1-q^2)/h coef_order1 times the derivative tables
+            c *= w2[:count]
+            W *= 1.0 - q2
+            derivative = L[:count, k]
+            derivative += L[:count, n]
+            derivative *= W * powers[:count]
+            c += derivative
+            H = c.T @ X[:count] - d * (W.T @ X[:count])
+        rows[i] = (_frozen(H), count, bound)
+    return rows
 
 
 # --- kernel application -------------------------------------------------
@@ -469,9 +528,9 @@ def green_solve(f: DiscElement, order: int, ctx: QContext | None = None) -> Disc
     """Solution of the order-th power of the Laplacian applied inversely to f.
 
     Applies the inverse kernel on the full grid with the sector pairs of
-    f's sectors.  Its table rows are cached per sector pair, so they are
-    shared with every kernel_assembled call and never rebuilt for another
-    sector range; the solution lives in the closure of each sector of f.
+    f's sectors.  Its table rows come from kernel_assembled's cover, so a
+    pair already built for any sector range is not built again; the
+    solution lives in the closure of each sector of f.
     """
     ctx = ctx or f.ctx
     if not f.finite:
@@ -489,10 +548,10 @@ def _coproduct_legs(label: str, terms: dict, ctx: QContext):
     """E or F acting on a kernel's dense sector-pair terms through the
     coproduct, E as E (x) 1 + K (x) E and F as F (x) K^-1 + 1 (x) F.
 
-    Yields (target pair, psi, axis, c0, c1, s) for each term and leg: the
-    leg image is c0 psi + c1 shift(psi, s) along the axis, with c0, c1
-    from the element formulas of _ef_terms on that leg's grid and the K or
-    K^-1 factor of the other leg folded in.
+    Yields (target pair, source pair, axis, c0, c1, s) for each term and
+    leg: the leg image is c0 psi + c1 shift(psi, s) along the axis, psi the
+    source pair's term, with c0, c1 from the element formulas of _ef_terms
+    on that leg's grid and the K or K^-1 factor of the other leg folded in.
     """
     q = ctx.q
     for (i, j), psi in terms.items():
@@ -503,14 +562,17 @@ def _coproduct_legs(label: str, terms: dict, ctx: QContext):
             b0, b1 = q ** (2 * i) * b0, q ** (2 * i) * b1
         else:
             a0, a1 = q ** (-2 * j) * a0, q ** (-2 * j) * a1
-        yield (i2, j), psi, 0, a0, a1, sa
-        yield (i, j2), psi, 1, b0, b1, sb
+        yield (i2, j), (i, j), 0, a0, a1, sa
+        yield (i, j2), (i, j), 1, b0, b1, sb
 
 
 def _leg_image(psi: np.ndarray, axis: int, c0, c1, s: int) -> np.ndarray:
-    """c0 psi + c1 shift(psi, s), shifted along the axis."""
+    """c0 psi + c1 shift(psi, s), shifted along the axis and zero past the
+    grid."""
     shifted = _shift(psi.T, s).T if axis == 0 else _shift(psi, s)
-    return c0 * psi + c1 * shifted
+    image = c0 * psi
+    image += np.multiply(c1, shifted, out=shifted)
+    return image
 
 
 def kernel_act(label: str, terms: dict, ctx: QContext) -> dict:
@@ -523,8 +585,8 @@ def kernel_act(label: str, terms: dict, ctx: QContext) -> dict:
         for (i, j), psi in terms.items():
             out[(i, j)] = ctx.q ** (2 * s * (i + j)) * psi
     else:
-        for key, *leg in _coproduct_legs(label, terms, ctx):
-            _accumulate(out, key, _leg_image(*leg))
+        for key, source, *leg in _coproduct_legs(label, terms, ctx):
+            _accumulate(out, key, _leg_image(terms[source], *leg))
     return out
 
 
@@ -542,26 +604,32 @@ def kernel_invariance_residual(K: Kernel, ctx: QContext | None = None) -> float:
     sector-truncated kernels the generator images cancel between
     adjacent stored terms, so only acted pairs whose parents are all
     inside the stored sector range carry meaning; pairs at the
-    truncation boundary are skipped.
+    truncation boundary are skipped, and their images are never formed.
+
+    Each acted pair is summed from its leg images (kernel_act's, at most
+    one per leg, so the order of the sum does not matter) one pair at a
+    time, and |psi| is taken once per term.  A nan entry makes the
+    residual nan.
     """
     ctx = ctx or K.ctx
-    worst = 0.0
+    absolute = {key: np.abs(psi) for key, psi in K.terms.items()}
+    worst = [0.0]
     for lab in ("E", "F"):
-        acted = kernel_act(lab, K.terms, ctx)
-        mags: dict[tuple[int, int], np.ndarray] = {}
-        for key, psi, axis, c0, c1, s in _coproduct_legs(lab, K.terms, ctx):
-            _accumulate(mags, key, _leg_image(np.abs(psi), axis, abs(c0), abs(c1), s))
-        for key, arr in acted.items():
-            if not K.exact and max(abs(key[0]), abs(key[1])) > K.sector_max:
-                continue
-            ratio = np.abs(arr) / np.maximum(1.0, mags[key])
-            if ratio.shape[0] > 1 and ratio.shape[1] > 1:
-                worst = max(worst, float(np.max(ratio[:-1, :-1])))
-    for (i, j), psi in K.terms.items():
-        dev = abs(ctx.q ** (2 * (i + j)) - 1.0) * np.abs(psi)
-        scale = np.maximum(1.0, np.abs(psi))
-        worst = max(worst, float(np.max(dev / scale)))
-    return worst
+        acted: dict[tuple[int, int], list] = {}
+        for target, *leg in _coproduct_legs(lab, K.terms, ctx):
+            if K.exact or max(map(abs, target)) <= K.sector_max:
+                acted.setdefault(target, []).append(leg)
+        for legs in acted.values():
+            image = functools.reduce(np.add, (_leg_image(K.terms[source], *leg) for source, *leg in legs))
+            mag = functools.reduce(
+                np.add,
+                (_leg_image(absolute[source], axis, abs(c0), abs(c1), s) for source, axis, c0, c1, s in legs),
+            )
+            if min(image.shape) > 1:
+                worst.append(float(np.max(np.abs(image[:-1, :-1]) / np.maximum(1.0, mag[:-1, :-1]))))
+    for (i, j), size in absolute.items():
+        worst.append(float(np.max(abs(ctx.q ** (2 * (i + j)) - 1.0) * size / np.maximum(1.0, size))))
+    return _max(*worst)
 
 
 # --- classical limits ----------------------------------------------------

@@ -89,12 +89,11 @@ import cmath
 import functools
 import itertools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .context import QContext, _frozen
+from .context import QContext, _Covers, _frozen
 from .discalg import GridFunction, _row_weights
 from .errors import DomainError, PoleError, QuadratureError
 from .qspecial import _euler_product, qgamma
@@ -133,21 +132,10 @@ _PHI_CERT_TOL = 1e-13
 
 # Covers: per key, the largest q-only table asked for so far, read-only.
 # A larger request replaces the cover with a grown one, and the smaller one
-# is dropped; smaller requests are served as its slices.  The dict keeps
-# the covers in order of use and holds at most _COVER_LIMIT of them (a
-# spectral benchmark pass uses 48: 16 q, three kinds).
-_COVERS: OrderedDict = OrderedDict()
-_COVER_LIMIT = 64
-
-
-def _keep(key: tuple, cover):
-    """Store cover under key as the most recently used one, dropping the
-    least recently used covers past _COVER_LIMIT."""
-    _COVERS[key] = cover
-    _COVERS.move_to_end(key)
-    while len(_COVERS) > _COVER_LIMIT:
-        _COVERS.popitem(last=False)
-    return cover
+# is dropped; smaller requests are served as its slices.  The store keeps
+# the covers in order of use and holds at most 64 of them (a spectral
+# benchmark pass uses 48: 16 q, three kinds).
+_COVERS = _Covers(64)
 
 
 def _finite(rho, name: str) -> complex:
@@ -224,7 +212,7 @@ def _cosine_cover(q: float, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     if cover is None or len(cover[0]) <= top:
         signed, absolute = _cosine_coefficients(q, max(32, 1 << top.bit_length()))
         cover = tuple(_frozen(t) for t in (signed, absolute, _phi_majorant(absolute, 0.0)))
-    return _keep(key, cover)
+    return _COVERS.keep(key, cover)
 
 
 def _phi_majorant(absolute: np.ndarray, b) -> np.ndarray:
@@ -872,7 +860,7 @@ def _phi_table(q: float, count: int, npoints: int) -> np.ndarray:
         if len(lam) > size:
             _recur(grown[:, size:], lam[size:], ctx)
         cover = _frozen(grown)
-    return _keep(key, cover)[:npoints, : _width(count)]
+    return _COVERS.keep(key, cover)[:npoints, : _width(count)]
 
 
 def _density_table(q: float, count: int) -> np.ndarray:
@@ -886,7 +874,7 @@ def _density_table(q: float, count: int) -> np.ndarray:
         old = np.empty(0) if cover is None else cover
         fresh = sigma_density(_table_nodes(count, ctx)[len(old) :], ctx)
         cover = _frozen(np.concatenate((old, fresh)))
-    return _keep(key, cover)[:width]
+    return _COVERS.keep(key, cover)[:width]
 
 
 # The inverse's GEMM contracts a phi table over its nodes.  Past 4096

@@ -231,9 +231,10 @@ def algebra_qr_identity(ctx: QContext, fx: Fixtures):
 
 
 def algebra_commutation_shifts(ctx: QContext, fx: Fixtures):
+    # seed 11's eight real draws on rows 0..npoints - 3, at least row 0
+    _fit_support(ctx, 2)
     z = DiscElement.generator_z(ctx)
     zs = DiscElement.generator_zstar(ctx)
-    # seed 11's eight real draws on rows 0..npoints - 3
     v = _on_grid(*_normals(11, (8, ctx.npoints - 2)), ctx.npoints)
     psi = DiscElement({0: GridFunction(v)}, ctx)
     # z* psi(y) = psi(q^2 y) z*  and  z psi(y) = psi(q^-2 y) z

@@ -124,6 +124,28 @@ def test_verify_writes_a_report_at_small_horizons(tmp_path):
         assert "transform_roundtrip" in typed
 
 
+def test_commutation_shifts_fail_typed_below_one_row(tmp_path):
+    # seed 11's draws sit on rows 0..npoints - 3: none at horizon 1, where the
+    # check fails on CapacityError in the JSON report, one row at horizon 2,
+    # where it passes
+    for horizon, passed in ((1, False), (2, True)):
+        cfg = tmp_path / f"h{horizon}.json"
+        cfg.write_text(json.dumps({"grid_horizon": horizon}))
+        out = tmp_path / f"report{horizon}.json"
+        code, _ = run_cli(
+            ["verify", "--q", "0.5", "--config", str(cfg), "--checks", "algebra_commutation_shifts",
+             "--format", "json", "--out", str(out)]
+        )
+        [check] = json.loads(out.read_text())["checks"]
+        assert check["check"] == "algebra_commutation_shifts"
+        assert check["pass"] is passed and code == (0 if passed else 1)
+        if passed:
+            assert check["residual"] <= check["tolerance"]
+        else:
+            assert check["residual"] == float("inf") and check["tolerance"] == 0.0
+            assert check["detail"].startswith("CapacityError"), check
+
+
 def test_usage_error_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trunc_terms": 200}))

@@ -39,15 +39,132 @@ from qdisc import (
 )
 from qdisc import discalg, green
 from qdisc.discalg import _contraction_table, _integral_weights, _poch_down, _poch_up
-from qdisc.green import (
-    _assembled_row,
-    _majorant,
-    _materialize,
-    _tail_table,
-    _term_count,
-)
+from qdisc.green import _depth_coefficients, _majorants, _materialize
 from qdisc.uqsl2 import _stencil_solve, stencil_coefficients
 from conftest import random_element, random_sectors
+
+
+# --- per-pair references ---------------------------------------------------
+#
+# The kernel formulas one sector pair, one depth and one leg at a time: the
+# oracles that the one-pass assembly, the window-view materializer and the
+# invariance residual must match bit for bit.
+
+
+def _depth_coefficients_ref(l, q, s_cap, sectors):
+    """c[p, r, s] = c_{i,s}(l_p) and (L_k + L_n)(l_p) from running products
+    padded with np.pad."""
+    q2 = q * q
+    i = np.asarray(sectors)[:, None]
+    j = np.arange(s_cap + np.abs(i).max(), dtype=float)
+    fac = 1.0 - np.exp((2.0 * l[:, None] + 2.0 * j) * math.log(q))
+    ratios = fac[:, :-1] / (1.0 - q2 ** (j[:-1] + 1.0))
+    R = np.cumprod(np.pad(ratios, ((0, 0), (1, 0)), constant_values=1.0), axis=1)
+    lterms = np.divide(q2**j, fac, out=np.zeros_like(fac), where=fac != 0)
+    L = np.pad(np.cumsum(lterms, axis=1), ((0, 0), (1, 0)))
+    k = np.arange(s_cap) + np.maximum(-i, 0)
+    n = np.arange(s_cap) + np.maximum(i, 0)
+    return q2**k * R[:, k] * R[:, n], L[:, k] + L[:, n]
+
+
+def _tail_table(order, ctx, shape, i):
+    """M0 - 1 and the nonnegative tail table of the pair (i, -i)."""
+    q, q2, tol = ctx.q, ctx.q2, ctx.series_tol
+    d = np.arange(sum(shape) - 1)
+    count = 0
+    while abs(coef_order1(count + 1, q)) / (1.0 - q2) >= tol:
+        count += 1
+    m0 = count + 1
+    (_, cbar), (lsum, _) = _depth_coefficients_ref(np.array([m0, np.inf]), q, min(shape), [i])
+    lin = 1.0
+    if order == 2:
+        lin = coef_order2(m0, q) / abs(coef_order1(m0, q))
+        lin = lin + (1.0 - q2) * (q2**m0 * lsum[0, :, None] + d)
+    return count, cbar[0, :, None] * lin * q2 ** (m0 * d) / (1.0 - q2 ** (1.0 + d))
+
+
+def _majorant(H, q2, shape):
+    """max_{a, b} sum_s P_s(a) P_s(b) H[s, a+b-2s] at the balanced splits."""
+    A, B = shape
+    t = np.arange(A + B - 1)
+    a = np.clip(t // 2, t - (B - 1), A - 1)
+    b = t - a
+    P = _contraction_table(q2, H.shape[0], max(A, B)).real
+    s = np.arange(H.shape[0])[:, None]
+    summands = np.where(t >= 2 * s, P[:, a] * P[:, b] * H[s, np.maximum(t - 2 * s, 0)], 0.0)
+    return float(np.add.accumulate(summands, axis=0)[-1].max())
+
+
+def _term_count(order, ctx, shape, i):
+    """The certified term count M of the pair (i, -i) and its majorant."""
+    count, H = _tail_table(order, ctx, shape, i)
+    majorant = _majorant(H, ctx.q2, shape)
+    while abs(coef_order1(count + 1, ctx.q)) * majorant >= ctx.series_tol:
+        count += 1
+    return count, majorant
+
+
+def _assembled_row(order, ctx, shape, i):
+    """Table row H[i, s, d], term count and tail bound of the pair (i, -i)."""
+    q, q2 = ctx.q, ctx.q2
+    count, majorant = _term_count(order, ctx, shape, i)
+    d = np.arange(sum(shape) - 1)
+    m = np.arange(1.0, count + 1)
+    c, lsum = (x[:, 0] for x in _depth_coefficients_ref(m, q, min(shape), [i]))
+    X = np.exp(2.0 * np.outer(m, d) * math.log(q))
+    W = coef_order1(m, q)[:, None] * c
+    if order == 1:
+        H = W.T @ X
+    else:
+        Wd = (1.0 - q2) * W
+        direct = coef_order2(m, q)[:, None] * c + Wd * (q2**m)[:, None] * lsum
+        H = direct.T @ X - d * (Wd.T @ X)
+    return H, count, float(abs(coef_order1(count + 1, q)) * majorant)
+
+
+def _materialize_ref(table, q2, shape):
+    """Dense terms by one offsets gather per depth."""
+    if not table:
+        return {}
+    A, B = shape
+    H = np.stack(list(table.values()))
+    P = _contraction_table(q2, H.shape[1], max(A, B)).real
+    offsets = np.add.outer(np.arange(A), np.arange(B))
+    psi = np.zeros((H.shape[0], A, B), dtype=H.dtype)
+    for s in range(H.shape[1]):
+        psi[:, s:, s:] += np.outer(P[s, s:A], P[s, s:B]) * H[:, s, offsets[: A - s, : B - s]]
+    return {(i, -i): acc for i, acc in zip(table, psi) if np.any(acc)}
+
+
+def _leg_image_ref(psi, axis, c0, c1, s):
+    """c0 psi + c1 shift(psi, s), shifted along the axis through a transpose."""
+    shifted = discalg._shift(psi.T, s).T if axis == 0 else discalg._shift(psi, s)
+    return c0 * psi + c1 * shifted
+
+
+def _invariance_residual_ref(K, ctx):
+    """kernel_invariance_residual pair by pair, leg by leg, accumulating
+    every leg image and magnitude in order, folded with the builtin max."""
+    worst = 0.0
+    for lab in ("E", "F"):
+        acted, mags = {}, {}
+        for key, source, axis, c0, c1, s in green._coproduct_legs(lab, K.terms, ctx):
+            psi = K.terms[source]
+            for acc, image in (
+                (acted, _leg_image_ref(psi, axis, c0, c1, s)),
+                (mags, _leg_image_ref(np.abs(psi), axis, abs(c0), abs(c1), s)),
+            ):
+                acc[key] = acc[key] + image if key in acc else image
+        for key, arr in acted.items():
+            if not K.exact and max(abs(key[0]), abs(key[1])) > K.sector_max:
+                continue
+            ratio = np.abs(arr) / np.maximum(1.0, mags[key])
+            if ratio.shape[0] > 1 and ratio.shape[1] > 1:
+                worst = max(worst, float(np.max(ratio[:-1, :-1])))
+    for (i, j), psi in K.terms.items():
+        dev = abs(ctx.q ** (2 * (i + j)) - 1.0) * np.abs(psi)
+        worst = max(worst, float(np.max(dev / np.maximum(1.0, np.abs(psi)))))
+    return worst
 
 
 def test_radial_solution_order1(ctx_wide):
@@ -507,22 +624,183 @@ def test_kernel_legs_and_product_polynomials_are_one_table(q):
         assert not legs[npoints:].any() and not legs.imag.any()
 
 
-def test_green_solve_reuses_the_cached_sector_pairs():
-    # table rows are cached per sector pair: after the sector_max = 3 kernel,
-    # green_solve on sectors -2, 0, 1 and 3 builds no new row
+@pytest.fixture
+def row_builds(monkeypatch):
+    """The sector lists of every row build, from emptied kernel covers."""
+    monkeypatch.setattr(green, "_KERNELS", green._Covers(green._KERNELS.limit))
+    builds = []
+    build = green._assembled_rows
+
+    def counted(order, ctx, shape, sectors):
+        builds.append(list(sectors))
+        return build(order, ctx, shape, sectors)
+
+    monkeypatch.setattr(green, "_assembled_rows", counted)
+    return builds
+
+
+def test_green_solve_reuses_the_cached_sector_pairs(row_builds):
+    # table rows are kept in one cover per (order, ctx, shape): after the
+    # sector_max = 3 kernel, green_solve on sectors -2, 0, 1 and 3 builds no
+    # new row
     ctx = QContext(0.45, grid_horizon=20)
     kernel_assembled(1, ctx, sector_max=3)
-    built = _assembled_row.cache_info().misses
+    built = len(row_builds)
     rng = np.random.default_rng(3)
     for m in (-2, 0, 1, 3):
         v = np.zeros(ctx.npoints, dtype=complex)
         v[:6] = rng.standard_normal(6)
         green_solve(DiscElement({m: GridFunction(v)}, ctx), 1, ctx)
-    assert _assembled_row.cache_info().misses == built
+    assert len(row_builds) == built
     # the dense terms a kernel_G kernel builds on request are read-only too
     for arr in kernel_G(0.7, "plain", ctx, sector_max=2).terms.values():
         with pytest.raises(ValueError):
             arr[0, 0] = 0.0
+
+
+def test_a_smaller_sector_max_builds_nothing(row_builds):
+    ctx = QContext(0.6, grid_horizon=12)
+    K3 = kernel_assembled(2, ctx, sector_max=3)
+    assert row_builds == [list(range(-3, 4))]
+    for sector_max in (0, 2, 1):
+        K = kernel_assembled(2, ctx, sector_max=sector_max)
+        assert sorted(K.table) == list(range(-sector_max, sector_max + 1))
+        # the rows are the cover's, shared with the larger kernel
+        assert all(K.table[i] is K3.table[i] for i in K.table)
+    assert len(row_builds) == 1
+
+
+def test_a_larger_sector_max_grows_the_cover_once(row_builds):
+    ctx = QContext(0.6, grid_horizon=12)
+    K1 = kernel_assembled(1, ctx, sector_max=1)
+    K3 = kernel_assembled(1, ctx, sector_max=3)
+    # one build of the new pairs alone; the old rows stay in the cover
+    assert row_builds == [[-1, 0, 1], [-3, -2, 2, 3]]
+    assert all(K3.table[i] is K1.table[i] for i in K1.table)
+    assert kernel_assembled(1, ctx, sector_max=3) is K3
+    assert kernel_assembled(1, ctx, sector_max=1) is K1
+    assert kernel_assembled(1, ctx, sector_max=2).tail_bound <= K3.tail_bound
+    assert len(row_builds) == 2
+
+
+def test_a_walk_over_many_q_keeps_at_most_the_bound(row_builds):
+    limit = green._KERNELS.limit
+    qs = np.linspace(0.1, 0.9, limit + 5)
+    for q in qs:
+        kernel_assembled(1, QContext(float(q), grid_horizon=6), sector_max=1)
+        assert len(green._KERNELS) <= limit
+    assert len(green._KERNELS) == limit
+    # the most recent covers are kept, and their rows are read-only
+    kept = {key[1].q for key in green._KERNELS}
+    assert kept == {float(q) for q in qs[-limit:]}
+    for rows, kernels in green._KERNELS.values():
+        for H, _, _ in rows.values():
+            assert not H.flags.writeable
+
+
+def _requests(order):
+    """Sector ranges requested ascending, descending and mixed."""
+    return {"ascending": (0, 1, 2, 3), "descending": (3, 2, 1, 0), "mixed": (1, 3, 0, 2)}[order]
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.995])
+def test_assembled_rows_match_the_per_pair_formulas(q, monkeypatch):
+    # every table entry, term count and tail bound of the one-pass build is
+    # the per-pair formula's bit for bit, whatever order the sector ranges
+    # are asked in, and every table is read-only
+    for horizon in (16, 64):
+        ctx = QContext(q, grid_horizon=horizon)
+        n = ctx.npoints
+        for shape, order in itertools.product(((n, n), (n, 9)), (1, 2)):
+            ref = {i: _assembled_row(order, ctx, shape, i) for i in range(-3, 4)}
+            for requests in ("ascending", "descending", "mixed"):
+                monkeypatch.setattr(green, "_KERNELS", green._Covers(green._KERNELS.limit))
+                for sector_max in _requests(requests):
+                    K = kernel_assembled(order, ctx, shape, sector_max)
+                    assert K.tail_bound == max(ref[i][2] for i in K.table)
+                rows, _ = green._KERNELS[order, ctx, shape]
+                assert sorted(rows) == list(range(-3, 4))
+                for i, (H, count, bound) in rows.items():
+                    where = (q, horizon, shape, order, requests, i)
+                    assert np.array_equal(H, ref[i][0]), where
+                    assert (count, bound) == ref[i][1:], where
+                    assert not H.flags.writeable
+
+
+def test_depth_coefficients_match_the_padded_products():
+    # the preallocated running products against np.pad's, for real, infinite
+    # and complex l, at every sector range kernel_G and the tails use
+    for q in (0.05, 0.5, 0.995):
+        for l in (np.array([1.0, 2.5, np.inf]), np.array([-3.0]), np.array([0.7 + 0.4j]), np.array([0.0])):
+            for s_cap, sectors in ((1, [0]), (4, [-2, 1]), (12, range(-3, 4))):
+                got, ref = _depth_coefficients(l, q, s_cap, sectors), _depth_coefficients_ref(l, q, s_cap, sectors)
+                for a, b in zip(got, ref):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (q, l, s_cap)
+
+
+def test_materialized_terms_match_the_offsets_gather():
+    # the strided Hankel views give the offsets gather's dense terms bit for
+    # bit, for assembled kernels and for plain and derivative kernel_G
+    for q in (0.05, 0.5, 0.9):
+        ctx = QContext(q, grid_horizon=24)
+        n = ctx.npoints
+        kernels = [kernel_assembled(order, ctx, shape, 3) for order in (1, 2) for shape in ((n, n), (n, 9), (9, n))]
+        kernels += [
+            kernel_G(l, mode, ctx, shape, 3)
+            for l in (-2.0, 0.7, 1 + 0.5j)
+            for mode in ("plain", "derivative")
+            for shape in ((10, 10), (8, 12), (12, 8))
+        ]
+        for K in kernels:
+            ref = _materialize_ref(K.table, ctx.q2, K.shape)
+            assert sorted(K.terms) == sorted(ref)
+            for key, arr in K.terms.items():
+                assert arr.dtype == ref[key].dtype and np.array_equal(arr, ref[key]), (q, K.shape, key)
+                assert not arr.flags.writeable
+
+
+def test_invariance_residual_matches_the_per_pair_route():
+    # the stacked residual is the per-pair route's bit for bit: exact and
+    # truncated kernel_G, assembled kernels of every sector range
+    for q in (0.05, 0.3, 0.5, 0.9, 0.995):
+        ctx = QContext(q, grid_horizon=16)
+        kernels = [kernel_G(-float(l), "plain", ctx, (10, 10), l + 1) for l in (1, 2, 3)]
+        kernels += [kernel_G(l, mode, ctx, (8, 12), 2) for l in (0.7, 1 + 0.5j) for mode in ("plain", "derivative")]
+        kernels += [kernel_assembled(order, ctx, sector_max=r) for order in (1, 2) for r in range(4)]
+        kernels += [kernel_G(-1.0, "plain", ctx, (1, 5), 1), kernel_G(-2.0, "plain", ctx, (5, 1), 2)]
+        for K in kernels:
+            assert kernel_invariance_residual(K, ctx) == _invariance_residual_ref(K, ctx), (q, K.shape)
+
+
+def test_invariance_residual_keeps_nan():
+    # a nan entry in any term makes the residual nan, wherever it sits
+    ctx = QContext(0.5, grid_horizon=16)
+    for key, (a, b) in itertools.product(((0, 0), (2, -2)), ((0, 0), (3, 4), (9, 9))):
+        K = kernel_G(-2.0, "plain", ctx, (10, 10), 3)
+        terms = dict(K.terms)
+        terms[key] = terms[key].copy()
+        terms[key][a, b] = np.nan
+        K.__dict__["terms"] = terms
+        assert math.isnan(kernel_invariance_residual(K, ctx)), (key, a, b)
+
+
+def test_assembled_kernels_fit_the_per_pair_memory():
+    # both orders' sector_max = 3 kernels at q = 0.995 on the default grid,
+    # from emptied caches, peak below the per-pair build's 21.73e6 bytes of
+    # traced allocations (numpy reports its buffers to tracemalloc)
+    import tracemalloc
+
+    ctx = QContext(0.995)
+    green._KERNELS.clear()
+    _contraction_table.cache_clear()
+    tracemalloc.start()
+    try:
+        for order in (1, 2):
+            kernel_assembled(order, ctx, sector_max=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 21.73e6, peak
 
 
 def _dense_apply(K, f, ctx):
@@ -596,10 +874,16 @@ def test_midpoint_majorant_equals_the_materialized_one():
     for q, horizon in itertools.product((0.05, 0.5, 0.9, 0.995), (16, 64)):
         ctx = QContext(q, grid_horizon=horizon)
         n = ctx.npoints
-        for shape, order, i in itertools.product(((n, n), (n, 9)), (1, 2), range(-4, 5)):
-            _, H = _tail_table(order, ctx, shape, i)
-            ref = _materialize({i: H}, ctx.q2, shape)[(i, -i)].max()
-            assert _term_count(order, ctx, shape, i)[1] == ref, (q, horizon, shape, order, i)
+        for shape, order in itertools.product(((n, n), (n, 9)), (1, 2)):
+            rows = green._assembled_rows(order, ctx, shape, range(-4, 5))
+            for i in range(-4, 5):
+                where = (q, horizon, shape, order, i)
+                _, H = _tail_table(order, ctx, shape, i)
+                ref = _materialize({i: H}, ctx.q2, shape)[(i, -i)].max()
+                assert _majorants([H], ctx.q2, shape)[0] == ref, where
+                # the library's count and bound are certified by that majorant
+                count = _term_count(order, ctx, shape, i)[0]
+                assert rows[i][1:] == (count, float(abs(coef_order1(count + 1, q)) * ref)), where
     # the tail tables peak at the corner; tables of random nonnegative entries
     # peak inside the block, where the split matters (there a near tie may
     # round either way, so they agree to rounding)
@@ -607,13 +891,15 @@ def test_midpoint_majorant_equals_the_materialized_one():
     for q, shape in itertools.product((0.05, 0.5, 0.9, 0.995), ((17, 17), (17, 9), (9, 17))):
         H = rng.random((min(shape), sum(shape) - 1))
         ref = _materialize({0: H}, q * q, shape)[(0, 0)].max()
-        assert _majorant(H, q * q, shape) == pytest.approx(ref, rel=1e-15, abs=0), (q, shape)
+        assert _majorants([H], q * q, shape)[0] == pytest.approx(ref, rel=1e-15, abs=0), (q, shape)
+        assert _majorants([H], q * q, shape)[0] == _majorant(H, q * q, shape)
     # so the sector_max = 3 kernels on the default grid keep their term counts
     for q, counts in ((0.95, (367, 344)), (0.98, (995, 915)), (0.995, (4418, 3958))):
         ctx = QContext(q)
         shape = (ctx.npoints, ctx.npoints)
         for order, want in zip((1, 2), counts):
-            assert max(_term_count(order, ctx, shape, i)[0] for i in range(-3, 4)) == want
+            rows = green._assembled_rows(order, ctx, shape, range(-3, 4))
+            assert max(count for _, count, _ in rows.values()) == want
 
 
 def test_assembled_cache_key_fills_in_defaults(ctx):

@@ -17,7 +17,7 @@ def test_registry_stops_a_group_after_its_last_requested_check(monkeypatch):
     # only the kernel-centre check is asked for, so none of the checks
     # declared after it materializes an assembled kernel
     ctx = QContext(0.5, grid_horizon=200)
-    green._assembled.cache_clear()
+    green._KERNELS.clear()
     calls = itertools.count()
     real = green._materialize
 
