@@ -97,38 +97,46 @@ def _fits(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
+def _check_patterns(text: str) -> list[str]:
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
+_SHARED = [("--q", {"type": float}), ("--config", {}), ("--out", {}), ("--format", {"choices": ("csv", "json")})]
+_INPUT = ("--input", {"help": "path to a serialized element (default: centre delta)"})
+# each subcommand's own flags, after the shared ones.  Every dest but
+# config's is a RunConfig field, and a flag left out sets nothing
+# (argparse.SUPPRESS), so the config's value or the default stands.
+_FLAGS = {
+    "verify": [
+        ("--checks", {
+            "type": _check_patterns,
+            "help": "comma-separated name substrings to select checks; each must match one",
+        }),
+    ],
+    "tabulate": [("--nmax", {"type": int}), ("--with-density", {"action": "store_true"})],
+    "transform": [_INPUT, ("--nodes", {"type": int, "dest": "node_count", "metavar": "NODES"})],
+    "greens": [_INPUT],
+    "limit": [],
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qdisc", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("verify", "tabulate", "transform", "greens", "limit"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--q", type=float, default=None)
-        sp.add_argument("--config", type=str, default=None)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--format", choices=("csv", "json"), default=None)
-        if name == "verify":
-            sp.add_argument(
-                "--checks",
-                type=str,
-                default=None,
-                help="comma-separated name substrings to select checks; each must match one",
-            )
-        if name == "tabulate":
-            sp.add_argument("--nmax", type=int, default=None)
-            sp.add_argument("--with-density", action="store_true")
-        if name in ("transform", "greens"):
-            sp.add_argument("--input", type=str, default=None,
-                            help="path to a serialized element (default: centre delta)")
-        if name == "transform":
-            sp.add_argument("--nodes", type=int, default=None)
+    for name, own in _FLAGS.items():
+        sp = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for flag, options in _SHARED + own:
+            sp.add_argument(flag, **options)
     return p
 
 
 def _load_config(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if args.config:
+    flags = dict(vars(args))
+    cfg = RunConfig(command=flags.pop("command"))
+    path = flags.pop("config", None)
+    if path:
         try:
-            with open(args.config) as fh:
+            with open(path) as fh:
                 doc = json.load(fh)
         except OSError as exc:
             raise IOError(f"cannot read config: {exc}") from exc
@@ -145,42 +153,24 @@ def _load_config(args) -> RunConfig:
             setattr(cfg, key, val)
         # a malformed config is an error even where a flag replaces the value
         cfg.validate()
-    if args.q is not None:
-        cfg.q = args.q
-        cfg.q_list = [args.q]
-    if args.out is not None:
-        cfg.out = args.out
-    if args.format is not None:
-        cfg.format = args.format
-    if getattr(args, "checks", None):
-        cfg.checks = [s.strip() for s in args.checks.split(",") if s.strip()]
-    if getattr(args, "nmax", None) is not None:
-        cfg.nmax = args.nmax
-    if getattr(args, "with_density", False):
-        cfg.with_density = True
-    if getattr(args, "input", None) is not None:
-        cfg.input = args.input
-    if getattr(args, "nodes", None) is not None:
-        cfg.node_count = args.nodes
+    if "q" in flags:
+        # limit reads no context: its --q is its q list
+        flags["q_list"] = [flags["q"]]
+    for name, value in flags.items():
+        setattr(cfg, name, value)
     cfg.validate()
     return cfg
 
 
-def _emit_table(rows: list[dict], header: list[str], fmt: str, out: str | None) -> None:
+def _emit_table(rows: list[dict], fmt: str, out: str | None) -> None:
+    """rows as JSON, or as CSV under a header of their keys (str of a float
+    is its repr)."""
     if fmt == "json":
         text = json.dumps(rows, indent=1)
     else:
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(row[h]) for h in header))
+        lines = [",".join(rows[0]), *(",".join(map(str, row.values())) for row in rows)]
         text = "\n".join(lines) + "\n"
     _write(text, out)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -232,12 +222,12 @@ def cmd_tabulate(cfg: RunConfig) -> int:
         }
         for n in range(npts)
     ]
-    _emit_table(rows, ["n", "y", "g1", "g2"], cfg.format, cfg.out)
+    _emit_table(rows, cfg.format, cfg.out)
     if cfg.with_density:
         rhos = S._nodes(cfg.node_count, ctx)
         pairs = zip(rhos, S.sigma_density(rhos, ctx))
         dens = [{"rho": float(r), "density": float(d)} for r, d in pairs]
-        _emit_table(dens, ["rho", "density"], cfg.format, (cfg.out + ".density") if cfg.out else None)
+        _emit_table(dens, cfg.format, (cfg.out + ".density") if cfg.out else None)
     return EXIT_OK
 
 
@@ -255,7 +245,7 @@ def cmd_transform(cfg: RunConfig) -> int:
         }
         for rho, d, val in zip(F.nodes, S.sigma_density(F.nodes, ctx), F.values)
     ]
-    _emit_table(rows, ["rho", "density", "fhat_re", "fhat_im"], cfg.format, cfg.out)
+    _emit_table(rows, cfg.format, cfg.out)
     return EXIT_OK
 
 
@@ -272,7 +262,7 @@ def cmd_greens(cfg: RunConfig) -> int:
                 "coef_order2_log": (1.0 - ctx.q2) / ctx.h * G.coef_order1(m, ctx.q),
             }
         )
-    _emit_table(rows, ["m", "coef_order1", "coef_order2_direct", "coef_order2_log"], cfg.format, cfg.out)
+    _emit_table(rows, cfg.format, cfg.out)
     sol1 = G.green_solve(el, 1, ctx)
     sol2 = G.green_solve(el, 2, ctx)
     if cfg.out:
@@ -283,7 +273,7 @@ def cmd_greens(cfg: RunConfig) -> int:
 
 def cmd_limit(cfg: RunConfig) -> int:
     rows = [asdict(r) for r in G.classical_limit_report(cfg.t_list, cfg.q_list)]
-    _emit_table(rows, ["q", "t", "err_order1", "err_order2", "reflection_residual"], cfg.format, cfg.out)
+    _emit_table(rows, cfg.format, cfg.out)
     return EXIT_OK
 
 

@@ -44,10 +44,14 @@ class _Covers(OrderedDict):
         return cover
 
 
-def _max(*values: float) -> float:
-    """Largest value, or nan if any is nan.  The builtin max keeps a nan
-    only in first place, so a nan folded in later would be dropped and a
-    residual or sup norm built on it could pass."""
+def _max(*values: float | np.ndarray) -> float:
+    """Largest of the values, each a float or an array, or nan if any entry
+    is nan.  The builtin max keeps a nan only in first place, so a nan
+    folded in later would be dropped and a residual or sup norm built on it
+    could pass.  Only arrays are reduced, by their own max, which keeps nan;
+    floats are compared as they are, so a call on two floats takes under a
+    microsecond, where np.max over a list of them takes several."""
+    values = [float(v.max()) if isinstance(v, np.ndarray) else v for v in values]
     return math.nan if any(map(math.isnan, values)) else float(max(values))
 
 

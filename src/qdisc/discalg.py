@@ -129,12 +129,6 @@ class DiscElement:
             return GridFunction.zeros(self.ctx.npoints)
         return g
 
-    def sector_range(self) -> tuple[int, int]:
-        if not self.sectors:
-            return (0, 0)
-        keys = self.sectors.keys()
-        return (min(keys), max(keys))
-
     def max_abs(self):
         """Largest |entry| of each member over all sectors (a float when
         unbatched); nan if any of its entries is nan."""

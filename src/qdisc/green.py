@@ -40,8 +40,9 @@ on request (Kernel.terms), for the coproduct action and the invariance
 residual, depth by depth from one strided window view of the stacked rows
 (hankel[i, s, a, b] = H[i, s, a + b]).  The assembled kernels' rows are
 built in one pass per request, sharing every table their pairs have in
-common, and kept in one bounded cover per (order, context, shape) that
-serves every sector range and green_solve (kernel_assembled).
+common, and kept, rows only, in one bounded cover per (order, context,
+shape).  kernel_assembled builds its Kernel from the rows of its sector
+range, green_solve from those of f's own sectors (_assembled_kernel).
 
 The coproduct action on a kernel acts on each leg with the element
 formulas of uqsl2._ef_terms, applied along that leg's grid axis.
@@ -327,13 +328,13 @@ def kernel_G(
     return Kernel(table, ctx, (A, B), i_cap, 0.0, exact=neg_int and mode == "plain")
 
 
-# kernel_assembled's covers by (order, ctx, shape): rows {i: (H, M, bound)}
-# and kernels {sector_max: Kernel}, both replaced, never changed, on growth.
-# A verify run reads 2 (orders 1 and 2 at its q).  A pass of green_solve of
-# both orders over 40 q in [0.95, 0.995] reads each of its 80 at its own q
-# only, so it builds 80 at any limit from 2 up; the limit sets what the pass
-# keeps.  Its peak RSS was 51 MB at 2, 58 MB at 16 (eight q of both orders)
-# and 82 MB with all 80 kept.
+# the assembled kernels' covers by (order, ctx, shape), rows only: the rows
+# {i: (H, M, bound)} of every pair built so far, replaced, never changed, on
+# growth.  A verify run reads 2 (orders 1 and 2 at its q).  A pass of
+# green_solve of both orders over 40 q in [0.95, 0.995] reads each of its 80
+# at its own q only, so it builds 80 at any limit from 2 up; the limit sets
+# what the pass keeps.  Its peak RSS was 51 MB at 2, 58 MB at 16 (eight q of
+# both orders) and 82 MB with all 80 kept.
 _KERNELS = _Covers(16)
 
 
@@ -360,28 +361,33 @@ def kernel_assembled(
     the smallest count whose bound is below ctx.series_tol; there is no cap
     on M.  The kernel's tail_bound is the largest bound of its pairs.
 
-    The rows are built in one pass per request (_assembled_rows) and kept in
-    one cover per (order, ctx, shape), shape filled in: every pair's row
-    built so far, with its count and bound, and the kernels served from
-    them, one per sector_max.  A smaller sector_max, or green_solve, reads
-    the cover's rows and builds none; a larger one builds only its new
-    pairs.  At most 16 covers are kept, the least recently used dropped
-    first.  Cached tables and the dense terms built from them are read-only.
+    The rows are kept in one cover per (order, ctx, shape), shape filled
+    in, and each call builds its Kernel from them (_assembled_kernel): a
+    smaller sector_max, or green_solve on pairs built before, builds no row;
+    a larger one builds only its new pairs, in one pass (_assembled_rows).
+    At most 16 covers are kept, the least recently used dropped first.  The
+    cover holds rows only, so each call returns a new Kernel, whose dense
+    terms are built on its own first use.  Cached tables and the dense terms
+    built from them are read-only.
     """
+    shape = (ctx.npoints, ctx.npoints) if shape is None else tuple(shape)
+    return _assembled_kernel(order, ctx, shape, range(-sector_max, sector_max + 1), sector_max)
+
+
+def _assembled_kernel(order: int, ctx: QContext, shape: tuple[int, int], sectors, sector_max: int) -> Kernel:
+    """The order-th inverse kernel on the pairs (i, -i), i in sectors, from
+    the cover's rows; the missing ones are built in one _assembled_rows pass
+    and kept.  Its tail_bound is the largest bound of its pairs."""
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
-    shape = (ctx.npoints, ctx.npoints) if shape is None else tuple(shape)
     key = (order, ctx, shape)
-    rows, kernels = _KERNELS.get(key, ({}, {}))
-    if sector_max not in kernels:
-        sectors = range(-sector_max, sector_max + 1)
-        new = [i for i in sectors if i not in rows]
-        if new:
-            rows = {**rows, **_assembled_rows(order, ctx, shape, new)}
-        tail = max(rows[i][2] for i in sectors)
-        K = Kernel({i: rows[i][0] for i in sectors}, ctx, shape, sector_max, tail, False)
-        kernels = {**kernels, sector_max: K}
-    return _KERNELS.keep(key, (rows, kernels))[1][sector_max]
+    rows = _KERNELS.get(key, {})
+    new = [i for i in sectors if i not in rows]
+    if new:
+        rows = {**rows, **_assembled_rows(order, ctx, shape, new)}
+    _KERNELS.keep(key, rows)
+    tail = max((rows[i][2] for i in sectors), default=0.0)
+    return Kernel({i: rows[i][0] for i in sectors}, ctx, shape, sector_max, tail)
 
 
 def _assembled_rows(order: int, ctx: QContext, shape: tuple[int, int], sectors) -> dict:
@@ -528,16 +534,16 @@ def green_solve(f: DiscElement, order: int, ctx: QContext | None = None) -> Disc
     """Solution of the order-th power of the Laplacian applied inversely to f.
 
     Applies the inverse kernel on the full grid with the sector pairs of
-    f's sectors.  Its table rows come from kernel_assembled's cover, so a
-    pair already built for any sector range is not built again; the
+    f's own sectors only: f on sector 3 alone needs the pair (3, -3) and
+    builds no other.  Its table rows come from kernel_assembled's cover, so
+    a pair already built for any sector range is not built again; the
     solution lives in the closure of each sector of f.
     """
     ctx = ctx or f.ctx
     if not f.finite:
         raise DomainError("green_solve requires a finite element")
-    lo, hi = f.sector_range()
-    sector_max = max(abs(lo), abs(hi))
-    K = kernel_assembled(order, ctx, (ctx.npoints, ctx.npoints), sector_max)
+    sectors = list(f.sectors)
+    K = _assembled_kernel(order, ctx, (ctx.npoints, ctx.npoints), sectors, max(map(abs, sectors), default=0))
     return apply_kernel(K, f, ctx)
 
 
@@ -593,12 +599,17 @@ def kernel_act(label: str, terms: dict, ctx: QContext) -> dict:
 def kernel_invariance_residual(K: Kernel, ctx: QContext | None = None) -> float:
     """Invariance defect of a kernel under the coproduct action.
 
-    max over xi in {E, F, K-1} of the entrywise residual of xi(K),
-    normalized by the magnitude of the contributions entering each entry,
-    |c0| |psi| + |c1| shift(|psi|, s) over the same legs (kernel functions
-    grow along the grid, so raw sup norms would drown exact cancellations
-    in rounding noise).  The top grid row/column of each term is excluded,
-    matching the one-step reach of the difference formulas.
+    max over xi in {E, F} of the entrywise residual of xi(K), normalized by
+    the magnitude of the contributions entering each entry, |c0| |psi| +
+    |c1| shift(|psi|, s) over the same legs (kernel functions grow along
+    the grid, so raw sup norms would drown exact cancellations in rounding
+    noise).  The top grid row/column of each term is excluded, matching the
+    one-step reach of the difference formulas.  K - 1 is not measured: K
+    acts on the pair (i, j) as q^(2(i+j)), and every Kernel holds pairs
+    (i, -i) only, so that part is 0 exactly, or nan where a term is not
+    finite.  The E/F part never reads the top row and column, so an explicit
+    check over the terms keeps that: any nan or inf entry makes the residual
+    nan.
 
     For exact (terminating) kernels every sector pair is measured.  For
     sector-truncated kernels the generator images cancel between
@@ -613,23 +624,21 @@ def kernel_invariance_residual(K: Kernel, ctx: QContext | None = None) -> float:
     """
     ctx = ctx or K.ctx
     absolute = {key: np.abs(psi) for key, psi in K.terms.items()}
-    worst = [0.0]
+    acted: dict[tuple, list] = {}
     for lab in ("E", "F"):
-        acted: dict[tuple[int, int], list] = {}
         for target, *leg in _coproduct_legs(lab, K.terms, ctx):
-            if K.exact or max(map(abs, target)) <= K.sector_max:
-                acted.setdefault(target, []).append(leg)
-        for legs in acted.values():
-            image = functools.reduce(np.add, (_leg_image(K.terms[source], *leg) for source, *leg in legs))
-            mag = functools.reduce(
-                np.add,
-                (_leg_image(absolute[source], axis, abs(c0), abs(c1), s) for source, axis, c0, c1, s in legs),
-            )
-            if min(image.shape) > 1:
-                worst.append(float(np.max(np.abs(image[:-1, :-1]) / np.maximum(1.0, mag[:-1, :-1]))))
-    for (i, j), size in absolute.items():
-        worst.append(float(np.max(abs(ctx.q ** (2 * (i + j)) - 1.0) * size / np.maximum(1.0, size))))
-    return _max(*worst)
+            if min(K.shape) > 1 and (K.exact or max(map(abs, target)) <= K.sector_max):
+                acted.setdefault((lab, target), []).append(leg)
+
+    def residual(legs):
+        image = functools.reduce(np.add, (_leg_image(K.terms[source], *leg) for source, *leg in legs))
+        mag = functools.reduce(
+            np.add, (_leg_image(absolute[source], axis, abs(c0), abs(c1), s) for source, axis, c0, c1, s in legs)
+        )
+        return np.max(np.abs(image[:-1, :-1]) / np.maximum(1.0, mag[:-1, :-1]))
+
+    finite = all(np.isfinite(size).all() for size in absolute.values())
+    return _max(0.0 if finite else math.nan, *(residual(legs) for legs in acted.values()))
 
 
 # --- classical limits ----------------------------------------------------

@@ -7,7 +7,7 @@ Everything here is a pure function of its arguments in double-precision
 complex arithmetic.  The infinite q-Pochhammer product stops at its first
 factor within 1e-17 of one, and raises CapacityError if 100000 factors do
 not reach it; the dilogarithm series stops at its first term
-below series_tol.  The one product that depends on the base alone,
+below 1e-17.  The one product that depends on the base alone,
 (q; q)_inf, is cached per base.
 """
 
@@ -82,11 +82,12 @@ def qgamma(x: complex, q: float) -> complex:
     return num / denom * power
 
 
-def dilog(t: float, series_tol: float = 1e-17) -> float:
+def dilog(t: float) -> float:
     """Euler dilogarithm sum t^m / m^2 for t in [0, 1].
 
-    Uses the defining series on [0, 0.8] (so the reflection identity stays
-    an independent check there) and the reflection formula above.
+    Uses the defining series on [0, 0.8], to its first term below 1e-17
+    (so the reflection identity stays an independent check there), and the
+    reflection formula above.
     """
     if t < 0.0 or t > 1.0:
         raise DomainError("dilog implemented on [0, 1] only")
@@ -96,7 +97,7 @@ def dilog(t: float, series_tol: float = 1e-17) -> float:
         return (
             math.pi**2 / 6.0
             - math.log(t) * math.log(1.0 - t)
-            - dilog(1.0 - t, series_tol)
+            - dilog(1.0 - t)
         )
     total = 0.0
     power = 1.0
@@ -104,6 +105,6 @@ def dilog(t: float, series_tol: float = 1e-17) -> float:
         power *= t
         term = power / (m * m)
         total += term
-        if term < series_tol:
+        if term < 1e-17:
             break
     return total

@@ -204,9 +204,9 @@ def _rel(diff, scale):
     return diff / np.maximum(1.0, scale)
 
 
-def _worst(residuals) -> float:
-    """The largest of one residual per member; nan if any is nan."""
-    return float(np.max(residuals))
+def _rel_gap(lhs: DiscElement, rhs: DiscElement):
+    """|lhs - rhs| over max(1, |lhs|), member by member."""
+    return _rel(lhs.max_abs_diff(rhs), lhs.max_abs())
 
 
 def _modulus(z):
@@ -243,7 +243,7 @@ def algebra_commutation_shifts(ctx: QContext, fx: Fixtures):
     lhs2 = normal_mul(z, psi)
     rhs2 = normal_mul(DiscElement({0: GridFunction(_shift(v, -1))}, ctx), z)
     return (
-        _worst(_fold_max((lhs.max_abs_diff(rhs), lhs2.max_abs_diff(rhs2)))),
+        _max(lhs.max_abs_diff(rhs), lhs2.max_abs_diff(rhs2)),
         1e-14,
         "generators commute past grid functions with argument shifts",
     )
@@ -273,7 +273,7 @@ def algebra_rep_products(ctx: QContext, fx: Fixtures):
         mf, mg = rep_matrix(f, REP_DIM, ctx).entries, rep_matrix(g, REP_DIM, ctx).entries
         prod = rep_matrix(normal_mul(f, g), REP_DIM, ctx).entries
         dev = _matrix_max((prod - mf @ mg)[..., :interior, :interior])
-        worst = _max(worst, _worst(_rel(dev, _matrix_max(mf) * _matrix_max(mg))))
+        worst = _max(worst, _rel(dev, _matrix_max(mf) * _matrix_max(mg)))
     return worst, 1e-12, "normal-ordered products match the weighted-shift matrices"
 
 
@@ -284,7 +284,7 @@ def algebra_rep_involution(ctx: QContext, fx: Fixtures):
         mf = rep_matrix(f, REP_DIM, ctx).entries
         st = rep_matrix(star(f), REP_DIM, ctx).entries
         dev = _matrix_max((st - mf.conj().swapaxes(-1, -2))[..., :interior, :interior])
-        worst = _max(worst, _worst(_rel(dev, _matrix_max(mf))))
+        worst = _max(worst, _rel(dev, _matrix_max(mf)))
     return worst, 1e-12, "involution matches the matrix adjoint"
 
 
@@ -293,7 +293,7 @@ def algebra_associativity(ctx: QContext, fx: Fixtures):
     a, b, c = (_members(fx.get(_algebra_elements), slice(i, 12, 3)) for i in range(3))
     lhs = normal_mul(normal_mul(a, b), c)
     rhs = normal_mul(a, normal_mul(b, c))
-    return _worst(_rel(lhs.max_abs_diff(rhs), lhs.max_abs())), 1e-12, "associativity on random triples"
+    return _max(_rel_gap(lhs, rhs)), 1e-12, "associativity on random triples"
 
 
 def algebra_integral_values(ctx: QContext, fx: Fixtures):
@@ -346,7 +346,7 @@ def hopf_defining_relations(ctx: QContext, fx: Fixtures):
         lhs = ef - fe
         rhs = (act("K", f) - act("Kinv", f)).scaled(1.0 / (q - 1.0 / q))
         r3 = lhs.max_abs_diff(rhs)
-        worst = _max(worst, _worst(_rel(_fold_max((r1, r2, r3)), scale)))
+        worst = _max(worst, _rel(_fold_max((r1, r2, r3)), scale))
     return worst, 1e-12, "generator relations as operator identities on the spanning set"
 
 
@@ -360,7 +360,7 @@ def module_algebra_law(ctx: QContext, fx: Fixtures):
         rhsF = normal_mul(act("F", f), act("Kinv", g)) + normal_mul(f, act("F", g))
         scale = _fold_max((lhsE.max_abs(), rhsE.max_abs(), lhsF.max_abs(), rhsF.max_abs()), 1.0)
         dev = _fold_max((lhsE.max_abs_diff(rhsE), lhsF.max_abs_diff(rhsF)))
-        worst = _max(worst, _worst(_rel(dev, scale)))
+        worst = _max(worst, _rel(dev, scale))
     return worst, 1e-12, "coproduct compatibility of the actions with the product"
 
 
@@ -373,7 +373,7 @@ def involution_covariance(ctx: QContext, fx: Fixtures):
         r1 = star(act("E", f)).max_abs_diff(act("F", star(f)).scaled(q**-2))
         r2 = star(act("F", f)).max_abs_diff(act("E", star(f)).scaled(q**2))
         r3 = star(act("K", f)).max_abs_diff(act("Kinv", star(f)))
-        worst = _max(worst, _worst(_rel(_fold_max((r1, r2, r3)), scale)))
+        worst = _max(worst, _rel(_fold_max((r1, r2, r3)), scale))
     return worst, 1e-12, "star intertwines the actions through the antipode table"
 
 
@@ -381,11 +381,9 @@ def integral_invariance(ctx: QContext, fx: Fixtures):
     worst = 0.0
     for f in fx.get(_spanning_set):
         sc = np.maximum(integral_scale(f), 1e-30)
-        for lab in ("E", "F"):
-            acted = act(lab, f)
-            dev = _modulus(inv_integral(acted)) / np.maximum(sc, integral_scale(acted))
-            worst = _max(worst, _worst(dev))
-        worst = _max(worst, _worst(_modulus(inv_integral(act("K", f)) - inv_integral(f)) / sc))
+        acted = [act(lab, f) for lab in ("E", "F")]
+        devs = (_modulus(inv_integral(a)) / np.maximum(sc, integral_scale(a)) for a in acted)
+        worst = _max(worst, *devs, _modulus(inv_integral(act("K", f)) - inv_integral(f)) / sc)
     return worst, 1e-12, "the invariant integral kills E and F images and fixes K images"
 
 
@@ -401,7 +399,7 @@ def adjoint_law(ctx: QContext, fx: Fixtures):
             inner(act("F", f), g) - inner(f, act_word("E Kinv".split(), g).scaled(-1.0))
         )
         rK = _modulus(inner(act("K", f), g) - inner(f, act("K", g)))
-        worst = _max(worst, _worst(_fold_max((rE, rF, rK)) / sc))
+        worst = _max(worst, _fold_max((rE, rF, rK)) / sc)
     return worst, 1e-12, "generator adjoints under the pairing match the star structure"
 
 
@@ -430,7 +428,7 @@ def casimir_equals_laplacian(ctx: QContext, fx: Fixtures):
     lhs = laplacian_apply(f, ctx)
     rhs = _generator_casimir(f, ctx).scaled(1.0 / ctx.q)
     return (
-        _worst(_rel(lhs.max_abs_diff(rhs), lhs.max_abs())),
+        _max(_rel_gap(lhs, rhs)),
         1e-12,
         "the closed-form stencil equals the generator route of the Casimir, over q",
     )
@@ -440,13 +438,9 @@ def casimir_centrality(ctx: QContext, fx: Fixtures):
     f = _members(fx.get(_casimir_elements), slice(3))
     # the Casimir reaches row 11 of the random elements and E/F one more
     _fit_support(ctx, 12)
-    worst = 0.0
     om = casimir_apply(f, ctx)
-    for lab in ("K", "Kinv", "E", "F"):
-        lhs = act(lab, om)
-        rhs = casimir_apply(act(lab, f, ctx), ctx)
-        worst = _max(worst, _worst(_rel(lhs.max_abs_diff(rhs), lhs.max_abs())))
-    return worst, 1e-12, "the Casimir action commutes with every generator action"
+    gaps = (_rel_gap(act(lab, om), casimir_apply(act(lab, f, ctx), ctx)) for lab in ("K", "Kinv", "E", "F"))
+    return _max(*gaps), 1e-12, "the Casimir action commutes with every generator action"
 
 
 def radial_part_identity(ctx: QContext, fx: Fixtures):
@@ -454,7 +448,7 @@ def radial_part_identity(ctx: QContext, fx: Fixtures):
     lhs = _generator_casimir(f, ctx).scaled(1.0 / ctx.q).sector(0).values
     rhs = radial_laplacian(f.sector(0), ctx).values
     return (
-        _worst(_rel(_abs_max(lhs - rhs), _abs_max(rhs))),
+        _max(_rel(_abs_max(lhs - rhs), _abs_max(rhs))),
         1e-12,
         "the generator route of the Casimir, over q, equals the radial stencil on sector 0",
     )
@@ -466,7 +460,7 @@ def sector_preservation(ctx: QContext, fx: Fixtures):
     sector_ok = 0.0 if set(lap.sectors) <= set(f.sectors) else 1.0
     rot = sector_rotate(lap, 0.9).max_abs_diff(laplacian_apply(sector_rotate(f, 0.9), ctx))
     return (
-        _max(sector_ok, _worst(_rel(rot, lap.max_abs()))),
+        _max(sector_ok, _rel(rot, lap.max_abs())),
         1e-12,
         "the Laplacian preserves sectors and commutes with rotations",
     )
@@ -503,7 +497,7 @@ def _eigen_residual(rhos, vals: np.ndarray, first: int, ctx: QContext) -> float:
     scalar call per rho: an array call rounds some last bits differently."""
     lam = np.array([[S.lambda_rho(rho, ctx)] for rho in rhos])
     res = radial_laplacian(GridFunction(vals, False), ctx).values - lam * vals
-    return _worst(_rel(_abs_max(res[:, first : EIGEN_NMAX + 1]), _abs_max(vals)))
+    return _max(_rel(_abs_max(res[:, first : EIGEN_NMAX + 1]), _abs_max(vals)))
 
 
 def eigen_equation_phi(ctx: QContext, fx: Fixtures):
@@ -519,7 +513,7 @@ def phi_recurrence_agreement(ctx: QContext, fx: Fixtures):
     vals = np.array(fx.get(_phi_rows))[:, : EIGEN_NMAX + 2]
     cols = S.phi_matrix(np.array(_rho_samples(ctx)), EIGEN_NMAX + 2, ctx)
     return (
-        _worst(_rel(_abs_max(cols - vals), _abs_max(vals))),
+        _max(_rel(_abs_max(cols - vals), _abs_max(vals))),
         1e-9,
         "stable recurrence evaluation matches the terminating series",
     )
@@ -561,7 +555,7 @@ def phi_closed_forms_agree(ctx: QContext, fx: Fixtures):
         vals, bound = S._phi_ascending(rho, PHI_ROWS[-1], ctx)
         ok = np.flatnonzero(bound <= S._PHI_CERT_TOL)
         ref = S._phi_series(rho, ok, ctx)
-        worst = _max(worst, float(np.max(np.abs(vals[ok] - ref) / np.maximum(1.0, np.abs(ref)))))
+        worst = _max(worst, np.abs(vals[ok] - ref) / np.maximum(1.0, np.abs(ref)))
         compared += len(ok)
     return (
         worst,
@@ -571,7 +565,6 @@ def phi_closed_forms_agree(ctx: QContext, fx: Fixtures):
 
 
 def transform_roundtrip(ctx: QContext, fx: Fixtures):
-    worst = 0.0
     # the forward weights amplify a depth-n delta by q^(-2n) and the round
     # trip returns it with error of order eps * q^(-n); depths past the
     # point where that floor crosses the tolerance are not resolvable in
@@ -579,14 +572,10 @@ def transform_roundtrip(ctx: QContext, fx: Fixtures):
     rt_tol = 1e-8
     floor_depth = int(math.log(rt_tol / (32 * np.finfo(float).eps)) / math.log(1.0 / ctx.q))
     nmax_rt = min(TRANSFORM_NMAX, floor_depth)
-    for n in range(nmax_rt + 1):
-        d = GridFunction.delta(n, ctx.npoints)
-        back = S.transform_inverse(
-            S.transform_forward(d, ctx, TRANSFORM_NODES), ctx
-        )
-        worst = _max(worst, float(np.max(np.abs(back.values - d.values))))
+    deltas = [GridFunction.delta(n, ctx.npoints) for n in range(nmax_rt + 1)]
+    gaps = (S.transform_inverse(S.transform_forward(d, ctx, TRANSFORM_NODES), ctx).values - d.values for d in deltas)
     return (
-        worst,
+        _max(*map(np.abs, gaps)),
         rt_tol,
         f"inverse transform undoes the forward transform on deltas, n <= {nmax_rt}",
     )
@@ -595,10 +584,9 @@ def transform_roundtrip(ctx: QContext, fx: Fixtures):
 def transform_centre_delta(ctx: QContext, fx: Fixtures):
     f0 = delta_fn(0, ctx)
     F0 = S.transform_forward(f0.sector(0), ctx, 256)
-    const_dev = float(np.max(np.abs(F0.values - (1 - ctx.q2))))
     back = S.transform_inverse(F0, ctx)
-    f0_dev = float(np.max(np.abs(back.values - f0.sector(0).values)))
-    return _max(const_dev, f0_dev), 1e-10, "the centre delta transforms to the constant and back"
+    worst = _max(np.abs(F0.values - (1 - ctx.q2)), np.abs(back.values - f0.sector(0).values))
+    return worst, 1e-10, "the centre delta transforms to the constant and back"
 
 
 def _seed31_draws(ctx: QContext):
@@ -627,7 +615,7 @@ def plancherel_pairing(ctx: QContext, fx: Fixtures):
     (_, Ff), (_, Fg) = (_transforms(h, ctx, count) for h in (f, g))
     rhs = ctx.rho_period() / count * np.sum(Ff * np.conj(Fg) * dens, axis=-1)
     dev = _rel(_modulus(lhs - rhs), _modulus(lhs))
-    return _worst(dev), 1e-8, "the transform is unitary for the weighted pairing"
+    return _max(dev), 1e-8, "the transform is unitary for the weighted pairing"
 
 
 def multiplication_law(ctx: QContext, fx: Fixtures):
@@ -638,7 +626,7 @@ def multiplication_law(ctx: QContext, fx: Fixtures):
     _, Fl = _transforms(radial_laplacian(g, ctx), ctx, 128)
     lams = S.lambda_rho(nodes, ctx)
     dev = _rel(_abs_max(Fl - lams * Fg), _abs_max(Fl))
-    return _worst(dev), 1e-9, "the transform diagonalizes the radial Laplacian"
+    return _max(dev), 1e-9, "the transform diagonalizes the radial Laplacian"
 
 
 def density_symmetry_and_quotient(ctx: QContext, fx: Fixtures):
@@ -715,31 +703,18 @@ def green_radial_order1(ctx: QContext, fx: Fixtures):
 def green_radial_order2(ctx: QContext, fx: Fixtures):
     nmax = GREEN_NMAX
     g1, _, lap2, lap22 = fx.get(_green_radial)
-    r2 = float(np.max(np.abs(lap22[: nmax + 1] - np.eye(1, nmax + 1)[0])))
-    r12 = float(np.max(np.abs(lap2[: nmax + 1] - g1[: nmax + 1])))
+    r2, r12 = np.abs(lap22[: nmax + 1] - np.eye(1, nmax + 1)[0]), np.abs(lap2[: nmax + 1] - g1[: nmax + 1])
     return _max(r2, r12), 1e-10, "the second fundamental solution solves it twice"
 
 
 def green_series_vs_quadrature(ctx: QContext, fx: Fixtures):
-    worst = 0.0
-    for m in (1, 2):
-        gq = G.gm_quadrature_grid(m, ctx, 21)
-        gs = G.g_radial_grid(m, ctx, 21)
-        worst = _max(worst, float(np.max(np.abs(gq.values - gs.values))))
-    return worst, 1e-7, "the Lambert tail sums agree with the spectral quadrature oracle"
+    gaps = (G.gm_quadrature_grid(m, ctx, 21).values - G.g_radial_grid(m, ctx, 21).values for m in (1, 2))
+    return _max(*map(np.abs, gaps)), 1e-7, "the Lambert tail sums agree with the spectral quadrature oracle"
 
 
 def spectral_image_identity(ctx: QContext, fx: Fixtures):
-    worst = 0.0
-    for rho in (0.2, 0.9, 1.7):
-        for m in (1, 2):
-            worst = _max(
-                worst,
-                abs(
-                    S.lambda_rho(rho, ctx) ** m * G.gm_spectral(m, rho, ctx)
-                    - (1 - ctx.q2)
-                ),
-            )
+    images = (S.lambda_rho(rho, ctx) ** m * G.gm_spectral(m, rho, ctx) for rho in (0.2, 0.9, 1.7) for m in (1, 2))
+    worst = _max(*(abs(image - (1 - ctx.q2)) for image in images))
     return worst, 1e-12, "the spectral images invert the eigenvalue powers"
 
 
@@ -754,10 +729,8 @@ def kernel_exact_expansion(ctx: QContext, fx: Fixtures):
     )
     t1 = -(q**-2) * np.outer(yinv, yinv)
     tm1 = -1.0 * np.outer(yinv, yinv)
-    worst = 0.0
-    for key, ref in (((0, 0), t00), ((1, -1), t1), ((-1, 1), tm1)):
-        scale = np.maximum(1.0, np.abs(ref))
-        worst = _max(worst, float(np.max(np.abs(K.term(*key) - ref) / scale)))
+    refs = {(0, 0): t00, (1, -1): t1, (-1, 1): tm1}
+    worst = _max(*(_rel(np.abs(K.term(*key) - ref), np.abs(ref)) for key, ref in refs.items()))
     extra = [k for k in K.terms if abs(k[0]) > 1]
     return (
         worst + (1.0 if extra else 0.0),
@@ -767,10 +740,8 @@ def kernel_exact_expansion(ctx: QContext, fx: Fixtures):
 
 
 def kernel_invariance_exact(ctx: QContext, fx: Fixtures):
-    worst = 0.0
-    for l0 in (1, 2, 3):
-        Kl = G.kernel_G(-float(l0), "plain", ctx, shape=(10, 10), sector_max=l0 + 1)
-        worst = _max(worst, G.kernel_invariance_residual(Kl, ctx))
+    kernels = (G.kernel_G(-float(l0), "plain", ctx, shape=(10, 10), sector_max=l0 + 1) for l0 in (1, 2, 3))
+    worst = _max(*(G.kernel_invariance_residual(K, ctx) for K in kernels))
     return worst, 1e-12, "terminating kernels are exactly invariant"
 
 
@@ -783,11 +754,8 @@ def kernel_derivative_fd(ctx: QContext, fx: Fixtures):
         for eps in (1e-3, 5e-4):
             Kp = G.kernel_G(N + eps, "plain", ctx, (6, 6), 2)
             Km = G.kernel_G(N - eps, "plain", ctx, (6, 6), 2)
-            worst_fd = 0.0
-            for key in Kd.terms:
-                fd = (Kp.term(*key) - Km.term(*key)) / (2 * eps)
-                worst_fd = _max(worst_fd, float(np.max(np.abs(fd - Kd.term(*key)))))
-            errs.append(worst_fd)
+            gaps = ((Kp.term(*key) - Km.term(*key)) / (2 * eps) - Kd.term(*key) for key in Kd.terms)
+            errs.append(_max(0.0, *map(np.abs, gaps)))
         worst_abs = _max(worst_abs, errs[0])
         worst_ratio = _max(worst_ratio, errs[1] / errs[0])
     return (
@@ -819,11 +787,8 @@ def kernel_coefficient_classical_trend(ctx: QContext, fx: Fixtures):
 
 def kernel_centre_delta(ctx: QContext, fx: Fixtures):
     f0 = delta_fn(0, ctx)
-    worst = 0.0
-    for order in (1, 2):
-        sol = G.apply_kernel(G.kernel_assembled(order, ctx, sector_max=3), f0, ctx)
-        g = G.g_radial_grid(order, ctx)
-        worst = _max(worst, float(np.max(np.abs(sol.sector(0).values - g.values))))
+    sols = {order: G.apply_kernel(G.kernel_assembled(order, ctx, sector_max=3), f0, ctx) for order in (1, 2)}
+    worst = _max(*(np.abs(sol.sector(0).values - G.g_radial_grid(order, ctx).values) for order, sol in sols.items()))
     return worst, 1e-10, "assembled kernels send the centre delta to the fundamental solutions"
 
 
@@ -840,19 +805,15 @@ def _inversion_basis(ctx: QContext):
 
 def main_inversion_order1(ctx: QContext, fx: Fixtures):
     K1 = G.kernel_assembled(1, ctx, sector_max=3)
-    worst = 0.0
-    for f in fx.get(_inversion_basis):
-        back = laplacian_apply(G.apply_kernel(K1, f, ctx), ctx)
-        worst = _max(worst, _interior_max(back - f, 1))
+    backs = (laplacian_apply(G.apply_kernel(K1, f, ctx), ctx) - f for f in fx.get(_inversion_basis))
+    worst = _max(*(_interior_max(d, 1) for d in backs))
     return worst, 1e-8, "the Laplacian undoes the first assembled kernel on the spanning set"
 
 
 def main_inversion_order2(ctx: QContext, fx: Fixtures):
     K2 = G.kernel_assembled(2, ctx, sector_max=3)
-    worst = 0.0
-    for f in fx.get(_inversion_basis):
-        back = laplacian_apply(laplacian_apply(G.apply_kernel(K2, f, ctx), ctx), ctx)
-        worst = _max(worst, _interior_max(back - f, 2))
+    backs = (laplacian_apply(laplacian_apply(G.apply_kernel(K2, f, ctx), ctx), ctx) - f for f in fx.get(_inversion_basis))
+    worst = _max(*(_interior_max(d, 2) for d in backs))
     return worst, 1e-7, "the squared Laplacian undoes the second assembled kernel"
 
 
@@ -880,12 +841,9 @@ def matrix_solve_oracle(ctx: QContext, fx: Fixtures):
     for sector, rhs in zip((-2, 0, 1, 3), _on_grid(fx.get(_seed41_draws)[0], dim)):
         f = DiscElement({sector: GridFunction(rhs[: ctx.npoints])}, ctx)
         sol = G.green_solve(f, 1, ctx)
-        if set(sol.sectors) - {sector}:
-            worst = _max(worst, 1.0)
         x = _stencil_solve(*stencil_coefficients(ctx, dim, sector), rhs)
-        worst = _max(
-            worst, float(np.max(np.abs(x[: ctx.npoints] - sol.sector(sector).values)))
-        )
+        stray = 1.0 if set(sol.sectors) - {sector} else 0.0
+        worst = _max(worst, stray, np.abs(x[: ctx.npoints] - sol.sector(sector).values))
     return worst, 1e-6, "kernel route agrees with truncated-matrix inversion per sector"
 
 
@@ -906,11 +864,7 @@ def inverse_route_consistency(ctx: QContext, fx: Fixtures):
 
 
 def _interior_max(d: DiscElement, margin: int) -> float:
-    worst = 0.0
-    take = d.ctx.npoints - margin
-    for g in d.sectors.values():
-        worst = _max(worst, float(np.max(np.abs(g.values[:take]))))
-    return worst
+    return _max(0.0, *(np.abs(g.values[: d.ctx.npoints - margin]) for g in d.sectors.values()))
 
 
 def _limit_rows(ctx: QContext):

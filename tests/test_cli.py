@@ -240,6 +240,38 @@ def test_tabulate_header_and_centre_value(tmp_path):
     assert abs(float(row0[2]) + (1 - q2) * total) < 1e-12
 
 
+def test_every_flag_reaches_its_config_field():
+    # each subcommand's flags parse to a dest that is a RunConfig field (the
+    # config path aside) and override that field; a flag left out sets nothing
+    from dataclasses import fields
+
+    from qdisc.cli import _FLAGS, _SHARED, RunConfig, _build_parser, _load_config
+
+    parser = _build_parser()
+    names = {f.name for f in fields(RunConfig)}
+    samples = {float: "0.7", int: "16"}
+    for command, own in _FLAGS.items():
+        assert _load_config(parser.parse_args([command])) == RunConfig(command=command)
+        for flag, options in _SHARED + own:
+            if flag == "--config":
+                continue
+            if options.get("action") == "store_true":
+                argv = [flag]
+            else:
+                choices = options.get("choices")
+                argv = [flag, choices[-1] if choices else samples.get(options.get("type"), "a,b")]
+            [(dest, value)] = [(k, v) for k, v in vars(parser.parse_args([command, *argv])).items() if k != "command"]
+            assert dest in names, (command, flag)
+            cfg = _load_config(parser.parse_args([command, *argv]))
+            assert getattr(cfg, dest) == value, (command, flag)
+    cfg = _load_config(parser.parse_args(["transform", "--nodes", "16"]))
+    assert cfg.node_count == 16
+    assert _load_config(parser.parse_args(["tabulate", "--with-density"])).with_density is True
+    assert _load_config(parser.parse_args(["verify", "--checks", " algebra, ,kernel"])).checks == ["algebra", "kernel"]
+    # --q is limit's q list too
+    assert _load_config(parser.parse_args(["limit", "--q", "0.999"])).q_list == [0.999]
+
+
 def test_tabulate_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli(["tabulate", "--q", "0.5", "--nmax", "12", "--out", str(a)])

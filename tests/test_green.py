@@ -677,8 +677,15 @@ def test_a_larger_sector_max_grows_the_cover_once(row_builds):
     # one build of the new pairs alone; the old rows stay in the cover
     assert row_builds == [[-1, 0, 1], [-3, -2, 2, 3]]
     assert all(K3.table[i] is K1.table[i] for i in K1.table)
-    assert kernel_assembled(1, ctx, sector_max=3) is K3
-    assert kernel_assembled(1, ctx, sector_max=1) is K1
+    # the cover holds the rows alone, and a range asked again reads them
+    rows = green._KERNELS[1, ctx, (ctx.npoints, ctx.npoints)]
+    assert sorted(rows) == list(range(-3, 4))
+    assert all(rows[i][0] is K3.table[i] for i in rows)
+    for K in (K3, K1):
+        again = kernel_assembled(1, ctx, sector_max=K.sector_max)
+        assert list(again.table) == list(K.table)
+        assert all(again.table[i] is K.table[i] for i in K.table)
+        assert again.tail_bound == K.tail_bound
     assert kernel_assembled(1, ctx, sector_max=2).tail_bound <= K3.tail_bound
     assert len(row_builds) == 2
 
@@ -693,7 +700,7 @@ def test_a_walk_over_many_q_keeps_at_most_the_bound(row_builds):
     # the most recent covers are kept, and their rows are read-only
     kept = {key[1].q for key in green._KERNELS}
     assert kept == {float(q) for q in qs[-limit:]}
-    for rows, kernels in green._KERNELS.values():
+    for rows in green._KERNELS.values():
         for H, _, _ in rows.values():
             assert not H.flags.writeable
 
@@ -718,7 +725,7 @@ def test_assembled_rows_match_the_per_pair_formulas(q, monkeypatch):
                 for sector_max in _requests(requests):
                     K = kernel_assembled(order, ctx, shape, sector_max)
                     assert K.tail_bound == max(ref[i][2] for i in K.table)
-                rows, _ = green._KERNELS[order, ctx, shape]
+                rows = green._KERNELS[order, ctx, shape]
                 assert sorted(rows) == list(range(-3, 4))
                 for i, (H, count, bound) in rows.items():
                     where = (q, horizon, shape, order, requests, i)
@@ -902,13 +909,31 @@ def test_midpoint_majorant_equals_the_materialized_one():
             assert max(count for _, count, _ in rows.values()) == want
 
 
-def test_assembled_cache_key_fills_in_defaults(ctx):
-    # the default shape and its spelled-out value share one assembly; a
-    # context with another series_tol gets its own
+def test_assembled_cache_key_fills_in_defaults(ctx, row_builds):
+    # the default shape and its spelled-out value share one cover and its
+    # tables; a context with another series_tol gets its own
     K = kernel_assembled(1, ctx, sector_max=1)
-    assert K is kernel_assembled(1, ctx, (ctx.npoints, ctx.npoints), 1)
+    same = kernel_assembled(1, ctx, (ctx.npoints, ctx.npoints), 1)
+    assert all(same.table[i] is K.table[i] for i in K.table)
+    assert list(green._KERNELS) == [(1, ctx, (ctx.npoints, ctx.npoints))]
     loose = QContext(ctx.q, series_tol=1e-6)
-    assert kernel_assembled(1, loose, sector_max=1) is not K
+    assert kernel_assembled(1, loose, sector_max=1).table[0] is not K.table[0]
+    assert len(green._KERNELS) == 2 and len(row_builds) == 2
+
+
+def test_green_solve_builds_only_its_own_pairs(row_builds):
+    # near q = 1, an element on sector 3 alone builds the pair (3, -3) and no
+    # other, and solves as the kernel of the whole range -3..3 does, bit for bit
+    ctx = QContext(0.995)
+    v = np.zeros(ctx.npoints, dtype=complex)
+    v[:5] = (1.0, 0.5 - 0.25j, 0.0, -0.3 + 0.1j, 0.2)
+    f = DiscElement({3: GridFunction(v)}, ctx)
+    for order in (1, 2):
+        sol = green_solve(f, order, ctx)
+        assert row_builds[-1] == [3] and set(sol.sectors) == {3}
+        ref = apply_kernel(kernel_assembled(order, ctx, sector_max=3), f, ctx)
+        assert np.array_equal(sol.sector(3).values, ref.sector(3).values)
+    assert row_builds == [[3], [-3, -2, -1, 0, 1, 2], [3], [-3, -2, -1, 0, 1, 2]]
 
 
 def test_kernel_act_on_rank_one_terms_matches_element_action():
