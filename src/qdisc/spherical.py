@@ -80,7 +80,11 @@ column of node j takes weight 2 for 0 < j < N/2 and 1 for j = 0 and
 j = N/2, and a callable's values on the two nodes of a mirrored pair are
 added, so the sum is the N-node one term for term, and the bound on it
 holds as it stands.  The contraction over nodes runs in blocks of 4096
-nodes, where a single GEMM slows down.
+nodes, where a single GEMM slows down.  transform_forward's result keeps
+its values on the table's distinct nodes, and when they cover the
+certified count (same q and odd part, at least as many nodes) the inverse
+reads their first columns in place of contracting the source again: a
+round trip then contracts its source once, bit for bit as twice.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -766,16 +770,30 @@ class SpectralFunction:
     refinement re-evaluates exactly; quadrature then never relies on
     interpolation, which would smear the rounding of the large
     near-midpoint values of deep transforms over the whole period.
+
+    One that transform_forward returns also keeps, read-only, its folded
+    values: the value on each distinct node of its node table, with the
+    table's cover key (q and the odd part of the node count).  The inverse
+    reads them in place of a second evaluation when they cover its count,
+    so F describes its source as it was when the forward ran.  One built
+    by hand has none and is evaluated from its source.
     """
 
     nodes: np.ndarray
     values: np.ndarray
     source: GridFunction
+    _folded: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _nodes(count: int, ctx: QContext) -> np.ndarray:
-    period = ctx.rho_period()
-    return period * np.arange(count) / count
+    """The count equispaced nodes j P/count of the period P; read-only."""
+    return _equispaced(ctx.h, count)
+
+
+@functools.lru_cache(maxsize=64)
+def _equispaced(h: float, count: int) -> np.ndarray:
+    """_nodes, cached per (h, count): P = 2 pi/h as rho_period takes it."""
+    return _frozen((2.0 * math.pi / h) * np.arange(count) / count)
 
 
 # Node tables fold and nest.  Node count - j of count nodes is the mirror
@@ -920,12 +938,17 @@ def transform_forward(
                = (1-q^2) sum_m phi_rho(q^(2m)) f(q^(2m)) q^(-2m),
 
     an exact finite sum, evaluated on equispaced nodes.  A weight q^(-2m)
-    past the double range on g's support raises CapacityError.
+    past the double range on g's support raises CapacityError.  The sum
+    runs once per distinct node of the node table (node count - j mirrors
+    node j); the result keeps those folded values, read-only, for
+    transform_inverse, and its nodes are a shared read-only array.
     """
     if not g.finite_support:
         raise DomainError("spherical transform requires finite support")
-    vals = _forward(_phi_table(ctx.q, node_count, len(g.values)), g, ctx)
-    return SpectralFunction(_nodes(node_count, ctx), vals[_columns(node_count)], source=g)
+    vals = _frozen(_forward(_phi_table(ctx.q, node_count, len(g.values)), g, ctx))
+    F = SpectralFunction(_nodes(node_count, ctx), vals[_columns(node_count)], source=g)
+    F._folded = (_cover_key("phi", ctx.q, node_count), vals)
+    return F
 
 
 # settle tolerances of transform_inverse
@@ -1067,12 +1090,11 @@ def _delta_bounds(q: float, npoints: int, rows: int) -> np.ndarray:
     return _frozen(np.where(np.isnan(total), np.inf, total).min(axis=2))
 
 
-def _alias_bound(g: GridFunction, ctx: QContext, npoints: int) -> np.ndarray:
+def _alias_bound(size: np.ndarray, ctx: QContext, npoints: int) -> np.ndarray:
     """A bound on the trapezoid error of the inverse transform of g's
     spectral image on every row 0..npoints-1, one per node count in
-    _ALIAS_COUNTS: the error is linear in g, so it is at most sum_m |g_m|
-    times the unit delta's bound at row m (_delta_bounds)."""
-    size = np.abs(g.values)
+    _ALIAS_COUNTS, from size = |g|: the error is linear in g, so it is at
+    most sum_m |g_m| times the unit delta's bound at row m (_delta_bounds)."""
     nz = size.nonzero()[0]
     rows = max(npoints, int(nz[-1]) + 1) if len(nz) else npoints
     return size[nz] @ _delta_bounds(ctx.q, npoints, rows)[nz]
@@ -1086,8 +1108,9 @@ def _certified_nodes(g: GridFunction, ctx: QContext, npoints: int) -> int:
     takes one node; a source no count up to _MAX_NODES certifies, a NaN
     value's included, raises QuadratureError.  A power of two has odd
     part 1, so every count is a prefix of one node-table cover per q."""
-    bound = _alias_bound(g, ctx, npoints)
-    tol = max(_QUAD_ABS_TOL, _QUAD_REL_TOL * float(np.abs(g.values[:npoints]).max(initial=0.0)))
+    size = np.abs(g.values)
+    bound = _alias_bound(size, ctx, npoints)
+    tol = max(_QUAD_ABS_TOL, _QUAD_REL_TOL * float(size[:npoints].max(initial=0.0)))
     # the bound falls as the count grows; a NaN bound (a non-finite source)
     # certifies no count
     k = len(bound) - int(np.count_nonzero(bound <= tol))
@@ -1104,14 +1127,26 @@ def _quadrature_terms(F, ctx: QContext, count: int, npoints: int) -> tuple[np.nd
     nodes that read each column, so the count-node sum of phi F sigma is
     the table contracted against it times the density.
 
-    F is either a SpectralFunction, re-evaluated exactly from its source
-    grid function on the distinct nodes and taken times the columns'
-    multiplicity, or a callable called once on the array of the count
-    nodes in ascending order, the values of a mirrored pair added.
+    F is either a SpectralFunction or a callable.  A SpectralFunction's
+    values on the distinct nodes are taken times the columns'
+    multiplicity: its folded values (transform_forward's, as its source was
+    when the forward ran) when they share the count's cover key and are at
+    least _width(count) long, else re-evaluated exactly from its source
+    grid function.  The folded values are the cover's columns coarse to
+    fine, so their first _width(count) are the count's distinct nodes, and
+    each value is one GEMM row over the same phi row and source entries:
+    bit for bit what the re-evaluation gives.  A callable is called once on
+    the array of the count nodes in ascending order, the values of a
+    mirrored pair added.
     """
     if isinstance(F, SpectralFunction):
-        table = _phi_table(ctx.q, count, max(npoints, len(F.source.values)))
-        fv = _forward(table, F.source, ctx) * _multiplicity(count)
+        key, folded = F._folded or (None, ())
+        if key == _cover_key("phi", ctx.q, count) and len(folded) >= _width(count):
+            table, fv = _phi_table(ctx.q, count, npoints), folded[: _width(count)]
+        else:
+            table = _phi_table(ctx.q, count, max(npoints, len(F.source.values)))
+            fv = _forward(table, F.source, ctx)
+        fv = fv * _multiplicity(count)
     else:
         table = _phi_table(ctx.q, count, npoints)
         fv = np.zeros(_width(count), dtype=complex)
@@ -1160,9 +1195,11 @@ def transform_inverse(F, ctx: QContext, npoints: int | None = None) -> GridFunct
 
     f(q^(2n)) = integral_0^{2 pi/h} phi_rho(q^(2n)) F(rho) dsigma(rho).
 
-    F is either a SpectralFunction, re-evaluated exactly from its source on
-    the nodes (its node count plays no part), or a callable on an array of
-    rho.  A SpectralFunction takes one pass on _certified_nodes' count,
+    F is either a SpectralFunction, whose values on the nodes are exact
+    (its node count plays no part: the sum reads transform_forward's folded
+    values where they cover the certified count, and a re-evaluation from
+    its source elsewhere, bit for bit the same), or a callable on an array
+    of rho.  A SpectralFunction takes one pass on _certified_nodes' count,
     whose aliasing bound on every row is within the settle tolerance.  A
     callable has no bound: with N0 = _start_nodes(ctx), one pass on 2 N0
     nodes gives the N0- and 2 N0-node sums; when they differ by more than

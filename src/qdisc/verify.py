@@ -29,6 +29,7 @@ standard measure of cancellation quality in floating point.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 import time
 from dataclasses import dataclass
@@ -162,20 +163,33 @@ def _members(f: DiscElement, index) -> DiscElement:
 _TWO_PI = 2.0 * math.pi
 
 
+def _uniforms(seed: int, count: int) -> np.ndarray:
+    """The first count random.Random(seed).random() values, bit for bit,
+    from one getrandbits draw of the same 32-bit words: random() is
+    ((a >> 5) 2^26 + (b >> 6)) 2^-53 on two consecutive words a, b, exact
+    in double.  getrandbits fills its integer with words from the least
+    significant up, so its little-endian bytes are the words in order."""
+    stream = random.Random(seed).getrandbits(64 * count).to_bytes(8 * count, "little")
+    words = np.frombuffer(stream, dtype="<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * 2.0**-53
+
+
 def _normals(seed: int, *shapes) -> list[np.ndarray]:
     """Consecutive C-order blocks of seed's standard-normal stream, one per
     shape, from a stdlib stream, so a run never loads numpy.random.  The
     values are bit for bit the successive random.Random(seed).gauss(0.0,
-    1.0) values: Box-Muller pairs on two random() each, the cosine half
-    first, and `0.0 + z` as gauss's `mu + z * sigma`."""
-    uniform, cos, sin, sqrt, log = random.Random(seed).random, math.cos, math.sin, math.sqrt, math.log
+    1.0) values: Box-Muller pairs on two random() each (_uniforms), the
+    cosine half first, with the math module's log, cos and sin, as gauss
+    takes them, and `0.0 + z` as gauss's `mu + z * sigma`."""
     sizes = [int(np.prod(shape)) for shape in shapes]
-    draws = []
-    for _ in range((sum(sizes) + 1) // 2):
-        angle = uniform() * _TWO_PI
-        radius = sqrt(-2.0 * log(1.0 - uniform()))
-        draws += (cos(angle) * radius, sin(angle) * radius)
-    flat = np.array(draws[: sum(sizes)]) + 0.0
+    pairs = (sum(sizes) + 1) // 2
+    uniform = _uniforms(seed, 2 * pairs)
+    angle = (uniform[0::2] * _TWO_PI).tolist()
+    radius = np.sqrt(-2.0 * np.fromiter(map(math.log, (1.0 - uniform[1::2]).tolist()), float, pairs))
+    draws = np.empty((pairs, 2))
+    draws[:, 0] = np.fromiter(map(math.cos, angle), float, pairs) * radius
+    draws[:, 1] = np.fromiter(map(math.sin, angle), float, pairs) * radius
+    flat = draws.ravel()[: sum(sizes)] + 0.0
     return [block.reshape(shape) for block, shape in zip(np.split(flat, np.cumsum(sizes[:-1])), shapes)]
 
 
@@ -932,8 +946,11 @@ def run_registry(ctx: QContext, patterns: list[str] | None = None) -> list[Check
     """Run, in registry order, every check whose name contains one of
     `patterns` (all checks when none are given); a pattern that matches no
     check is a DomainError.  A check that raises a qdisc error fails with
-    residual inf, tolerance 0 and the error as its detail.  A runtime is
-    the check's own call, with any fixture it was first to build."""
+    residual inf, tolerance 0 and the error as its detail; one whose
+    residual is not a real scalar (an unreduced array, a complex) fails
+    with residual nan, its own tolerance and a detail naming what came
+    back.  A runtime is the check's own call, with any fixture it was
+    first to build."""
     names = [check.__name__ for check in REGISTRY]
     for p in patterns or ():
         if not any(p in name for name in names):
@@ -948,5 +965,8 @@ def run_registry(ctx: QContext, patterns: list[str] | None = None) -> list[Check
             residual, tol, detail = check(ctx, fx)
         except QDiscError as exc:
             residual, tol, detail = math.inf, 0.0, f"{type(exc).__name__}: {exc}"
+        if not isinstance(residual, numbers.Real):
+            shape = f" of shape {residual.shape}" if hasattr(residual, "shape") else ""
+            residual, detail = math.nan, f"residual is a {type(residual).__name__}{shape}, not a real scalar"
         out.append(CheckResult(name, residual, tol, detail, time.perf_counter() - t0))
     return out

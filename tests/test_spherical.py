@@ -1037,13 +1037,111 @@ def test_zero_source_transforms_to_zero_and_back():
 
 
 def test_inverse_ignores_the_forward_node_count():
-    # the inverse re-evaluates F from its source, so the node count F was
-    # built at plays no part
+    # both forwards' folded values cover the certified count, so each
+    # inverse reads its own: the node count F was built at plays no part,
+    # and the GEMM rows of a 33- and a 4097-column table agree bit for bit
     ctx = QContext(0.5, grid_horizon=16)
     d = GridFunction.delta(1, 17)
     coarse = transform_inverse(transform_forward(d, ctx, 64), ctx)
     fine = transform_inverse(transform_forward(d, ctx, 8192), ctx)
     assert np.array_equal(coarse.values, fine.values)
+
+
+def _counted_forward(monkeypatch):
+    """Count the calls of spherical._forward from now on."""
+    calls = []
+    real = S._forward
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return real(*args)
+
+    monkeypatch.setattr(S, "_forward", counted)
+    return calls
+
+
+def _family(count: int):
+    """count and every count below it whose table is a prefix of its cover:
+    count, count/2, ... down to its odd part."""
+    while True:
+        yield count
+        if count % 2:
+            return
+        count //= 2
+
+
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.9, 0.995])
+def test_folded_values_are_the_re_evaluation_bit_for_bit(q, monkeypatch):
+    # transform_inverse reads the forward's folded values where they cover
+    # its count; they are bit for bit the values a re-evaluation from the
+    # source gives on every count of the forward's family, over deltas at
+    # rows 0..20, random finite sources and node counts 1..8192, 768 (odd
+    # part 3) among them
+    rng = np.random.default_rng(38)
+    counts = [1 << k for k in range(14)] + [3, 96, 768]
+    for horizon in (32, 64):
+        ctx = QContext(q, grid_horizon=horizon)
+        sources = [GridFunction.delta(n, ctx.npoints) for n in range(21)]
+        for top in (0, 5, 20, horizon):
+            v = np.zeros(ctx.npoints, dtype=complex)
+            v[: top + 1] = rng.standard_normal(top + 1) + 1j * rng.standard_normal(top + 1)
+            sources.append(GridFunction(v))
+        for g in sources:
+            for node_count in counts:
+                F = transform_forward(g, ctx, node_count)
+                by_hand = SpectralFunction(F.nodes, F.values, g)
+                calls = _counted_forward(monkeypatch)
+                for count in _family(node_count):
+                    table, fv = S._quadrature_terms(F, ctx, count, ctx.npoints)
+                    assert not calls, (node_count, count)
+                    ref_table, ref = S._quadrature_terms(by_hand, ctx, count, ctx.npoints)
+                    assert len(calls) == 1
+                    calls.clear()
+                    assert np.array_equal(table, ref_table)
+                    assert np.array_equal(fv, ref), (horizon, node_count, count)
+                monkeypatch.undo()
+
+
+def test_round_trip_contracts_its_source_once(monkeypatch):
+    # a forward on at least the certified count leaves the inverse nothing
+    # to evaluate; one on fewer nodes, on another odd part or at another q,
+    # and one built by hand with no values, are evaluated again from the
+    # source, and every route gives the same rows bit for bit
+    ctx = QContext(0.5)
+    g = GridFunction.delta(5, ctx.npoints)
+    certified = _certified_nodes(g, ctx, ctx.npoints)
+    assert 1 < certified < 1024
+    reference = transform_inverse(SpectralFunction(_nodes(certified, ctx), None, g), ctx).values
+    cases = [
+        (lambda: transform_forward(g, ctx, 1024), 1),
+        (lambda: transform_forward(g, ctx, certified), 1),
+        (lambda: transform_forward(g, ctx, certified // 2), 2),
+        (lambda: transform_forward(g, ctx, 768), 2),
+        (lambda: transform_forward(g, QContext(0.3), 1024), 2),
+        (lambda: SpectralFunction(_nodes(1024, ctx), None, g), 1),
+    ]
+    for make, expected in cases:
+        calls = _counted_forward(monkeypatch)
+        back = transform_inverse(make(), ctx).values
+        assert len(calls) == expected
+        assert np.array_equal(back, reference)
+        monkeypatch.undo()
+
+
+def test_folded_values_and_nodes_are_read_only():
+    ctx = QContext(0.5, grid_horizon=16)
+    F = transform_forward(GridFunction.delta(3, ctx.npoints), ctx, 256)
+    key, folded = F._folded
+    assert key == ("phi", 0.5, 1) and len(folded) == 129
+    assert np.array_equal(F.values, folded[_columns(256)])
+    # the nodes of a count are one cached array per (h, count), whatever
+    # the horizon; the values expand the folded ones and stay the caller's
+    assert F.nodes is _nodes(256, QContext(0.5)) is _nodes(256, ctx)
+    for arr in (folded, F.nodes):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert F.values.flags.writeable
 
 
 def test_inverse_of_a_nan_source_raises():
@@ -1165,7 +1263,8 @@ def test_start_count_is_a_power_of_two_from_the_strip():
             assert need <= start < 2 * need
             d = GridFunction.delta(depth, ctx.npoints)
             count = _certified_nodes(d, ctx, ctx.npoints)
-            bound = dict(zip(S._ALIAS_COUNTS.tolist(), _alias_bound(d, ctx, ctx.npoints)))
+            bounds = _alias_bound(np.abs(d.values), ctx, ctx.npoints)
+            bound = dict(zip(S._ALIAS_COUNTS.tolist(), bounds))
             assert count & (count - 1) == 0 and count <= 2 * start
             assert bound[count] <= S._QUAD_ABS_TOL < bound[count // 2]
 
@@ -1201,7 +1300,7 @@ def test_alias_bound_holds_over_the_sweep(q):
     compared = 0
     for depth in range(21):
         d = GridFunction.delta(depth, ctx.npoints)
-        bound = dict(zip(counts, _alias_bound(d, ctx, ctx.npoints)))
+        bound = dict(zip(counts, _alias_bound(np.abs(d.values), ctx, ctx.npoints)))
         count = _certified_nodes(d, ctx, ctx.npoints)
         assert bound[count] <= S._QUAD_ABS_TOL
         F = SpectralFunction(None, None, d)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 
@@ -10,6 +11,7 @@ import pytest
 
 from qdisc import DiscElement, GridFunction, QContext
 from qdisc import green, spherical, verify
+from qdisc.cli import main
 from qdisc.verify import REGISTRY, _max, run_registry
 
 
@@ -52,6 +54,31 @@ def test_registry_skips_groups_without_a_matching_name(monkeypatch):
     results = run_registry(QContext(0.5), ["algebra_rep_inv"])
     assert [r.name for r in results] == ["algebra_rep_involution"]
     assert results[0].passed
+
+
+def test_a_non_scalar_residual_fails_its_own_check(monkeypatch, tmp_path):
+    # a check that returns an unreduced array fails alone, with residual
+    # nan, its own tolerance and a detail naming what came back; the run
+    # still reports every other check and exits 1
+    def unreduced(ctx, fx):
+        return np.ones(3), 1e-10, "an array"
+
+    unreduced.__name__ = "algebra_rep_involution"
+    monkeypatch.setattr(
+        verify,
+        "REGISTRY",
+        tuple(unreduced if c is verify.algebra_rep_involution else c for c in REGISTRY),
+    )
+    out = tmp_path / "report.json"
+    code = main(["verify", "--q", "0.5", "--checks", "algebra_rep,algebra_integral", "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert code == 1 and report["passed"] is False
+    checks = {c["check"]: c for c in report["checks"]}
+    assert list(checks) == ["algebra_rep_products", "algebra_rep_involution", "algebra_integral_values"]
+    bad = checks.pop("algebra_rep_involution")
+    assert math.isnan(bad["residual"]) and bad["tolerance"] == 1e-10 and bad["pass"] is False
+    assert bad["detail"] == "residual is a ndarray of shape (3,), not a real scalar"
+    assert all(c["pass"] for c in checks.values())
 
 
 def test_registry_declares_every_check_once():
