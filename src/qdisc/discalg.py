@@ -257,7 +257,7 @@ def _mul_into(row: np.ndarray | None, m1: int, psi: np.ndarray, m2: int, phi: np
         # leaving the argument of chi shifted up and the contraction polynomial P_d.
         d = min(m1, -m2)
         chi = psi * phi
-        if finite and d > 0 and np.any(np.abs(chi[..., npoints - d:]) > 0):
+        if finite and d > 0 and np.any(chi[..., npoints - d:] != 0):
             raise CapacityError("product support would pass the grid horizon; raise grid_horizon")
         k = max(npoints - d, 0)
         cols, x, y = slice(npoints - k, None), chi[..., :k], _poch_down(d, ctx, npoints)[npoints - k:]

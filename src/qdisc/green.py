@@ -284,8 +284,8 @@ def _majorants(tables, q2: float, shape: tuple[int, int]) -> list[float]:
 
 def kernel_G(
     l: complex,
-    mode: str = "plain",
-    ctx: QContext | None = None,
+    mode: str,
+    ctx: QContext,
     shape: tuple[int, int] | None = None,
     sector_max: int = 4,
 ) -> Kernel:
@@ -305,8 +305,6 @@ def kernel_G(
     and sector pairs whose table vanishes are left out.  For l a negative
     integer both sums terminate and it is exact.
     """
-    if ctx is None:
-        raise DomainError("kernel_G requires a context")
     if mode not in ("plain", "derivative"):
         raise DomainError("mode must be 'plain' or 'derivative'")
     if shape is None:
@@ -480,7 +478,7 @@ def apply_kernel(K: Kernel, f: DiscElement, ctx: QContext | None = None) -> Disc
     for m, phi in f.sectors.items():
         if not phi.finite_support:
             raise DomainError("apply_kernel requires a finite element")
-        supp = np.nonzero(np.abs(phi.values) > 0)[0]
+        supp = np.flatnonzero(phi.values)
         if len(supp) == 0:
             continue
         j = -m

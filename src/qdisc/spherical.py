@@ -52,16 +52,17 @@ to complex.  phi and the density depend on rho only through cos(h rho),
 so of the N equispaced nodes j P/N, node N - j carries the same values as
 node j: a table holds the N//2 + 1 distinct nodes j = 0..N//2 alone.  The
 node set of N nodes is every other node of the set of 2N, and both phi
-and the density are evaluated node by node, so each is built once per
-(q, odd part of the count) as a cover whose columns run coarse to fine:
+and the density are evaluated node by node, so both are kept per (q, odd
+part of the count) in one node cover whose columns run coarse to fine:
 the distinct nodes of the odd part first, then the odd nodes j <= N that
-each doubling to 2N adds.  The table on any count of that family is the
-cover's first columns (and, for phi, its first rows), served as a
+each doubling to 2N adds.  The table on any count of that family is
+the cover's first columns (and, for phi, its first rows), served as a
 read-only view with one unit stride, bit for bit what a direct build on
-those nodes gives; a cover grows by appending the columns and rows it
-lacks.  The covers, at most 64 of them, are the only store of node
-tables, and transform_forward returns its values on all N nodes in
-ascending order, a mirrored pair's two values equal.
+those nodes gives; a request past the cover rebuilds it whole, on the
+largest count and the most rows asked for so far.  The covers, at most
+64 of them, are the only store of node tables, and transform_forward
+returns its values on all N nodes in ascending order, a mirrored pair's
+two values equal.
 
 Inverse.  transform_inverse sums the inversion integral by the periodic
 trapezoid rule in one pass, on a count certified by a bound rather than
@@ -134,11 +135,11 @@ def _phi_digits(n: int, q: float) -> int:
 _PHI_CERT_TOL = 1e-13
 
 
-# Covers: per key, the largest q-only table asked for so far, read-only.
-# A larger request replaces the cover with a grown one, and the smaller one
-# is dropped; smaller requests are served as its slices.  The store keeps
-# the covers in order of use and holds at most 64 of them (a spectral
-# benchmark pass uses 48: 16 q, three kinds).
+# Covers: per key, the largest q-only tables asked for so far, read-only.
+# A larger request replaces the cover with one built whole, and the smaller
+# one is dropped; smaller requests are served as its slices.  The store
+# keeps the covers in order of use and holds at most 64 of them (a spectral
+# benchmark pass uses 32: 16 q, each with a cosine cover and a node cover).
 _COVERS = _Covers(64)
 
 
@@ -373,16 +374,17 @@ def _fixed_ln(a: int, b: int, w: int) -> int:
 
     k square roots (math.isqrt) take x = a/b to y = x^(2^-k), with
     |ln y| < 2^-r, and ln x = 2^(k+1) atanh t, t = (y - 1)/(y + 1), whose
-    odd series is summed until its terms vanish; r = 4 + sqrt(w)/2, here and
-    in the other fixed-point routines, balances the k steps against the
-    terms.  The run is at W = w + g bits:
+    odd series is summed until its terms vanish; r = 4 + sqrt(w)/4, here and
+    in _fixed_exp, balances the k steps against the terms (a root or a
+    squaring of W-bit numbers costs about as much as three or four terms,
+    which shrink as the sum runs).  The run is at W = w + g bits:
     each root and each term drops less than a unit, a root halves the
     relative error it is handed, and the reading of x errs by 2^-W/x
     relative, so the 2^k of the last step and the 1/x take k + e bits of
     g (x >= 2^-e), and 16 bits more cover the count of roundings.
     """
     lnx = abs(math.log(a) - math.log(b))
-    r = 4 + math.isqrt(w) // 2
+    r = 4 + math.isqrt(w) // 4
     k = r + int(lnx).bit_length()
     g = k + (b // a).bit_length() + 16
     W = w + g
@@ -402,64 +404,45 @@ def _fixed_ln(a: int, b: int, w: int) -> int:
     return total if y >= one else -total
 
 
-def _fixed_cos_sin(t: int, w: int) -> tuple[int, int]:
-    """cos and sin of the fixed-point number t / 2^w, each within 1 of
-    2^w times the true value.
+def _fixed_exp(x: int, y: int, w: int) -> tuple[int, int]:
+    """e^z for z = (x + iy) / 2^w with x >= 0, in fixed point: the pair of
+    integers within 2 e^(Re z) of 2^w Re e^z and 2^w Im e^z, and within 1
+    for x = 0, where they are 2^w cos y and 2^w sin y.
 
-    Halved k times, to |u| < 2^-r, the angle takes the Taylor series of
-    both, summed until their terms vanish, and k squarings of c + i s
-    double it back.  A squaring at most doubles the modulus of the error
-    it is handed (|c + i s| is 1 to within the error) and adds a unit or
-    two, so at w + k + 12 bits all of it stays below 2^-(w+8); the halving
-    is exact, a shift of t.
+    Halved k times, to u = z 2^-k with |u| < 2^-r, e^u = C + u S is summed
+    from the even and odd halves of its Taylor series, C = sum_h v^h/(2h)!
+    and S = sum_h v^h/(2h+1)! with v = u^2: each step multiplies C's term by
+    v and divides it by (2h - 1) 2h, and S's term is C's over 2h + 1; then
+    k complex squarings double it back.  The run is at W = w + k + 12 bits,
+    and the halving is exact, a shift of x and y.  Every product and
+    quotient is floored, so a term that falls to within a unit of zero may
+    sit at -1 there: the sums stop at the first term whose parts both lie
+    in [-1, 1].  A step adds at most four units to the sums (C's floor,
+    the rounding of v it carries and S's floor), the stop drops two more,
+    and |term h| < 2^(W - 2rh) allows fewer than W/(2r) + 2 steps.  A
+    squaring at most doubles the relative error it is handed and adds two
+    units (the modulus is e^(Re z) >= 1), so the result errs by under
+    (4 W/(2r) + 20) 2^-(w+12) relative, below 2^-(w+1) for w up to 40000
+    bits, and half a unit in the last rounding.
     """
-    r = 4 + math.isqrt(w) // 2
-    k = r + (abs(t) >> w).bit_length()
+    r = 4 + math.isqrt(w) // 4
+    k = r + ((x + abs(y)) >> w).bit_length()
     W = w + k + 12
-    one = 1 << W
-    u = abs(t) << (W - w - k)
-    u2 = u * u >> W
-    c = term = one
-    s = power = u
-    for i in itertools.count(2, 2):
-        term = (term * u2 >> W) // ((i - 1) * i)
-        if not term:
+    a, b = x << (W - w - k), y << (W - w - k)
+    p, s = (a * a - b * b) >> W, (a * b) >> (W - 1)
+    c = c_re = s_re = 1 << W
+    d = c_im = s_im = 0
+    for j in itertools.count(3, 2):
+        n = (j - 2) * (j - 1)
+        c, d = ((c * p - d * s) >> W) // n, ((c * s + d * p) >> W) // n
+        if c * c + d * d <= 2:
             break
-        power = (power * u2 >> W) // (i * (i + 1))
-        if i % 4 == 2:
-            c, s = c - term, s - power
-        else:
-            c, s = c + term, s + power
-    if t < 0:
-        s = -s
+        c_re, c_im, s_re, s_im = c_re + c, c_im + d, s_re + c // j, s_im + d // j
+    re, im = c_re + ((a * s_re - b * s_im) >> W), c_im + ((a * s_im + b * s_re) >> W)
     for _ in range(k):
-        c, s = (c * c - s * s) >> W, (c * s) >> (W - 1)
+        re, im = (re * re - im * im) >> W, (re * im) >> (W - 1)
     half = 1 << (W - w - 1)
-    return (c + half) >> (W - w), (s + half) >> (W - w)
-
-
-def _fixed_exp(t: int, w: int) -> int:
-    """e^x for x = t / 2^w >= 0, in fixed point: an integer within
-    2 e^x of 2^w e^x.
-
-    Halved k times, to u = x 2^-k < 2^-r, the Taylor series of e^u is
-    summed until its terms vanish and squared k times; a squaring doubles
-    the relative error it is handed and adds a unit, so w + k + 12 bits
-    keep it below 2^-(w+8) relative.
-    """
-    r = 4 + math.isqrt(w) // 2
-    k = r + (t >> w).bit_length()
-    W = w + k + 12
-    u = t << (W - w - k)
-    total = term = 1 << W
-    for i in itertools.count(1):
-        term = (term * u >> W) // i
-        if not term:
-            break
-        total += term
-    for _ in range(k):
-        total = total * total >> W
-    return (total + (1 << (W - w - 1))) >> (W - w)
+    return (re + half) >> (W - w), (im + half) >> (W - w)
 
 
 def _two_q_cos(rho: complex, q: float, w: int) -> tuple[int, int]:
@@ -469,29 +452,22 @@ def _two_q_cos(rho: complex, q: float, w: int) -> tuple[int, int]:
 
     q and rho are read exactly (float.as_integer_ratio).  The angle
     theta = 2 rho ln q takes ln q at the bits that cover the factor
-    2|rho|, so each part of theta errs by at most 3 units of 2^-(w+8);
-    cos and sin of Re theta (_fixed_cos_sin) and e^(+-Im theta)
-    (_fixed_exp) are taken at w + 8 bits, and the products rounded to w.
+    2|rho|, so each part of theta errs by at most 3 units of 2^-(w+8).
+    With E = e^(|Im theta| + i Re theta) (_fixed_exp at w + 8 bits) and
+    F = E/|E|^2 = e^(-|Im theta| + i Re theta), which is E itself for real
+    rho, s = q (Re(E + F) - i sign(Im theta) Im(E - F)), rounded to w bits.
     """
     rho = complex(rho)
     a, b = q.as_integer_ratio()
     W = w + 8
     reach = (int(2.0 * (abs(rho.real) + abs(rho.imag))) + 1).bit_length()
     lnq = _fixed_ln(a, b, W + reach)
-    re_num, re_den = rho.real.as_integer_ratio()
-    cos, sin = _fixed_cos_sin((2 * re_num * lnq) // re_den >> reach, W)
-    if rho.imag == 0.0:
-        cosh, sinh = 1 << W, 0
-    else:
-        im_num, im_den = rho.imag.as_integer_ratio()
-        im_theta = (2 * im_num * lnq) // im_den >> reach
-        grow = _fixed_exp(abs(im_theta), W)  # e^|Im theta|
-        shrink = (1 << 2 * W) // grow
-        cosh, sinh = (grow + shrink) >> 1, (grow - shrink) >> 1
-        if im_theta < 0:
-            sinh = -sinh
-    half = 1 << (W + 7)
-    return (2 * a * cos * cosh // b + half) >> (W + 8), (half - 2 * a * sin * sinh // b) >> (W + 8)
+    (re_num, re_den), (im_num, im_den) = rho.real.as_integer_ratio(), rho.imag.as_integer_ratio()
+    im_theta = (2 * im_num * lnq) // im_den >> reach
+    E = _fixed_exp(abs(im_theta), (2 * re_num * lnq) // re_den >> reach, W)
+    F = E if im_theta == 0 else tuple((part << 2 * W) // (E[0] ** 2 + E[1] ** 2) for part in E)
+    sign = 1 if im_theta > 0 else -1
+    return (a * (E[0] + F[0]) // b + 128) >> 8, (128 - sign * a * (E[1] - F[1]) // b) >> 8
 
 
 def _cosine_bits(rho: complex, rows, q: float) -> int:
@@ -642,17 +618,16 @@ def phi_matrix(rhos: np.ndarray, npoints: int, ctx: QContext) -> np.ndarray:
     return rows.T
 
 
-def _recur(rows: np.ndarray, lam: np.ndarray, ctx: QContext, start: int = 0) -> None:
-    """Fill rows[start:] of a row-major phi table, one column per
-    eigenvalue in lam, by the eigen-recurrence from the rows above start.
-    Every step is elementwise in the columns, so a column comes out the
-    same whatever the other columns or the rows below are."""
+def _recur(rows: np.ndarray, lam: np.ndarray, ctx: QContext) -> None:
+    """Fill a row-major phi table, one column per eigenvalue in lam, by the
+    eigen-recurrence from phi = 1 at row 0.  Every step is elementwise in
+    the columns and reads the rows above it alone, so a column comes out
+    the same whatever the other columns or the rows below are."""
     up, diag, down = stencil_coefficients(ctx, len(rows))
-    if start == 0:
-        rows[:1] = 1.0
-    if start <= 1 and len(rows) > 1:
+    rows[:1] = 1.0
+    if len(rows) > 1:
         rows[1] = (lam - diag[0]) / down[0]
-    for n in range(max(start, 2) - 1, len(rows) - 1):
+    for n in range(1, len(rows) - 1):
         rows[n + 1] = ((lam - diag[n]) * rows[n] - up[n] * rows[n - 1]) / down[n]
 
 
@@ -803,18 +778,19 @@ def _equispaced(h: float, count: int) -> np.ndarray:
 # of count N are every (M/N)-th node of count M when M/N is a power of two
 # (period j / N and period (2j) / (2N) round alike), phi and the density
 # are evaluated node by node, and phi's rows 0..n-1 do not depend on the
-# rows below them.  So phi and the density each keep one cover per (q, odd
-# part c of the count), its columns in coarse-to-fine order: the (c + 1)/2
-# distinct nodes of count c, then the odd nodes j <= c that count 2c adds,
-# then the odd nodes j <= 2c that count 4c adds, and so on.  The table on
-# c 2^k nodes and n rows is the cover's first _width(c 2^k) columns and
-# first n rows, bit for bit what a direct build on those nodes gives, and
-# it is served as a read-only view of the cover.  A cover grows by
-# appending the columns of the nodes it lacks and the rows it lacks.
-def _cover_key(kind: str, q: float, count: int) -> tuple:
+# rows below them.  So one node cover per (q, odd part c of the count)
+# holds both, its columns in coarse-to-fine order: the (c + 1)/2 distinct
+# nodes of count c, then the odd nodes j <= c that count 2c adds, then the
+# odd nodes j <= 2c that count 4c adds, and so on.  The table on c 2^k
+# nodes and n rows is the cover's first _width(c 2^k) columns and first n
+# rows, bit for bit what a direct build on those nodes gives, and it is
+# served as a read-only view of the cover.  A request past the cover
+# rebuilds it whole, on the largest count and the most rows asked for so
+# far, and the new cover replaces the old one.
+def _cover_key(q: float, count: int) -> tuple:
     if count < 1:
         raise DomainError(f"node count {count} must be positive")
-    return kind, q, count // (count & -count)
+    return q, count // (count & -count)
 
 
 def _width(count: int) -> int:
@@ -857,42 +833,42 @@ def _table_nodes(count: int, ctx: QContext) -> np.ndarray:
     return nodes
 
 
+def _node_cover(q: float, count: int, npoints: int) -> tuple[np.ndarray, np.ndarray]:
+    """The node cover of count's family, on at least npoints rows and the
+    distinct nodes of count: the row-major phi table (see _columns) and the
+    density on the same columns, both read-only.  A cover too small for
+    the request is rebuilt whole, by one recurrence over every row and
+    column and one density call, on the larger of its count and the
+    request's and on the most rows either asks for."""
+    key = _cover_key(q, count)
+    cover = _COVERS.get(key)
+    if cover is None or npoints > len(cover[0]) or _width(count) > len(cover[1]):
+        ctx = QContext(q)
+        rows, size = (0, 0) if cover is None else cover[0].shape
+        while _width(count) < size:  # the cover's own count, when it is larger
+            count *= 2
+        nodes = _table_nodes(count, ctx)
+        # the density first: its temporaries, several times the density's
+        # size, are gone before the new phi table joins the old cover
+        density = _frozen(sigma_density(nodes, ctx))
+        phi = np.empty((max(npoints, rows), len(nodes)))
+        _recur(phi, lambda_rho(nodes, ctx).real, ctx)
+        cover = _frozen(phi), density
+    return _COVERS.keep(key, cover)
+
+
 def _phi_table(q: float, count: int, npoints: int) -> np.ndarray:
     """Row-major phi table on the distinct nodes of count nodes and on
     npoints rows: entry [n, p] is phi at row n and the node of column p
     (see _columns), npoints x _width(count).  A read-only view of the
-    cover, with one unit stride."""
-    key = _cover_key("phi", q, count)
-    cover = _COVERS.get(key)
-    if cover is None or npoints > len(cover) or _width(count) > cover.shape[1]:
-        ctx = QContext(q)
-        rows, size = (0, 0) if cover is None else cover.shape
-        top = count
-        while _width(top) < size:  # the cover's own count, when it is larger
-            top *= 2
-        lam = lambda_rho(_table_nodes(top, ctx), ctx).real
-        grown = np.empty((max(npoints, rows), len(lam)))
-        if cover is not None:
-            grown[:rows, :size] = cover
-            _recur(grown[:, :size], lam[:size], ctx, rows)
-        if len(lam) > size:
-            _recur(grown[:, size:], lam[size:], ctx)
-        cover = _frozen(grown)
-    return _COVERS.keep(key, cover)[:npoints, : _width(count)]
+    node cover, with one unit stride."""
+    return _node_cover(q, count, npoints)[0][:npoints, : _width(count)]
 
 
 def _density_table(q: float, count: int) -> np.ndarray:
     """The density on the distinct nodes of count nodes, in the columns'
-    order of the phi table: a read-only view of the cover."""
-    key = _cover_key("density", q, count)
-    width = _width(count)
-    cover = _COVERS.get(key)
-    if cover is None or width > len(cover):
-        ctx = QContext(q)
-        old = np.empty(0) if cover is None else cover
-        fresh = sigma_density(_table_nodes(count, ctx)[len(old) :], ctx)
-        cover = _frozen(np.concatenate((old, fresh)))
-    return _COVERS.keep(key, cover)[:width]
+    order of the phi table: a read-only view of the node cover."""
+    return _node_cover(q, count, 0)[1][: _width(count)]
 
 
 # The inverse's GEMM contracts a phi table over its nodes.  Past 4096
@@ -947,7 +923,7 @@ def transform_forward(
         raise DomainError("spherical transform requires finite support")
     vals = _frozen(_forward(_phi_table(ctx.q, node_count, len(g.values)), g, ctx))
     F = SpectralFunction(_nodes(node_count, ctx), vals[_columns(node_count)], source=g)
-    F._folded = (_cover_key("phi", ctx.q, node_count), vals)
+    F._folded = (_cover_key(ctx.q, node_count), vals)
     return F
 
 
@@ -1141,7 +1117,7 @@ def _quadrature_terms(F, ctx: QContext, count: int, npoints: int) -> tuple[np.nd
     """
     if isinstance(F, SpectralFunction):
         key, folded = F._folded or (None, ())
-        if key == _cover_key("phi", ctx.q, count) and len(folded) >= _width(count):
+        if key == _cover_key(ctx.q, count) and len(folded) >= _width(count):
             table, fv = _phi_table(ctx.q, count, npoints), folded[: _width(count)]
         else:
             table = _phi_table(ctx.q, count, max(npoints, len(F.source.values)))

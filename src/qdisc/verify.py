@@ -878,7 +878,7 @@ def inverse_route_consistency(ctx: QContext, fx: Fixtures):
 
 
 def _interior_max(d: DiscElement, margin: int) -> float:
-    return _max(0.0, *(np.abs(g.values[: d.ctx.npoints - margin]) for g in d.sectors.values()))
+    return _max(0.0, *(np.abs(g.values[..., : d.ctx.npoints - margin]) for g in d.sectors.values()))
 
 
 def _limit_rows(ctx: QContext):

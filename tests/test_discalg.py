@@ -245,6 +245,17 @@ def test_capacity_error_on_horizon_overflow():
         normal_mul(normal_mul(z, f), zsf)
 
 
+def test_a_nan_at_the_horizon_raises_like_a_number():
+    # z^2 psi times z*: psi's top row moves past the grid, and a NaN there
+    # is as nonzero as 2.0
+    ctx = QContext(0.5, grid_horizon=8)
+    for top in (2.0, math.nan):
+        v = np.zeros(ctx.npoints, dtype=complex)
+        v[8] = top
+        with pytest.raises(CapacityError, match="horizon"):
+            normal_mul(DiscElement({2: GridFunction(v)}, ctx), DiscElement.generator_zstar(ctx))
+
+
 def test_json_round_trip(ctx, rng):
     f = random_element(ctx, rng, sectors=2, support=4)
     doc = element_to_json_dict(f)

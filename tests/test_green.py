@@ -779,6 +779,17 @@ def test_invariance_residual_matches_the_per_pair_route():
             assert kernel_invariance_residual(K, ctx) == _invariance_residual_ref(K, ctx), (q, K.shape)
 
 
+def test_a_nan_on_the_edge_of_the_support_reaches_the_solution():
+    # the support is every nonzero entry, NaN included: a NaN past the last
+    # finite row, or alone, is not dropped from the pairing
+    ctx = QContext(0.5, grid_horizon=16)
+    for head in (1.0, 0.0):
+        v = np.zeros(ctx.npoints, dtype=complex)
+        v[0], v[3] = head, math.nan
+        out = green_solve(DiscElement({0: GridFunction(v)}, ctx), 1)
+        assert list(out.sectors) == [0] and np.isnan(out.sector(0).values).all()
+
+
 def test_invariance_residual_keeps_nan():
     # a nan entry in any term makes the residual nan, wherever it sits
     ctx = QContext(0.5, grid_horizon=16)

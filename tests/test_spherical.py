@@ -42,7 +42,6 @@ from qdisc.spherical import (
     _columns,
     _cosine_bits,
     _density_table,
-    _fixed_cos_sin,
     _fixed_exp,
     _fixed_ln,
     _forward,
@@ -277,26 +276,47 @@ def test_integer_series_matches_the_mpmath_reference(q):
 @pytest.mark.parametrize("w", [53, 128, 192, 700, 4500])
 def test_fixed_point_elementary_functions_match_mpmath(w):
     # each within a few units of 2^-w of a value mpmath takes 64 bits
-    # further, exp relative to e^x; so is s = 2q cos(2 rho ln q) for real rho
+    # further: e^(iy) as cos and sin within 1, e^x and e^(x + iy) within
+    # 2 e^x; so is s = 2q cos(2 rho ln q), within 2 for real rho and within
+    # 2 max(1, 2q cosh(Im theta)) for complex rho, theta = 2 rho ln q
     scale = mpmath.mpf(2) ** w
+
+    def fixed(x):
+        return int(mpmath.floor(mpmath.mpf(x) * scale))
+
     with mpmath.workprec(w + 64):
         for q in (0.05, 0.3, 0.5, 0.9, 0.995, 1.7, 1e-5):
             a, b = q.as_integer_ratio()
             assert abs(_fixed_ln(a, b, w) - mpmath.log(mpmath.mpf(a) / b) * scale) <= 2
-        for x in (0.0, 2e-9, -0.37, 1.0, -3.14159, 20.5, -613.0, 4096.25):
-            t = int(mpmath.floor(mpmath.mpf(x) * scale))
-            c, s = _fixed_cos_sin(t, w)
+        angles = (0.0, 2e-9, -0.37, 1.0, -3.14159, 20.5, -613.0, 4096.25)
+        for y in angles:
+            t = fixed(y)
+            c, s = _fixed_exp(0, t, w)
             assert abs(c - mpmath.cos(t / scale) * scale) <= 1
             assert abs(s - mpmath.sin(t / scale) * scale) <= 1
         for x in (0.0, 3e-7, 0.5, 1.0, 7.25, 40.0, 300.0):
-            t = int(mpmath.floor(mpmath.mpf(x) * scale))
+            t = fixed(x)
             e = mpmath.exp(t / scale)
-            assert abs(_fixed_exp(t, w) - e * scale) <= 2 * e
+            re, im = _fixed_exp(t, 0, w)
+            assert abs(re - e * scale) <= 2 * e and im == 0
+            for y in angles[1:]:
+                z = mpmath.exp(mpmath.mpc(t, fixed(y)) / scale)
+                re, im = _fixed_exp(t, fixed(y), w)
+                assert abs(re - z.real * scale) <= 2 * e
+                assert abs(im - z.imag * scale) <= 2 * e
         for q, rho in itertools.product((0.05, 0.5, 0.995), (0.0, 0.7, 123.4)):
             s_re, s_im = _two_q_cos(rho, q, w)
             qm = mpmath.mpf(q)
             assert abs(s_re - 2 * qm * mpmath.cos(2 * rho * mpmath.log(qm)) * scale) <= 2
             assert s_im == 0
+        for q, rho in itertools.product((0.05, 0.5, 0.995), (0.3 + 0.2j, 0.3 + 40j, 1.5j, -0.4 - 2j)):
+            s_re, s_im = _two_q_cos(rho, q, w)
+            qm = mpmath.mpf(q)
+            theta = 2 * mpmath.mpc(rho) * mpmath.log(qm)
+            s = 2 * qm * mpmath.cos(theta) * scale
+            units = 2 * max(1, 2 * qm * mpmath.cosh(theta.imag))
+            assert abs(s_re - s.real) <= units
+            assert abs(s_im - s.imag) <= units
 
 
 def test_cosine_bits_follow_the_markov_bound():
@@ -761,9 +781,10 @@ def test_cached_quadrature_arrays_are_read_only(ctx):
 
 
 def _assert_view_of_cover(table, kind, q, count):
-    # a served table is a read-only view of its cover with one unit stride
+    # a served table is a read-only view of its node cover's phi or density
+    # part with one unit stride
     odd = count // (count & -count)
-    assert np.shares_memory(table, S._COVERS[kind, q, odd])
+    assert np.shares_memory(table, S._COVERS[q, odd][("phi", "density").index(kind)])
     assert not table.flags.writeable and table.strides[-1] == table.itemsize
 
 
@@ -799,8 +820,57 @@ def test_node_columns_nest_coarse_to_fine():
                 assert np.array_equal(nodes[: half // 2 + 1], _table_nodes(half, ctx))
 
 
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.995])
+def test_node_covers_rebuild_whole_and_keep_every_view(q):
+    # requests that grow the rows alone, the columns alone, both, and a
+    # family of odd part 3: each one past the cover rebuilds it whole, and
+    # every view served so far, those cut from a replaced cover included,
+    # equals a direct build of phi and of the density on its nodes; the
+    # store then holds the family's one node cover, on the largest count
+    # and rows asked for
+    ctx = QContext(q)
+    orders = (
+        [(256, 33), (256, 65), (256, 129)],
+        [(64, 65), (256, 65), (1024, 65)],
+        [(64, 33), (512, 65), (128, 129), (1024, 33)],
+        [(96, 33), (768, 65), (24, 129), (384, 17)],
+    )
+    for order in orders:
+        S._COVERS.clear()
+        served = []
+        for count, npoints in order:
+            served.append((count, npoints, _phi_table(q, count, npoints), _density_table(q, count)))
+            for c, n, table, dens in served:
+                nodes = _table_nodes(c, ctx)
+                assert np.array_equal(table, phi_matrix(nodes, n, ctx).T)
+                assert np.array_equal(dens, sigma_density(nodes, ctx))
+        odd = count // (count & -count)
+        assert list(S._COVERS) == [(q, odd)]
+        phi, dens = S._COVERS[q, odd]
+        width = max(c for c, _ in order) // 2 + 1
+        assert phi.shape == (max(n for _, n in order), width) and dens.shape == (width,)
+        assert not phi.flags.writeable and not dens.flags.writeable
+    S._COVERS.clear()
+
+
+def test_round_trips_keep_one_node_cover_per_q():
+    # round trips at the spectral workload's node counts and horizons and
+    # phi_rho rows leave two covers per q: the cosine cover and one node
+    # cover for odd part 1, which every power-of-two count reads
+    S._COVERS.clear()
+    qs = (0.2, 0.5, 0.8)
+    for q, count, horizon in itertools.product(qs, (256, 512, 1024), (32, 64)):
+        ctx = QContext(q, grid_horizon=horizon)
+        source = GridFunction.delta(3, ctx.npoints)
+        back = transform_inverse(transform_forward(source, ctx, count), ctx)
+        assert np.max(np.abs(back.values - source.values)) <= 1e-8
+        phi_rho(0.3, 20, ctx)
+    assert set(S._COVERS) == {("cosine", q) for q in qs} | {(q, 1) for q in qs}
+    S._COVERS.clear()
+
+
 def test_walking_the_node_counts_keeps_one_cover_per_key():
-    # each doubling grows the cover in place of the last one, and every
+    # each doubling rebuilds the cover in place of the last one, and every
     # table served is a view of the cover that was current then, on the
     # count//2 + 1 distinct nodes
     S._COVERS.clear()
@@ -810,8 +880,8 @@ def test_walking_the_node_counts_keeps_one_cover_per_key():
         assert table.shape == (npoints, count // 2 + 1) and dens.shape == (count // 2 + 1,)
         _assert_view_of_cover(table, "phi", q, count)
         _assert_view_of_cover(dens, "density", q, count)
-    assert set(S._COVERS) == {("phi", q, 1), ("density", q, 1)}
-    phi, dens = S._COVERS["phi", q, 1], S._COVERS["density", q, 1]
+    assert set(S._COVERS) == {(q, 1)}
+    phi, dens = S._COVERS[q, 1]
     assert phi.shape == (npoints, 8193) and dens.shape == (8193,)
     assert not phi.flags.writeable and not dens.flags.writeable
     S._COVERS.clear()
@@ -903,10 +973,11 @@ def test_node_tables_and_round_trips_from_emptied_covers(
     assert np.max(np.abs(back.values - source.values)) <= 1e-8
     # the inverse's tables are prefixes of the odd-part-1 cover, whose
     # width w holds the distinct nodes of count 2 (w - 1), or of count 1
-    cover = S._COVERS["phi", q, 1]
+    cover, dens = S._COVERS[q, 1]
     rows, width = cover.shape
     top = max(1, 2 * (width - 1))
     assert np.array_equal(cover, phi_matrix(_table_nodes(top, ctx), rows, ctx).T)
+    assert np.array_equal(dens, sigma_density(_table_nodes(top, ctx), ctx))
     S._COVERS.clear()
 
 
@@ -1132,7 +1203,7 @@ def test_folded_values_and_nodes_are_read_only():
     ctx = QContext(0.5, grid_horizon=16)
     F = transform_forward(GridFunction.delta(3, ctx.npoints), ctx, 256)
     key, folded = F._folded
-    assert key == ("phi", 0.5, 1) and len(folded) == 129
+    assert key == (0.5, 1) and len(folded) == 129
     assert np.array_equal(F.values, folded[_columns(256)])
     # the nodes of a count are one cached array per (h, count), whatever
     # the horizon; the values expand the folded ones and stay the caller's

@@ -145,14 +145,15 @@ def test_a_nan_term_fails_its_check(monkeypatch, module, name, at, check):
 
 def _nan_member(x, member):
     """x with member `member` of its first family nan in one sector: the
-    first batch of a list or tuple of them, a batched element, or a batch
-    of grid values."""
+    first batch of a list or tuple of them, a batched element (nan on the
+    member's support in that sector, so its finite support stays inside
+    the grid), or a batch of grid values."""
     if isinstance(x, (list, tuple)):
         return type(x)([_nan_member(x[0], member), *x[1:]])
     if isinstance(x, DiscElement):
         m, g = next(iter(x.sectors.items()))
         values = g.values.copy()
-        values[member] = math.nan
+        values[member, values[member] != 0] = math.nan
         return DiscElement({**x.sectors, m: GridFunction(values, g.finite_support)}, x.ctx)
     out = x.copy()
     out[member] = math.nan
@@ -188,6 +189,17 @@ def test_a_nan_member_fails_its_check(monkeypatch, name, member, check):
     assert result.name == check
     assert math.isnan(result.residual)
     assert not result.passed
+
+
+def test_interior_max_cuts_the_rows_of_every_member():
+    # the margin cuts the last axis: on a two-member element the second
+    # member's interior counts, and its rows past the margin do not
+    ctx = QContext(0.5, grid_horizon=8)
+    v = np.zeros((2, ctx.npoints), dtype=complex)
+    v[0, 2], v[1, 3], v[1, -1] = 1.0, 5.0, 100.0
+    d = DiscElement({0: GridFunction(v)}, ctx)
+    assert verify._interior_max(d, 1) == 5.0
+    assert verify._interior_max(d, 0) == 100.0
 
 
 def test_matrix_solve_oracle_is_sized_from_the_grid():
