@@ -252,6 +252,9 @@ def cmd_transform(cfg: RunConfig) -> int:
 def cmd_greens(cfg: RunConfig) -> int:
     ctx = cfg.context()
     el = _input_element(cfg, ctx)
+    # both orders are solved before anything is written, so a failed solve
+    # leaves no file
+    sols = {order: G.green_solve(el, order, ctx) for order in (1, 2)}
     rows = []
     for m in range(1, cfg.coef_terms + 1):
         rows.append(
@@ -263,10 +266,8 @@ def cmd_greens(cfg: RunConfig) -> int:
             }
         )
     _emit_table(rows, cfg.format, cfg.out)
-    sol1 = G.green_solve(el, 1, ctx)
-    sol2 = G.green_solve(el, 2, ctx)
     if cfg.out:
-        for order, sol in ((1, sol1), (2, sol2)):
+        for order, sol in sols.items():
             save_element(sol, f"{cfg.out}.solution{order}.json")
     return EXIT_OK
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -454,15 +455,36 @@ def element_to_json_dict(f: DiscElement) -> dict:
     return {"q": f.ctx.q, "sectors": sectors}
 
 
+def _number(x, kinds=(int, float)) -> bool:
+    """Whether x is a finite instance of kinds and no bool."""
+    return isinstance(x, kinds) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
 def element_from_json_dict(doc: dict, ctx: QContext) -> DiscElement:
+    """The element of a document in element_to_json_dict's schema (its q is
+    not read).  A malformed document raises DomainError: each sector is an
+    object with an int m and a list of values, each value row [n, re, im]
+    has an int n and real re and im (a bool, nan, inf or an int past the
+    double range is neither), and no sector, nor a row within one,
+    repeats.  A row past the horizon raises RangeError."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("sectors", []), list):
+        raise DomainError("an element document is an object whose sectors are a list")
     sectors: dict[int, GridFunction] = {}
     for entry in doc.get("sectors", []):
+        if not (isinstance(entry, dict) and _number(entry.get("m"), int) and isinstance(entry.get("values"), list)):
+            raise DomainError(f"sector entry {entry!r} is not an int m with a list of values")
+        m, rows = entry["m"], entry["values"]
+        for row in rows:
+            if not (isinstance(row, list) and len(row) == 3 and _number(row[0], int) and all(map(_number, row[1:]))):
+                raise DomainError(f"value row {row!r} of sector {m} is not [n, re, im] with an int n and real re, im")
+        if m in sectors or len({n for n, _, _ in rows}) < len(rows):
+            raise DomainError(f"sector {m}, or a row of it, repeats")
         v = np.zeros(ctx.npoints, dtype=complex)
-        for n, re, im in entry["values"]:
-            if not 0 <= int(n) <= ctx.grid_horizon:
+        for n, re, im in rows:
+            if not 0 <= n <= ctx.grid_horizon:
                 raise RangeError(f"serialized grid index {n} beyond horizon")
-            v[int(n)] = re + 1j * im
-        sectors[int(entry["m"])] = GridFunction(v)
+            v[n] = re + 1j * im
+        sectors[m] = GridFunction(v)
     return DiscElement(sectors, ctx)
 
 
@@ -472,5 +494,11 @@ def save_element(f: DiscElement, path) -> None:
 
 
 def load_element(path, ctx: QContext) -> DiscElement:
+    """The element of a JSON file (element_from_json_dict); a file that is
+    no JSON raises DomainError."""
     with open(path) as fh:
-        return element_from_json_dict(json.load(fh), ctx)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"element file is not valid JSON: {exc}") from exc
+    return element_from_json_dict(doc, ctx)

@@ -36,16 +36,17 @@ every kernel, plain, derivative or assembled, is stored as its table
 H[i, s, d], one row per sector pair (i, -i).  apply_kernel contracts the
 table with f directly; the dense matrices
 psi_i[a, b] = sum_s P_s(a) P_s(b) H[i, s, a+b-2s] are materialized only
-on request (Kernel.terms), for the coproduct action and the invariance
-residual, depth by depth from one strided window view of the stacked rows
+on request (Kernel.terms), and serve the invariance residual only, depth
+by depth from one strided window view of the stacked rows
 (hankel[i, s, a, b] = H[i, s, a + b]).  The assembled kernels' rows are
 built in one pass per request, sharing every table their pairs have in
 common, and kept, rows only, in one bounded cover per (order, context,
 shape).  kernel_assembled builds its Kernel from the rows of its sector
 range, green_solve from those of f's own sectors (_assembled_kernel).
 
-The coproduct action on a kernel acts on each leg with the element
-formulas of uqsl2._ef_terms, applied along that leg's grid axis.
+The invariance residual acts on a kernel through the coproduct, on each
+leg with the element formulas of uqsl2._ef_terms, applied along that
+leg's grid axis.
 """
 
 from __future__ import annotations
@@ -166,15 +167,17 @@ def gm_quadrature_grid(m: int, ctx: QContext, npoints: int | None = None) -> Gri
 class Kernel:
     """Two-leg kernel: its depth table per sector pair plus truncation data.
 
-    table[i] = H[i, s, d] for the pair (i, -i) (see the module docstring).
-    A table must be finite wherever the grid block reads it,
-    d + 2 s <= A + B - 2, or CapacityError is raised.
+    table[i] = H[i, s, d] for the pair (i, -i) (see the module docstring);
+    its keys are the pairs the kernel holds.  exact marks a kernel whose
+    series nothing cut: every pair of the invariance residual is then
+    measured, where otherwise only the pairs inside the table are
+    (kernel_invariance_residual).  A table must be finite wherever the grid
+    block reads it, d + 2 s <= A + B - 2, or CapacityError is raised.
     """
 
     table: dict[int, np.ndarray]
     ctx: QContext
     shape: tuple[int, int]
-    sector_max: int
     tail_bound: float = 0.0
     exact: bool = False
 
@@ -198,10 +201,6 @@ class Kernel:
         if t is None:
             return np.zeros(self.shape, dtype=complex)
         return t
-
-
-def _accumulate(acc: dict, key, arr: np.ndarray) -> None:
-    acc[key] = acc[key] + arr if key in acc else arr
 
 
 def _running_products(l: np.ndarray, q: float, width: int):
@@ -300,10 +299,14 @@ def kernel_G(
     where the first piece is the logarithmic derivative of the Pochhammer
     coefficients and the grid offsets realize ln(y) + ln(eta) exactly.
     The kernel's table is H = c_{i,s}(l) q^(2ld), times that factor for the
-    derivative; kernel_assembled sums these tables in closed form.  Depths
-    with c = 0 give zero, so the poles of L_k at l = 0, -1, ... never enter,
-    and sector pairs whose table vanishes are left out.  For l a negative
-    integer both sums terminate and it is exact.
+    derivative; kernel_assembled sums these tables in closed form.  Sector
+    pairs whose table vanishes are left out.
+
+    For l a negative integer both sums terminate: the pairs stop at
+    |i| = -l, and the kernel is exact when sector_max >= -l keeps them all.
+    The derivative at l = 0, -1, -2, ... is the limit c L of depths where
+    c = 0 and L_k has a pole, which this formula does not take; it raises
+    DomainError there.
     """
     if mode not in ("plain", "derivative"):
         raise DomainError("mode must be 'plain' or 'derivative'")
@@ -311,9 +314,11 @@ def kernel_G(
         shape = (ctx.npoints, ctx.npoints)
     A, B = shape
     l = complex(l)
-    neg_int = l.imag == 0.0 and l.real < 0 and float(l.real).is_integer()
+    integer = l.imag == 0.0 and float(l.real).is_integer()
+    if mode == "derivative" and integer and l.real <= 0:
+        raise DomainError(f"the derivative kernel is not available at the nonpositive integer l = {l.real:g}")
     s_cap, i_cap = min(A, B), sector_max
-    if neg_int:
+    if integer and l.real < 0:
         # (q^(2l); q^2)_k vanishes exactly for k > -l, ending both sums
         s_cap, i_cap = min(s_cap, 1 - int(l.real)), min(i_cap, -int(l.real))
     sectors = range(-i_cap, i_cap + 1)
@@ -323,7 +328,7 @@ def kernel_G(
     if mode == "derivative":
         H = ctx.h * H * (ctx.q2**l * lsum[:, :, None] - d)
     table = {i: row for i, row in zip(sectors, H) if np.any(row)}
-    return Kernel(table, ctx, (A, B), i_cap, 0.0, exact=neg_int and mode == "plain")
+    return Kernel(table, ctx, (A, B), exact=integer and l.real < 0 and sector_max >= -l.real)
 
 
 # the assembled kernels' covers by (order, ctx, shape), rows only: the rows
@@ -369,10 +374,10 @@ def kernel_assembled(
     built from them are read-only.
     """
     shape = (ctx.npoints, ctx.npoints) if shape is None else tuple(shape)
-    return _assembled_kernel(order, ctx, shape, range(-sector_max, sector_max + 1), sector_max)
+    return _assembled_kernel(order, ctx, shape, range(-sector_max, sector_max + 1))
 
 
-def _assembled_kernel(order: int, ctx: QContext, shape: tuple[int, int], sectors, sector_max: int) -> Kernel:
+def _assembled_kernel(order: int, ctx: QContext, shape: tuple[int, int], sectors) -> Kernel:
     """The order-th inverse kernel on the pairs (i, -i), i in sectors, from
     the cover's rows; the missing ones are built in one _assembled_rows pass
     and kept.  Its tail_bound is the largest bound of its pairs."""
@@ -385,7 +390,7 @@ def _assembled_kernel(order: int, ctx: QContext, shape: tuple[int, int], sectors
         rows = {**rows, **_assembled_rows(order, ctx, shape, new)}
     _KERNELS.keep(key, rows)
     tail = max((rows[i][2] for i in sectors), default=0.0)
-    return Kernel({i: rows[i][0] for i in sectors}, ctx, shape, sector_max, tail)
+    return Kernel({i: rows[i][0] for i in sectors}, ctx, shape, tail)
 
 
 def _assembled_rows(order: int, ctx: QContext, shape: tuple[int, int], sectors) -> dict:
@@ -468,14 +473,24 @@ def apply_kernel(K: Kernel, f: DiscElement, ctx: QContext | None = None) -> Disc
         out(a) = (1-q^2) sum_{b in supp f} sum_{s<=b} P_s(a) P_s(b) H[m, s, a+b-2s] w(b),
 
     at cost O(n^2 N) for f supported on rows below n, never forming the
-    N x N term.  Insufficient kernel truncation for the support or sectors
-    of f, or an integral weight q^(-2n) past the double range on f's
-    support, raises CapacityError.
+    N x N term.  The rows and q are the kernel's: the output is the first
+    npoints rows of each contraction, at K.ctx.q.  A kernel with fewer rows
+    than the grid, missing a pair for a sector of f or too narrow for its
+    support, or an integral weight q^(-2n) past the double range on f's
+    support, raises CapacityError; an element at another q than the
+    kernel's, or a batch of functions, raises DomainError.
     """
     ctx = ctx or f.ctx
     A, B = K.shape
-    out: dict[int, np.ndarray] = {}
+    if {f.ctx.q, ctx.q} != {K.ctx.q}:
+        raise DomainError(f"element q = {f.ctx.q} (context q = {ctx.q}) is not the kernel's q = {K.ctx.q}")
+    if A < ctx.npoints:
+        raise CapacityError(f"the kernel's {A} rows do not cover the grid's {ctx.npoints}")
+    q2 = K.ctx.q2
+    sectors: dict[int, GridFunction] = {}
     for m, phi in f.sectors.items():
+        if phi.values.ndim > 1:
+            raise DomainError(f"apply_kernel takes one function, not a batch of shape {phi.values.shape[:-1]}")
         if not phi.finite_support:
             raise DomainError("apply_kernel requires a finite element")
         supp = np.flatnonzero(phi.values)
@@ -493,13 +508,10 @@ def apply_kernel(K: Kernel, f: DiscElement, ctx: QContext | None = None) -> Disc
         # the |j| generator contractions between the second leg and f
         # leave the polynomial Q_|j|; for j > 0 they also shift the
         # integral weight by q^(-2j)
-        w = _integral_weights(v, ctx) * (ctx.q2**-j if j > 0 else 1.0)
-        weighted = v * _poch_up(abs(j), ctx, len(v)) * w
-        out[m] = (1.0 - ctx.q2) * _contract(H, ctx.q2, A, weighted)
-    sectors = {
-        i: GridFunction(_fit(v, ctx.npoints), finite_support=False)
-        for i, v in out.items()
-    }
+        w = _integral_weights(v, K.ctx) * (q2**-j if j > 0 else 1.0)
+        weighted = v * _poch_up(abs(j), K.ctx, len(v)) * w
+        out = (1.0 - q2) * _contract(H, q2, A, weighted)[: ctx.npoints]
+        sectors[m] = GridFunction(out, finite_support=False)
     return DiscElement(sectors, ctx)
 
 
@@ -520,14 +532,6 @@ def _contract(H: np.ndarray, q2: float, A: int, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fit(v: np.ndarray, npoints: int) -> np.ndarray:
-    if len(v) == npoints:
-        return v
-    out = np.zeros(npoints, dtype=complex)
-    out[: min(npoints, len(v))] = v[:npoints]
-    return out
-
-
 def green_solve(f: DiscElement, order: int, ctx: QContext | None = None) -> DiscElement:
     """Solution of the order-th power of the Laplacian applied inversely to f.
 
@@ -535,13 +539,14 @@ def green_solve(f: DiscElement, order: int, ctx: QContext | None = None) -> Disc
     f's own sectors only: f on sector 3 alone needs the pair (3, -3) and
     builds no other.  Its table rows come from kernel_assembled's cover, so
     a pair already built for any sector range is not built again; the
-    solution lives in the closure of each sector of f.
+    solution lives in the closure of each sector of f.  The kernel is
+    built at ctx, so f at another q, or a batch of functions, raises
+    DomainError (apply_kernel).
     """
     ctx = ctx or f.ctx
     if not f.finite:
         raise DomainError("green_solve requires a finite element")
-    sectors = list(f.sectors)
-    K = _assembled_kernel(order, ctx, (ctx.npoints, ctx.npoints), sectors, max(map(abs, sectors), default=0))
+    K = _assembled_kernel(order, ctx, (ctx.npoints, ctx.npoints), f.sectors)
     return apply_kernel(K, f, ctx)
 
 
@@ -579,21 +584,6 @@ def _leg_image(psi: np.ndarray, axis: int, c0, c1, s: int) -> np.ndarray:
     return image
 
 
-def kernel_act(label: str, terms: dict, ctx: QContext) -> dict:
-    """Coproduct action on a kernel given by its dense sector-pair terms
-    (Kernel.terms), as the dict of the image's terms: E acts as
-    E (x) 1 + K (x) E, F as F (x) K^-1 + 1 (x) F, K legwise."""
-    out: dict[tuple[int, int], np.ndarray] = {}
-    if label in ("K", "Kinv"):
-        s = 1 if label == "K" else -1
-        for (i, j), psi in terms.items():
-            out[(i, j)] = ctx.q ** (2 * s * (i + j)) * psi
-    else:
-        for key, source, *leg in _coproduct_legs(label, terms, ctx):
-            _accumulate(out, key, _leg_image(terms[source], *leg))
-    return out
-
-
 def kernel_invariance_residual(K: Kernel, ctx: QContext | None = None) -> float:
     """Invariance defect of a kernel under the coproduct action.
 
@@ -609,24 +599,27 @@ def kernel_invariance_residual(K: Kernel, ctx: QContext | None = None) -> float:
     check over the terms keeps that: any nan or inf entry makes the residual
     nan.
 
-    For exact (terminating) kernels every sector pair is measured.  For
-    sector-truncated kernels the generator images cancel between
-    adjacent stored terms, so only acted pairs whose parents are all
-    inside the stored sector range carry meaning; pairs at the
-    truncation boundary are skipped, and their images are never formed.
+    The measured pairs are read from the kernel's table.  An acted pair
+    (i + 1, -i) of E, or (i - 1, -i) of F, has two parents, the pairs
+    (i, -i) and (i + 1, -i - 1), or (i, -i) and (i - 1, -i + 1), one per
+    leg; the generator images cancel between them.  It is measured when
+    the kernel is exact (nothing of its series cut) or when it receives a
+    leg image from each parent; a pair at the edge of a cut table misses
+    one, is skipped, and its image is never formed.  For a table of the
+    whole range -r..r these are the pairs with max(|i|, |j|) <= r.  A block
+    with one row or column measures nothing.
 
-    Each acted pair is summed from its leg images (kernel_act's, at most
-    one per leg, so the order of the sum does not matter) one pair at a
-    time, and |psi| is taken once per term.  A nan entry makes the
-    residual nan.
+    Each acted pair is summed from its leg images (at most one per leg, so
+    the order of the sum does not matter) one pair at a time, and |psi| is
+    taken once per term.  A nan entry makes the residual nan.
     """
     ctx = ctx or K.ctx
     absolute = {key: np.abs(psi) for key, psi in K.terms.items()}
     acted: dict[tuple, list] = {}
     for lab in ("E", "F"):
         for target, *leg in _coproduct_legs(lab, K.terms, ctx):
-            if min(K.shape) > 1 and (K.exact or max(map(abs, target)) <= K.sector_max):
-                acted.setdefault((lab, target), []).append(leg)
+            acted.setdefault((lab, target), []).append(leg)
+    measured = [legs for legs in acted.values() if min(K.shape) > 1 and (K.exact or len(legs) == 2)]
 
     def residual(legs):
         image = functools.reduce(np.add, (_leg_image(K.terms[source], *leg) for source, *leg in legs))
@@ -636,7 +629,7 @@ def kernel_invariance_residual(K: Kernel, ctx: QContext | None = None) -> float:
         return np.max(np.abs(image[:-1, :-1]) / np.maximum(1.0, mag[:-1, :-1]))
 
     finite = all(np.isfinite(size).all() for size in absolute.values())
-    return _max(0.0 if finite else math.nan, *(residual(legs) for legs in acted.values()))
+    return _max(0.0 if finite else math.nan, *map(residual, measured))
 
 
 # --- classical limits ----------------------------------------------------

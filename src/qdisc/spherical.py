@@ -914,13 +914,16 @@ def transform_forward(
                = (1-q^2) sum_m phi_rho(q^(2m)) f(q^(2m)) q^(-2m),
 
     an exact finite sum, evaluated on equispaced nodes.  A weight q^(-2m)
-    past the double range on g's support raises CapacityError.  The sum
-    runs once per distinct node of the node table (node count - j mirrors
-    node j); the result keeps those folded values, read-only, for
-    transform_inverse, and its nodes are a shared read-only array.
+    past the double range on g's support raises CapacityError, and a batch
+    of functions DomainError.  The sum runs once per distinct node of the
+    node table (node count - j mirrors node j); the result keeps those
+    folded values, read-only, for transform_inverse, and its nodes are a
+    shared read-only array.
     """
     if not g.finite_support:
         raise DomainError("spherical transform requires finite support")
+    if g.values.ndim > 1:
+        raise DomainError(f"the spherical transform takes one function, not a batch of shape {g.values.shape[:-1]}")
     vals = _frozen(_forward(_phi_table(ctx.q, node_count, len(g.values)), g, ctx))
     F = SpectralFunction(_nodes(node_count, ctx), vals[_columns(node_count)], source=g)
     F._folded = (_cover_key(ctx.q, node_count), vals)

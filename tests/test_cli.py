@@ -321,6 +321,59 @@ def test_greens_outputs(tmp_path):
     assert sol["sectors"][0]["m"] == 0
 
 
+def test_greens_writes_nothing_when_a_solve_fails(tmp_path, capsys):
+    # the weight q^(-2n) at row 150 overflows at q = 0.05: both orders are
+    # solved before the coefficient table is written
+    cfg, element, out = tmp_path / "cfg.json", tmp_path / "in.json", tmp_path / "o.csv"
+    cfg.write_text(json.dumps({"grid_horizon": 200}))
+    element.write_text(json.dumps({"sectors": [{"m": 0, "values": [[150, 1.0, 0.0]]}]}))
+    args = ["greens", "--q", "0.05", "--config", str(cfg), "--input", str(element), "--out", str(out)]
+    assert main(args) == 2
+    assert "integral weight" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == sorted([cfg, element])
+
+
+# malformed input elements: each is a usage error, and no output is written
+_MALFORMED_ELEMENTS = {
+    "missing_m": ({"sectors": [{"values": [[0, 1.0, 0.0]]}]}, "is not an int m"),
+    "two_entry_row": ({"sectors": [{"m": 0, "values": [[0, 1.0]]}]}, "is not [n, re, im]"),
+    "top_level_list": ([{"m": 0, "values": [[0, 1.0, 0.0]]}], "an element document is an object"),
+    "string_m": ({"sectors": [{"m": "a", "values": []}]}, "is not an int m"),
+    "string_value": ({"sectors": [{"m": 0, "values": [[0, "1", 0.0]]}]}, "is not [n, re, im]"),
+    "nan_value": ({"sectors": [{"m": 0, "values": [[0, float("nan"), 0.0]]}]}, "is not [n, re, im]"),
+    "inf_value": ({"sectors": [{"m": 0, "values": [[0, 1.0, float("inf")]]}]}, "is not [n, re, im]"),
+    "huge_value": ({"sectors": [{"m": 0, "values": [[0, 10**400, 0.0]]}]}, "is not [n, re, im]"),
+    "float_row": ({"sectors": [{"m": 0, "values": [[0.5, 1.0, 0.0]]}]}, "is not [n, re, im]"),
+    "float_m": ({"sectors": [{"m": 1.5, "values": []}]}, "is not an int m"),
+    "bool_m": ({"sectors": [{"m": True, "values": []}]}, "is not an int m"),
+    "repeated_sector": ({"sectors": [{"m": 1, "values": []}, {"m": 1, "values": []}]}, "sector 1, or a row of it, repeats"),
+    "repeated_row": (
+        {"sectors": [{"m": 0, "values": [[2, 1.0, 0.0], [2, 0.5, 0.0]]}]}, "sector 0, or a row of it, repeats"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["greens", "transform"])
+@pytest.mark.parametrize("case", [*_MALFORMED_ELEMENTS, "invalid_json"])
+def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, command, case):
+    doc, message = _MALFORMED_ELEMENTS.get(case, (None, "not valid JSON"))
+    element, out = tmp_path / "in.json", tmp_path / "out.csv"
+    element.write_text('{"sectors": [' if doc is None else json.dumps(doc))
+    assert main([command, "--q", "0.5", "--input", str(element), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [element]
+
+
+@pytest.mark.parametrize("case", [case for case, (doc, _) in _MALFORMED_ELEMENTS.items() if isinstance(doc, dict)])
+def test_malformed_inline_input_is_a_usage_error(tmp_path, capsys, case):
+    doc, message = _MALFORMED_ELEMENTS[case]
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps({"input": doc}))
+    assert main(["greens", "--q", "0.5", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_limit_rows(tmp_path):
     out = tmp_path / "limit.csv"
     cfg = tmp_path / "cfg.json"

@@ -144,7 +144,10 @@ def _leg_image_ref(psi, axis, c0, c1, s):
 
 def _invariance_residual_ref(K, ctx):
     """kernel_invariance_residual pair by pair, leg by leg, accumulating
-    every leg image and magnitude in order, folded with the builtin max."""
+    every leg image and magnitude in order, folded with the builtin max;
+    a kernel that is not exact is measured on the pairs inside the range
+    -r..r of its table."""
+    r = max(map(abs, K.table), default=0)
     worst = 0.0
     for lab in ("E", "F"):
         acted, mags = {}, {}
@@ -156,7 +159,7 @@ def _invariance_residual_ref(K, ctx):
             ):
                 acc[key] = acc[key] + image if key in acc else image
         for key, arr in acted.items():
-            if not K.exact and max(abs(key[0]), abs(key[1])) > K.sector_max:
+            if not K.exact and max(abs(key[0]), abs(key[1])) > r:
                 continue
             ratio = np.abs(arr) / np.maximum(1.0, mags[key])
             if ratio.shape[0] > 1 and ratio.shape[1] > 1:
@@ -296,7 +299,7 @@ def test_kernel_terminating_expansion(ctx):
 def test_kernel_pairing_against_representation_trace(ctx):
     # independent route: pair the second leg with f through matrix traces
     # in the weighted-shift representation
-    K = kernel_G(-1.0, "plain", ctx, shape=(10, 10), sector_max=2)
+    K = kernel_G(-1.0, "plain", ctx, shape=(ctx.npoints, 10), sector_max=2)
     f = delta_fn(1, ctx)
     direct = apply_kernel(K, f, ctx)
     dim = 10
@@ -342,6 +345,53 @@ def test_kernel_derivative_matches_finite_difference(ctx):
         assert errs[1] / errs[0] == pytest.approx(0.25, abs=0.1)
 
 
+def test_kernel_derivative_matches_central_differences():
+    # off the nonpositive integers the derivative kernel is d/dl G(l):
+    # central differences at step 1e-5 agree to 1e-8 of its largest entry
+    ctx = QContext(0.5)
+    eps = 1e-5
+    for l in (0.5, 1.0, 2.3):
+        Kd = kernel_G(l, "derivative", ctx, (6, 6), 2)
+        Kp, Km = (kernel_G(l + e, "plain", ctx, (6, 6), 2) for e in (eps, -eps))
+        assert sorted(Kd.terms) == sorted(Kp.terms) == sorted(Km.terms)
+        largest = max(np.max(np.abs(arr)) for arr in Kd.terms.values())
+        for key, arr in Kd.terms.items():
+            fd = (Kp.term(*key) - Km.term(*key)) / (2 * eps)
+            assert np.max(np.abs(fd - arr)) <= 1e-8 * largest, (l, key)
+    for l in (0.0, -1.0, -2.0):
+        with pytest.raises(DomainError, match="nonpositive integer"):
+            kernel_G(l, "derivative", ctx, (6, 6), 2)
+
+
+def test_a_cut_terminating_kernel_is_not_exact():
+    # G(-3) holds the pairs |i| <= 3: sector_max 1 or 2 cuts it, and its
+    # residual then reads the pairs inside the table only
+    ctx = QContext(0.5)
+    for sector_max in (1, 2, 3, 4):
+        K = kernel_G(-3.0, "plain", ctx, (10, 10), sector_max)
+        assert sorted(K.table) == list(range(-min(sector_max, 3), min(sector_max, 3) + 1))
+        assert K.exact == (sector_max >= 3)
+        assert kernel_invariance_residual(K, ctx) <= 1e-12, sector_max
+
+
+def test_apply_kernel_refuses_what_the_kernel_does_not_hold():
+    # fewer rows than the grid, an element at another q, and a batch of
+    # functions are refused, never padded, mixed or flattened
+    ctx = QContext(0.5, grid_horizon=20)
+    f = delta_fn(0, ctx)
+    with pytest.raises(CapacityError, match="8 rows do not cover the grid's 21"):
+        apply_kernel(kernel_G(-1.0, "plain", ctx, (8, 21)), f)
+    with pytest.raises(DomainError, match=r"element q = 0.5 \(context q = 0.5\) is not the kernel's q = 0.9"):
+        apply_kernel(kernel_G(-1.0, "plain", QContext(0.9, grid_horizon=20)), f)
+    batch = DiscElement({0: GridFunction(np.eye(2, ctx.npoints))}, ctx)
+    for solve in (lambda: apply_kernel(kernel_assembled(1, ctx), batch), lambda: green_solve(batch, 1)):
+        with pytest.raises(DomainError, match=r"batch of shape \(2,\)"):
+            solve()
+    # a kernel with more rows than the grid gives the grid's first rows
+    wide = apply_kernel(kernel_G(-1.0, "plain", ctx, (30, 21)), f).sector(0).values
+    assert np.array_equal(wide, apply_kernel(kernel_G(-1.0, "plain", ctx), f).sector(0).values)
+
+
 def test_assembled_coefficients(ctx):
     assert coef_order1(1, ctx.q) == -1.0
     for qq in (0.9, 0.99, 0.999):
@@ -376,14 +426,14 @@ def test_kernel_application_uses_orthogonality(ctx):
 
 def test_power_kernel_pairs_to_power_function(ctx):
     # the one-parameter kernel paired with the centre delta returns
-    # (1 - q^2) y^l for every parameter
+    # (1 - q^2) y^l for every parameter, on every grid row
     for l in (-1.0, -2.0, 0.7, 1.5):
-        K = kernel_G(l, "plain", ctx, shape=(10, 10), sector_max=2)
+        K = kernel_G(l, "plain", ctx, shape=(ctx.npoints, 10), sector_max=2)
         out = apply_kernel(K, delta_fn(0, ctx), ctx)
-        a = np.arange(10)
+        a = np.arange(ctx.npoints)
         expected = (1 - ctx.q2) * np.exp(2 * a * l * math.log(ctx.q))
         assert np.max(
-            np.abs(out.sector(0).values[:10] - expected) / np.maximum(1.0, np.abs(expected))
+            np.abs(out.sector(0).values - expected) / np.maximum(1.0, np.abs(expected))
         ) < 1e-13
 
 
@@ -501,12 +551,17 @@ def test_default_context_certifies_near_q_one():
 def test_kernel_G_raises_capacity_when_terms_overflow():
     # the leg factors q^(2l(a-s)) and their products pass the double range
     # for small q or large -l on deep grids; such terms must not be returned
+    # (the derivative is not taken at a negative integer l, so it overflows
+    # at l - 1/2)
     for l, ctx in ((-3.0, QContext(0.05, grid_horizon=32)), (-5.0, QContext(0.5))):
-        for mode in ("plain", "derivative"):
+        for l_mode in ((l, "plain"), (l - 0.5, "derivative")):
             with np.errstate(all="ignore"), pytest.raises(CapacityError):
-                kernel_G(l, mode, ctx)
+                kernel_G(*l_mode, ctx)
+        with pytest.raises(DomainError):
+            kernel_G(l, "derivative", ctx)
     # nearby cases stay finite: the same l on shallower grids, and the
-    # registry's exact kernels down to q = 0.05
+    # registry's exact kernels down to q = 0.05; the default sector_max = 4
+    # cuts the pairs of l = -5, so that kernel is not exact
     for l, ctx, shape in (
         (-3.0, QContext(0.05, grid_horizon=18), None),
         (-5.0, QContext(0.5, grid_horizon=48), None),
@@ -514,10 +569,11 @@ def test_kernel_G_raises_capacity_when_terms_overflow():
         (-2.0, QContext(0.05), (10, 10)),
         (-3.0, QContext(0.05), (10, 10)),
     ):
-        for mode in ("plain", "derivative"):
-            K = kernel_G(l, mode, ctx, shape)
-            assert K.exact == (mode == "plain")
-            assert all(np.isfinite(arr).all() for arr in K.terms.values())
+        K = kernel_G(l, "plain", ctx, shape)
+        assert K.exact == (l >= -4)
+        assert all(np.isfinite(arr).all() for arr in K.terms.values())
+        with pytest.raises(DomainError):
+            kernel_G(l, "derivative", ctx, shape)
 
 
 def test_capacity_on_missing_sector(ctx):
@@ -682,7 +738,7 @@ def test_a_larger_sector_max_grows_the_cover_once(row_builds):
     assert sorted(rows) == list(range(-3, 4))
     assert all(rows[i][0] is K3.table[i] for i in rows)
     for K in (K3, K1):
-        again = kernel_assembled(1, ctx, sector_max=K.sector_max)
+        again = kernel_assembled(1, ctx, sector_max=max(K.table))
         assert list(again.table) == list(K.table)
         assert all(again.table[i] is K.table[i] for i in K.table)
         assert again.tail_bound == K.tail_bound
@@ -754,8 +810,9 @@ def test_materialized_terms_match_the_offsets_gather():
         kernels = [kernel_assembled(order, ctx, shape, 3) for order in (1, 2) for shape in ((n, n), (n, 9), (9, n))]
         kernels += [
             kernel_G(l, mode, ctx, shape, 3)
-            for l in (-2.0, 0.7, 1 + 0.5j)
-            for mode in ("plain", "derivative")
+            for l, mode in (
+                (-2.0, "plain"), (0.7, "plain"), (0.7, "derivative"), (1 + 0.5j, "plain"), (1 + 0.5j, "derivative")
+            )
             for shape in ((10, 10), (8, 12), (12, 8))
         ]
         for K in kernels:
@@ -846,7 +903,7 @@ def test_apply_kernel_matches_the_dense_route():
         kernels = [kernel_assembled(order, ctx, sector_max=3) for order in (1, 2)]
         kernels += [kernel_G(l, "plain", ctx, sector_max=3) for l in (-2.0, 0.7)]
         for K, m in itertools.product(kernels, range(-3, 4)):
-            if abs(m) > K.sector_max:
+            if m not in K.table:
                 continue
             v = np.zeros(ctx.npoints, dtype=complex)
             v[:9] = rng.standard_normal(9) + 1j * rng.standard_normal(9)
@@ -874,7 +931,8 @@ def test_apply_kernel_is_linear(data, alpha, beta):
     else:
         ctx = QContext(data.draw(st.floats(0.05, 0.995), label="q"), grid_horizon=11)
         K = kernel_G(-data.draw(st.integers(1, 3), label="l"), "plain", ctx, sector_max=3)
-    sectors = st.sets(st.integers(-K.sector_max, K.sector_max), min_size=1, max_size=7)
+    r = max(K.table)
+    sectors = st.sets(st.integers(-r, r), min_size=1, max_size=7)
     support = data.draw(st.integers(0, 5), label="support")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     f, g = (random_sectors(ctx, rng, data.draw(sectors, label="sectors"), support) for _ in range(2))
@@ -947,11 +1005,11 @@ def test_green_solve_builds_only_its_own_pairs(row_builds):
     assert row_builds == [[3], [-3, -2, -1, 0, 1, 2], [3], [-3, -2, -1, 0, 1, 2]]
 
 
-def test_kernel_act_on_rank_one_terms_matches_element_action():
+def test_coproduct_legs_on_rank_one_terms_match_element_action():
     # K = outer(f, g) at (i, j): E acts as E (x) 1 + K (x) E and F as
-    # F (x) K^-1 + 1 (x) F, each leg by the element action of its sector
+    # F (x) K^-1 + 1 (x) F, each leg by the element action of its sector;
+    # the residual's leg images, one per acted pair here, are those legs
     from qdisc.discalg import _shift
-    from qdisc.green import kernel_act
     from qdisc.uqsl2 import _ef_terms
 
     rng = np.random.default_rng(7)
@@ -978,21 +1036,11 @@ def test_kernel_act_on_rank_one_terms_matches_element_action():
                         (i2, j): (kf * np.outer(lf, g), kf * np.outer(mf, np.abs(g))),
                         (i, j2): (kg * np.outer(f, lg), kg * np.outer(np.abs(f), mg)),
                     }
-                    got = kernel_act(label, terms, ctx)
-                    assert sorted(got) == sorted(want)
+                    legs = list(green._coproduct_legs(label, terms, ctx))
+                    got = {key: green._leg_image(terms[source], *rest) for key, source, *rest in legs}
+                    assert len(legs) == 2 and sorted(got) == sorted(want)
                     for key, (val, mag) in want.items():
                         assert np.all(np.abs(got[key] - val) <= 1e-14 * mag), (q, i, j, label)
-
-
-def test_kernel_act_k_scales_each_sector_pair(ctx):
-    from qdisc.green import kernel_act
-
-    K = kernel_G(-1.0, "plain", ctx, shape=(8, 8), sector_max=2)
-    KK = kernel_act("K", K.terms, ctx)
-    back = kernel_act("Kinv", KK, ctx)
-    for (i, j), psi in K.terms.items():
-        assert np.allclose(KK[(i, j)], ctx.q ** (2 * (i + j)) * psi, rtol=1e-14, atol=0)
-        assert np.allclose(back[(i, j)], psi, rtol=1e-12, atol=0)
 
 
 def l_sum(xi: complex, k: int | float, q: float, series_tol: float = 1e-14) -> complex:
@@ -1070,17 +1118,21 @@ def _kernel_G_by_depth(l, mode, ctx, shape, sector_max):
             acc += block
         if np.any(acc):
             terms[(i, -i)] = acc
-    return terms, neg_int and mode == "plain"
+    return terms, neg_int and mode == "plain" and sector_max >= -l.real
 
 
 def test_kernel_G_matches_depth_loop(ctx):
     # the materialized depth tables against the per-depth outer-product sums;
-    # the derivative at l = 0, -1, -2, -3 sits on poles of L_k, where it
-    # must stay free of warnings and NaN and keep the loop's sector pairs
+    # at l = 0, -1, -2, -3 the plain kernel must stay free of the poles of
+    # L_k, their warnings and NaN, and the derivative raises DomainError
     for l in (-3.0, -2.0, -1.0, 0.0, 0.7, 1.0, 2.3, 1 + 0.5j):
         for mode in ("plain", "derivative"):
             for shape in ((10, 10), (8, 12), (12, 8)):
                 for sector_max in range(4):
+                    if mode == "derivative" and l in (-3.0, -2.0, -1.0, 0.0):
+                        with pytest.raises(DomainError, match="nonpositive integer"):
+                            kernel_G(l, mode, ctx, shape, sector_max)
+                        continue
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
                         K = kernel_G(l, mode, ctx, shape, sector_max)

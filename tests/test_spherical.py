@@ -637,6 +637,14 @@ def test_forward_requires_finite_support(ctx):
         transform_forward(GridFunction(np.ones(ctx.npoints), False), ctx)
 
 
+def test_forward_refuses_a_batch():
+    # the transform takes one function; a batch is named, not broadcast
+    ctx = QContext(0.5, grid_horizon=16)
+    g = GridFunction(np.eye(2, ctx.npoints))
+    with pytest.raises(DomainError, match=r"batch of shape \(2,\)"):
+        transform_forward(g, ctx)
+
+
 def test_conjugate_symmetry_for_real_functions(ctx, rng):
     v = np.zeros(ctx.npoints, dtype=complex)
     v[:6] = rng.standard_normal(6)
